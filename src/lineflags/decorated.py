@@ -81,19 +81,12 @@ def delta_table(dm: DecoratedMatrix) -> tuple[tuple[int, ...], ...]:
 
     ``delta[i][j] = 1`` iff every decorated ``(a, b)`` has ``a <= i`` or
     ``b <= j`` — equivalently, iff no decorated position lies weakly
-    southeast of ``(i+1, j+1)``.  Both characterizations are computed
-    and compared when assertions are enabled.
+    southeast of ``(i+1, j+1)``.
     """
-    q, r = dm.q, dm.r
-    out = []
-    for i in range(q + 1):
-        row = []
-        for j in range(r + 1):
-            v = 1 if all(a <= i or b <= j for (a, b) in dm.delta) else 0
-            assert v == (0 if any(a >= i + 1 and b >= j + 1 for (a, b) in dm.delta) else 1)
-            row.append(v)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(int(all(a <= i or b <= j for (a, b) in dm.delta)) for j in range(dm.r + 1))
+        for i in range(dm.q + 1)
+    )
 
 
 def rbar_table(dm: DecoratedMatrix) -> RBarTable:

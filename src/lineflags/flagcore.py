@@ -27,6 +27,7 @@ __all__ = [
     "ShapeMismatch",
     "NotFullFlag",
     "PreconditionFailed",
+    "OrderCheckFailed",
     "pos_leq",
     "pos_lt",
     "dominated",
@@ -83,6 +84,10 @@ class PreconditionFailed(FlagError):
         self.clause = clause
 
 
+class OrderCheckFailed(FlagError):
+    """A consistency check of the order failed (raised under ``python -O`` too)."""
+
+
 # ---------------------------------------------------------------------------
 # The position order and decoration normalization
 
@@ -130,12 +135,17 @@ def normalize_decoration(positions: Iterable[Position]) -> tuple[Position, ...]:
 # Compositions (margins)
 
 
+def _is_int(x: object) -> bool:
+    """True for ``int`` values other than ``bool``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate_composition(parts: tuple[int, ...]) -> str | None:
     """Return an error code unless every part is an integer >= 1."""
     if len(parts) == 0:
         return "EmptyComposition"
     for k, part in enumerate(parts, start=1):
-        if not isinstance(part, int) or isinstance(part, bool) or part < 1:
+        if not _is_int(part) or part < 1:
             return f"BadPart({k})"
     return None
 
@@ -246,7 +256,7 @@ def validate(matrix: TransportMatrix, delta: Iterable[Position] | None = None) -
     for i in range(1, q + 1):
         for j in range(1, r + 1):
             x = matrix.m[i - 1][j - 1]
-            if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+            if not _is_int(x) or x < 0:
                 return f"NegativeEntry({i},{j})"
     for i in range(1, q + 1):
         if sum(matrix.m[i - 1]) != matrix.b[i - 1]:
@@ -343,29 +353,30 @@ def element_from_obj(obj: object) -> TransportMatrix | DecoratedMatrix:
 
     ``b`` and ``c`` default to the margins read off ``m``.  With a
     ``delta`` field the result is a :class:`DecoratedMatrix`, otherwise
-    a plain :class:`TransportMatrix`.
+    a plain :class:`TransportMatrix`.  Values are not coerced: a float,
+    string or bool raises ``ValidationError("NotAnInteger(field)")``.
     """
     if not isinstance(obj, dict) or "m" not in obj:
         raise ValidationError("BadShape")
     try:
-        m = tuple(tuple(int(x) for x in row) for row in obj["m"])
-        b = tuple(int(x) for x in obj["b"]) if "b" in obj else tuple(sum(row) for row in m)
-        if "c" in obj:
-            c = tuple(int(x) for x in obj["c"])
-        else:
-            c = tuple(sum(col) for col in zip(*m)) if m else ()
+        m = tuple(tuple(row) for row in obj["m"])
+        b, c = tuple(obj.get("b", ())), tuple(obj.get("c", ()))
         delta_obj = obj.get("delta")
-        delta = (
-            None
-            if delta_obj is None
-            else tuple(sorted((int(i), int(j)) for (i, j) in delta_obj))
-        )
-    except (TypeError, ValueError, KeyError):
+        delta = None if delta_obj is None else tuple((i, j) for (i, j) in delta_obj)
+    except (TypeError, ValueError):
         raise ValidationError("BadShape") from None
+    for field, values in (("m", sum(m, ())), ("b", b), ("c", c), ("delta", sum(delta or (), ()))):
+        if not all(_is_int(x) for x in values):
+            raise ValidationError(f"NotAnInteger({field})")
+    if "b" not in obj:
+        b = tuple(sum(row) for row in m)
+    if "c" not in obj:
+        c = tuple(sum(col) for col in zip(*m)) if m else ()
     tm = TransportMatrix(m, b, c)
     if delta is None:
         raise_if_invalid(tm)
         return tm
+    delta = tuple(sorted(delta))
     raise_if_invalid(tm, delta)
     return DecoratedMatrix(tm, delta)
 

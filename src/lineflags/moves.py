@@ -28,6 +28,7 @@ from typing import Iterator, Sequence
 from .flagcore import (
     DecoratedMatrix,
     FlagError,
+    OrderCheckFailed,
     Position,
     PreconditionFailed,
     ShapeMismatch,
@@ -43,6 +44,7 @@ from .decorated import (
     rk_first_difference,
     rk_leq_dec,
 )
+from .order import bits, closure, covers, dominance_masks
 from .twoflags import rank_table
 
 __all__ = [
@@ -536,12 +538,14 @@ class Poset:
     ``covers`` holds index pairs ``(a, b)`` meaning element ``a`` is
     covered by element ``b`` (``a < b`` with nothing strictly between);
     ``cover_kinds[k]`` lists the kinds of the moves realizing
-    ``covers[k]``.
+    ``covers[k]`` and ``cover_moves[k]`` is the first of those moves in
+    canonical order.
     """
 
     elements: tuple[DecoratedMatrix, ...]
     covers: tuple[tuple[int, int], ...]
     cover_kinds: tuple[tuple[str, ...], ...]
+    cover_moves: tuple[Move, ...]
 
     def index_of(self, dm: DecoratedMatrix) -> int:
         return self._index[(dm.matrix.m, dm.delta)]
@@ -554,27 +558,11 @@ class Poset:
         )
 
 
-def _leq_masks(elements: Sequence[DecoratedMatrix]) -> list[int]:
-    """Bitmask of the rank order: bit ``t`` of ``leq[a]`` iff ``a <= t``."""
-    keys = []
-    for el in elements:
-        rt = rank_table(el.matrix)
-        bt = rbar_table(el)
-        keys.append(
-            tuple(v for row in rt.values for v in row)
-            + tuple(v for row in bt.values for v in row)
-        )
-    count = len(elements)
-    leq = [0] * count
-    for a in range(count):
-        ka = keys[a]
-        mask = 0
-        for t in range(count):
-            kt = keys[t]
-            if all(x >= y for x, y in zip(ka, kt)):
-                mask |= 1 << t
-        leq[a] = mask
-    return leq
+def _rank_order(elements: Sequence[DecoratedMatrix]) -> list[int]:
+    """Up-sets of the rank order on the tables ``(r, rbar)`` of each element."""
+    return dominance_masks(
+        [sum(rank_table(el.matrix).values + rbar_table(el).values, ()) for el in elements]
+    )
 
 
 def _move_edges(
@@ -593,25 +581,6 @@ def _move_edges(
     return moves_of, targets_of
 
 
-def _reach_masks(count: int, targets_of: Sequence[Sequence[int]]) -> list[int]:
-    """Reflexive-transitive closure of the move graph, as bitmasks."""
-    reach = [0] * count
-    done = [False] * count
-
-    def close(k: int) -> int:
-        if not done[k]:
-            mask = 1 << k
-            for t in targets_of[k]:
-                mask |= close(t)
-            reach[k] = mask
-            done[k] = True
-        return reach[k]
-
-    for k in range(count):
-        close(k)
-    return reach
-
-
 def build_poset(
     b: tuple[int, ...], c: tuple[int, ...], check_reduction: bool = True
 ) -> Poset:
@@ -619,30 +588,28 @@ def build_poset(
 
     The covers are the deduplicated move edges.  With
     ``check_reduction`` (the default) the construction additionally
-    asserts that the move graph's closure equals the rank order and
-    that every edge is a genuine cover.
+    checks that the move graph's closure equals the rank order and that
+    every edge is a genuine cover, raising :class:`OrderCheckFailed`
+    otherwise.
     """
     elements = tuple(enumerate_orbits(b, c))
-    count = len(elements)
     moves_of, targets_of = _move_edges(elements)
-    edge_kinds: dict[tuple[int, int], list[str]] = {}
-    for a in range(count):
-        for mv, t in zip(moves_of[a], targets_of[a]):
-            kinds = edge_kinds.setdefault((a, t), [])
-            if mv.kind not in kinds:
-                kinds.append(mv.kind)
-    covers = tuple(sorted(edge_kinds))
-    cover_kinds = tuple(tuple(edge_kinds[e]) for e in covers)
+    edge_moves: dict[tuple[int, int], list[Move]] = {}
+    for a, (moves, targets) in enumerate(zip(moves_of, targets_of)):
+        for mv, t in zip(moves, targets):
+            edge_moves.setdefault((a, t), []).append(mv)
+    edges = tuple(sorted(edge_moves))
+    cover_kinds = tuple(tuple(dict.fromkeys(mv.kind for mv in edge_moves[e])) for e in edges)
+    cover_moves = tuple(edge_moves[e][0] for e in edges)
     if check_reduction:
-        leq = _leq_masks(elements)
-        reach = _reach_masks(count, targets_of)
-        assert reach == leq, "move closure differs from the rank order"
-        for (a, t) in covers:
-            assert not any(
-                z != a and z != t and (leq[a] >> z) & 1 and (leq[z] >> t) & 1
-                for z in range(count)
-            ), f"edge {a}->{t} is not a cover"
-    return Poset(elements, covers, cover_kinds)
+        leq = _rank_order(elements)
+        if closure(targets_of) != leq:
+            raise OrderCheckFailed("move closure differs from the rank order")
+        cover_masks = covers(leq)
+        for (a, t) in edges:
+            if not (cover_masks[a] >> t) & 1:
+                raise OrderCheckFailed(f"edge {a}->{t} is not a cover")
+    return Poset(elements, edges, cover_kinds, cover_moves)
 
 
 def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
@@ -711,68 +678,43 @@ def verify_equivalence(b: tuple[int, ...], c: tuple[int, ...]) -> EquivalenceRep
     """
     elements = tuple(enumerate_orbits(b, c))
     count = len(elements)
-    moves_of, targets_of = _move_edges(elements)
-    leq = _leq_masks(elements)
-    reach = _reach_masks(count, targets_of)
-    counterexamples: list[str] = []
-    order_equivalent = reach == leq
-    if not order_equivalent:
-        for a in range(count):
-            if reach[a] != leq[a]:
-                counterexamples.append(
-                    f"element {a}: move closure and rank order disagree"
-                )
+    _, targets_of = _move_edges(elements)
+    leq = _rank_order(elements)
+    reach = closure(targets_of)
+    counterexamples = [
+        f"element {a}: move closure and rank order disagree"
+        for a in range(count)
+        if reach[a] != leq[a]
+    ]
+    cover_masks = covers(leq)
     edge_set = {(a, t) for a in range(count) for t in targets_of[a]}
-    moves_are_covers = True
-    covers = set()
-    for a in range(count):
-        mask = leq[a]
-        for t in range(count):
-            if t == a or not ((mask >> t) & 1):
-                continue
-            if not any(
-                z != a and z != t and (mask >> z) & 1 and (leq[z] >> t) & 1
-                for z in range(count)
-            ):
-                covers.add((a, t))
-    for (a, t) in sorted(edge_set):
-        if (a, t) not in covers:
-            moves_are_covers = False
-            counterexamples.append(f"move edge {a}->{t} is not a cover")
-    covers_are_moves = True
-    for (a, t) in sorted(covers):
-        if (a, t) not in edge_set:
-            covers_are_moves = False
-            counterexamples.append(f"cover {a}->{t} is not realized by a move")
+    cover_set = {(a, t) for a in range(count) for t in bits(cover_masks[a])}
+    not_covers, not_moves = sorted(edge_set - cover_set), sorted(cover_set - edge_set)
+    counterexamples += [f"move edge {a}->{t} is not a cover" for a, t in not_covers]
+    counterexamples += [f"cover {a}->{t} is not realized by a move" for a, t in not_moves]
+    # A greedy walk toward t steps from z to the first move target below t.
+    # When every target lies strictly above its source, all walks arrive
+    # iff each t > z lies above some target of z that is itself above z.
     chains_ok = True
-    for a in range(count):
-        mask = leq[a]
-        for t in range(count):
-            if t == a or not ((mask >> t) & 1):
-                continue
-            z = a
-            steps = 0
-            while z != t and steps <= count:
-                nxt = None
-                for tgt in targets_of[z]:
-                    if (leq[tgt] >> t) & 1:
-                        nxt = tgt
-                        break
-                if nxt is None:
-                    break
-                z = nxt
-                steps += 1
-            if z != t:
-                chains_ok = False
-                counterexamples.append(f"no greedy chain from {a} to {t}")
+    for z in range(count):
+        above = leq[z] & ~(1 << z)
+        reached = 0
+        for t in targets_of[z]:
+            if (above >> t) & 1:
+                reached |= leq[t]
+        missed = above & ~reached
+        if missed:
+            chains_ok = False
+            t = next(bits(missed))
+            counterexamples.append(f"no greedy chain from {z} to {t}")
     return EquivalenceReport(
         b=tuple(b),
         c=tuple(c),
         element_count=count,
-        cover_count=len(covers),
-        order_equivalent=order_equivalent,
-        moves_are_covers=moves_are_covers,
-        covers_are_moves=covers_are_moves,
+        cover_count=len(cover_set),
+        order_equivalent=reach == leq,
+        moves_are_covers=not not_covers,
+        covers_are_moves=not not_moves,
         chains_ok=chains_ok,
         counterexamples=tuple(counterexamples),
     )

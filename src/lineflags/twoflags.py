@@ -25,6 +25,7 @@ from typing import Iterator
 
 from .flagcore import (
     FlagError,
+    OrderCheckFailed,
     PreconditionFailed,
     ShapeMismatch,
     TransportMatrix,
@@ -32,6 +33,7 @@ from .flagcore import (
     sort_key,
     validate_composition,
 )
+from .order import bits, closure, covers, dominance_masks
 
 __all__ = [
     "NotStrictlyLess",
@@ -244,8 +246,11 @@ def progress_move(x: TransportMatrix, y: TransportMatrix) -> Rectangle:
     if source is None:
         source = (k0, l0)
     rect = Rectangle(source[0], source[1], i1, j1)
-    assert _simple_move_clause(x, rect) is None
-    assert rk_leq(_corner_flip(x, rect), y)
+    clause = _simple_move_clause(x, rect)
+    if clause is not None:
+        raise OrderCheckFailed(f"progress move {rect} is not a simple move: {clause}")
+    if not rk_leq(_corner_flip(x, rect), y):
+        raise OrderCheckFailed(f"progress move {rect} overshoots the target")
     return rect
 
 
@@ -253,8 +258,7 @@ def enumerate_transport_matrices(
     b: tuple[int, ...], c: tuple[int, ...]
 ) -> list[TransportMatrix]:
     """All matrices with the given margins, sorted canonically."""
-    b = tuple(int(x) for x in b)
-    c = tuple(int(x) for x in c)
+    b, c = tuple(b), tuple(c)
     for parts in (b, c):
         code = validate_composition(parts)
         if code is not None:
@@ -320,75 +324,32 @@ def verify_two_flag_theorem(b: tuple[int, ...], c: tuple[int, ...]) -> TwoFlagRe
     elements = enumerate_transport_matrices(b, c)
     index = {tm.m: k for k, tm in enumerate(elements)}
     count = len(elements)
-    edges: list[set[int]] = [set() for _ in range(count)]
-    for k, tm in enumerate(elements):
-        for rect in simple_moves(tm):
-            edges[k].add(index[_corner_flip(tm, rect).m])
-    # Transitive closure over the move DAG by memoized DFS.
-    reach = [0] * count
-    done = [False] * count
-    def close(k: int) -> int:
-        if not done[k]:
-            mask = 1 << k
-            for t in edges[k]:
-                mask |= close(t)
-            reach[k] = mask
-            done[k] = True
-        return reach[k]
-    for k in range(count):
-        close(k)
-    leq = [0] * count
-    tables = [rank_table(tm).values for tm in elements]
-    for a in range(count):
-        mask = 0
-        for bidx in range(count):
-            ta, tb = tables[a], tables[bidx]
-            if all(
-                ta[i][j] >= tb[i][j]
-                for i in range(len(ta))
-                for j in range(len(ta[0]))
-            ):
-                mask |= 1 << bidx
-        leq[a] = mask
-    counterexamples: list[str] = []
-    order_equivalent = True
-    for a in range(count):
-        if reach[a] != leq[a]:
-            order_equivalent = False
-            onlymove = reach[a] & ~leq[a]
-            onlyrank = leq[a] & ~reach[a]
-            counterexamples.append(
-                f"element {a}: moves-only {bin(onlymove)}, rank-only {bin(onlyrank)}"
-            )
-    moves_are_covers = True
+    edges = [
+        sorted({index[_corner_flip(tm, rect).m] for rect in simple_moves(tm)})
+        for tm in elements
+    ]
+    reach = closure(edges)
+    leq = dominance_masks([sum(rank_table(tm).values, ()) for tm in elements])
+    counterexamples = [
+        f"element {a}: moves-only {bin(reach[a] & ~leq[a])},"
+        f" rank-only {bin(leq[a] & ~reach[a])}"
+        for a in range(count)
+        if reach[a] != leq[a]
+    ]
+    cover_masks = covers(leq)
+    # A move that does not go up fails the closure check, not this one.
+    not_covers = []
     for a in range(count):
         for t in edges[a]:
-            strictly_between = [
-                z
-                for z in range(count)
-                if z != a and z != t and (leq[a] >> z) & 1 and (leq[z] >> t) & 1
-            ]
-            if strictly_between:
-                moves_are_covers = False
-                counterexamples.append(
-                    f"move {a} -> {t} is not a cover (via {strictly_between[0]})"
-                )
-    cover_count = 0
-    for a in range(count):
-        for t in range(count):
-            if t == a or not ((leq[a] >> t) & 1):
-                continue
-            if not any(
-                z != a and z != t and (leq[a] >> z) & 1 and (leq[z] >> t) & 1
-                for z in range(count)
-            ):
-                cover_count += 1
+            if t != a and ((leq[a] & ~cover_masks[a]) >> t) & 1:
+                via = next(z for z in bits(leq[a]) if z not in (a, t) and (leq[z] >> t) & 1)
+                not_covers.append(f"move {a} -> {t} is not a cover (via {via})")
     return TwoFlagReport(
         b=b,
         c=c,
         element_count=count,
-        cover_count=cover_count,
-        order_equivalent=order_equivalent,
-        moves_are_covers=moves_are_covers,
-        counterexamples=tuple(counterexamples),
+        cover_count=sum(mask.bit_count() for mask in cover_masks),
+        order_equivalent=reach == leq,
+        moves_are_covers=not not_covers,
+        counterexamples=tuple(counterexamples + not_covers),
     )

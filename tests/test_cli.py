@@ -187,6 +187,19 @@ class TestErrorHandling:
         assert code == 2
         assert "error:" in err
 
+    def test_float_entry_exit_2(self):
+        lhs = '{"m": [[1.7, 0], [0, 1]], "delta": [[1, 1]]}'
+        rhs = '{"m": [[0, 1], [1, 0]], "delta": [[1, 2]]}'
+        code, out, err = run_cli(["compare", lhs, rhs])
+        assert (code, out) == (2, "")
+        assert "NotAnInteger(m)" in err
+
+    def test_boolean_entry_exit_2(self):
+        lhs = '{"m": [[true, 0], [0, 1]], "delta": [[1, 1]]}'
+        code, out, err = run_cli(["compare", lhs, MAX2])
+        assert (code, out) == (2, "")
+        assert "NotAnInteger(m)" in err
+
     def test_undecorated_element_exit_2(self):
         code, _, err = run_cli(["compare", '{"m": [[1, 0], [0, 1]]}', MAX2])
         assert code == 2

@@ -152,6 +152,24 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             element_from_obj({"m": [[1, 0], [0, 1]], "delta": [[1, 2]]})
 
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"m": [[1.7, 0], [0, 1]], "delta": [[1, 1]]}, "m"),
+            ({"m": [[1.0, 0], [0, 1]], "delta": [[1, 1]]}, "m"),
+            ({"m": [[True, 0], [0, 1]], "delta": [[1, 1]]}, "m"),
+            ({"m": [["1", 0], [0, 1]], "delta": [[1, 1]]}, "m"),
+            ({"m": [[1, 0], [0, 1]], "b": [1, True], "delta": [[1, 1]]}, "b"),
+            ({"m": [[1, 0], [0, 1]], "c": [1.0, 1], "delta": [[1, 1]]}, "c"),
+            ({"m": [[1, 0], [0, 1]], "delta": [[True, 1]]}, "delta"),
+            ({"m": [[1, 0], [0, 1]], "delta": [[1, 1.0]]}, "delta"),
+        ],
+    )
+    def test_rejects_non_integers(self, obj, field):
+        with pytest.raises(ValidationError) as info:
+            element_from_obj(obj)
+        assert info.value.code == f"NotAnInteger({field})"
+
 
 class TestRender:
     def test_single_line_with_row_separator(self):

@@ -1,11 +1,19 @@
 """The five move families, their preconditions, and the cover structure."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import lineflags
+import lineflags.moves
 from lineflags import (
     KIND_ORDER,
     DecoratedMatrix,
     Move,
+    OrderCheckFailed,
     PreconditionFailed,
     ShapeMismatch,
     TransportMatrix,
@@ -220,6 +228,14 @@ class TestPoset:
             assert kinds
             assert all(k in KIND_ORDER for k in kinds)
 
+    def test_cover_moves_are_the_first_realizing_moves(self, poset3):
+        assert len(poset3.cover_moves) == len(poset3.covers)
+        for (a, t), move, kinds in zip(poset3.covers, poset3.cover_moves, poset3.cover_kinds):
+            src, tgt = poset3.elements[a], poset3.elements[t]
+            realizing = [mv for mv in applicable_moves(src) if apply_move(src, mv) == tgt]
+            assert move == realizing[0]
+            assert kinds[0] == move.kind
+
     def test_index_of_round_trips(self, poset3):
         for k, el in enumerate(poset3.elements):
             assert poset3.index_of(el) == k
@@ -292,6 +308,92 @@ class TestFindChain:
                 for mv in chain:
                     z = apply_move(z, mv)
                 assert z == y
+
+
+def sabotage(monkeypatch, drop=(), extra=None):
+    """Break the move generator: ``drop`` holds elements whose moves are
+    withheld, ``extra = (source, target)`` adds a fake move between two
+    orbits."""
+    real_moves, real_apply = applicable_moves, apply_move
+    fake = Move("V", ((0, 0), (0, 0)))
+
+    def moves(dm):
+        out = [] if dm in drop else real_moves(dm)
+        return out + [fake] if extra and dm == extra[0] else out
+
+    def apply(dm, mv):
+        return extra[1] if mv == fake else real_apply(dm, mv)
+
+    monkeypatch.setattr(lineflags.moves, "applicable_moves", moves)
+    monkeypatch.setattr(lineflags.moves, "apply_move", apply)
+
+
+# The 5-element order on (1,1) x (1,1); indices as in the Hasse diagram:
+# 3 -> 0, 3 -> 2, 3 -> 4 at the bottom, 0 -> 1, 2 -> 1, 4 -> 1 at the top.
+LOW = from_permutation((1, 2), (1,))  # index 3, the minimum
+MID = from_permutation((2, 1), (1,))  # index 0, covered only by the maximum
+TOP = from_permutation((2, 1), (1, 2))  # index 1, the maximum
+
+
+class TestSabotagedMoves:
+    def test_withheld_move_fails_closure_covers_and_chains(self, monkeypatch):
+        sabotage(monkeypatch, drop=(MID,))
+        report = verify_equivalence((1, 1), (1, 1))
+        assert (report.element_count, report.cover_count) == (5, 6)
+        assert not report.order_equivalent
+        assert report.moves_are_covers
+        assert not report.covers_are_moves
+        assert not report.chains_ok
+        assert report.counterexamples == (
+            "element 0: move closure and rank order disagree",
+            "cover 0->1 is not realized by a move",
+            "no greedy chain from 0 to 1",
+        )
+
+    def test_non_cover_edge_fails_moves_are_covers(self, monkeypatch):
+        sabotage(monkeypatch, extra=(LOW, TOP))
+        report = verify_equivalence((1, 1), (1, 1))
+        assert report.order_equivalent
+        assert not report.moves_are_covers
+        assert report.covers_are_moves
+        assert report.chains_ok
+        assert report.counterexamples == ("move edge 3->1 is not a cover",)
+
+    def test_build_poset_raises(self, monkeypatch):
+        sabotage(monkeypatch, drop=(MID,))
+        with pytest.raises(OrderCheckFailed, match="move closure differs"):
+            build_poset((1, 1), (1, 1))
+        build_poset((1, 1), (1, 1), check_reduction=False)
+        monkeypatch.undo()
+        sabotage(monkeypatch, extra=(LOW, TOP))
+        with pytest.raises(OrderCheckFailed, match="edge 3->1 is not a cover"):
+            build_poset((1, 1), (1, 1))
+
+    def test_build_poset_raises_under_optimization(self):
+        script = textwrap.dedent(
+            """
+            import lineflags.moves as moves
+            from lineflags import OrderCheckFailed, build_poset
+
+            real = moves.applicable_moves
+            moves.applicable_moves = lambda dm: real(dm)[1:]
+            print("debug", __debug__)
+            try:
+                build_poset((1, 1), (1, 1))
+            except OrderCheckFailed as exc:
+                print("raised", exc)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(lineflags.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "debug False",
+            "raised move closure differs from the rank order",
+        ]
 
 
 class TestEquivalenceReport:

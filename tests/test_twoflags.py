@@ -2,11 +2,14 @@
 
 import pytest
 
+import lineflags.twoflags
 from lineflags import (
     FlagError,
     NotStrictlyLess,
     RankTable,
+    Rectangle,
     TransportMatrix,
+    ValidationError,
     apply_simple_move,
     enumerate_transport_matrices,
     matrix_from_rank_table,
@@ -64,6 +67,11 @@ class TestEnumeration:
         for b, c in margin_pairs(2, 3):
             got = {tm.m for tm in enumerate_transport_matrices(b, c)}
             assert got == set(brute_force_matrices(b, c))
+
+    def test_rejects_non_integer_margins(self):
+        for b in ((1.0, 1), (True, 1), ("1", 1)):
+            with pytest.raises(ValidationError, match=r"BadPart\(1\)"):
+                enumerate_transport_matrices(b, (1, 1))
 
     def test_full_flag_count_is_factorial(self):
         assert len(enumerate_transport_matrices((1, 1, 1), (1, 1, 1))) == 6
@@ -154,3 +162,40 @@ class TestTwoFlagTheorem:
                 (perm_matrix(w).m, perm_matrix(v).m) for w, v in bruhat_covers(n)
             }
             assert got == expected
+
+
+class TestSabotagedSimpleMoves:
+    def test_withheld_move_breaks_the_closure(self, monkeypatch):
+        real = simple_moves
+        identity = perm_matrix((1, 2))
+        monkeypatch.setattr(
+            lineflags.twoflags,
+            "simple_moves",
+            lambda tm: [] if tm == identity else real(tm),
+        )
+        report = verify_two_flag_theorem((1, 1), (1, 1))
+        assert (report.element_count, report.cover_count) == (2, 1)
+        assert not report.order_equivalent
+        assert report.moves_are_covers
+        assert report.counterexamples == ("element 1: moves-only 0b0, rank-only 0b1",)
+
+    def test_non_cover_edge_names_the_lowest_element_between(self, monkeypatch):
+        real = simple_moves
+        identity, reversal = perm_matrix((1, 2, 3)), perm_matrix((3, 2, 1))
+        monkeypatch.setattr(
+            lineflags.twoflags,
+            "simple_moves",
+            lambda tm: real(tm) + ([Rectangle(1, 1, 3, 3)] if tm == identity else []),
+        )
+        report = verify_two_flag_theorem((1, 1, 1), (1, 1, 1))
+        mats = enumerate_transport_matrices((1, 1, 1), (1, 1, 1))
+        a, t = mats.index(identity), mats.index(reversal)
+        via = min(
+            z
+            for z in range(len(mats))
+            if z not in (a, t) and rk_leq(mats[a], mats[z]) and rk_leq(mats[z], mats[t])
+        )
+        assert (report.element_count, report.cover_count) == (6, 8)
+        assert report.order_equivalent
+        assert not report.moves_are_covers
+        assert report.counterexamples == (f"move {a} -> {t} is not a cover (via {via})",)
