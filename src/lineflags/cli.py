@@ -33,7 +33,7 @@ from .flagcore import (
     render,
 )
 from .decorated import rk_compare_witness, rk_first_difference, rk_leq_dec
-from .moves import build_poset, find_chain, verify_equivalence
+from .moves import _verified_poset, build_poset, find_chain, verify_equivalence
 from .witness import identify_orbit, standard_configuration, verify_move_degeneration
 
 __all__ = ["main"]
@@ -112,7 +112,10 @@ def _cmd_compare(args) -> tuple[int, str]:
 
 
 def _cmd_verify(args) -> tuple[int, str]:
-    report = verify_equivalence(args.b, args.c)
+    if args.witness:
+        report, poset = _verified_poset(args.b, args.c)
+    else:
+        report = verify_equivalence(args.b, args.c)
     lines = [
         f"elements: {report.element_count}",
         f"covers: {report.cover_count}",
@@ -123,7 +126,6 @@ def _cmd_verify(args) -> tuple[int, str]:
     ]
     passed = report.passed
     if args.witness:
-        poset = build_poset(args.b, args.c, check_reduction=False)
         ident_ok = 0
         for el in poset.elements:
             config = standard_configuration(el.matrix, el.delta)

@@ -15,6 +15,8 @@ entrywise order, now on the pair of tables ``(r, rbar)`` jointly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress, count
+from operator import add, itemgetter, lt, ne
 from typing import Iterable, Sequence
 
 from .flagcore import (
@@ -37,6 +39,7 @@ __all__ = [
     "RBarTable",
     "delta_table",
     "rbar_table",
+    "invariant",
     "rk_leq_dec",
     "rk_compare_witness",
     "rk_first_difference",
@@ -80,24 +83,38 @@ def delta_table(dm: DecoratedMatrix) -> tuple[tuple[int, ...], ...]:
     """The 0/1 table of line membership, ``delta[i][j]`` over the border.
 
     ``delta[i][j] = 1`` iff every decorated ``(a, b)`` has ``a <= i`` or
-    ``b <= j`` — equivalently, iff no decorated position lies weakly
-    southeast of ``(i+1, j+1)``.
+    ``b <= j`` — equivalently, iff ``j`` reaches the largest column of a
+    decorated cell in the rows below ``i``.
     """
-    return tuple(
-        tuple(int(all(a <= i or b <= j for (a, b) in dm.delta)) for j in range(dm.r + 1))
-        for i in range(dm.q + 1)
-    )
+    # below[i]: the largest column of a decorated cell in a row > i.  Cells
+    # come by increasing column, so a later one overwrites a smaller value.
+    below = [0] * (dm.q + 1)
+    for (a, b) in sorted(dm.delta, key=itemgetter(1)):
+        below[:a] = [b] * a
+    return tuple((0,) * t + (1,) * (dm.r + 1 - t) for t in below)
 
 
 def rbar_table(dm: DecoratedMatrix) -> RBarTable:
     """Augmented rank table ``r + delta`` of a decorated matrix."""
-    rt = rank_table(dm.matrix)
     dt = delta_table(dm)
-    values = tuple(
-        tuple(rt.values[i][j] + dt[i][j] for j in range(dm.r + 1))
-        for i in range(dm.q + 1)
-    )
-    return RBarTable(values, dt)
+    rows = zip(rank_table(dm.matrix).values, dt)
+    return RBarTable(tuple(tuple(map(add, row, drow)) for row, drow in rows), dt)
+
+
+def invariant(dm: DecoratedMatrix) -> tuple[int, ...]:
+    """The orbit's tables as one flat key: ``(r, rbar)`` at every bordered
+    position, row-major, ``r`` before ``rbar``.
+
+    Orbits with the same margins are equal iff their invariants are, and
+    ``x <= y`` iff ``invariant(x)`` is entrywise ``>=`` ``invariant(y)``.
+    """
+    ranks = [0] * (dm.r + 1)
+    flat = ranks[:]
+    for row in dm.matrix.m:
+        ranks = list(map(add, ranks, accumulate(row, initial=0)))
+        flat += ranks
+    rbar = map(add, flat, chain.from_iterable(delta_table(dm)))
+    return tuple(chain.from_iterable(zip(flat, rbar)))
 
 
 def _check_same_shape(x: DecoratedMatrix, y: DecoratedMatrix) -> None:
@@ -112,6 +129,16 @@ def rk_leq_dec(x: DecoratedMatrix, y: DecoratedMatrix) -> bool:
     return rk_compare_witness(x, y) is None
 
 
+def _first(x: DecoratedMatrix, y: DecoratedMatrix, differs) -> tuple | None:
+    """``(table, (i, j), xval, yval)`` at the first entry of the invariants
+    where ``differs(xval, yval)``."""
+    _check_same_shape(x, y)
+    ix, iy = invariant(x), invariant(y)
+    for k in compress(count(), map(differs, ix, iy)):
+        return ("rbar" if k % 2 else "r", divmod(k // 2, x.r + 1), ix[k], iy[k])
+    return None
+
+
 def rk_compare_witness(
     x: DecoratedMatrix, y: DecoratedMatrix
 ) -> tuple[str, tuple[int, int], int, int] | None:
@@ -121,16 +148,7 @@ def rk_compare_witness(
     ``rbar`` at each position; returns ``(table, (i, j), xval, yval)``
     with ``table`` one of ``"r"``, ``"rbar"`` where ``xval < yval``.
     """
-    _check_same_shape(x, y)
-    rx, ry = rank_table(x.matrix), rank_table(y.matrix)
-    bx, by = rbar_table(x), rbar_table(y)
-    for i in range(x.q + 1):
-        for j in range(x.r + 1):
-            if rx.values[i][j] < ry.values[i][j]:
-                return ("r", (i, j), rx.values[i][j], ry.values[i][j])
-            if bx.values[i][j] < by.values[i][j]:
-                return ("rbar", (i, j), bx.values[i][j], by.values[i][j])
-    return None
+    return _first(x, y, lt)
 
 
 def rk_first_difference(
@@ -141,16 +159,7 @@ def rk_first_difference(
     Same scan order as :func:`rk_compare_witness`; None iff ``x`` and
     ``y`` have identical tables (hence are the same orbit).
     """
-    _check_same_shape(x, y)
-    rx, ry = rank_table(x.matrix), rank_table(y.matrix)
-    bx, by = rbar_table(x), rbar_table(y)
-    for i in range(x.q + 1):
-        for j in range(x.r + 1):
-            if rx.values[i][j] != ry.values[i][j]:
-                return ("r", (i, j), rx.values[i][j], ry.values[i][j])
-            if bx.values[i][j] != by.values[i][j]:
-                return ("rbar", (i, j), bx.values[i][j], by.values[i][j])
-    return None
+    return _first(x, y, ne)
 
 
 def enumerate_decorations(tm: TransportMatrix) -> list[tuple[Position, ...]]:

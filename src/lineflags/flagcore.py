@@ -16,6 +16,7 @@ always inside the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 Position = tuple[int, int]
@@ -140,6 +141,12 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _require_ints(field: str, values: Iterable[object]) -> None:
+    """Raise ``ValidationError("NotAnInteger(field)")`` unless all are ints."""
+    if not all(_is_int(x) for x in values):
+        raise ValidationError(f"NotAnInteger({field})")
+
+
 def validate_composition(parts: tuple[int, ...]) -> str | None:
     """Return an error code unless every part is an integer >= 1."""
     if len(parts) == 0:
@@ -169,8 +176,13 @@ class TransportMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "TransportMatrix":
-        """Build a matrix whose margins are read off from the rows."""
-        m = tuple(tuple(int(x) for x in row) for row in rows)
+        """Build a matrix whose margins are read off from the rows.
+
+        Entries are not coerced: a float, string or bool raises
+        ``ValidationError("NotAnInteger(m)")``.
+        """
+        m = tuple(tuple(row) for row in rows)
+        _require_ints("m", (x for row in m for x in row))
         b = tuple(sum(row) for row in m)
         c = tuple(sum(col) for col in zip(*m)) if m else ()
         tm = cls(m, b, c)
@@ -216,8 +228,14 @@ class DecoratedMatrix:
 
     @classmethod
     def make(cls, matrix: TransportMatrix, delta: Iterable[Position]) -> "DecoratedMatrix":
-        """Build and validate, sorting the decoration canonically."""
-        dm = cls(matrix, tuple(sorted((int(i), int(j)) for (i, j) in delta)))
+        """Build and validate, sorting the decoration canonically.
+
+        Positions are not coerced: a float, string or bool raises
+        ``ValidationError("NotAnInteger(delta)")``.
+        """
+        pts = [(i, j) for (i, j) in delta]
+        _require_ints("delta", (x for p in pts for x in p))
+        dm = cls(matrix, tuple(sorted(pts)))
         raise_if_invalid(dm.matrix, dm.delta)
         return dm
 
@@ -283,8 +301,35 @@ def validate(matrix: TransportMatrix, delta: Iterable[Position] | None = None) -
     return None
 
 
+def _plainly_valid(matrix: TransportMatrix, delta: Iterable[Position] | None) -> bool:
+    """True only when :func:`validate` returns None, in one bulk pass.
+
+    A False leaves the code of the first violated rule to :func:`validate`.
+    """
+    m, b, c = matrix.m, matrix.b, matrix.c
+    q, r = len(b), len(c)
+    if not (q and r and len(m) == q and set(map(len, m)) == {r}):
+        return False
+    cells = list(chain(b, c, *m))
+    if set(map(type, cells)) != {int} or min(cells) < 0 or min(b) < 1 or min(c) < 1:
+        return False
+    if tuple(map(sum, m)) != b or tuple(map(sum, zip(*m))) != c:
+        return False
+    if delta is None:
+        return True
+    pts = list(delta)
+    if not pts or set(map(type, chain(*pts))) != {int}:
+        return False
+    pts.sort()
+    return all(0 < i <= q and 0 < j <= r and m[i - 1][j - 1] > 0 for i, j in pts) and all(
+        i0 < i1 and j0 > j1 for (i0, j0), (i1, j1) in zip(pts, pts[1:])
+    )
+
+
 def raise_if_invalid(matrix: TransportMatrix, delta: Iterable[Position] | None = None) -> None:
     """Raise :class:`ValidationError` with the first violated rule, if any."""
+    if _plainly_valid(matrix, delta):
+        return
     code = validate(matrix, delta)
     if code is not None:
         raise ValidationError(code)
@@ -302,12 +347,17 @@ def from_permutation(w: Iterable[int], delta_cols: Iterable[int]) -> DecoratedMa
     decorated cells are ``(k, w(k))``, so ``w`` must be strictly
     decreasing along the chosen indices.  The matrix is the permutation
     matrix with ``m[k][w(k)] = 1`` and margins ``b = c = (1, ..., 1)``.
+    Values are not coerced: a float, string or bool raises
+    ``ValidationError("NotAnInteger(w)")`` or ``"NotAnInteger(delta_cols)"``.
     """
-    wt = tuple(int(x) for x in w)
+    wt = tuple(w)
+    _require_ints("w", wt)
     n = len(wt)
     if sorted(wt) != list(range(1, n + 1)):
         raise ValidationError("NotAPermutation")
-    cols = sorted(set(int(k) for k in delta_cols))
+    cols = set(delta_cols)
+    _require_ints("delta_cols", cols)
+    cols = sorted(cols)
     if not cols:
         raise ValidationError("EmptyDecoration")
     for k, col in enumerate(cols, start=1):
@@ -366,8 +416,7 @@ def element_from_obj(obj: object) -> TransportMatrix | DecoratedMatrix:
     except (TypeError, ValueError):
         raise ValidationError("BadShape") from None
     for field, values in (("m", sum(m, ())), ("b", b), ("c", c), ("delta", sum(delta or (), ()))):
-        if not all(_is_int(x) for x in values):
-            raise ValidationError(f"NotAnInteger({field})")
+        _require_ints(field, values)
     if "b" not in obj:
         b = tuple(sum(row) for row in m)
     if "c" not in obj:

@@ -23,6 +23,7 @@ There are five families (the third and fourth come in mirror variants):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterator, Sequence
 
 from .flagcore import (
@@ -31,21 +32,14 @@ from .flagcore import (
     OrderCheckFailed,
     Position,
     PreconditionFailed,
-    ShapeMismatch,
     TransportMatrix,
     dominated,
     normalize_decoration,
     pos_lt,
     raise_if_invalid,
 )
-from .decorated import (
-    enumerate_orbits,
-    rbar_table,
-    rk_first_difference,
-    rk_leq_dec,
-)
+from .decorated import _check_same_shape, enumerate_orbits, invariant
 from .order import bits, closure, covers, dominance_masks
-from .twoflags import rank_table
 
 __all__ = [
     "KIND_ORDER",
@@ -123,9 +117,6 @@ def _nonzero_in_rect(
 # ---------------------------------------------------------------------------
 # Per-kind condition checks.  Each returns (new_rows, new_delta) on
 # success and the first violated clause as a string on failure.
-
-_TryResult = "tuple[tuple[tuple[int, ...], ...], tuple[Position, ...]] | str"
-
 
 def _try_I(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
     if len(anchors) != 1:
@@ -451,80 +442,72 @@ def apply_move(dm: DecoratedMatrix, move: Move) -> DecoratedMatrix:
     return DecoratedMatrix(tm, delta)
 
 
+def _se_corners(m: Sequence[Sequence[int]], i0: int, j0: int) -> list[Position]:
+    """The positive cells strictly southeast of ``(i0, j0)`` whose rectangle
+    with it holds no other such cell, by row: the far corners of flips."""
+    out, limit = [], len(m[0]) + 1
+    for i in range(i0 + 1, len(m) + 1):
+        j = next((j for j in range(j0 + 1, limit) if m[i - 1][j - 1]), None)
+        if j is not None:
+            out.append((i, j))
+            limit = j
+    return out
+
+
+def _candidates(dm: DecoratedMatrix) -> Iterator[tuple[str, tuple[Position, ...]]]:
+    """Anchor tuples in canonical order, a superset of those the checkers
+    accept: corners that must carry mass come from the positive cells,
+    decorated anchors from the decoration, and far corners of rectangles
+    that must be empty inside from :func:`_se_corners`."""
+    delta, positive = dm.delta, dm.matrix.positive_positions()
+    corners = {p: _se_corners(dm.matrix.m, *p) for p in positive}
+    for p in positive:
+        yield "I", (p,)
+    for p in positive:
+        for far in corners[p]:
+            yield "II", (p, far)
+    for kind in ("IIIa", "IIIb"):
+        for p in delta:
+            for far in corners.get(p, ()):
+                yield kind, (p, far)
+    for (i0, j0) in delta:
+        for (i1, j1) in positive:
+            if i1 > i0 + 1 and j1 > j0:
+                for (i2, j2) in delta:
+                    if i0 < i2 < i1 and j2 < j0:
+                        yield "IVa", ((i0, j0), (i1, j1), (i2, j2))
+    for (i0, j0) in positive:
+        for (i1, j1) in corners[(i0, j0)]:
+            for (i2, j2) in delta:
+                if j2 == j0 and i0 < i2 < i1:
+                    yield "IVb", ((i0, j0), (i1, j1), (i2, j0))
+    for (i0, j0) in positive:
+        for (i1, j1) in corners[(i0, j0)]:
+            for (i2, j2) in delta:
+                if i2 == i0 and j0 < j2 < j1:
+                    yield "IVc", ((i0, j0), (i1, j1), (i0, j2))
+    for (i0, j0) in positive:
+        run = [k for k, (i, j) in enumerate(delta) if i > i0 and j > j0]
+        for start in run:
+            for stop in range(start + 1, run[-1] + 2):
+                yield "V", ((i0, j0),) + delta[start:stop]
+
+
 def iter_moves(dm: DecoratedMatrix) -> Iterator[Move]:
     """All applicable moves, lazily, in canonical order.
 
     Canonical order: kinds in ``KIND_ORDER``, anchors lexicographically
-    within each kind.
+    within each kind.  Candidates are drawn from the structure of ``dm``
+    and each is confirmed by the same checker :func:`apply_move` runs.
     """
-    tm, delta = dm.matrix, dm.delta
-    q, r = tm.q, tm.r
-
-    def ok(kind: str, anchors: tuple[Position, ...]) -> Move | None:
+    for kind, anchors in _candidates(dm):
         if not isinstance(_TRY[kind](dm, anchors), str):
-            return Move(kind, anchors)
-        return None
-
-    for i1 in range(1, q + 1):
-        for j1 in range(1, r + 1):
-            mv = ok("I", ((i1, j1),))
-            if mv:
-                yield mv
-    for i0 in range(1, q):
-        for j0 in range(1, r):
-            for i1 in range(i0 + 1, q + 1):
-                for j1 in range(j0 + 1, r + 1):
-                    mv = ok("II", ((i0, j0), (i1, j1)))
-                    if mv:
-                        yield mv
-    for kind in ("IIIa", "IIIb"):
-        for (i0, j0) in delta:
-            for i1 in range(i0 + 1, q + 1):
-                for j1 in range(j0 + 1, r + 1):
-                    mv = ok(kind, ((i0, j0), (i1, j1)))
-                    if mv:
-                        yield mv
-    for (i0, j0) in delta:
-        for i1 in range(i0 + 2, q + 1):
-            for j1 in range(j0 + 1, r + 1):
-                for (i2, j2) in delta:
-                    if i0 < i2 < i1 and j2 < j0:
-                        mv = ok("IVa", ((i0, j0), (i1, j1), (i2, j2)))
-                        if mv:
-                            yield mv
-    for i0 in range(1, q):
-        for j0 in range(1, r):
-            for i1 in range(i0 + 2, q + 1):
-                for j1 in range(j0 + 1, r + 1):
-                    for i2 in range(i0 + 1, i1):
-                        if (i2, j0) in delta:
-                            mv = ok("IVb", ((i0, j0), (i1, j1), (i2, j0)))
-                            if mv:
-                                yield mv
-    for i0 in range(1, q):
-        for j0 in range(1, r):
-            for i1 in range(i0 + 1, q + 1):
-                for j1 in range(j0 + 2, r + 1):
-                    for j2 in range(j0 + 1, j1):
-                        if (i0, j2) in delta:
-                            mv = ok("IVc", ((i0, j0), (i1, j1), (i0, j2)))
-                            if mv:
-                                yield mv
-    for i0 in range(1, q + 1):
-        for j0 in range(1, r + 1):
-            for start in range(len(delta)):
-                for stop in range(start + 1, len(delta) + 1):
-                    chain = delta[start:stop]
-                    mv = ok("V", ((i0, j0),) + chain)
-                    if mv:
-                        yield mv
+            yield Move(kind, anchors)
 
 
 def applicable_moves(dm: DecoratedMatrix) -> list[Move]:
     """All applicable moves in canonical order (see :func:`iter_moves`)."""
-    out = list(iter_moves(dm))
-    out.sort(key=Move.sort_index)
-    return out
+    return list(iter_moves(dm))
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +541,6 @@ class Poset:
         )
 
 
-def _rank_order(elements: Sequence[DecoratedMatrix]) -> list[int]:
-    """Up-sets of the rank order on the tables ``(r, rbar)`` of each element."""
-    return dominance_masks(
-        [sum(rank_table(el.matrix).values + rbar_table(el).values, ()) for el in elements]
-    )
-
-
 def _move_edges(
     elements: Sequence[DecoratedMatrix],
 ) -> tuple[list[list[Move]], list[list[int]]]:
@@ -581,6 +557,17 @@ def _move_edges(
     return moves_of, targets_of
 
 
+def _poset(elements: tuple[DecoratedMatrix, ...], moves_of, targets_of) -> Poset:
+    """The poset whose covers are the deduplicated move edges."""
+    edge_moves: dict[tuple[int, int], list[Move]] = {}
+    for a, (moves, targets) in enumerate(zip(moves_of, targets_of)):
+        for mv, t in zip(moves, targets):
+            edge_moves.setdefault((a, t), []).append(mv)
+    edges = tuple(sorted(edge_moves))
+    cover_kinds = tuple(tuple(dict.fromkeys(mv.kind for mv in edge_moves[e])) for e in edges)
+    return Poset(elements, edges, cover_kinds, tuple(edge_moves[e][0] for e in edges))
+
+
 def build_poset(
     b: tuple[int, ...], c: tuple[int, ...], check_reduction: bool = True
 ) -> Poset:
@@ -594,22 +581,16 @@ def build_poset(
     """
     elements = tuple(enumerate_orbits(b, c))
     moves_of, targets_of = _move_edges(elements)
-    edge_moves: dict[tuple[int, int], list[Move]] = {}
-    for a, (moves, targets) in enumerate(zip(moves_of, targets_of)):
-        for mv, t in zip(moves, targets):
-            edge_moves.setdefault((a, t), []).append(mv)
-    edges = tuple(sorted(edge_moves))
-    cover_kinds = tuple(tuple(dict.fromkeys(mv.kind for mv in edge_moves[e])) for e in edges)
-    cover_moves = tuple(edge_moves[e][0] for e in edges)
+    poset = _poset(elements, moves_of, targets_of)
     if check_reduction:
-        leq = _rank_order(elements)
+        leq = dominance_masks([invariant(el) for el in elements])
         if closure(targets_of) != leq:
             raise OrderCheckFailed("move closure differs from the rank order")
         cover_masks = covers(leq)
-        for (a, t) in edges:
+        for (a, t) in poset.covers:
             if not (cover_masks[a] >> t) & 1:
                 raise OrderCheckFailed(f"edge {a}->{t} is not a cover")
-    return Poset(elements, edges, cover_kinds, cover_moves)
+    return poset
 
 
 def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
@@ -620,27 +601,22 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
     transforms ``x`` into ``y``.  Deterministic: each step takes the
     canonically first applicable move whose result stays below ``y``.
     """
-    if x.matrix.b != y.matrix.b or x.matrix.c != y.matrix.c:
-        raise ShapeMismatch(
-            f"margins {x.matrix.b} x {x.matrix.c} vs {y.matrix.b} x {y.matrix.c}"
-        )
-    if rk_first_difference(x, y) is None:
-        return []
-    if not rk_leq_dec(x, y):
+    _check_same_shape(x, y)
+    goal = invariant(y)
+    z, key = x, invariant(x)
+    if not all(map(ge, key, goal)):
         return None
     chain: list[Move] = []
-    z = x
-    while rk_first_difference(z, y) is not None:
-        step = None
+    while key != goal:
         for mv in iter_moves(z):
             res = apply_move(z, mv)
-            if rk_leq_dec(res, y):
-                step = (mv, res)
+            res_key = invariant(res)
+            if all(map(ge, res_key, goal)):
                 break
-        if step is None:
+        else:
             raise FlagError(f"no progressing move below the target from {z}")
-        chain.append(step[0])
-        z = step[1]
+        chain.append(mv)
+        z, key = res, res_key
     return chain
 
 
@@ -677,9 +653,21 @@ def verify_equivalence(b: tuple[int, ...], c: tuple[int, ...]) -> EquivalenceRep
     greedy chain construction reaches every comparable target.
     """
     elements = tuple(enumerate_orbits(b, c))
+    return _report(b, c, elements, _move_edges(elements)[1])
+
+
+def _verified_poset(b: tuple[int, ...], c: tuple[int, ...]) -> tuple[EquivalenceReport, Poset]:
+    """``verify_equivalence`` and ``build_poset(check_reduction=False)``
+    from one enumeration of the orbits and their moves."""
+    elements = tuple(enumerate_orbits(b, c))
+    moves_of, targets_of = _move_edges(elements)
+    return _report(b, c, elements, targets_of), _poset(elements, moves_of, targets_of)
+
+
+def _report(b, c, elements: tuple[DecoratedMatrix, ...], targets_of) -> EquivalenceReport:
+    """The checks of :func:`verify_equivalence` on a computed move graph."""
     count = len(elements)
-    _, targets_of = _move_edges(elements)
-    leq = _rank_order(elements)
+    leq = dominance_masks([invariant(el) for el in elements])
     reach = closure(targets_of)
     counterexamples = [
         f"element {a}: move closure and rank order disagree"

@@ -85,6 +85,29 @@ def prefix_rank_table(m, q, r):
     ]
 
 
+def delta_by_definition(delta, q, r):
+    """Bordered 0/1 table: 1 at ``(i, j)`` iff every decorated ``(a, b)``
+    has ``a <= i`` or ``b <= j``."""
+    return [
+        [int(all(a <= i or b <= j for (a, b) in delta)) for j in range(r + 1)]
+        for i in range(q + 1)
+    ]
+
+
+def first_entry(tables_x, tables_y, differs):
+    """Scan two ``(r, rbar)`` table pairs row-major, ``r`` before ``rbar``;
+    return ``(table, (i, j), xval, yval)`` at the first entry where
+    ``differs(xval, yval)``, or None."""
+    for i, rows in enumerate(zip(*tables_x, *tables_y)):
+        rx, bx, ry, by = rows
+        for j in range(len(rx)):
+            if differs(rx[j], ry[j]):
+                return ("r", (i, j), rx[j], ry[j])
+            if differs(bx[j], by[j]):
+                return ("rbar", (i, j), bx[j], by[j])
+    return None
+
+
 def transitive_reduction(count, leq):
     """Cover pairs of a finite order given by a ``leq(a, t)`` predicate."""
     covers = []

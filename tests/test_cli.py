@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import lineflags.moves
 from lineflags import build_poset, element_to_obj, enumerate_orbits
 from lineflags.cli import main
 
@@ -157,6 +158,16 @@ class TestVerify:
         assert "orbit identification: 5/5 ok" in lines
         assert "degenerations: 6/6 edges ok" in lines
         assert lines[-1] == "PASS"
+
+    def test_witness_generates_each_orbits_moves_once(self, monkeypatch):
+        seen = []
+        real = lineflags.moves.applicable_moves
+        monkeypatch.setattr(
+            lineflags.moves, "applicable_moves", lambda dm: seen.append(dm) or real(dm)
+        )
+        code, out, _ = run_cli(["verify", "--b", "1,1,1", "--c", "1,1,1", "--witness"])
+        assert code == 0 and out.endswith("PASS\n")
+        assert len(seen) == len(set(seen)) == 28
 
 
 class TestChain:

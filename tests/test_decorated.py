@@ -1,5 +1,8 @@
 """Decorated matrices: the delta table, the augmented order, dimensions."""
 
+import operator
+import random
+
 import pytest
 
 from lineflags import (
@@ -14,13 +17,22 @@ from lineflags import (
     enumerate_orbits,
     enumerate_transport_matrices,
     from_permutation,
+    invariant,
     rank_table,
     rbar_table,
     rk_compare_witness,
     rk_first_difference,
     rk_leq_dec,
 )
-from helpers import GOLDEN_N3_LABELS, brute_force_staircases, margin_pairs
+from helpers import (
+    GOLDEN_N3_LABELS,
+    brute_force_staircases,
+    compositions,
+    delta_by_definition,
+    first_entry,
+    margin_pairs,
+    prefix_rank_table,
+)
 
 
 class TestDeltaTable:
@@ -92,6 +104,57 @@ class TestDecoratedOrder:
             for y in orbits:
                 diff = rk_first_difference(x, y)
                 assert (diff is None) == (x == y)
+
+
+def tables_by_definition(dm):
+    """``(r, rbar)`` of an orbit from prefix sums and the delta definition."""
+    r = prefix_rank_table(dm.matrix.m, dm.q, dm.r)
+    d = delta_by_definition(dm.delta, dm.q, dm.r)
+    return r, [[v + dv for v, dv in zip(row, drow)] for row, drow in zip(r, d)]
+
+
+def check_against_definition(orbits, pairs):
+    """Tables and invariant of every orbit, and the three scans on ``pairs``."""
+    tables = {}
+    for dm in orbits:
+        r, rbar = tables[dm] = tables_by_definition(dm)
+        d = delta_by_definition(dm.delta, dm.q, dm.r)
+        assert delta_table(dm) == tuple(map(tuple, d))
+        assert rbar_table(dm).values == tuple(map(tuple, rbar))
+        assert invariant(dm) == tuple(
+            v for row, brow in zip(r, rbar) for pair in zip(row, brow) for v in pair
+        )
+    for x, y in pairs:
+        witness = first_entry(tables[x], tables[y], operator.lt)
+        assert rk_compare_witness(x, y) == witness
+        assert rk_leq_dec(x, y) == (witness is None)
+        assert rk_first_difference(x, y) == first_entry(tables[x], tables[y], operator.ne)
+
+
+class TestAgainstDefinition:
+    def test_every_orbit_and_sampled_pairs_up_to_mass_four(self):
+        rng = random.Random(4)
+        for b, c in margin_pairs(1, 4):
+            orbits = enumerate_orbits(b, c)
+            some = orbits if len(orbits) <= 24 else rng.sample(orbits, 24)
+            check_against_definition(orbits, [(x, y) for x in some for y in some])
+
+    def test_worked_witnesses(self):
+        x = from_permutation((1, 2, 3), (3,))
+        y = from_permutation((3, 2, 1), (1, 2))
+        tx, ty = tables_by_definition(x), tables_by_definition(y)
+        assert first_entry(tx, ty, operator.lt) == ("rbar", (2, 0), 0, 1)
+        assert first_entry(ty, tx, operator.lt) == ("r", (1, 1), 0, 1)
+        check_against_definition([x, y], [(x, y), (y, x), (x, x)])
+
+    def test_random_margins_of_mass_five(self):
+        rng = random.Random(5)
+        wide = [parts for parts in compositions(5) if len(parts) >= 3]
+        for _ in range(6):
+            b, c = rng.choice(wide), rng.choice(wide)
+            orbits = enumerate_orbits(b, c)
+            some = rng.sample(orbits, min(len(orbits), 30))
+            check_against_definition(some, [(x, y) for x in some for y in some])
 
 
 class TestEnumeration:

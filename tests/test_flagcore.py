@@ -21,6 +21,7 @@ from lineflags import (
     to_permutation,
     validate,
 )
+from lineflags.flagcore import raise_if_invalid
 from helpers import GOLDEN_N3_LABELS
 
 
@@ -43,6 +44,19 @@ class TestTransportMatrix:
     def test_from_rows_rejects_negative(self):
         with pytest.raises(ValidationError, match=r"NegativeEntry\(2,1\)"):
             TransportMatrix.from_rows([[2, 0], [-1, 2]])
+
+    @pytest.mark.parametrize("rows", [[[1.7, 0], [0, 1]], [[1.0, 0], [0, 1]], [[True, 0], [0, 1]], [["1", 0], [0, 1]]])
+    def test_from_rows_rejects_non_integers(self, rows):
+        with pytest.raises(ValidationError) as info:
+            TransportMatrix.from_rows(rows)
+        assert info.value.code == "NotAnInteger(m)"
+
+    @pytest.mark.parametrize("delta", [[(1.9, True)], [(1, 1.0)], [(True, 1)], [("1", 1)]])
+    def test_make_rejects_non_integer_positions(self, delta):
+        tm = TransportMatrix.from_rows([[1, 0], [0, 1]])
+        with pytest.raises(ValidationError) as info:
+            DecoratedMatrix.make(tm, delta)
+        assert info.value.code == "NotAnInteger(delta)"
 
 
 class TestValidate:
@@ -70,6 +84,28 @@ class TestValidate:
         assert validate(tm, [(2, 2)]) is None
         anti = TransportMatrix.from_rows([[0, 1], [1, 0]])
         assert validate(anti, [(1, 2), (2, 1)]) is None
+
+    @pytest.mark.parametrize(
+        "m, b, c, delta, code",
+        [
+            (((True, 0), (0, 1)), (1, 1), (1, 1), None, "NegativeEntry(1,1)"),
+            (((1, 0), (0, 1.0)), (1, 1), (1, 1), None, "NegativeEntry(2,2)"),
+            (((1, 1), (0, 1)), (1, 2), (1, 2), None, "BadRowSum(1)"),
+            (((1, 0), (0, 1)), (1, 1), (1, 1), ((1, 1), (2, 2)), "NotStaircase(2)"),
+            (((0, 1), (1, 0)), (1, 1), (1, 1), ((1, 1),), "ZeroEntryDecorated(1,1)"),
+        ],
+    )
+    def test_raise_if_invalid_reports_the_rule_by_rule_code(self, m, b, c, delta, code):
+        tm = TransportMatrix(m, b, c)
+        assert validate(tm, delta) == code
+        with pytest.raises(ValidationError) as info:
+            raise_if_invalid(tm, delta)
+        assert info.value.code == code
+
+    def test_raise_if_invalid_accepts_every_small_orbit(self):
+        for dm in enumerate_orbits((2, 1, 1), (1, 2, 1)):
+            raise_if_invalid(dm.matrix, dm.delta)
+            raise_if_invalid(dm.matrix)
 
 
 class TestPositionOrder:
@@ -121,6 +157,15 @@ class TestPermutationDictionary:
             from_permutation((1, 2), ())
         with pytest.raises(ValidationError, match="NotDescending"):
             from_permutation((1, 2, 3), (1, 2))
+
+    @pytest.mark.parametrize(
+        "w, cols, field",
+        [((1.0, 2), (1,), "w"), ((True, 2), (1,), "w"), ((1, 2), (1.5,), "delta_cols"), ((1, 2), ("1",), "delta_cols")],
+    )
+    def test_rejects_non_integers(self, w, cols, field):
+        with pytest.raises(ValidationError) as info:
+            from_permutation(w, cols)
+        assert info.value.code == f"NotAnInteger({field})"
 
     def test_to_permutation_requires_unit_margins(self):
         tm = TransportMatrix.from_rows([[2]])

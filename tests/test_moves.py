@@ -1,6 +1,7 @@
 """The five move families, their preconditions, and the cover structure."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -28,7 +29,13 @@ from lineflags import (
     rk_leq_dec,
     verify_equivalence,
 )
-from helpers import GOLDEN_N3_COVERS, GOLDEN_N3_LABELS, transitive_reduction
+from helpers import (
+    GOLDEN_N3_COVERS,
+    GOLDEN_N3_LABELS,
+    compositions,
+    margin_pairs,
+    transitive_reduction,
+)
 
 
 def raw_flip_target(dm, lo, hi):
@@ -80,7 +87,67 @@ def assert_skips_a_level(dm, target):
     )
 
 
+def brute_force_moves(dm):
+    """Every anchor tuple of every kind over the whole grid, in canonical
+    order, kept where the public ``apply_move`` accepts it."""
+    q, r, delta = dm.q, dm.r, dm.delta
+    cells = [(i, j) for i in range(1, q + 1) for j in range(1, r + 1)]
+    pairs = [(p, s) for p in cells for s in cells if s[0] > p[0] and s[1] > p[1]]
+    tuples = [("I", (p,)) for p in cells]
+    tuples += [("II", pair) for pair in pairs]
+    tuples += [(kind, pair) for kind in ("IIIa", "IIIb") for pair in pairs if pair[0] in delta]
+    tuples += [
+        ("IVa", (p, s, d))
+        for p, s in pairs
+        if p in delta
+        for d in delta
+        if p[0] < d[0] < s[0] and d[1] < p[1]
+    ]
+    tuples += [
+        ("IVb", (p, s, (i2, p[1])))
+        for p, s in pairs
+        for i2 in range(p[0] + 1, s[0])
+        if (i2, p[1]) in delta
+    ]
+    tuples += [
+        ("IVc", (p, s, (p[0], j2)))
+        for p, s in pairs
+        for j2 in range(p[1] + 1, s[1])
+        if (p[0], j2) in delta
+    ]
+    tuples += [
+        ("V", (p,) + delta[start:stop])
+        for p in cells
+        for start in range(len(delta))
+        for stop in range(start + 1, len(delta) + 1)
+    ]
+    out = []
+    for kind, anchors in tuples:
+        try:
+            apply_move(dm, Move(kind, anchors))
+        except PreconditionFailed:
+            continue
+        out.append(Move(kind, anchors))
+    return out
+
+
 class TestMoveEnumeration:
+    def test_structural_candidates_miss_no_move(self):
+        for b, c in margin_pairs(1, 4) + [((2, 2, 1), (1, 2, 2))]:
+            for dm in enumerate_orbits(b, c):
+                expected = brute_force_moves(dm)
+                assert list(iter_moves(dm)) == expected
+                assert applicable_moves(dm) == expected
+
+    def test_structural_candidates_on_random_margins_of_mass_five(self):
+        rng = random.Random(5)
+        wide = [parts for parts in compositions(5) if len(parts) >= 3]
+        for _ in range(6):
+            b, c = rng.choice(wide), rng.choice(wide)
+            orbits = enumerate_orbits(b, c)
+            for dm in rng.sample(orbits, min(len(orbits), 40)):
+                assert applicable_moves(dm) == brute_force_moves(dm)
+
     def test_canonical_order(self):
         for dm in enumerate_orbits((1, 1, 1), (1, 1, 1)):
             moves = applicable_moves(dm)
