@@ -26,6 +26,7 @@ from .flagcore import (
     Position,
     ShapeMismatch,
     TransportMatrix,
+    _is_int,
     from_permutation,
     normalize_decoration,
     sort_key,
@@ -205,10 +206,13 @@ def decorated_from_tables(
 
     Inverts :func:`rank_table` by second differences and reads the
     decoration off the zero set of the delta table; raises
-    :class:`NotAnOrbitInvariant` unless the tables round-trip exactly.
+    :class:`NotAnOrbitInvariant` unless the tables round-trip exactly;
+    entries are not coerced, so a float, string or bool raises too.
     """
-    rv = tuple(tuple(int(x) for x in row) for row in rank_values)
-    dv = tuple(tuple(int(x) for x in row) for row in delta_values)
+    rv = tuple(tuple(row) for row in rank_values)
+    dv = tuple(tuple(row) for row in delta_values)
+    if not all(map(_is_int, chain(*rv, *dv))):
+        raise NotAnOrbitInvariant("table entries")
     if len(rv) < 2 or len(rv[0]) < 2 or len(dv) != len(rv) or any(
         len(a) != len(b) for a, b in zip(dv, rv)
     ):

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .flagcore import (
@@ -26,6 +27,7 @@ from .flagcore import (
     Position,
     TransportMatrix,
     ValidationError,
+    _is_int,
     normalize_decoration,
     pos_lt,
     raise_if_invalid,
@@ -57,18 +59,26 @@ class ZeroEntryPosition(FlagError):
     """A marked position of a standard configuration has a zero entry."""
 
 
+def _is_rational(x: object) -> bool:
+    """True for ``int`` (other than ``bool``) and ``Fraction`` values."""
+    return _is_int(x) or isinstance(x, Fraction)
+
+
 # ---------------------------------------------------------------------------
 # Exact incremental rank computation
 
 
 class IntEchelon:
-    """Incremental exact echelon form over the rationals.
+    """Incremental fraction-free echelon form over the rationals.
 
     Rows are stored as integer vectors, fully reduced against one
     another (each stored row vanishes at every other row's pivot),
-    gcd-normalized with positive pivots.  ``add`` either absorbs a
-    vector already in the span (returning False) or extends the span by
-    it (returning True).  ``copy`` is cheap, enabling rank sweeps.
+    gcd-normalized with positive pivots.  Input denominators are cleared
+    from ``numerator``/``denominator`` and elimination cross-multiplies,
+    as in Bareiss's integer-preserving scheme, so no ``Fraction`` is
+    built.  ``add`` either absorbs a vector already in the span
+    (returning False) or extends the span by it (returning True).
+    ``copy`` is cheap, enabling rank sweeps.
     """
 
     def __init__(self) -> None:
@@ -84,9 +94,8 @@ class IntEchelon:
         return len(self._rows)
 
     def add(self, vec: Sequence[Fraction | int]) -> bool:
-        fracs = [Fraction(x) for x in vec]
-        den = reduce(lcm, (f.denominator for f in fracs), 1)
-        v = [int(f * den) for f in fracs]
+        den = lcm(*(x.denominator for x in vec))
+        v = [x.numerator * (den // x.denominator) for x in vec]
         for col, row in self._rows.items():
             f = v[col]
             if f:
@@ -107,41 +116,12 @@ class IntEchelon:
 
 
 def _int_normalize(row: list[int], pivot: int) -> list[int]:
-    g = reduce(gcd, (abs(x) for x in row), 0)
+    g = gcd(*row)
     if g > 1:
         row = [x // g for x in row]
     if row[pivot] < 0:
         row = [-x for x in row]
     return row
-
-
-def _dependency(
-    rows: Sequence[Sequence[Fraction]],
-) -> tuple[int, list[Fraction]] | None:
-    """First row lying in the span of the previous ones.
-
-    Returns ``(p, coeffs)`` with ``rows[p] = sum(coeffs[k] * rows[k]
-    for k < p)``, or None when the rows are independent.
-    """
-    reduced: list[tuple[list[Fraction], int, list[Fraction]]] = []
-    count = len(rows)
-    for p in range(count):
-        vec = [Fraction(x) for x in rows[p]]
-        combo = [Fraction(0)] * count
-        combo[p] = Fraction(1)
-        for pvec, pcol, pcombo in reduced:
-            f = vec[pcol]
-            if f:
-                vec = [a - f * b for a, b in zip(vec, pvec)]
-                combo = [a - f * b for a, b in zip(combo, pcombo)]
-        pivot = next((k for k, x in enumerate(vec) if x != 0), None)
-        if pivot is None:
-            return p, [-combo[k] for k in range(p)]
-        inv = vec[pivot]
-        vec = [x / inv for x in vec]
-        combo = [x / inv for x in combo]
-        reduced.append((vec, pivot, combo))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +138,9 @@ class Configuration:
     """
 
     n: int
-    a: tuple[tuple[Fraction, ...], ...]
-    b_levels: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    c_levels: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    a: tuple[tuple[Fraction | int, ...], ...]
+    b_levels: tuple[tuple[tuple[Fraction | int, ...], ...], ...]
+    c_levels: tuple[tuple[tuple[Fraction | int, ...], ...], ...]
 
 
 def _source_slots(tm: TransportMatrix) -> list[tuple[int, int, int]]:
@@ -198,9 +178,9 @@ def standard_configuration(
     index = {s: k for k, s in enumerate(slots)}
     n = tm.n
 
-    def unit(slot: tuple[int, int, int]) -> tuple[Fraction, ...]:
-        vec = [Fraction(0)] * n
-        vec[index[slot]] = Fraction(1)
+    def unit(slot: tuple[int, int, int]) -> tuple[int, ...]:
+        vec = [0] * n
+        vec[index[slot]] = 1
         return tuple(vec)
 
     b_levels = tuple(
@@ -210,7 +190,7 @@ def standard_configuration(
     c_levels = tuple(
         tuple(unit(s) for s in c_slots if s[1] <= j) for j in range(1, tm.r + 1)
     )
-    a_vec = [Fraction(0)] * n
+    a_vec = [0] * n
     for (i, j) in pts:
         a_vec[index[(i, j, 1)]] += 1
     return Configuration(n, (tuple(a_vec),), b_levels, c_levels)
@@ -300,22 +280,23 @@ def apply_basis_change(
     config: Configuration, g: Sequence[Sequence[Fraction | int]]
 ) -> Configuration:
     """Transform every generator by the invertible matrix ``g`` (vectors
-    are rows; the new vector is ``vec @ g``)."""
+    are rows; the new vector is ``vec @ g``).  An entry that is not an
+    ``int`` or ``Fraction``, or is a ``bool``, raises ``NotARational(g)``."""
     n = config.n
-    rows = [[Fraction(x) for x in row] for row in g]
+    rows = [tuple(row) for row in g]
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValidationError("BadShape")
+    if not all(_is_rational(x) for row in rows for x in row):
+        raise ValidationError("NotARational(g)")
     probe = IntEchelon()
     for row in rows:
         probe.add(row)
     if probe.rank != n:
         raise FlagError("basis change matrix is singular")
+    cols = list(zip(*rows))
 
-    def act(vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        return tuple(
-            sum((vec[k] * rows[k][l] for k in range(n)), Fraction(0))
-            for l in range(n)
-        )
+    def act(vec: tuple[Fraction | int, ...]) -> tuple[Fraction | int, ...]:
+        return tuple(sum(map(mul, vec, col)) for col in cols)
 
     return Configuration(
         n,
@@ -343,10 +324,10 @@ def random_int_invertible(n: int, rng) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 # Polynomial vectors in the degeneration parameter
 
-_Poly = tuple[Fraction, ...]
+_Poly = tuple[int, ...]
 
 
-def _p_trim(p: Sequence[Fraction]) -> _Poly:
+def _p_trim(p: Sequence[int]) -> _Poly:
     coeffs = list(p)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -355,13 +336,13 @@ def _p_trim(p: Sequence[Fraction]) -> _Poly:
 
 def _p_add(a: _Poly, b: _Poly) -> _Poly:
     size = max(len(a), len(b))
-    pa = list(a) + [Fraction(0)] * (size - len(a))
+    pa = list(a) + [0] * (size - len(a))
     for k, x in enumerate(b):
         pa[k] += x
     return _p_trim(pa)
 
 
-def _p_scale(a: _Poly, c: Fraction) -> _Poly:
+def _p_scale(a: _Poly, c: int) -> _Poly:
     if c == 0:
         return ()
     return tuple(x * c for x in a)
@@ -370,11 +351,11 @@ def _p_scale(a: _Poly, c: Fraction) -> _Poly:
 def _p_shift(a: _Poly, k: int) -> _Poly:
     if not a:
         return ()
-    return (Fraction(0),) * k + tuple(a)
+    return (0,) * k + tuple(a)
 
 
-def _p_eval(a: _Poly, x: Fraction) -> Fraction:
-    out = Fraction(0)
+def _p_eval(a: _Poly, x: Fraction | int) -> Fraction | int:
+    out = 0
     for coeff in reversed(a):
         out = out * x + coeff
     return out
@@ -391,14 +372,14 @@ _PolyVec = tuple[_Poly, ...]
 
 
 def _v_unit(n: int, idx: int) -> _PolyVec:
-    return tuple((Fraction(1),) if k == idx else () for k in range(n))
+    return tuple((1,) if k == idx else () for k in range(n))
 
 
 def _v_add(u: _PolyVec, v: _PolyVec) -> _PolyVec:
     return tuple(_p_add(a, b) for a, b in zip(u, v))
 
 
-def _v_scale(u: _PolyVec, c: Fraction) -> _PolyVec:
+def _v_scale(u: _PolyVec, c: int) -> _PolyVec:
     return tuple(_p_scale(a, c) for a in u)
 
 
@@ -410,7 +391,25 @@ def _v_sum(vectors: Sequence[_PolyVec]) -> _PolyVec:
     return reduce(_v_add, vectors)
 
 
-def _saturate_limit(rows: Sequence[_PolyVec]) -> list[list[Fraction]]:
+def _first_relation(
+    rows: Sequence[Sequence[Fraction | int]],
+) -> tuple[int, list[int]] | None:
+    """First row lying in the span of the previous ones, as ``(p, coeffs)``
+    with ``sum(coeffs[k] * rows[k] for k <= p) = 0`` in integers and
+    ``coeffs[p] != 0``, or None.  Each row enters one echelon with a
+    unit block appended; earlier pivots lie before the block, so a pivot
+    in it is this row's, and the block holds the relation.
+    """
+    echelon = IntEchelon()
+    for p, row in enumerate(rows):
+        echelon.add([*row, *(int(k == p) for k in range(len(rows)))])
+        pivot = max(echelon._rows)
+        if pivot >= len(row):
+            return p, echelon._rows[pivot][len(row) : len(row) + p + 1]
+    return None
+
+
+def _saturate_limit(rows: Sequence[_PolyVec]) -> list[list[int]]:
     """Exact limit of the row flag as the parameter goes to 0.
 
     Repeatedly replaces a row whose value at 0 depends on the earlier
@@ -420,22 +419,19 @@ def _saturate_limit(rows: Sequence[_PolyVec]) -> list[list[Fraction]]:
     terminates with a nonsingular value at 0, whose prefix spans are
     the limit flag.
     """
-    work = [list(row) for row in rows]
+    work = list(rows)
     for _ in range(10000):
-        numeric = [[_p_eval(p, Fraction(0)) for p in row] for row in work]
-        dep = _dependency(numeric)
-        if dep is None:
-            return numeric
-        p, coeffs = dep
-        comb: _PolyVec = tuple(work[p])
-        for k, ck in enumerate(coeffs):
-            if ck:
-                comb = _v_add(comb, _v_scale(tuple(work[k]), -ck))
+        values = [[_p_eval(x, 0) for x in row] for row in work]
+        relation = _first_relation(values)
+        if relation is None:
+            return values
+        p, coeffs = relation
+        comb = _v_sum([_v_scale(work[k], c) for k, c in enumerate(coeffs)])
         vals = [v for v in (_p_val(x) for x in comb) if v is not None]
         if not vals:
             raise FlagError("family rows are dependent for all parameter values")
         e = min(vals)
-        work[p] = [x[e:] if x else () for x in comb]
+        work[p] = tuple(x[e:] for x in comb)
     raise FlagError("limit computation did not terminate")
 
 
@@ -518,7 +514,7 @@ def _family_vectors(
         )
         for k in range(2, tgt.entry(i0, j_first) + 1):
             specials[(i0, j_first, k)] = e(i0, j_first, k - 1)
-        specials[(i_last, j0, 1)] = _v_scale(pivot_top, Fraction(-1))
+        specials[(i_last, j0, 1)] = _v_scale(pivot_top, -1)
         for k in range(2, tgt.entry(i_last, j0) + 1):
             specials[(i_last, j0, k)] = e(i_last, j0, k - 1)
         for s in range(1, len(chain)):
@@ -552,9 +548,11 @@ def degeneration_family(
     ``apply_move(dm, move)``; at ``tau = 0`` it is the exact limit,
     lying in the orbit of ``dm`` itself.  The family is a basis for
     every nonzero rational ``tau``; a singular evaluation raises
-    :class:`FlagError` rather than returning a degenerate flag.
+    :class:`FlagError` rather than returning a degenerate flag.  A
+    non-rational or ``bool`` ``tau`` raises ``NotARational(tau)``.
     """
-    tau = Fraction(tau)
+    if not _is_rational(tau):
+        raise ValidationError("NotARational(tau)")
     target, vmap, a_vec = _family_vectors(dm, move)
     tgt = target.matrix
     n = tgt.n
@@ -581,7 +579,7 @@ def degeneration_family(
         if not vals:
             raise FlagError("family line vanishes identically")
         content = min(vals)
-        a_row = tuple(_p_eval(p[content:] if p else (), Fraction(0)) for p in a_vec)
+        a_row = tuple(_p_eval(p[content:], 0) for p in a_vec)
     b_levels = tuple(tuple(b_rows[:bound]) for bound in b_bounds)
     c_levels = tuple(tuple(c_rows[:bound]) for bound in c_bounds)
     return Configuration(n, (a_row,), b_levels, c_levels)
@@ -607,7 +605,7 @@ def verify_move_degeneration(dm: DecoratedMatrix, move: Move) -> MoveDegeneratio
     """
     target = apply_move(dm, move)
     failures: list[str] = []
-    for tau in (Fraction(1), Fraction(2), Fraction(1, 3)):
+    for tau in (1, 2, Fraction(1, 3)):
         got = identify_orbit(degeneration_family(dm, move, tau))
         if got != target:
             failures.append(
@@ -638,20 +636,21 @@ def configuration_to_obj(config: Configuration) -> dict:
 
 
 def configuration_from_obj(obj: object) -> Configuration:
-    """Parse the ``{"n", "A", "B", "C"}`` form; entries may be numbers
-    or strings like ``"2/3"``."""
+    """Parse the ``{"n", "A", "B", "C"}`` form; entries may be integers
+    or strings like ``"2/3"``.  Floats, bools and an ``n`` that is not
+    an integer raise ``ValidationError("BadShape")``."""
     if not isinstance(obj, dict) or not all(k in obj for k in ("n", "A", "B", "C")):
         raise ValidationError("BadShape")
 
     def num(x) -> Fraction:
-        if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, int):
+        if isinstance(x, str) or _is_int(x):
             return Fraction(x)
         raise ValidationError("BadShape")
 
+    n = obj["n"]
+    if not _is_int(n):
+        raise ValidationError("BadShape")
     try:
-        n = int(obj["n"])
         a = tuple(tuple(num(x) for x in vec) for vec in obj["A"])
         b_levels = tuple(
             tuple(tuple(num(x) for x in vec) for vec in level) for level in obj["B"]

@@ -6,6 +6,7 @@ their definitions, and reductions from cubic-time closures, so the fast
 implementations are measured against something honest.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 
@@ -144,6 +145,35 @@ def bruhat_covers(n):
             if inversions(v) == base + 1:
                 out.add((w, v))
     return out
+
+
+def fraction_dependency(rows):
+    """First row lying in the span of the previous ones, over ``Fraction``.
+
+    Plain Gauss-Jordan elimination that tracks each reduced row's
+    combination of the input rows.  Returns ``(p, coeffs)`` with
+    ``rows[p] = sum(coeffs[k] * rows[k] for k < p)``, or None when the
+    rows are independent.
+    """
+    reduced = []
+    count = len(rows)
+    for p in range(count):
+        vec = [Fraction(x) for x in rows[p]]
+        combo = [Fraction(0)] * count
+        combo[p] = Fraction(1)
+        for pvec, pcol, pcombo in reduced:
+            f = vec[pcol]
+            if f:
+                vec = [a - f * b for a, b in zip(vec, pvec)]
+                combo = [a - f * b for a, b in zip(combo, pcombo)]
+        pivot = next((k for k, x in enumerate(vec) if x != 0), None)
+        if pivot is None:
+            return p, [-combo[k] for k in range(p)]
+        inv = vec[pivot]
+        vec = [x / inv for x in vec]
+        combo = [x / inv for x in combo]
+        reduced.append((vec, pivot, combo))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,23 @@ class TestTableRoundTrip:
         with pytest.raises(NotAnOrbitInvariant):
             decorated_from_tables(rt, bad_dt)
 
+    @pytest.mark.parametrize(
+        "table, cell, value",
+        [("rank", (2, 2), 2.9), ("rank", (1, 1), True), ("rank", (2, 2), "2"),
+         ("delta", (0, 0), False), ("delta", (2, 2), 1.0)],
+        ids=["rank-float", "rank-true", "rank-string", "delta-false", "delta-float"],
+    )
+    def test_rejects_non_integer_entries(self, table, cell, value):
+        dm = from_permutation((1, 2), (1,))
+        tables = {"rank": rank_table(dm.matrix).values, "delta": delta_table(dm)}
+        rows = [list(row) for row in tables[table]]
+        i, j = cell
+        assert int(value) == rows[i][j]  # coercing would round-trip
+        rows[i][j] = value
+        tables[table] = rows
+        with pytest.raises(NotAnOrbitInvariant, match="table entries"):
+            decorated_from_tables(tables["rank"], tables["delta"])
+
 
 def test_make_sorts_and_validates():
     tm = TransportMatrix.from_rows([[0, 1], [1, 0]])

@@ -33,7 +33,8 @@ from lineflags import (
     uncircling_check,
     verify_move_degeneration,
 )
-from helpers import margin_pairs
+from lineflags.witness import _first_relation
+from helpers import fraction_dependency, margin_pairs
 
 
 def exact_determinant(rows):
@@ -73,6 +74,59 @@ class TestIntEchelon:
         ech.add((0, 1))
         assert ech.rank == 2
         assert snap.rank == 1
+
+
+def random_rows(rng):
+    """A short list of rows mixing ints and Fractions, often with a
+    planted dependency (a combination of earlier rows, or zero)."""
+
+    def entry():
+        if rng.random() < 0.5:
+            return rng.randint(-3, 3)
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+
+    width, count = rng.randint(1, 5), rng.randint(1, 6)
+    rows = [tuple(entry() for _ in range(width)) for _ in range(count)]
+    if rng.random() < 0.6:
+        p = rng.randrange(count)
+        plant = [sum(entry() * row[col] for row in rows[:p]) for col in range(width)]
+        rows[p] = tuple(plant) if p else (0,) * width
+    return rows
+
+
+def oracle_rank(rows):
+    kept = []
+    for row in rows:
+        if fraction_dependency(kept + [row]) is None:
+            kept.append(row)
+    return len(kept)
+
+
+class TestIntegerRelation:
+    def test_matches_the_fraction_oracle(self):
+        rng = random.Random(20261018)
+        dependent = 0
+        for _ in range(400):
+            rows = random_rows(rng)
+            want = fraction_dependency(rows)
+            got = _first_relation(rows)
+            ech = IntEchelon()
+            for row in rows:
+                ech.add(row)
+            assert ech.rank == oracle_rank(rows)
+            if want is None:
+                assert got is None
+                continue
+            dependent += 1
+            p, coeffs = got
+            assert p == want[0]
+            assert len(coeffs) == p + 1 and coeffs[p] != 0
+            assert all(type(c) is int for c in coeffs)
+            for k, ck in enumerate(want[1]):
+                assert coeffs[k] == -ck * coeffs[p]
+            for col in range(len(rows[0])):
+                assert sum(c * rows[k][col] for k, c in enumerate(coeffs)) == 0
+        assert dependent > 100
 
 
 class TestStandardConfiguration:
@@ -173,6 +227,45 @@ class TestBasisInvariance:
         with pytest.raises(FlagError, match="singular"):
             apply_basis_change(config, ((1, 1), (1, 1)))
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            ((1.0, 0.5), (0, "1")),
+            ((1.0, 0), (0, 1)),
+            ((1, 0), (0, "1")),
+            ((True, 0), (0, 1)),
+            ((1, 0), (False, 1)),
+        ],
+        ids=["float-and-string", "float", "string", "true", "false"],
+    )
+    def test_rejects_non_rational_entries(self, g):
+        dm = from_permutation((1, 2), (1,))
+        config = standard_configuration(dm.matrix, dm.delta)
+        with pytest.raises(ValidationError, match=r"NotARational\(g\)"):
+            apply_basis_change(config, g)
+
+    def test_accepts_fraction_entries(self):
+        dm = from_permutation((2, 1), (1,))
+        config = standard_configuration(dm.matrix, dm.delta)
+        g = ((Fraction(1, 2), Fraction(1, 3)), (0, 3))
+        changed = apply_basis_change(config, g)
+        assert changed.a == ((Fraction(1, 2), Fraction(1, 3)),)
+        assert identify_orbit(changed) == dm
+
+
+def test_the_oracle_stays_integral():
+    def entries(config):
+        for group in (config.a, *config.b_levels, *config.c_levels):
+            yield from (x for vec in group for x in vec)
+
+    dm = from_permutation((3, 1, 2), (1, 2))
+    config = standard_configuration(dm.matrix, dm.delta)
+    g = random_int_invertible(3, random.Random(3))
+    configs = [config, apply_basis_change(config, g)]
+    for mv in applicable_moves(dm):
+        configs += [degeneration_family(dm, mv, tau) for tau in (0, 1, 2)]
+    assert all(type(x) is int for c in configs for x in entries(c))
+
 
 class TestDegenerationFamilies:
     def test_flip_family_hits_target_and_limit(self):
@@ -184,6 +277,13 @@ class TestDegenerationFamilies:
             assert got == target
         limit = identify_orbit(degeneration_family(lo, mv, 0))
         assert limit == lo
+
+    @pytest.mark.parametrize("tau", [0.5, "1/3", True])
+    def test_rejects_non_rational_parameters(self, tau):
+        lo = from_permutation((1, 2), (2,))
+        (mv,) = [m for m in applicable_moves(lo) if m.kind == "V"]
+        with pytest.raises(ValidationError, match=r"NotARational\(tau\)"):
+            degeneration_family(lo, mv, tau)
 
     def test_every_small_cover_is_a_degeneration(self, poset2):
         for (a, t), mv in zip(poset2.covers, poset2.cover_moves):
@@ -220,3 +320,50 @@ class TestConfigurationSerialization:
             configuration_from_obj({"n": 2, "A": [[1]], "B": [], "C": []})
         with pytest.raises(ValidationError):
             configuration_from_obj(["not", "a", "dict"])
+
+    @pytest.mark.parametrize("n", [2.7, "2", True, None])
+    def test_rejects_non_integer_dimension(self, n):
+        obj = {"n": n, "A": [[1, 0]], "B": [[[1, 0]]], "C": [[[0, 1]]]}
+        with pytest.raises(ValidationError, match="BadShape"):
+            configuration_from_obj(obj)
+
+    @pytest.mark.parametrize("field", ["A", "B", "C"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bool_entries(self, field, flag):
+        obj = {"n": 2, "A": [[1, 0]], "B": [[[1, 0]]], "C": [[[0, 1]]]}
+        if field == "A":
+            obj["A"] = [[flag, 0]]
+        else:
+            obj[field] = [[[flag, 1]]]
+        with pytest.raises(ValidationError, match="BadShape"):
+            configuration_from_obj(obj)
+
+    def test_rejects_float_entries(self):
+        obj = {"n": 1, "A": [[0.5]], "B": [[[1]]], "C": [[[1]]]}
+        with pytest.raises(ValidationError, match="BadShape"):
+            configuration_from_obj(obj)
+
+
+class TestFullFlagsFive:
+    """Seeded samples of the geometric oracle on full flags at n = 5."""
+
+    @pytest.fixture(scope="class")
+    def poset5(self):
+        return build_poset((1,) * 5, (1,) * 5, check_reduction=False)
+
+    def test_sampled_covers_are_degenerations(self, poset5):
+        rng = random.Random(55)
+        picks = sorted(rng.sample(range(len(poset5.covers)), 150))
+        for k in picks:
+            a, t = poset5.covers[k]
+            src, mv = poset5.elements[a], poset5.cover_moves[k]
+            assert apply_move(src, mv) == poset5.elements[t]
+            report = verify_move_degeneration(src, mv)
+            assert report.passed, (str(mv), report.failures)
+
+    def test_sampled_orbits_survive_basis_changes(self, poset5):
+        rng = random.Random(555)
+        for dm in rng.sample(poset5.elements, 60):
+            config = standard_configuration(dm.matrix, dm.delta)
+            g = random_int_invertible(dm.n, rng)
+            assert identify_orbit(apply_basis_change(config, g)) == dm
