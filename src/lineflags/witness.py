@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -28,6 +28,7 @@ from .flagcore import (
     TransportMatrix,
     ValidationError,
     _is_int,
+    _require_ints,
     normalize_decoration,
     pos_lt,
     raise_if_invalid,
@@ -134,13 +135,31 @@ class Configuration:
 
     ``a`` lists generators of the line.  ``b_levels[i]`` lists vectors
     that, together with all earlier levels, span ``B_{i+1}``; likewise
-    ``c_levels`` for the second flag.
+    ``c_levels`` for the second flag.  An ``n`` that is not a
+    non-negative ``int``, or a vector whose length is not ``n``, raises
+    ``BadShape``; an entry that is not an ``int`` or ``Fraction``, or is
+    a ``bool``, raises ``NotARational(config)``.
     """
 
     n: int
     a: tuple[tuple[Fraction | int, ...], ...]
     b_levels: tuple[tuple[tuple[Fraction | int, ...], ...], ...]
     c_levels: tuple[tuple[tuple[Fraction | int, ...], ...], ...]
+
+    def __post_init__(self) -> None:
+        if not (_is_int(self.n) and self.n >= 0):
+            raise ValidationError("BadShape")
+        levels = chain(self.b_levels, self.c_levels)
+        try:
+            vectors = [*self.a, *chain.from_iterable(levels)]
+            lengths = set(map(len, vectors))
+        except TypeError:
+            raise ValidationError("BadShape") from None
+        if lengths - {self.n}:
+            raise ValidationError("BadShape")
+        kinds = set(map(type, chain.from_iterable(vectors)))
+        if any(t is bool or not issubclass(t, (int, Fraction)) for t in kinds):
+            raise ValidationError("NotARational(config)")
 
 
 def _source_slots(tm: TransportMatrix) -> list[tuple[int, int, int]]:
@@ -151,6 +170,21 @@ def _source_slots(tm: TransportMatrix) -> list[tuple[int, int, int]]:
         for j in range(1, tm.r + 1)
         for k in range(1, tm.entry(i, j) + 1)
     ]
+
+
+def _flag_levels(tm: TransportMatrix, rows_of) -> tuple[tuple, tuple]:
+    """Cumulative levels of the two flags on a matrix's coordinate slots.
+
+    ``rows_of`` maps a list of slots to their vectors.  ``B_i`` is the
+    prefix of the row-major rows cut at ``b_1 + ... + b_i``, and ``C_j``
+    the prefix of the column-major rows cut at ``c_1 + ... + c_j``.
+    """
+    slots = _source_slots(tm)
+    by_column = sorted(slots, key=lambda s: (s[1], s[0], s[2]))
+    return tuple(
+        tuple(tuple(rows[:bound]) for bound in accumulate(sizes))
+        for rows, sizes in ((rows_of(slots), tm.b), (rows_of(by_column), tm.c))
+    )
 
 
 def standard_configuration(
@@ -166,7 +200,9 @@ def standard_configuration(
     form a staircase).
     """
     raise_if_invalid(tm)
-    pts = sorted(set((int(i), int(j)) for (i, j) in positions))
+    pts = [(i, j) for (i, j) in positions]
+    _require_ints("positions", (x for p in pts for x in p))
+    pts = sorted(set(pts))
     if not pts:
         raise ValidationError("EmptyInput")
     for k, (i, j) in enumerate(pts, start=1):
@@ -174,26 +210,21 @@ def standard_configuration(
             raise ValidationError(f"BadPosition({k})")
         if tm.entry(i, j) <= 0:
             raise ZeroEntryPosition(f"({i},{j})")
-    slots = _source_slots(tm)
-    index = {s: k for k, s in enumerate(slots)}
     n = tm.n
-
-    def unit(slot: tuple[int, int, int]) -> tuple[int, ...]:
-        vec = [0] * n
-        vec[index[slot]] = 1
-        return tuple(vec)
-
-    b_levels = tuple(
-        tuple(unit(s) for s in slots if s[0] <= i) for i in range(1, tm.q + 1)
-    )
-    c_slots = sorted(slots, key=lambda s: (s[1], s[0], s[2]))
-    c_levels = tuple(
-        tuple(unit(s) for s in c_slots if s[1] <= j) for j in range(1, tm.r + 1)
-    )
+    unit = [tuple(int(k == col) for col in range(n)) for k in range(n)]
+    index = {s: k for k, s in enumerate(_source_slots(tm))}
+    b_levels, c_levels = _flag_levels(tm, lambda slots: [unit[index[s]] for s in slots])
     a_vec = [0] * n
     for (i, j) in pts:
         a_vec[index[(i, j, 1)]] += 1
     return Configuration(n, (tuple(a_vec),), b_levels, c_levels)
+
+
+def _bases(levels: Sequence[Sequence[Sequence[Fraction | int]]]) -> list[list]:
+    """Per level, the generators that extend the span of everything
+    before them, so level ``i`` adds ``dim(B_i) - dim(B_{i-1})`` vectors."""
+    echelon = IntEchelon()
+    return [[g for g in level if echelon.add(g)] for level in levels]
 
 
 def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
@@ -202,44 +233,32 @@ def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
     ``r[i][j] = dim(B_i) + dim(C_j) - rank[B_i | C_j]`` is the
     intersection dimension, and the 0/1 increment is ``delta[i][j] =
     dim(A) + rank[B_i | C_j] - rank[A | B_i | C_j]``, i.e. whether the
-    line lies in ``B_i + C_j``.  Computed by incremental exact echelon
-    sweeps, two per row of the grid.
+    line lies in ``B_i + C_j``.  Each flag is reduced to a basis once;
+    two incremental exact echelon sweeps per row of the grid then add
+    only basis vectors.
     """
     q, r = len(config.b_levels), len(config.c_levels)
-    eb = IntEchelon()
-    dim_b = [0]
-    for level in config.b_levels:
-        for g in level:
-            eb.add(g)
-        dim_b.append(eb.rank)
-    ec = IntEchelon()
-    dim_c = [0]
-    for level in config.c_levels:
-        for g in level:
-            ec.add(g)
-        dim_c.append(ec.rank)
-    ea = IntEchelon()
-    for g in config.a:
-        ea.add(g)
-    dim_a = ea.rank
+    basis_b, basis_c = _bases(config.b_levels), _bases(config.c_levels)
+    dim_c = list(accumulate(map(len, basis_c), initial=0))
     r_values = [[0] * (r + 1) for _ in range(q + 1)]
     d_values = [[0] * (r + 1) for _ in range(q + 1)]
     base_b = IntEchelon()
-    base_ab = ea.copy()
+    base_ab = IntEchelon()
+    dim_a = sum(map(base_ab.add, config.a))
     for i in range(q + 1):
         if i > 0:
-            for g in config.b_levels[i - 1]:
+            for g in basis_b[i - 1]:
                 base_b.add(g)
                 base_ab.add(g)
         sweep_b = base_b.copy()
         sweep_ab = base_ab.copy()
         d_values[i][0] = dim_a + sweep_b.rank - sweep_ab.rank
         for j in range(1, r + 1):
-            for g in config.c_levels[j - 1]:
+            for g in basis_c[j - 1]:
                 sweep_b.add(g)
                 sweep_ab.add(g)
             rank_bc = sweep_b.rank
-            r_values[i][j] = dim_b[i] + dim_c[j] - rank_bc
+            r_values[i][j] = base_b.rank + dim_c[j] - rank_bc
             d_values[i][j] = dim_a + rank_bc - sweep_ab.rank
     rank = RankTable(tuple(tuple(row) for row in r_values))
     rbar_values = tuple(
@@ -556,32 +575,24 @@ def degeneration_family(
     target, vmap, a_vec = _family_vectors(dm, move)
     tgt = target.matrix
     n = tgt.n
-    b_slots = _source_slots(tgt)
-    c_slots = sorted(b_slots, key=lambda s: (s[1], s[0], s[2]))
-    b_bounds = list(accumulate(tgt.b))
-    c_bounds = list(accumulate(tgt.c))
     if tau != 0:
         numeric = {
             slot: tuple(_p_eval(p, tau) for p in vec) for slot, vec in vmap.items()
         }
+        b_levels, c_levels = _flag_levels(tgt, lambda slots: [numeric[s] for s in slots])
         probe = IntEchelon()
-        for slot in b_slots:
-            probe.add(numeric[slot])
-        if probe.rank != n:
+        if sum(map(probe.add, b_levels[-1])) != n:
             raise FlagError(f"family is singular at tau={tau}")
-        b_rows = [numeric[s] for s in b_slots]
-        c_rows = [numeric[s] for s in c_slots]
         a_row = tuple(_p_eval(p, tau) for p in a_vec)
     else:
-        b_rows = [tuple(r) for r in _saturate_limit([vmap[s] for s in b_slots])]
-        c_rows = [tuple(r) for r in _saturate_limit([vmap[s] for s in c_slots])]
+        b_levels, c_levels = _flag_levels(
+            tgt, lambda slots: [tuple(r) for r in _saturate_limit([vmap[s] for s in slots])]
+        )
         vals = [v for v in (_p_val(p) for p in a_vec) if v is not None]
         if not vals:
             raise FlagError("family line vanishes identically")
         content = min(vals)
         a_row = tuple(_p_eval(p[content:], 0) for p in a_vec)
-    b_levels = tuple(tuple(b_rows[:bound]) for bound in b_bounds)
-    c_levels = tuple(tuple(c_rows[:bound]) for bound in c_bounds)
     return Configuration(n, (a_row,), b_levels, c_levels)
 
 
@@ -637,8 +648,9 @@ def configuration_to_obj(config: Configuration) -> dict:
 
 def configuration_from_obj(obj: object) -> Configuration:
     """Parse the ``{"n", "A", "B", "C"}`` form; entries may be integers
-    or strings like ``"2/3"``.  Floats, bools and an ``n`` that is not
-    an integer raise ``ValidationError("BadShape")``."""
+    or strings like ``"2/3"``.  Floats, bools, an ``n`` that is not a
+    non-negative integer and a vector of another length raise
+    ``ValidationError("BadShape")``."""
     if not isinstance(obj, dict) or not all(k in obj for k in ("n", "A", "B", "C")):
         raise ValidationError("BadShape")
 
@@ -647,9 +659,6 @@ def configuration_from_obj(obj: object) -> Configuration:
             return Fraction(x)
         raise ValidationError("BadShape")
 
-    n = obj["n"]
-    if not _is_int(n):
-        raise ValidationError("BadShape")
     try:
         a = tuple(tuple(num(x) for x in vec) for vec in obj["A"])
         b_levels = tuple(
@@ -658,10 +667,6 @@ def configuration_from_obj(obj: object) -> Configuration:
         c_levels = tuple(
             tuple(tuple(num(x) for x in vec) for vec in level) for level in obj["C"]
         )
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise ValidationError("BadShape") from None
-    for group in (a, *b_levels, *c_levels):
-        for vec in group:
-            if len(vec) != n:
-                raise ValidationError("BadShape")
-    return Configuration(n, a, b_levels, c_levels)
+    return Configuration(obj["n"], a, b_levels, c_levels)

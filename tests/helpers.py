@@ -176,6 +176,48 @@ def fraction_dependency(rows):
     return None
 
 
+def fraction_rank(vectors):
+    """Rank of rational vectors by forward elimination over ``Fraction``."""
+    rows = [[Fraction(x) for x in vec] for vec in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((k for k in range(rank, len(rows)) if rows[k][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for k in range(rank + 1, len(rows)):
+            f = rows[k][col] / rows[rank][col]
+            rows[k] = [a - f * b for a, b in zip(rows[k], rows[rank])]
+        rank += 1
+    return rank
+
+
+def rank_tables_by_definition(config):
+    """Rank and delta tables of a configuration, straight from the definition.
+
+    ``B_i`` is spanned by the generators of levels ``1..i`` and ``C_j``
+    likewise, so the levels may be cumulative or incremental.  Every
+    entry takes fresh ranks of the concatenated generators:
+    ``r[i][j] = dim B_i + dim C_j - rank[B_i | C_j]`` and
+    ``delta[i][j] = dim A + rank[B_i | C_j] - rank[A | B_i | C_j]``.
+    """
+    a = list(config.a)
+    b_spans = [[v for level in config.b_levels[:i] for v in level]
+               for i in range(len(config.b_levels) + 1)]
+    c_spans = [[v for level in config.c_levels[:j] for v in level]
+               for j in range(len(config.c_levels) + 1)]
+    rank, delta = [], []
+    for b in b_spans:
+        rank_row, delta_row = [], []
+        for c in c_spans:
+            both = fraction_rank(b + c)
+            rank_row.append(fraction_rank(b) + fraction_rank(c) - both)
+            delta_row.append(fraction_rank(a) + both - fraction_rank(a + b + c))
+        rank.append(tuple(rank_row))
+        delta.append(tuple(delta_row))
+    return tuple(rank), tuple(delta)
+
+
 # ---------------------------------------------------------------------------
 # Golden data for the 28-element order on decorated permutation matrices
 # with margins (1,1,1) x (1,1,1).  Each label names the element built by

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -34,7 +35,7 @@ from lineflags import (
     verify_move_degeneration,
 )
 from lineflags.witness import _first_relation
-from helpers import fraction_dependency, margin_pairs
+from helpers import fraction_dependency, margin_pairs, rank_tables_by_definition
 
 
 def exact_determinant(rows):
@@ -148,8 +149,137 @@ class TestStandardConfiguration:
         with pytest.raises(ValidationError, match="EmptyInput"):
             standard_configuration(tm, [])
 
+    @pytest.mark.parametrize(
+        "marks",
+        [[(1.7, 1)], [(1, 1.0)], [(True, 1)], [(1, 1), ("2", 2)]],
+        ids=["float-row", "float-column", "bool", "string"],
+    )
+    def test_rejects_non_integer_positions(self, marks):
+        tm = TransportMatrix.from_rows([[1, 0], [0, 1]])
+        with pytest.raises(ValidationError, match=r"NotAnInteger\(positions\)"):
+            standard_configuration(tm, marks)
+
+
+def config_with(field, vec, n=2):
+    """A valid configuration in ``Q^2`` with ``vec`` put into one field."""
+    a, b, c = ((1, 1),), (((1, 0),), ((0, 1),)), (((0, 1),), ((1, 0),))
+    if field == "a":
+        a = (vec,)
+    elif field == "b":
+        b = ((vec,),)
+    else:
+        c = (((0, 1),), (vec,))
+    return Configuration(n, a, b, c)
+
+
+class TestConfigurationChecks:
+    def test_accepts_ints_and_fractions(self):
+        config = config_with("b", (Fraction(1, 2), 3))
+        assert config.b_levels == (((Fraction(1, 2), 3),),)
+        assert Configuration(0, (), (), ()).n == 0
+
+    def test_rejects_a_float_line(self):
+        with pytest.raises(ValidationError, match=r"NotARational\(config\)"):
+            Configuration(1, ((0.5,),), (((1,),),), (((1,),),))
+
+    @pytest.mark.parametrize("field", ["a", "b", "c"])
+    @pytest.mark.parametrize("x", [0.5, True, False, "1", None])
+    def test_rejects_non_rational_entries(self, field, x):
+        with pytest.raises(ValidationError, match=r"NotARational\(config\)"):
+            config_with(field, (x, 0))
+
+    @pytest.mark.parametrize("n", [2.0, -1, True, "2", None])
+    def test_rejects_bad_dimensions(self, n):
+        with pytest.raises(ValidationError, match="BadShape"):
+            config_with("a", (1, 0), n=n)
+
+    @pytest.mark.parametrize("field", ["a", "b", "c"])
+    @pytest.mark.parametrize("vec", [(1,), (1, 0, 0), ()])
+    def test_rejects_vectors_of_another_length(self, field, vec):
+        with pytest.raises(ValidationError, match="BadShape"):
+            config_with(field, vec)
+
+    @pytest.mark.parametrize(
+        "a, b_levels",
+        [((1, 0), (((1, 0),),)), (((1, 0),), ((1, 0),)), (((1, 0),), 1)],
+        ids=["line-of-numbers", "level-of-numbers", "levels-not-iterable"],
+    )
+    def test_rejects_unnested_generators(self, a, b_levels):
+        with pytest.raises(ValidationError, match="BadShape"):
+            Configuration(2, a, b_levels, ())
+
+
+def random_configuration(rng):
+    """A small configuration with ``int`` and ``Fraction`` entries,
+    cumulative or incremental levels, repeated, dependent and zero
+    generators, and a line given by 0, 1 or 2 generators."""
+    n = rng.randint(1, 4)
+
+    def entry():
+        if rng.random() < 0.5:
+            return rng.randint(-2, 2)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def vector(pool):
+        roll = rng.random()
+        if pool and roll < 0.2:
+            return rng.choice(pool)
+        if pool and roll < 0.4:
+            picks = [rng.choice(pool) for _ in range(2)]
+            return tuple(sum(entry() * v[k] for v in picks) for k in range(n))
+        if roll < 0.45:
+            return (0,) * n
+        return tuple(entry() for _ in range(n))
+
+    def flag():
+        pool, levels = [], []
+        for _ in range(rng.randint(0, 3)):
+            level = [vector(pool) for _ in range(rng.randint(0, 3))]
+            pool += level
+            levels.append(level)
+        cumulative = rng.random() < 0.5
+        if cumulative:
+            levels = [list(chain(*levels[: k + 1])) for k in range(len(levels))]
+        return tuple(tuple(level) for level in levels), pool
+
+    b_levels, b_pool = flag()
+    c_levels, c_pool = flag()
+    a = tuple(vector(b_pool + c_pool) for _ in range(rng.randint(0, 2)))
+    return Configuration(n, a, b_levels, c_levels)
+
 
 class TestGeometricTables:
+    def test_match_the_definition_on_random_configurations(self):
+        rng = random.Random(20261018)
+        line_sizes, fractions = set(), 0
+        for _ in range(300):
+            config = random_configuration(rng)
+            rank, rbar = geometric_rank_tables(config)
+            assert (rank.values, rbar.delta_values) == rank_tables_by_definition(config)
+            line_sizes.add(len(config.a))
+            fractions += any(
+                isinstance(x, Fraction)
+                for vec in chain(config.a, *config.b_levels, *config.c_levels)
+                for x in vec
+            )
+        assert line_sizes == {0, 1, 2}
+        assert 100 < fractions < 300
+
+    def test_each_generator_is_eliminated_once(self, monkeypatch):
+        dm = from_permutation((4, 3, 2, 1), (1,))
+        config = standard_configuration(dm.matrix, dm.delta)
+        calls = 0
+        add = IntEchelon.add
+
+        def counted(self, vec):
+            nonlocal calls
+            calls += 1
+            return add(self, vec)
+
+        monkeypatch.setattr(IntEchelon, "add", counted)
+        geometric_rank_tables(config)
+        assert calls <= 70
+
     def test_match_combinatorial_tables(self):
         for b, c in (((1, 1, 1), (1, 1, 1)), ((2, 1), (1, 2)), ((1, 2), (2, 1))):
             for dm in enumerate_orbits(b, c):
@@ -340,6 +470,11 @@ class TestConfigurationSerialization:
 
     def test_rejects_float_entries(self):
         obj = {"n": 1, "A": [[0.5]], "B": [[[1]]], "C": [[[1]]]}
+        with pytest.raises(ValidationError, match="BadShape"):
+            configuration_from_obj(obj)
+
+    def test_rejects_zero_denominators(self):
+        obj = {"n": 1, "A": [["1/0"]], "B": [[[1]]], "C": [[[1]]]}
         with pytest.raises(ValidationError, match="BadShape"):
             configuration_from_obj(obj)
 
