@@ -16,12 +16,15 @@ There are five families (the third and fourth come in mirror variants):
 * ``V`` — a cascade: a unit leaves a pivot northwest of a consecutive
   run of decorated cells, shifting each circle one step along the run.
 
-``apply_move`` re-checks every stated condition and raises
-:class:`PreconditionFailed` naming the first violated clause.
+Swapping the two flags transposes the matrix, so ``IIIb`` and ``IVc``
+are the transposes of ``IIIa`` and ``IVb``.  ``apply_move`` checks every
+stated condition and raises :class:`PreconditionFailed` naming the first
+violated clause; the pipeline checks each candidate move once.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import ge
 from typing import Iterator, Sequence
@@ -33,6 +36,7 @@ from .flagcore import (
     Position,
     PreconditionFailed,
     TransportMatrix,
+    _is_int,
     dominated,
     normalize_decoration,
     pos_lt,
@@ -229,36 +233,6 @@ def _try_IIIa(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
     )
 
 
-def _try_IIIb(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
-    if len(anchors) != 2:
-        return "expected anchors ((i0,j0), (i1,j1))"
-    (i0, j0), (i1, j1) = anchors
-    tm, delta = dm.matrix, dm.delta
-    if not (_in_grid(tm, (i0, j0)) and _in_grid(tm, (i1, j1))):
-        return "anchor outside the grid"
-    if not (i0 < i1 and j0 < j1):
-        return "corners must satisfy i0 < i1 and j0 < j1"
-    if (i0, j0) not in delta:
-        return "(i0,j0) must be decorated"
-    if tm.entry(i0, j0) != 1:
-        return "entry at (i0,j0) must be exactly 1"
-    if tm.entry(i1, j1) <= 0:
-        return "entry at (i1,j1) must be positive"
-    bad = _nonzero_in_rect(tm, i0, j0, i1, j1, frozenset({(i0, j1)}))
-    if bad is not None:
-        return f"nonzero entry at {bad} strictly between the corners"
-    for i in range(1, i1 + 1):
-        for j in range(1, j0 + 1):
-            if (i, j) == (i0, j0):
-                continue
-            if tm.entry(i, j) != 0 and not dominated((i, j), delta):
-                return f"nonzero undominated entry at ({i},{j}) northwest of (i1,j0)"
-    return (
-        _shift(tm, _rect_changes(i0, j0, i1, j1)),
-        normalize_decoration(set(delta) | {(i1, j0)}),
-    )
-
-
 def _try_IVa(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
     if len(anchors) != 3:
         return "expected anchors ((i0,j0), (i1,j1), (i2,j2))"
@@ -331,35 +305,6 @@ def _try_IVb(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
     return (_shift(tm, _rect_changes(i0, j0, i1, j1)), delta)
 
 
-def _try_IVc(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
-    if len(anchors) != 3:
-        return "expected anchors ((i0,j0), (i1,j1), (i0,j2))"
-    (i0, j0), (i1, j1), (i0b, j2) = anchors
-    tm, delta = dm.matrix, dm.delta
-    if not all(_in_grid(tm, p) for p in anchors):
-        return "anchor outside the grid"
-    if i0b != i0:
-        return "third anchor must sit in row i0"
-    if not (j0 < j2 < j1 and i0 < i1):
-        return "anchors must satisfy j0 < j2 < j1 and i0 < i1"
-    if (i0, j2) not in delta:
-        return "(i0,j2) must be decorated"
-    if tm.entry(i0, j2) != 1:
-        return "entry at (i0,j2) must be exactly 1"
-    if tm.entry(i0, j0) <= 0:
-        return "entry at (i0,j0) must be positive"
-    if tm.entry(i1, j1) <= 0:
-        return "entry at (i1,j1) must be positive"
-    if dominated((i1, j0), delta):
-        return "(i1,j0) must not lie weakly northwest of a decorated cell"
-    bad = _nonzero_in_rect(
-        tm, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0), (i0, j2)})
-    )
-    if bad is not None:
-        return f"nonzero entry at {bad} strictly between the corners"
-    return (_shift(tm, _rect_changes(i0, j0, i1, j1)), delta)
-
-
 def _try_V(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
     if len(anchors) < 2:
         return "expected a pivot followed by a nonempty chain"
@@ -415,31 +360,72 @@ def _try_V(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
     return (_shift(tm, changes), new_delta)
 
 
+def _transpose(rows, delta):
+    """``m -> m^T`` and each decorated cell ``(i, j) -> (j, i)``, the
+    staircase kept sorted by row."""
+    return tuple(zip(*rows)), tuple((j, i) for (i, j) in reversed(delta))
+
+
+_MIRROR_WORDS = {"i": "j", "j": "i", "row": "column", "column": "row"}
+
+
+def _mirror_clause(clause: str) -> str:
+    """A base kind's clause in its mirror kind's names: ``i <-> j``,
+    ``row <-> column``, each named cell transposed.  The corner clause
+    reads the same in both."""
+    if clause == "corners must satisfy i0 < i1 and j0 < j1":
+        return clause
+    clause = re.sub(r"\b(?:[ij](?=\d)|row\b|column\b)", lambda m: _MIRROR_WORDS[m[0]], clause)
+    return re.sub(r"\((\w+),( ?)(\w+)\)", r"(\3,\2\1)", clause)
+
+
+def _mirrored(try_fn):
+    """The mirror of a checker: run it on the transposed orbit and
+    anchors, then transpose its result, or its clause, back."""
+
+    def try_mirror(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
+        tm = dm.matrix
+        rows, delta = _transpose(tm.m, dm.delta)
+        flipped = DecoratedMatrix(TransportMatrix(rows, tm.c, tm.b), delta)
+        result = try_fn(flipped, tuple((j, i) for (i, j) in anchors))
+        return _mirror_clause(result) if isinstance(result, str) else _transpose(*result)
+
+    return try_mirror
+
+
 _TRY = {
     "I": _try_I,
     "II": _try_II,
     "IIIa": _try_IIIa,
-    "IIIb": _try_IIIb,
+    "IIIb": _mirrored(_try_IIIa),
     "IVa": _try_IVa,
     "IVb": _try_IVb,
-    "IVc": _try_IVc,
+    "IVc": _mirrored(_try_IVb),
     "V": _try_V,
 }
 
 
-def apply_move(dm: DecoratedMatrix, move: Move) -> DecoratedMatrix:
-    """Apply ``move`` to ``dm``; raise :class:`PreconditionFailed` if any
-    stated condition fails."""
-    try_fn = _TRY.get(move.kind)
-    if try_fn is None:
-        raise PreconditionFailed(move.kind, "unknown move kind")
-    result = try_fn(dm, move.anchors)
-    if isinstance(result, str):
-        raise PreconditionFailed(move.kind, result)
-    rows, delta = result
+def _result(dm: DecoratedMatrix, rows, delta) -> DecoratedMatrix:
+    """The validated orbit a checker built from ``dm``."""
     tm = TransportMatrix(rows, dm.matrix.b, dm.matrix.c)
     raise_if_invalid(tm, delta)
     return DecoratedMatrix(tm, delta)
+
+
+def apply_move(dm: DecoratedMatrix, move: Move) -> DecoratedMatrix:
+    """Apply ``move`` to ``dm``; raise :class:`PreconditionFailed` if an
+    anchor is not an ``(i, j)`` pair of ints or a stated condition fails."""
+    try_fn = _TRY.get(move.kind)
+    if try_fn is None:
+        raise PreconditionFailed(move.kind, "unknown move kind")
+    if not all(
+        isinstance(p, tuple) and len(p) == 2 and all(map(_is_int, p)) for p in move.anchors
+    ):
+        raise PreconditionFailed(move.kind, "anchors must be (i, j) pairs of integers")
+    result = try_fn(dm, move.anchors)
+    if isinstance(result, str):
+        raise PreconditionFailed(move.kind, result)
+    return _result(dm, *result)
 
 
 def _se_corners(m: Sequence[Sequence[int]], i0: int, j0: int) -> list[Position]:
@@ -493,6 +479,15 @@ def _candidates(dm: DecoratedMatrix) -> Iterator[tuple[str, tuple[Position, ...]
                 yield "V", ((i0, j0),) + delta[start:stop]
 
 
+def _checked_moves(dm: DecoratedMatrix) -> Iterator[tuple[Move, DecoratedMatrix]]:
+    """Each applicable move with its result, checked once, in canonical
+    order; the result is the one :func:`apply_move` returns."""
+    for kind, anchors in _candidates(dm):
+        result = _TRY[kind](dm, anchors)
+        if not isinstance(result, str):
+            yield Move(kind, anchors), _result(dm, *result)
+
+
 def iter_moves(dm: DecoratedMatrix) -> Iterator[Move]:
     """All applicable moves, lazily, in canonical order.
 
@@ -500,9 +495,7 @@ def iter_moves(dm: DecoratedMatrix) -> Iterator[Move]:
     within each kind.  Candidates are drawn from the structure of ``dm``
     and each is confirmed by the same checker :func:`apply_move` runs.
     """
-    for kind, anchors in _candidates(dm):
-        if not isinstance(_TRY[kind](dm, anchors), str):
-            yield Move(kind, anchors)
+    return (move for move, _ in _checked_moves(dm))
 
 
 def applicable_moves(dm: DecoratedMatrix) -> list[Move]:
@@ -549,11 +542,9 @@ def _move_edges(
     moves_of: list[list[Move]] = []
     targets_of: list[list[int]] = []
     for el in elements:
-        moves = applicable_moves(el)
-        moves_of.append(moves)
-        targets_of.append(
-            [index[(res.matrix.m, res.delta)] for res in (apply_move(el, mv) for mv in moves)]
-        )
+        checked = list(_checked_moves(el))
+        moves_of.append([mv for mv, _ in checked])
+        targets_of.append([index[(res.matrix.m, res.delta)] for _, res in checked])
     return moves_of, targets_of
 
 
@@ -608,8 +599,7 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
         return None
     chain: list[Move] = []
     while key != goal:
-        for mv in iter_moves(z):
-            res = apply_move(z, mv)
+        for mv, res in _checked_moves(z):
             res_key = invariant(res)
             if all(map(ge, res_key, goal)):
                 break

@@ -136,7 +136,8 @@ class Configuration:
     ``a`` lists generators of the line.  ``b_levels[i]`` lists vectors
     that, together with all earlier levels, span ``B_{i+1}``; likewise
     ``c_levels`` for the second flag.  An ``n`` that is not a
-    non-negative ``int``, or a vector whose length is not ``n``, raises
+    non-negative ``int``, a field, level or vector that is not a
+    ``tuple``, or a vector whose length is not ``n`` raises
     ``BadShape``; an entry that is not an ``int`` or ``Fraction``, or is
     a ``bool``, raises ``NotARational(config)``.
     """
@@ -149,13 +150,13 @@ class Configuration:
     def __post_init__(self) -> None:
         if not (_is_int(self.n) and self.n >= 0):
             raise ValidationError("BadShape")
-        levels = chain(self.b_levels, self.c_levels)
         try:
+            levels = [*self.b_levels, *self.c_levels]
             vectors = [*self.a, *chain.from_iterable(levels)]
-            lengths = set(map(len, vectors))
         except TypeError:
             raise ValidationError("BadShape") from None
-        if lengths - {self.n}:
+        parts = (self.a, self.b_levels, self.c_levels, *levels, *vectors)
+        if not all(isinstance(x, tuple) for x in parts) or set(map(len, vectors)) - {self.n}:
             raise ValidationError("BadShape")
         kinds = set(map(type, chain.from_iterable(vectors)))
         if any(t is bool or not issubclass(t, (int, Fraction)) for t in kinds):

@@ -161,9 +161,9 @@ class TestVerify:
 
     def test_witness_generates_each_orbits_moves_once(self, monkeypatch):
         seen = []
-        real = lineflags.moves.applicable_moves
+        real = lineflags.moves._checked_moves
         monkeypatch.setattr(
-            lineflags.moves, "applicable_moves", lambda dm: seen.append(dm) or real(dm)
+            lineflags.moves, "_checked_moves", lambda dm: seen.append(dm) or real(dm)
         )
         code, out, _ = run_cli(["verify", "--b", "1,1,1", "--c", "1,1,1", "--witness"])
         assert code == 0 and out.endswith("PASS\n")

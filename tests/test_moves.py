@@ -224,6 +224,23 @@ class TestPreconditions:
         assert out.delta == ((2, 2),)
         assert out == from_permutation((1, 2), (2,))
 
+    @pytest.mark.parametrize(
+        "dm, move",
+        [
+            (from_permutation((1, 2), (1,)), Move("II", ((1, 1, 1), (2, 2)))),
+            (from_permutation((1, 2), (1,)), Move("I", (("a", "b"),))),
+            (from_permutation((1, 2), (1,)), Move("I", ((2.0, 2.0),))),
+            (from_permutation((2, 1), (2,)), Move("I", ((True, 2),))),
+            (from_permutation((1, 2), (1,)), Move("IIIb", ((1, 1), (2, 2, 2)))),
+        ],
+        ids=["three-coordinates", "strings", "floats", "bool", "mirror-kind"],
+    )
+    def test_malformed_anchors_are_rejected(self, dm, move):
+        with pytest.raises(PreconditionFailed) as info:
+            apply_move(dm, move)
+        assert info.value.kind == move.kind
+        assert info.value.clause == "anchors must be (i, j) pairs of integers"
+
 
 # Sources on which a rectangle flip satisfies every local zero-pattern
 # and decoration condition yet skips a level: decorating the far corner
@@ -282,6 +299,76 @@ class TestMinimalityGuards:
             "flipping into (2,2) first gives a strictly intermediate orbit"
         )
         assert_skips_a_level(dm, raw_cascade_target(dm, pivot, chain))
+
+
+MIRROR_KIND = {"IIIa": "IIIb", "IIIb": "IIIa", "IVb": "IVc", "IVc": "IVb"}
+
+
+def transpose(dm):
+    """The orbit with the two flags swapped."""
+    tm = TransportMatrix.from_rows(list(zip(*dm.matrix.m)))
+    return DecoratedMatrix.make(tm, [(j, i) for (i, j) in dm.delta])
+
+
+def mirror(move):
+    """The move of ``transpose(dm)`` that mirrors ``move`` of ``dm``."""
+    cells = [(j, i) for (i, j) in move.anchors]
+    if move.kind == "IVa":  # the two decorated anchors trade roles
+        cells.reverse()
+    elif move.kind == "V":  # the chain runs the other way
+        cells[1:] = cells[:0:-1]
+    return Move(MIRROR_KIND.get(move.kind, move.kind), tuple(cells))
+
+
+# A rejected anchor tuple of a mirror kind and its clause, in the mirror
+# kind's own names.
+MIRROR_REJECTIONS = [
+    (((2,),), ((1, 1),), "IIIb", ((1, 1), (1, 1)),
+     "corners must satisfy i0 < i1 and j0 < j1"),
+    (((0, 1), (1, 0)), ((1, 2),), "IIIb", ((1, 1), (2, 2)), "(i0,j0) must be decorated"),
+    (((1, 0), (1, 1)), ((1, 1),), "IIIb", ((1, 1), (2, 2)),
+     "nonzero entry at (2, 1) strictly between the corners"),
+    (((0, 1, 0), (1, 0, 1)), ((1, 2),), "IIIb", ((1, 2), (2, 3)),
+     "nonzero undominated entry at (2,1) northwest of (i1,j0)"),
+    (((1,), (1,)), ((1, 1),), "IVc", ((1, 1), (1, 1), (2, 1)),
+     "third anchor must sit in row i0"),
+    (((2,),), ((1, 1),), "IVc", ((1, 1), (1, 1), (1, 1)),
+     "anchors must satisfy j0 < j2 < j1 and i0 < i1"),
+    (((0, 0, 1), (1, 1, 0)), ((1, 3),), "IVc", ((1, 1), (2, 3), (1, 2)),
+     "(i0,j2) must be decorated"),
+    (((0, 2, 0), (1, 0, 1)), ((1, 2),), "IVc", ((1, 1), (2, 3), (1, 2)),
+     "entry at (i0,j2) must be exactly 1"),
+    (((1, 1, 0), (1, 0, 1)), ((1, 2), (2, 1)), "IVc", ((1, 1), (2, 3), (1, 2)),
+     "(i1,j0) must not lie weakly northwest of a decorated cell"),
+    (((1, 1, 0), (0, 1, 1)), ((1, 2),), "IVc", ((1, 1), (2, 3), (1, 2)),
+     "nonzero entry at (2, 2) strictly between the corners"),
+    (((1, 1), (1, 1)), ((1, 2),), "IVc", ((1, 1), (2, 2)),
+     "expected anchors ((i0,j0), (i1,j1), (i0,j2))"),
+]
+
+
+class TestMirrorKinds:
+    def test_moves_of_the_transpose_mirror_the_moves(self):
+        checked = {
+            dm: list(lineflags.moves._checked_moves(dm))
+            for b, c in margin_pairs(1, 5)
+            for dm in enumerate_orbits(b, c)
+        }
+        assert len(checked) == 1694 + 24949
+        flipped = {dm: transpose(dm) for dm in checked}
+        for dm, pairs in checked.items():
+            moves = [mv for mv, _ in pairs]
+            assert moves == sorted(moves, key=Move.sort_index)
+            image = [(mirror(mv), flipped[res]) for mv, res in pairs]
+            assert set(image) == set(checked[flipped[dm]])
+            assert sorted(image, key=lambda pair: pair[0].sort_index()) == checked[flipped[dm]]
+
+    @pytest.mark.parametrize("rows, delta, kind, anchors, clause", MIRROR_REJECTIONS)
+    def test_rejections_name_the_mirror_clause(self, rows, delta, kind, anchors, clause):
+        dm = DecoratedMatrix.make(TransportMatrix.from_rows(rows), delta)
+        with pytest.raises(PreconditionFailed) as info:
+            apply_move(dm, Move(kind, anchors))
+        assert (info.value.kind, info.value.clause) == (kind, clause)
 
 
 class TestPoset:
@@ -381,18 +468,16 @@ def sabotage(monkeypatch, drop=(), extra=None):
     """Break the move generator: ``drop`` holds elements whose moves are
     withheld, ``extra = (source, target)`` adds a fake move between two
     orbits."""
-    real_moves, real_apply = applicable_moves, apply_move
+    real = lineflags.moves._checked_moves
     fake = Move("V", ((0, 0), (0, 0)))
 
-    def moves(dm):
-        out = [] if dm in drop else real_moves(dm)
-        return out + [fake] if extra and dm == extra[0] else out
+    def checked(dm):
+        if dm not in drop:
+            yield from real(dm)
+        if extra and dm == extra[0]:
+            yield fake, extra[1]
 
-    def apply(dm, mv):
-        return extra[1] if mv == fake else real_apply(dm, mv)
-
-    monkeypatch.setattr(lineflags.moves, "applicable_moves", moves)
-    monkeypatch.setattr(lineflags.moves, "apply_move", apply)
+    monkeypatch.setattr(lineflags.moves, "_checked_moves", checked)
 
 
 # The 5-element order on (1,1) x (1,1); indices as in the Hasse diagram:
@@ -442,8 +527,8 @@ class TestSabotagedMoves:
             import lineflags.moves as moves
             from lineflags import OrderCheckFailed, build_poset
 
-            real = moves.applicable_moves
-            moves.applicable_moves = lambda dm: real(dm)[1:]
+            real = moves._checked_moves
+            moves._checked_moves = lambda dm: list(real(dm))[1:]
             print("debug", __debug__)
             try:
                 build_poset((1, 1), (1, 1))

@@ -201,12 +201,35 @@ class TestConfigurationChecks:
 
     @pytest.mark.parametrize(
         "a, b_levels",
-        [((1, 0), (((1, 0),),)), (((1, 0),), ((1, 0),)), (((1, 0),), 1)],
-        ids=["line-of-numbers", "level-of-numbers", "levels-not-iterable"],
+        [
+            ((1, 0), (((1, 0),),)),
+            (((1, 0),), ((1, 0),)),
+            (((1, 0),), 1),
+            ([(1, 0)], (((1, 0),),)),
+            (([1, 0],), (((1, 0),),)),
+            (((1, 0),), [[(1, 0)]]),
+            (((1, 0),), ([(1, 0)],)),
+            (((1, 0),), (([1, 0],),)),
+        ],
+        ids=[
+            "line-of-numbers",
+            "level-of-numbers",
+            "levels-not-iterable",
+            "line-list",
+            "line-vector-list",
+            "levels-list",
+            "level-list",
+            "level-vector-list",
+        ],
     )
     def test_rejects_unnested_generators(self, a, b_levels):
         with pytest.raises(ValidationError, match="BadShape"):
             Configuration(2, a, b_levels, ())
+
+    @pytest.mark.parametrize("c_levels", [[], [((0, 1),)], ([(0, 1)],), (([0, 1],),)])
+    def test_rejects_lists_in_the_second_flag(self, c_levels):
+        with pytest.raises(ValidationError, match="BadShape"):
+            Configuration(2, ((1, 0),), (((1, 0),),), c_levels)
 
 
 def random_configuration(rng):
