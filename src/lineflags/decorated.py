@@ -24,7 +24,6 @@ from .flagcore import (
     FlagError,
     NotFullFlag,
     Position,
-    ShapeMismatch,
     TransportMatrix,
     _is_int,
     from_permutation,
@@ -33,7 +32,13 @@ from .flagcore import (
     to_permutation,
     validate,
 )
-from .twoflags import RankTable, enumerate_transport_matrices, matrix_from_rank_table, rank_table
+from .twoflags import (
+    RankTable,
+    _check_same_shape,
+    enumerate_transport_matrices,
+    matrix_from_rank_table,
+    rank_table,
+)
 
 __all__ = [
     "NotAnOrbitInvariant",
@@ -118,13 +123,6 @@ def invariant(dm: DecoratedMatrix) -> tuple[int, ...]:
     return tuple(chain.from_iterable(zip(flat, rbar)))
 
 
-def _check_same_shape(x: DecoratedMatrix, y: DecoratedMatrix) -> None:
-    if x.matrix.b != y.matrix.b or x.matrix.c != y.matrix.c:
-        raise ShapeMismatch(
-            f"margins {x.matrix.b} x {x.matrix.c} vs {y.matrix.b} x {y.matrix.c}"
-        )
-
-
 def rk_leq_dec(x: DecoratedMatrix, y: DecoratedMatrix) -> bool:
     """Degeneration order: both tables of ``x`` >= those of ``y`` entrywise."""
     return rk_compare_witness(x, y) is None
@@ -133,7 +131,7 @@ def rk_leq_dec(x: DecoratedMatrix, y: DecoratedMatrix) -> bool:
 def _first(x: DecoratedMatrix, y: DecoratedMatrix, differs) -> tuple | None:
     """``(table, (i, j), xval, yval)`` at the first entry of the invariants
     where ``differs(xval, yval)``."""
-    _check_same_shape(x, y)
+    _check_same_shape(x.matrix, y.matrix)
     ix, iy = invariant(x), invariant(y)
     for k in compress(count(), map(differs, ix, iy)):
         return ("rbar" if k % 2 else "r", divmod(k // 2, x.r + 1), ix[k], iy[k])

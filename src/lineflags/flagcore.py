@@ -151,10 +151,10 @@ def validate_composition(parts: tuple[int, ...]) -> str | None:
     """Return an error code unless every part is an integer >= 1."""
     if len(parts) == 0:
         return "EmptyComposition"
-    for k, part in enumerate(parts, start=1):
-        if not _is_int(part) or part < 1:
-            return f"BadPart({k})"
-    return None
+    if set(map(type, parts)) == {int} and min(parts) >= 1:
+        return None
+    bad = (k for k, part in enumerate(parts, start=1) if not _is_int(part) or part < 1)
+    return next((f"BadPart({k})" for k in bad), None)
 
 
 # ---------------------------------------------------------------------------
@@ -258,30 +258,28 @@ def validate(matrix: TransportMatrix, delta: Iterable[Position] | None = None) -
     Matrix codes: ``EmptyComposition``, ``BadPart(k)``, ``BadShape``,
     ``NegativeEntry(i,j)``, ``BadRowSum(i)``, ``BadColSum(j)``.
     Decoration codes: ``EmptyDecoration``, ``BadPosition(k)``,
-    ``NotStaircase(k)``, ``ZeroEntryDecorated(i,j)``.
+    ``NotStaircase(k)``, ``ZeroEntryDecorated(i,j)``.  Each rule is
+    tested in one bulk pass; the offending index is located only when
+    the rule fails.
     """
-    code = validate_composition(matrix.b)
+    m, b, c = matrix.m, matrix.b, matrix.c
+    code = validate_composition(b) or validate_composition(c)
     if code is not None:
         return code
-    code = validate_composition(matrix.c)
-    if code is not None:
-        return code
-    if sum(matrix.b) != sum(matrix.c):
+    q, r = len(b), len(c)
+    if sum(b) != sum(c) or len(m) != q or any(len(row) != r for row in m):
         return "BadShape"
-    q, r = len(matrix.b), len(matrix.c)
-    if len(matrix.m) != q or any(len(row) != r for row in matrix.m):
-        return "BadShape"
-    for i in range(1, q + 1):
-        for j in range(1, r + 1):
-            x = matrix.m[i - 1][j - 1]
+    cells = list(chain.from_iterable(m))
+    if set(map(type, cells)) != {int} or min(cells) < 0:
+        for k, x in enumerate(cells):
             if not _is_int(x) or x < 0:
-                return f"NegativeEntry({i},{j})"
-    for i in range(1, q + 1):
-        if sum(matrix.m[i - 1]) != matrix.b[i - 1]:
-            return f"BadRowSum({i})"
-    for j in range(1, r + 1):
-        if sum(matrix.m[i][j - 1] for i in range(q)) != matrix.c[j - 1]:
-            return f"BadColSum({j})"
+                return f"NegativeEntry({k // r + 1},{k % r + 1})"
+    sums = tuple(map(sum, m))
+    if sums != tuple(b):
+        return next(f"BadRowSum({i})" for i, s in enumerate(sums, start=1) if s != b[i - 1])
+    sums = tuple(map(sum, zip(*m)))
+    if sums != tuple(c):
+        return next(f"BadColSum({j})" for j, s in enumerate(sums, start=1) if s != c[j - 1])
     if delta is None:
         return None
     pts = list(delta)
@@ -291,45 +289,17 @@ def validate(matrix: TransportMatrix, delta: Iterable[Position] | None = None) -
         if not (1 <= i <= q and 1 <= j <= r):
             return f"BadPosition({k})"
     pts.sort()
-    for k in range(1, len(pts)):
-        (i0, j0), (i1, j1) = pts[k - 1], pts[k]
+    for k, ((i0, j0), (i1, j1)) in enumerate(zip(pts, pts[1:]), start=2):
         if not (i0 < i1 and j0 > j1):
-            return f"NotStaircase({k + 1})"
-    for (i, j) in pts:
-        if matrix.m[i - 1][j - 1] <= 0:
+            return f"NotStaircase({k})"
+    for i, j in pts:
+        if m[i - 1][j - 1] <= 0:
             return f"ZeroEntryDecorated({i},{j})"
     return None
 
 
-def _plainly_valid(matrix: TransportMatrix, delta: Iterable[Position] | None) -> bool:
-    """True only when :func:`validate` returns None, in one bulk pass.
-
-    A False leaves the code of the first violated rule to :func:`validate`.
-    """
-    m, b, c = matrix.m, matrix.b, matrix.c
-    q, r = len(b), len(c)
-    if not (q and r and len(m) == q and set(map(len, m)) == {r}):
-        return False
-    cells = list(chain(b, c, *m))
-    if set(map(type, cells)) != {int} or min(cells) < 0 or min(b) < 1 or min(c) < 1:
-        return False
-    if tuple(map(sum, m)) != b or tuple(map(sum, zip(*m))) != c:
-        return False
-    if delta is None:
-        return True
-    pts = list(delta)
-    if not pts or set(map(type, chain(*pts))) != {int}:
-        return False
-    pts.sort()
-    return all(0 < i <= q and 0 < j <= r and m[i - 1][j - 1] > 0 for i, j in pts) and all(
-        i0 < i1 and j0 > j1 for (i0, j0), (i1, j1) in zip(pts, pts[1:])
-    )
-
-
 def raise_if_invalid(matrix: TransportMatrix, delta: Iterable[Position] | None = None) -> None:
     """Raise :class:`ValidationError` with the first violated rule, if any."""
-    if _plainly_valid(matrix, delta):
-        return
     code = validate(matrix, delta)
     if code is not None:
         raise ValidationError(code)

@@ -42,8 +42,9 @@ from .flagcore import (
     pos_lt,
     raise_if_invalid,
 )
-from .decorated import _check_same_shape, enumerate_orbits, invariant
+from .decorated import enumerate_orbits, invariant
 from .order import bits, closure, covers, dominance_masks
+from .twoflags import _check_same_shape, _flip, _nonzero_in_rect, _se_corners
 
 __all__ = [
     "KIND_ORDER",
@@ -76,7 +77,10 @@ class Move:
     anchors: tuple[Position, ...]
 
     def __str__(self) -> str:
-        cells = " ".join(f"({i},{j})" for (i, j) in self.anchors)
+        cells = " ".join(
+            "(" + ",".join(map(str, p)) + ")" if isinstance(p, tuple) else repr(p)
+            for p in self.anchors
+        )
         return f"{self.kind} {cells}"
 
     def sort_index(self) -> tuple[int, tuple[Position, ...]]:
@@ -94,28 +98,6 @@ def _shift(
     for (i, j), d in changes.items():
         rows[i - 1][j - 1] += d
     return tuple(tuple(row) for row in rows)
-
-
-def _rect_changes(i0: int, j0: int, i1: int, j1: int) -> dict[Position, int]:
-    return {(i0, j0): -1, (i1, j1): -1, (i0, j1): +1, (i1, j0): +1}
-
-
-def _nonzero_in_rect(
-    tm: TransportMatrix,
-    i0: int,
-    j0: int,
-    i1: int,
-    j1: int,
-    exempt: frozenset[Position],
-) -> Position | None:
-    """First nonzero cell of the closed rectangle outside the diagonal
-    corners and ``exempt``, in row-major order; None if all are zero."""
-    skip = exempt | {(i0, j0), (i1, j1)}
-    for i in range(i0, i1 + 1):
-        for j in range(j0, j1 + 1):
-            if (i, j) not in skip and tm.entry(i, j) != 0:
-                return (i, j)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +138,7 @@ def _try_II(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
         return "entry at (i0,j0) must be positive"
     if tm.entry(i1, j1) <= 0:
         return "entry at (i1,j1) must be positive"
-    bad = _nonzero_in_rect(tm, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0)}))
+    bad = _nonzero_in_rect(tm.m, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0)}))
     if bad is not None:
         return f"nonzero entry at {bad} strictly between the corners"
     if (i1, j1) in delta:
@@ -167,7 +149,7 @@ def _try_II(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
         return "a decorated (i0,j0) needs at least two units"
     if _ii_factors_through_corner(tm, delta, i0, j0, i1, j1):
         return "decorating (i1,j1) first gives a strictly intermediate orbit"
-    return (_shift(tm, _rect_changes(i0, j0, i1, j1)), delta)
+    return (_flip(tm.m, i0, j0, i1, j1), delta)
 
 
 def _ii_factors_through_corner(
@@ -218,7 +200,7 @@ def _try_IIIa(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
         return "entry at (i0,j0) must be exactly 1"
     if tm.entry(i1, j1) <= 0:
         return "entry at (i1,j1) must be positive"
-    bad = _nonzero_in_rect(tm, i0, j0, i1, j1, frozenset({(i1, j0)}))
+    bad = _nonzero_in_rect(tm.m, i0, j0, i1, j1, frozenset({(i1, j0)}))
     if bad is not None:
         return f"nonzero entry at {bad} strictly between the corners"
     for i in range(1, i0 + 1):
@@ -228,7 +210,7 @@ def _try_IIIa(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
             if tm.entry(i, j) != 0 and not dominated((i, j), delta):
                 return f"nonzero undominated entry at ({i},{j}) northwest of (i0,j1)"
     return (
-        _shift(tm, _rect_changes(i0, j0, i1, j1)),
+        _flip(tm.m, i0, j0, i1, j1),
         normalize_decoration(set(delta) | {(i0, j1)}),
     )
 
@@ -298,11 +280,11 @@ def _try_IVb(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
     if dominated((i0, j1), delta):
         return "(i0,j1) must not lie weakly northwest of a decorated cell"
     bad = _nonzero_in_rect(
-        tm, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0), (i2, j0)})
+        tm.m, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0), (i2, j0)})
     )
     if bad is not None:
         return f"nonzero entry at {bad} strictly between the corners"
-    return (_shift(tm, _rect_changes(i0, j0, i1, j1)), delta)
+    return (_flip(tm.m, i0, j0, i1, j1), delta)
 
 
 def _try_V(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
@@ -426,18 +408,6 @@ def apply_move(dm: DecoratedMatrix, move: Move) -> DecoratedMatrix:
     if isinstance(result, str):
         raise PreconditionFailed(move.kind, result)
     return _result(dm, *result)
-
-
-def _se_corners(m: Sequence[Sequence[int]], i0: int, j0: int) -> list[Position]:
-    """The positive cells strictly southeast of ``(i0, j0)`` whose rectangle
-    with it holds no other such cell, by row: the far corners of flips."""
-    out, limit = [], len(m[0]) + 1
-    for i in range(i0 + 1, len(m) + 1):
-        j = next((j for j in range(j0 + 1, limit) if m[i - 1][j - 1]), None)
-        if j is not None:
-            out.append((i, j))
-            limit = j
-    return out
 
 
 def _candidates(dm: DecoratedMatrix) -> Iterator[tuple[str, tuple[Position, ...]]]:
@@ -592,7 +562,7 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
     transforms ``x`` into ``y``.  Deterministic: each step takes the
     canonically first applicable move whose result stays below ``y``.
     """
-    _check_same_shape(x, y)
+    _check_same_shape(x.matrix, y.matrix)
     goal = invariant(y)
     z, key = x, invariant(x)
     if not all(map(ge, key, goal)):

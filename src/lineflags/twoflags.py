@@ -21,11 +21,12 @@ toward the larger element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .flagcore import (
     FlagError,
     OrderCheckFailed,
+    Position,
     PreconditionFailed,
     ShapeMismatch,
     TransportMatrix,
@@ -124,13 +125,47 @@ class Rectangle:
     j1: int
 
 
+def _flip(
+    m: Sequence[Sequence[int]], i0: int, j0: int, i1: int, j1: int
+) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``m`` with one unit moved from the NW/SE corners
+    ``(i0, j0)``, ``(i1, j1)`` of a rectangle to its NE/SW corners."""
+    rows = list(m)
+    for i, off, on in ((i0, j0, j1), (i1, j1, j0)):
+        row = list(rows[i - 1])
+        row[off - 1] -= 1
+        row[on - 1] += 1
+        rows[i - 1] = tuple(row)
+    return tuple(rows)
+
+
 def _corner_flip(tm: TransportMatrix, rect: Rectangle) -> TransportMatrix:
-    rows = [list(row) for row in tm.m]
-    rows[rect.i0 - 1][rect.j0 - 1] -= 1
-    rows[rect.i1 - 1][rect.j1 - 1] -= 1
-    rows[rect.i0 - 1][rect.j1 - 1] += 1
-    rows[rect.i1 - 1][rect.j0 - 1] += 1
-    return TransportMatrix(tuple(tuple(row) for row in rows), tm.b, tm.c)
+    return TransportMatrix(_flip(tm.m, rect.i0, rect.j0, rect.i1, rect.j1), tm.b, tm.c)
+
+
+def _nonzero_in_rect(
+    m: Sequence[Sequence[int]], i0: int, j0: int, i1: int, j1: int, exempt: frozenset[Position]
+) -> Position | None:
+    """First nonzero cell of the closed rectangle outside the diagonal
+    corners and ``exempt``, in row-major order; None if all are zero."""
+    skip = exempt | {(i0, j0), (i1, j1)}
+    for i in range(i0, i1 + 1):
+        for j in range(j0, j1 + 1):
+            if (i, j) not in skip and m[i - 1][j - 1] != 0:
+                return (i, j)
+    return None
+
+
+def _se_corners(m: Sequence[Sequence[int]], i0: int, j0: int) -> list[Position]:
+    """The positive cells strictly southeast of ``(i0, j0)`` whose rectangle
+    with it holds no other such cell, by row: the far corners of flips."""
+    out, limit = [], len(m[0]) + 1
+    for i in range(i0 + 1, len(m) + 1):
+        j = next((j for j in range(j0 + 1, limit) if m[i - 1][j - 1]), None)
+        if j is not None:
+            out.append((i, j))
+            limit = j
+    return out
 
 
 def _simple_move_clause(tm: TransportMatrix, rect: Rectangle) -> str | None:
@@ -142,12 +177,9 @@ def _simple_move_clause(tm: TransportMatrix, rect: Rectangle) -> str | None:
         return "entry (i0,j0) must be positive"
     if tm.entry(i1, j1) <= 0:
         return "entry (i1,j1) must be positive"
-    for i in range(i0, i1 + 1):
-        for j in range(j0, j1 + 1):
-            if (i, j) in ((i0, j0), (i1, j1), (i0, j1), (i1, j0)):
-                continue
-            if tm.entry(i, j) != 0:
-                return f"nonzero entry at ({i},{j}) strictly between the corners"
+    bad = _nonzero_in_rect(tm.m, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0)}))
+    if bad is not None:
+        return "nonzero entry at (%d,%d) strictly between the corners" % bad
     return None
 
 
@@ -159,19 +191,16 @@ def simple_moves(tm: TransportMatrix) -> list[Rectangle]:
     diagonal corners positive and every other cell of the closed
     rectangle, apart from the four corners, zero.  Each move lowers
     exactly the ranks strictly inside the rectangle's NW quadrant span,
-    producing a cover of the degeneration order.
+    producing a cover of the degeneration order.  The far corners are
+    drawn from :func:`_se_corners`, as for the kind-II moves.
     """
-    out = []
-    for i0 in range(1, tm.q):
-        for j0 in range(1, tm.r):
-            if tm.entry(i0, j0) <= 0:
-                continue
-            for i1 in range(i0 + 1, tm.q + 1):
-                for j1 in range(j0 + 1, tm.r + 1):
-                    rect = Rectangle(i0, j0, i1, j1)
-                    if _simple_move_clause(tm, rect) is None:
-                        out.append(rect)
-    return out
+    m = tm.m
+    return [
+        Rectangle(i0, j0, i1, j1)
+        for (i0, j0) in tm.positive_positions()
+        for (i1, j1) in _se_corners(m, i0, j0)
+        if _nonzero_in_rect(m, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0)})) is None
+    ]
 
 
 def apply_simple_move(tm: TransportMatrix, rect: Rectangle) -> TransportMatrix:

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate, chain
+from itertools import accumulate, chain, zip_longest
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -309,9 +308,7 @@ def apply_basis_change(
     if not all(_is_rational(x) for row in rows for x in row):
         raise ValidationError("NotARational(g)")
     probe = IntEchelon()
-    for row in rows:
-        probe.add(row)
-    if probe.rank != n:
+    if sum(map(probe.add, rows)) != n:
         raise FlagError("basis change matrix is singular")
     cols = list(zip(*rows))
 
@@ -343,72 +340,45 @@ def random_int_invertible(n: int, rng) -> tuple[tuple[int, ...], ...]:
 
 # ---------------------------------------------------------------------------
 # Polynomial vectors in the degeneration parameter
+#
+# A family vector is a tuple of integer coefficient rows: row ``k`` holds
+# the coefficients of ``tau**k``.  Every vector has at least one row.
 
-_Poly = tuple[int, ...]
-
-
-def _p_trim(p: Sequence[int]) -> _Poly:
-    coeffs = list(p)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _p_add(a: _Poly, b: _Poly) -> _Poly:
-    size = max(len(a), len(b))
-    pa = list(a) + [0] * (size - len(a))
-    for k, x in enumerate(b):
-        pa[k] += x
-    return _p_trim(pa)
-
-
-def _p_scale(a: _Poly, c: int) -> _Poly:
-    if c == 0:
-        return ()
-    return tuple(x * c for x in a)
-
-
-def _p_shift(a: _Poly, k: int) -> _Poly:
-    if not a:
-        return ()
-    return (0,) * k + tuple(a)
-
-
-def _p_eval(a: _Poly, x: Fraction | int) -> Fraction | int:
-    out = 0
-    for coeff in reversed(a):
-        out = out * x + coeff
-    return out
-
-
-def _p_val(a: _Poly) -> int | None:
-    for k, x in enumerate(a):
-        if x != 0:
-            return k
-    return None
-
-
-_PolyVec = tuple[_Poly, ...]
+_PolyVec = tuple[tuple[int, ...], ...]
 
 
 def _v_unit(n: int, idx: int) -> _PolyVec:
-    return tuple((1,) if k == idx else () for k in range(n))
-
-
-def _v_add(u: _PolyVec, v: _PolyVec) -> _PolyVec:
-    return tuple(_p_add(a, b) for a, b in zip(u, v))
-
-
-def _v_scale(u: _PolyVec, c: int) -> _PolyVec:
-    return tuple(_p_scale(a, c) for a in u)
+    return (tuple(int(k == idx) for k in range(n)),)
 
 
 def _v_shift(u: _PolyVec, k: int) -> _PolyVec:
-    return tuple(_p_shift(a, k) for a in u)
+    """``tau**k * u``."""
+    return ((0,) * len(u[0]),) * k + u
+
+
+def _v_scale(u: _PolyVec, c: int) -> _PolyVec:
+    return tuple(tuple(x * c for x in row) for row in u)
 
 
 def _v_sum(vectors: Sequence[_PolyVec]) -> _PolyVec:
-    return reduce(_v_add, vectors)
+    zero = (0,) * len(vectors[0][0])
+    return tuple(
+        tuple(map(sum, zip(*rows))) for rows in zip_longest(*vectors, fillvalue=zero)
+    )
+
+
+def _v_eval(u: _PolyVec, x: Fraction | int) -> tuple[Fraction | int, ...]:
+    """The vector's value at ``tau = x``, by Horner's rule over the rows."""
+    out = u[-1]
+    for row in reversed(u[:-1]):
+        out = tuple(a * x + b for a, b in zip(out, row))
+    return out
+
+
+def _v_order(u: _PolyVec) -> int | None:
+    """The largest ``k`` with ``tau**k`` dividing ``u``: its first nonzero
+    row, or None when ``u`` vanishes."""
+    return next((k for k, row in enumerate(u) if any(row)), None)
 
 
 def _first_relation(
@@ -429,29 +399,28 @@ def _first_relation(
     return None
 
 
-def _saturate_limit(rows: Sequence[_PolyVec]) -> list[list[int]]:
+def _saturate_limit(rows: Sequence[_PolyVec]) -> list[tuple[int, ...]]:
     """Exact limit of the row flag as the parameter goes to 0.
 
-    Repeatedly replaces a row whose value at 0 depends on the earlier
-    rows by the dependency combination divided by its parameter
-    content; this changes no prefix span at nonzero parameter values
-    and strictly lowers the determinant's vanishing order, so it
-    terminates with a nonsingular value at 0, whose prefix spans are
-    the limit flag.
+    Repeatedly replaces a row whose value at 0 (its row 0) depends on
+    the earlier rows by the dependency combination divided by its
+    parameter content (its rows from the first nonzero one on); this
+    changes no prefix span at nonzero parameter values and strictly
+    lowers the determinant's vanishing order, so it terminates with a
+    nonsingular value at 0, whose prefix spans are the limit flag.
     """
     work = list(rows)
     for _ in range(10000):
-        values = [[_p_eval(x, 0) for x in row] for row in work]
+        values = [vec[0] for vec in work]
         relation = _first_relation(values)
         if relation is None:
             return values
         p, coeffs = relation
         comb = _v_sum([_v_scale(work[k], c) for k, c in enumerate(coeffs)])
-        vals = [v for v in (_p_val(x) for x in comb) if v is not None]
-        if not vals:
+        e = _v_order(comb)
+        if e is None:
             raise FlagError("family rows are dependent for all parameter values")
-        e = min(vals)
-        work[p] = tuple(x[e:] for x in comb)
+        work[p] = comb[e:]
     raise FlagError("limit computation did not terminate")
 
 
@@ -486,8 +455,8 @@ def _family_vectors(
     elif kind in ("II", "IVb", "IVc"):
         (i0, j0), (i1, j1) = anchors[0], anchors[1]
         nw_top = e(i0, j0, tm.entry(i0, j0))
-        specials[(i0, j1, tgt.entry(i0, j1))] = _v_add(
-            nw_top, _v_shift(e(i1, j1, tm.entry(i1, j1)), 1)
+        specials[(i0, j1, tgt.entry(i0, j1))] = _v_sum(
+            [nw_top, _v_shift(e(i1, j1, tm.entry(i1, j1)), 1)]
         )
         specials[(i1, j0, tgt.entry(i1, j0))] = nw_top
         a_set = delta
@@ -513,8 +482,8 @@ def _family_vectors(
         (i0, j0), (i1, j1), (i2, j2) = anchors
         below = [d for d in delta if pos_lt(d, (i2, j0))]
         se_top = _v_shift(e(i1, j1, tm.entry(i1, j1)), 1)
-        specials[(i1, j2, tgt.entry(i1, j2))] = _v_add(e(i2, j2, 1), se_top)
-        specials[(i0, j1, tgt.entry(i0, j1))] = _v_add(e(i0, j0, 1), se_top)
+        specials[(i1, j2, tgt.entry(i1, j2))] = _v_sum([e(i2, j2, 1), se_top])
+        specials[(i0, j1, tgt.entry(i0, j1))] = _v_sum([e(i0, j0, 1), se_top])
         specials[(i2, j0, 1)] = _v_sum([e(d[0], d[1], 1) for d in below])
         a_set = target.delta
     else:  # kind V
@@ -547,14 +516,14 @@ def _family_vectors(
             terms = [pivot_top]
             for u, h in enumerate(heads, start=1):
                 if u <= s:
-                    terms.append(_v_add(_v_shift(h, 2), _v_shift(h, 3)))
+                    terms.append(_v_sum([_v_shift(h, 2), _v_shift(h, 3)]))
                 else:
                     terms.append(_v_shift(h, 1))
             specials[(pos[0], pos[1], tgt.entry(pos[0], pos[1]))] = _v_sum(terms)
         a_set = tuple(rest) + ((i0, j_first), (i_last, j0))
-    vmap: dict[tuple[int, int, int], _PolyVec] = {}
-    for slot in _source_slots(tgt):
-        vmap[slot] = specials.get(slot) or e(*slot)
+    vmap = {
+        slot: specials[slot] if slot in specials else e(*slot) for slot in _source_slots(tgt)
+    }
     a_vec = _v_sum([vmap[(i, j, 1)] for (i, j) in a_set])
     return target, vmap, a_vec
 
@@ -577,23 +546,20 @@ def degeneration_family(
     tgt = target.matrix
     n = tgt.n
     if tau != 0:
-        numeric = {
-            slot: tuple(_p_eval(p, tau) for p in vec) for slot, vec in vmap.items()
-        }
+        numeric = {slot: _v_eval(vec, tau) for slot, vec in vmap.items()}
         b_levels, c_levels = _flag_levels(tgt, lambda slots: [numeric[s] for s in slots])
         probe = IntEchelon()
         if sum(map(probe.add, b_levels[-1])) != n:
             raise FlagError(f"family is singular at tau={tau}")
-        a_row = tuple(_p_eval(p, tau) for p in a_vec)
+        a_row = _v_eval(a_vec, tau)
     else:
         b_levels, c_levels = _flag_levels(
-            tgt, lambda slots: [tuple(r) for r in _saturate_limit([vmap[s] for s in slots])]
+            tgt, lambda slots: _saturate_limit([vmap[s] for s in slots])
         )
-        vals = [v for v in (_p_val(p) for p in a_vec) if v is not None]
-        if not vals:
+        content = _v_order(a_vec)
+        if content is None:
             raise FlagError("family line vanishes identically")
-        content = min(vals)
-        a_row = tuple(_p_eval(p[content:], 0) for p in a_vec)
+        a_row = a_vec[content]
     return Configuration(n, (a_row,), b_levels, c_levels)
 
 

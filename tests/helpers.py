@@ -75,6 +75,86 @@ def brute_force_staircases(points):
     return out
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _composition_code(parts):
+    if len(parts) == 0:
+        return "EmptyComposition"
+    for k, part in enumerate(parts, start=1):
+        if not _is_int(part) or part < 1:
+            return f"BadPart({k})"
+    return None
+
+
+def validate_by_rule(matrix, delta=None):
+    """The first violated invariant's code, checked rule by rule and cell
+    by cell in the documented order, or None.  ``matrix`` is anything
+    with ``m``, ``b`` and ``c`` fields."""
+    code = _composition_code(matrix.b)
+    if code is not None:
+        return code
+    code = _composition_code(matrix.c)
+    if code is not None:
+        return code
+    if sum(matrix.b) != sum(matrix.c):
+        return "BadShape"
+    q, r = len(matrix.b), len(matrix.c)
+    if len(matrix.m) != q or any(len(row) != r for row in matrix.m):
+        return "BadShape"
+    for i in range(1, q + 1):
+        for j in range(1, r + 1):
+            x = matrix.m[i - 1][j - 1]
+            if not _is_int(x) or x < 0:
+                return f"NegativeEntry({i},{j})"
+    for i in range(1, q + 1):
+        if sum(matrix.m[i - 1]) != matrix.b[i - 1]:
+            return f"BadRowSum({i})"
+    for j in range(1, r + 1):
+        if sum(matrix.m[i][j - 1] for i in range(q)) != matrix.c[j - 1]:
+            return f"BadColSum({j})"
+    if delta is None:
+        return None
+    pts = list(delta)
+    if not pts:
+        return "EmptyDecoration"
+    for k, (i, j) in enumerate(pts, start=1):
+        if not (1 <= i <= q and 1 <= j <= r):
+            return f"BadPosition({k})"
+    pts.sort()
+    for k in range(1, len(pts)):
+        (i0, j0), (i1, j1) = pts[k - 1], pts[k]
+        if not (i0 < i1 and j0 > j1):
+            return f"NotStaircase({k + 1})"
+    for (i, j) in pts:
+        if matrix.m[i - 1][j - 1] <= 0:
+            return f"ZeroEntryDecorated({i},{j})"
+    return None
+
+
+def brute_force_simple_moves(m):
+    """Corners ``(i0, j0, i1, j1)`` of every rectangle supporting a simple
+    move on the rows ``m``, in lexicographic order: both diagonal corners
+    positive and every other cell of the closed rectangle, apart from the
+    anti-diagonal corners, zero."""
+    q, r = len(m), len(m[0])
+    out = []
+    for i0 in range(q):
+        for j0 in range(r):
+            for i1 in range(i0 + 1, q):
+                for j1 in range(j0 + 1, r):
+                    corners = {(i0, j0), (i1, j1), (i0, j1), (i1, j0)}
+                    if m[i0][j0] > 0 and m[i1][j1] > 0 and all(
+                        m[i][j] == 0
+                        for i in range(i0, i1 + 1)
+                        for j in range(j0, j1 + 1)
+                        if (i, j) not in corners
+                    ):
+                        out.append((i0 + 1, j0 + 1, i1 + 1, j1 + 1))
+    return out
+
+
 def prefix_rank_table(m, q, r):
     """Bordered table of northwest prefix sums, straight from the definition."""
     return [

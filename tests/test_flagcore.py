@@ -1,5 +1,7 @@
 """Core types: matrices, decorations, the position order, serialization."""
 
+import random
+
 import pytest
 
 from lineflags import (
@@ -22,7 +24,7 @@ from lineflags import (
     validate,
 )
 from lineflags.flagcore import raise_if_invalid
-from helpers import GOLDEN_N3_LABELS
+from helpers import GOLDEN_N3_LABELS, margin_pairs, validate_by_rule
 
 
 class TestTransportMatrix:
@@ -106,6 +108,87 @@ class TestValidate:
         for dm in enumerate_orbits((2, 1, 1), (1, 2, 1)):
             raise_if_invalid(dm.matrix, dm.delta)
             raise_if_invalid(dm.matrix)
+
+
+# Values that break a rule, or only look like a valid integer.
+ODD_VALUES = (0, -1, True, 1.0, "1", None)
+
+
+def _perturbed(rng, tm, delta):
+    """One or two random edits of a valid orbit: odd values in the
+    entries, margins or decoration, a wrong shape, or a decoration that
+    is empty, out of the grid, not a staircase, on a zero entry or made
+    of positions that are not pairs."""
+    m, b, c = [list(row) for row in tm.m], list(tm.b), list(tm.c)
+    d = [list(p) for p in delta]
+    for _ in range(rng.randint(1, 2)):
+        try:
+            d = _edit(rng, rng.randrange(11), m, b, c, d)
+        except (IndexError, TypeError, ValueError):
+            pass  # the first edit left nothing for the second to act on
+    positions = None if rng.random() < 0.1 else tuple(map(tuple, d))
+    return TransportMatrix(tuple(map(tuple, m)), tuple(b), tuple(c)), positions
+
+
+def _edit(rng, edit, m, b, c, d):
+    """Apply one edit in place; return the (possibly new) decoration."""
+    i, j = rng.randrange(len(m)), rng.randrange(len(m[0]))
+    if edit == 0:
+        m[i][j] = rng.choice(ODD_VALUES)
+    elif edit == 1:
+        m[i][j] += rng.choice((-1, 1))
+    elif edit == 2:
+        b[rng.randrange(len(b))] = rng.choice(ODD_VALUES)
+    elif edit == 3:
+        c[rng.randrange(len(c))] = rng.choice(ODD_VALUES)
+    elif edit == 4:
+        p = rng.choice(d)
+        p[rng.randrange(len(p))] = rng.choice(ODD_VALUES)
+    elif edit == 5:
+        rng.choice((m, b, c, m[i])).pop()
+    elif edit == 6:
+        rng.choice((m, b, c)).append([0] * len(m[0]) if rng.random() < 0.5 else [1])
+    elif edit == 7:
+        d.append(rng.choice(([len(b) + 1, 1], [1, len(c) + 1], [0, 1], [1, 0])))
+    elif edit == 8:
+        d.append([i + 1, j + 1])
+    elif edit == 9:
+        d[rng.randrange(len(d))] = rng.choice(([1], [1, 1, 1], []))
+    else:
+        return []
+    return d
+
+
+def _outcome(check, tm, delta):
+    """The code, or the type of the exception raised."""
+    try:
+        return check(tm, delta)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestValidateOracle:
+    orbits = [dm for b, c in margin_pairs(1, 4) for dm in enumerate_orbits(b, c)]
+
+    def test_every_small_orbit_is_valid(self):
+        for dm in self.orbits:
+            assert validate(dm.matrix) is None
+            assert validate(dm.matrix, dm.delta) is None
+
+    def test_codes_match_the_rule_by_rule_oracle(self):
+        rng = random.Random(7)
+        codes = set()
+        for _ in range(24000):
+            dm = rng.choice(self.orbits)
+            tm, delta = _perturbed(rng, dm.matrix, dm.delta)
+            got = _outcome(validate, tm, delta)
+            assert got == _outcome(validate_by_rule, tm, delta), (tm, delta)
+            codes.add(got.split("(")[0] if isinstance(got, str) else got)
+        assert codes >= {
+            None, TypeError, ValueError, "EmptyComposition", "BadPart", "BadShape",
+            "NegativeEntry", "BadRowSum", "BadColSum", "EmptyDecoration",
+            "BadPosition", "NotStaircase", "ZeroEntryDecorated",
+        }
 
 
 class TestPositionOrder:

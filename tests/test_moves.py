@@ -225,21 +225,31 @@ class TestPreconditions:
         assert out == from_permutation((1, 2), (2,))
 
     @pytest.mark.parametrize(
-        "dm, move",
+        "dm, move, text",
         [
-            (from_permutation((1, 2), (1,)), Move("II", ((1, 1, 1), (2, 2)))),
-            (from_permutation((1, 2), (1,)), Move("I", (("a", "b"),))),
-            (from_permutation((1, 2), (1,)), Move("I", ((2.0, 2.0),))),
-            (from_permutation((2, 1), (2,)), Move("I", ((True, 2),))),
-            (from_permutation((1, 2), (1,)), Move("IIIb", ((1, 1), (2, 2, 2)))),
+            (from_permutation((1, 2), (1,)), Move("II", ((1, 1, 1), (2, 2))), "II (1,1,1) (2,2)"),
+            (from_permutation((1, 2), (1,)), Move("I", (("a", "b"),)), "I (a,b)"),
+            (from_permutation((1, 2), (1,)), Move("I", ((2.0, 2.0),)), "I (2.0,2.0)"),
+            (from_permutation((2, 1), (2,)), Move("I", ((True, 2),)), "I (True,2)"),
+            (
+                from_permutation((1, 2), (1,)),
+                Move("IIIb", ((1, 1), (2, 2, 2))),
+                "IIIb (1,1) (2,2,2)",
+            ),
+            (from_permutation((1, 2), (1,)), Move("I", (5,)), "I 5"),
+            (from_permutation((1, 2), (1,)), Move("II", ((1,),)), "II (1)"),
         ],
-        ids=["three-coordinates", "strings", "floats", "bool", "mirror-kind"],
+        ids=[
+            "three-coordinates", "strings", "floats", "bool", "mirror-kind",
+            "not-a-pair", "one-coordinate",
+        ],
     )
-    def test_malformed_anchors_are_rejected(self, dm, move):
+    def test_malformed_anchors_are_rejected(self, dm, move, text):
         with pytest.raises(PreconditionFailed) as info:
             apply_move(dm, move)
         assert info.value.kind == move.kind
         assert info.value.clause == "anchors must be (i, j) pairs of integers"
+        assert str(move) == text
 
 
 # Sources on which a rectangle flip satisfies every local zero-pattern

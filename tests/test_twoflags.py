@@ -22,6 +22,7 @@ from lineflags import (
 from helpers import (
     bruhat_covers,
     brute_force_matrices,
+    brute_force_simple_moves,
     margin_pairs,
     prefix_rank_table,
     transitive_reduction,
@@ -106,6 +107,12 @@ class TestSimpleMoves:
                 for rect in simple_moves(tm):
                     out = apply_simple_move(tm, rect)
                     assert rk_leq(tm, out) and out != tm
+
+    def test_match_the_brute_force_rectangle_scan(self):
+        for b, c in margin_pairs(1, 5):
+            for tm in enumerate_transport_matrices(b, c):
+                got = [(x.i0, x.j0, x.i1, x.j1) for x in simple_moves(tm)]
+                assert got == brute_force_simple_moves(tm.m), tm
 
     def test_move_shifts_exactly_four_corners(self):
         tm = perm_matrix((1, 2))
