@@ -77,6 +77,8 @@ class Move:
     anchors: tuple[Position, ...]
 
     def __str__(self) -> str:
+        if not isinstance(self.anchors, tuple):
+            return f"{self.kind} {self.anchors!r}"
         cells = " ".join(
             "(" + ",".join(map(str, p)) + ")" if isinstance(p, tuple) else repr(p)
             for p in self.anchors
@@ -395,12 +397,13 @@ def _result(dm: DecoratedMatrix, rows, delta) -> DecoratedMatrix:
 
 
 def apply_move(dm: DecoratedMatrix, move: Move) -> DecoratedMatrix:
-    """Apply ``move`` to ``dm``; raise :class:`PreconditionFailed` if an
-    anchor is not an ``(i, j)`` pair of ints or a stated condition fails."""
+    """Apply ``move`` to ``dm``; raise :class:`PreconditionFailed` if the
+    anchors are not a tuple of ``(i, j)`` pairs of ints or a stated
+    condition fails."""
     try_fn = _TRY.get(move.kind)
     if try_fn is None:
         raise PreconditionFailed(move.kind, "unknown move kind")
-    if not all(
+    if not isinstance(move.anchors, tuple) or not all(
         isinstance(p, tuple) and len(p) == 2 and all(map(_is_int, p)) for p in move.anchors
     ):
         raise PreconditionFailed(move.kind, "anchors must be (i, j) pairs of integers")
@@ -463,9 +466,14 @@ def iter_moves(dm: DecoratedMatrix) -> Iterator[Move]:
 
     Canonical order: kinds in ``KIND_ORDER``, anchors lexicographically
     within each kind.  Candidates are drawn from the structure of ``dm``
-    and each is confirmed by the same checker :func:`apply_move` runs.
+    and each is confirmed by the same checker :func:`apply_move` runs;
+    the results are not built.
     """
-    return (move for move, _ in _checked_moves(dm))
+    return (
+        Move(kind, anchors)
+        for kind, anchors in _candidates(dm)
+        if not isinstance(_TRY[kind](dm, anchors), str)
+    )
 
 
 def applicable_moves(dm: DecoratedMatrix) -> list[Move]:

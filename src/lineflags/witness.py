@@ -68,6 +68,14 @@ def _is_rational(x: object) -> bool:
 # Exact incremental rank computation
 
 
+def _integral(vec: Sequence[Fraction | int]) -> list[int]:
+    """``vec`` times the lcm of its denominators: an integer vector."""
+    if all(type(x) is int for x in vec):
+        return list(vec)
+    den = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec]
+
+
 class IntEchelon:
     """Incremental fraction-free echelon form over the rationals.
 
@@ -78,24 +86,17 @@ class IntEchelon:
     as in Bareiss's integer-preserving scheme, so no ``Fraction`` is
     built.  ``add`` either absorbs a vector already in the span
     (returning False) or extends the span by it (returning True).
-    ``copy`` is cheap, enabling rank sweeps.
     """
 
     def __init__(self) -> None:
         self._rows: dict[int, list[int]] = {}
-
-    def copy(self) -> "IntEchelon":
-        new = IntEchelon()
-        new._rows = {k: row[:] for k, row in self._rows.items()}
-        return new
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     def add(self, vec: Sequence[Fraction | int]) -> bool:
-        den = lcm(*(x.denominator for x in vec))
-        v = [x.numerator * (den // x.denominator) for x in vec]
+        v = _integral(vec)
         for col, row in self._rows.items():
             f = v[col]
             if f:
@@ -220,46 +221,123 @@ def standard_configuration(
     return Configuration(n, (tuple(a_vec),), b_levels, c_levels)
 
 
-def _bases(levels: Sequence[Sequence[Sequence[Fraction | int]]]) -> list[list]:
-    """Per level, the generators that extend the span of everything
-    before them, so level ``i`` adds ``dim(B_i) - dim(B_{i-1})`` vectors."""
-    echelon = IntEchelon()
-    return [[g for g in level if echelon.add(g)] for level in levels]
+def _triangular_coordinates(x: list[int], rows: dict[int, list[int]]) -> list[int]:
+    """Integer coordinates of ``x`` in a triangular basis.
+
+    ``rows[p]`` vanishes before its pivot ``p``; the basis is these rows
+    together with the unit vectors at the positions that are no row's
+    pivot.  Positions are read in increasing order, so each coefficient
+    is found once.  The result is a nonzero multiple of the coordinates;
+    on the unit positions it is also the residual of ``x`` reduced
+    against the rows.
+    """
+    y = [0] * len(x)
+    for p in range(len(x)):
+        f = x[p]
+        if f:
+            row = rows.get(p)
+            if row is not None:
+                lead = row[p]
+                x = [a * lead - f * b for a, b in zip(x, row)]
+                y = [v * lead for v in y]
+            y[p] = f
+    return y
+
+
+def _fresh(levels: Sequence[tuple]) -> list[tuple]:
+    """Per level, the generators that do not repeat the previous level:
+    cumulative levels start with it, and it spans nothing new."""
+    out, previous = [], ()
+    for level in levels:
+        start = len(previous) if level[: len(previous)] == previous else 0
+        out.append(level[start:])
+        previous = level
+    return out
 
 
 def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
     """Exact rank invariants of a configuration.
 
-    ``r[i][j] = dim(B_i) + dim(C_j) - rank[B_i | C_j]`` is the
-    intersection dimension, and the 0/1 increment is ``delta[i][j] =
-    dim(A) + rank[B_i | C_j] - rank[A | B_i | C_j]``, i.e. whether the
-    line lies in ``B_i + C_j``.  Each flag is reduced to a basis once;
-    two incremental exact echelon sweeps per row of the grid then add
-    only basis vectors.
+    ``r[i][j] = dim(B_i ∩ C_j)`` and the 0/1 increment ``delta[i][j] =
+    dim(A ∩ (B_i + C_j))``, i.e. whether the line lies in ``B_i + C_j``.
+    Both are read from one basis adapted to both flags, as in the proof
+    that orbits are decorated matrices:
+
+    * ``B`` is reduced to a basis level by level and completed by unit
+      vectors at level ``q + 1``.  One echelon of ``[basis | I]`` gives
+      coordinates in it, ordered so that a vector's first nonzero
+      coordinate is on its last basis vector.
+    * The ``C`` generators are reduced in order on these coordinates,
+      without back-substitution, so each kept vector lies in its own
+      level of ``C``.  With unit vectors at the other positions (level
+      ``r + 1`` of ``C``) they form the adapted basis, each vector at a
+      slot ``(B-level, C-level)``.
+    * ``r[i][j]`` counts the slots northwest of ``(i, j)``, and
+      ``delta[i][j]`` is ``dim(A)`` minus the rank of the line's
+      coordinates on the other slots.
+
+    A level that starts with the one before it is read from where they
+    differ, so cumulative levels eliminate each generator once.
     """
-    q, r = len(config.b_levels), len(config.c_levels)
-    basis_b, basis_c = _bases(config.b_levels), _bases(config.c_levels)
-    dim_c = list(accumulate(map(len, basis_c), initial=0))
-    r_values = [[0] * (r + 1) for _ in range(q + 1)]
-    d_values = [[0] * (r + 1) for _ in range(q + 1)]
-    base_b = IntEchelon()
-    base_ab = IntEchelon()
-    dim_a = sum(map(base_ab.add, config.a))
-    for i in range(q + 1):
-        if i > 0:
-            for g in basis_b[i - 1]:
-                base_b.add(g)
-                base_ab.add(g)
-        sweep_b = base_b.copy()
-        sweep_ab = base_ab.copy()
-        d_values[i][0] = dim_a + sweep_b.rank - sweep_ab.rank
-        for j in range(1, r + 1):
-            for g in basis_c[j - 1]:
-                sweep_b.add(g)
-                sweep_ab.add(g)
-            rank_bc = sweep_b.rank
-            r_values[i][j] = base_b.rank + dim_c[j] - rank_bc
-            d_values[i][j] = dim_a + rank_bc - sweep_ab.rank
+    n, q, r = config.n, len(config.b_levels), len(config.c_levels)
+    units = tuple(tuple(int(k == col) for col in range(n)) for k in range(n))
+    echelon = IntEchelon()
+    basis, b_level = [], []
+    for i, level in enumerate(_fresh((*config.b_levels, units)), start=1):
+        for g in level:
+            if echelon.rank < n and echelon.add(g):
+                basis.append(g)
+                b_level.append(i)
+    basis.reverse()
+    b_level.reverse()
+    inverse = IntEchelon()
+    for g, unit in zip(basis, units):
+        inverse.add([*g, *unit])
+    # Row ``c`` of the echelon is ``[lead * e_c | w]`` with ``w . basis =
+    # lead * e_c``; scaled to a common lead, the ``w`` are the rows of
+    # the inverse of the basis.
+    solved = [inverse._rows[c] for c in range(n)]
+    scale = lcm(*(row[c] for c, row in enumerate(solved)))
+    inverse_rows = [[x * (scale // row[c]) for x in row[n:]] for c, row in enumerate(solved)]
+    to_basis = list(zip(*inverse_rows))
+
+    def coordinates(vec: Sequence[Fraction | int]) -> list[int]:
+        v = _integral(vec)
+        return [sum(map(mul, v, col)) for col in to_basis]
+
+    rows: dict[int, list[int]] = {}
+    c_level = [r + 1] * n
+    for j, level in enumerate(_fresh(config.c_levels), start=1):
+        for g in level:
+            y = _triangular_coordinates(coordinates(g), rows)
+            residual = [0 if p in rows else v for p, v in enumerate(y)]
+            k = next((p for p, v in enumerate(residual) if v), None)
+            if k is not None:
+                rows[k] = _int_normalize(residual, k)
+                c_level[k] = j
+    slots = list(zip(b_level, c_level))
+    line = [_triangular_coordinates(coordinates(g), rows) for g in config.a]
+    support = [(slot, column) for slot, *column in zip(slots, *line) if any(column)]
+
+    def outside_rank(i: int, j: int) -> int:
+        """Rank of the line's coordinates on the slots outside ``B_i + C_j``,
+        taken over its columns there (one per slot of its support)."""
+        columns = [column for (bi, cj), column in support if bi > i and cj > j]
+        if len(line) == 1:
+            return int(bool(columns))
+        probe = IntEchelon()
+        return sum(map(probe.add, columns))
+
+    # Two-dimensional prefix sums of the number of vectors per slot.
+    per_slot = [[0] * (r + 2) for _ in range(q + 2)]
+    for bi, cj in slots:
+        per_slot[bi][cj] += 1
+    r_values = list(accumulate(
+        (list(accumulate(row[: r + 1])) for row in per_slot[: q + 1]),
+        lambda above, row: [a + b for a, b in zip(above, row)],
+    ))
+    dim_a = outside_rank(0, 0)
+    d_values = [[dim_a - outside_rank(i, j) for j in range(r + 1)] for i in range(q + 1)]
     rank = RankTable(tuple(tuple(row) for row in r_values))
     rbar_values = tuple(
         tuple(r_values[i][j] + d_values[i][j] for j in range(r + 1))

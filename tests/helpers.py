@@ -267,7 +267,8 @@ def fraction_rank(vectors):
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         for k in range(rank + 1, len(rows)):
             f = rows[k][col] / rows[rank][col]
-            rows[k] = [a - f * b for a, b in zip(rows[k], rows[rank])]
+            if f:
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[rank])]
         rank += 1
     return rank
 
@@ -286,13 +287,15 @@ def rank_tables_by_definition(config):
                for i in range(len(config.b_levels) + 1)]
     c_spans = [[v for level in config.c_levels[:j] for v in level]
                for j in range(len(config.c_levels) + 1)]
+    dim_a, dims_c = fraction_rank(a), [fraction_rank(c) for c in c_spans]
     rank, delta = [], []
     for b in b_spans:
+        dim_b = fraction_rank(b)
         rank_row, delta_row = [], []
-        for c in c_spans:
+        for c, dim_c in zip(c_spans, dims_c):
             both = fraction_rank(b + c)
-            rank_row.append(fraction_rank(b) + fraction_rank(c) - both)
-            delta_row.append(fraction_rank(a) + both - fraction_rank(a + b + c))
+            rank_row.append(dim_b + dim_c - both)
+            delta_row.append(dim_a + both - fraction_rank(a + b + c))
         rank.append(tuple(rank_row))
         delta.append(tuple(delta_row))
     return tuple(rank), tuple(delta)

@@ -51,6 +51,19 @@ PASS
 """
 
 
+VERIFY3_WITNESS_TEXT = """\
+elements: 28
+covers: 72
+move closure equals rank order: ok
+moves are covers: ok
+covers are moves: ok
+greedy chains reach every target: ok
+orbit identification: 28/28 ok
+degenerations: 72/72 edges ok
+PASS
+"""
+
+
 def run_cli(args, stdin_text=None):
     out, err = io.StringIO(), io.StringIO()
     old_stdin = sys.stdin
@@ -158,6 +171,11 @@ class TestVerify:
         assert "orbit identification: 5/5 ok" in lines
         assert "degenerations: 6/6 edges ok" in lines
         assert lines[-1] == "PASS"
+
+    def test_witness_golden_on_full_flags_three(self):
+        code, out, err = run_cli(["verify", "--witness", "--b", "1,1,1", "--c", "1,1,1"])
+        assert (code, err) == (0, "")
+        assert out == VERIFY3_WITNESS_TEXT
 
     def test_witness_generates_each_orbits_moves_once(self, monkeypatch):
         seen = []

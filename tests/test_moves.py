@@ -148,6 +148,21 @@ class TestMoveEnumeration:
             for dm in rng.sample(orbits, min(len(orbits), 40)):
                 assert applicable_moves(dm) == brute_force_moves(dm)
 
+    def test_moves_are_those_of_the_checked_results(self):
+        for b, c in margin_pairs(1, 4):
+            for dm in enumerate_orbits(b, c):
+                checked = list(lineflags.moves._checked_moves(dm))
+                assert applicable_moves(dm) == [mv for mv, _ in checked]
+                assert [apply_move(dm, mv) for mv, _ in checked] == [res for _, res in checked]
+
+    def test_moves_are_listed_without_building_results(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a move result was built")
+
+        monkeypatch.setattr(lineflags.moves, "_result", refuse)
+        dm = from_permutation((1, 2, 3), (1,))
+        assert len(applicable_moves(dm)) == len(list(iter_moves(dm))) > 0
+
     def test_canonical_order(self):
         for dm in enumerate_orbits((1, 1, 1), (1, 1, 1)):
             moves = applicable_moves(dm)
@@ -238,10 +253,17 @@ class TestPreconditions:
             ),
             (from_permutation((1, 2), (1,)), Move("I", (5,)), "I 5"),
             (from_permutation((1, 2), (1,)), Move("II", ((1,),)), "II (1)"),
+            (from_permutation((1, 2), (1,)), Move("I", 5), "I 5"),
+            (from_permutation((1, 2), (1,)), Move("I", None), "I None"),
+            (
+                from_permutation((1, 2), (1,)),
+                Move("IIIa", [(1, 1), (2, 2)]),
+                "IIIa [(1, 1), (2, 2)]",
+            ),
         ],
         ids=[
             "three-coordinates", "strings", "floats", "bool", "mirror-kind",
-            "not-a-pair", "one-coordinate",
+            "not-a-pair", "one-coordinate", "int-anchors", "no-anchors", "list-anchors",
         ],
     )
     def test_malformed_anchors_are_rejected(self, dm, move, text):

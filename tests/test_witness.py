@@ -34,8 +34,14 @@ from lineflags import (
     uncircling_check,
     verify_move_degeneration,
 )
-from lineflags.witness import _first_relation
-from helpers import fraction_dependency, margin_pairs, rank_tables_by_definition
+from lineflags import witness
+from lineflags.witness import _first_relation, _triangular_coordinates
+from helpers import (
+    fraction_dependency,
+    fraction_rank,
+    margin_pairs,
+    rank_tables_by_definition,
+)
 
 
 def exact_determinant(rows):
@@ -67,14 +73,6 @@ class TestIntEchelon:
         assert ech.rank == 2
         assert ech.add((0, 0, 5))
         assert ech.rank == 3
-
-    def test_copy_is_independent(self):
-        ech = IntEchelon()
-        ech.add((1, 1))
-        snap = ech.copy()
-        ech.add((0, 1))
-        assert ech.rank == 2
-        assert snap.rank == 1
 
 
 def random_rows(rng):
@@ -128,6 +126,27 @@ class TestIntegerRelation:
             for col in range(len(rows[0])):
                 assert sum(c * rows[k][col] for k, c in enumerate(coeffs)) == 0
         assert dependent > 100
+
+
+class TestTriangularCoordinates:
+    def test_coordinates_rebuild_a_multiple_of_the_vector(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            rows = {}
+            for p in sorted(rng.sample(range(n), rng.randint(0, n))):
+                tail = [rng.randint(-3, 3) for _ in range(p + 1, n)]
+                rows[p] = [0] * p + [rng.choice((1, 2, 3, -2))] + tail
+            x = [rng.choice((0, rng.randint(-3, 3))) for _ in range(n)]
+            y = _triangular_coordinates(x, rows)
+            basis = [rows.get(p, [int(k == p) for k in range(n)]) for p in range(n)]
+            rebuilt = [sum(y[p] * basis[p][k] for p in range(n)) for k in range(n)]
+            lead = next((k for k, v in enumerate(x) if v), None)
+            if lead is None:
+                assert not any(rebuilt)
+                continue
+            assert rebuilt[lead] != 0
+            assert all(rebuilt[k] * x[lead] == x[k] * rebuilt[lead] for k in range(n))
 
 
 class TestStandardConfiguration:
@@ -271,6 +290,44 @@ def random_configuration(rng):
     return Configuration(n, a, b_levels, c_levels)
 
 
+def random_flags_configuration(rng, n):
+    """A configuration in ``Q^n`` whose flags meet: the second flag and
+    the line reuse vectors, sums of vectors and multiples of vectors of
+    the first.  Each flag spans ``Q^n`` about half of the time; levels
+    may be empty, and generators repeated, dependent or zero."""
+
+    def entry():
+        if rng.random() < 0.6:
+            return rng.randint(-2, 2)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def vector(pool):
+        roll = rng.random()
+        if pool and roll < 0.3:
+            return tuple(entry() * x for x in rng.choice(pool))
+        if pool and roll < 0.55:
+            picks = [rng.choice(pool) for _ in range(rng.randint(2, 3))]
+            return tuple(sum(entry() * v[k] for v in picks) for k in range(n))
+        if roll < 0.6:
+            return (0,) * n
+        return tuple(entry() for _ in range(n))
+
+    def flag(shared):
+        pool, levels = [], []
+        for _ in range(rng.randint(1, n)):
+            level = [vector(shared + pool) for _ in range(rng.randint(0, 3))]
+            pool += level
+            levels.append(level)
+        if rng.random() < 0.5:
+            levels[-1] += [tuple(entry() for _ in range(n)) for _ in range(n)]
+        return tuple(tuple(level) for level in levels), pool
+
+    b_levels, b_pool = flag([])
+    c_levels, c_pool = flag(b_pool)
+    a = tuple(vector(rng.choice((c_pool, b_pool + c_pool))) for _ in range(rng.randint(0, 2)))
+    return Configuration(n, a, b_levels, c_levels)
+
+
 class TestGeometricTables:
     def test_match_the_definition_on_random_configurations(self):
         rng = random.Random(20261018)
@@ -288,20 +345,57 @@ class TestGeometricTables:
         assert line_sizes == {0, 1, 2}
         assert 100 < fractions < 300
 
+    @pytest.mark.parametrize("n, count", [(5, 100), (6, 60)])
+    def test_match_the_definition_on_flags_that_meet(self, n, count):
+        rng = random.Random(20261018 + n)
+        spans = set()
+        for _ in range(count):
+            config = random_flags_configuration(rng, n)
+            rank, rbar = geometric_rank_tables(config)
+            assert (rank.values, rbar.delta_values) == rank_tables_by_definition(config)
+            spans.add(tuple(
+                fraction_rank([v for level in levels for v in level]) == n
+                for levels in (config.b_levels, config.c_levels)
+            ))
+        assert spans == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_match_the_definition_on_structured_configurations(self):
+        rng = random.Random(4)
+        poset = build_poset((1,) * 4, (1,) * 4, check_reduction=False)
+        configs = []
+        for dm in rng.sample(poset.elements, 50):
+            config = standard_configuration(dm.matrix, dm.delta)
+            configs.append(apply_basis_change(config, random_int_invertible(4, rng)))
+        for k in rng.sample(range(len(poset.covers)), 40):
+            src = poset.elements[poset.covers[k][0]]
+            for tau in (0, 1, 2, Fraction(1, 3)):
+                configs.append(degeneration_family(src, poset.cover_moves[k], tau))
+        for config in configs:
+            rank, rbar = geometric_rank_tables(config)
+            assert (rank.values, rbar.delta_values) == rank_tables_by_definition(config)
+        assert len(configs) == 210
+
     def test_each_generator_is_eliminated_once(self, monkeypatch):
         dm = from_permutation((4, 3, 2, 1), (1,))
         config = standard_configuration(dm.matrix, dm.delta)
         calls = 0
-        add = IntEchelon.add
 
-        def counted(self, vec):
-            nonlocal calls
-            calls += 1
-            return add(self, vec)
+        def counted(fn):
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                return fn(*args)
 
-        monkeypatch.setattr(IntEchelon, "add", counted)
+            return wrapper
+
+        monkeypatch.setattr(IntEchelon, "add", counted(IntEchelon.add))
+        monkeypatch.setattr(
+            witness, "_triangular_coordinates", counted(witness._triangular_coordinates)
+        )
         geometric_rank_tables(config)
-        assert calls <= 70
+        # Each basis vector of B enters the basis echelon and the one of
+        # [basis | I]; each generator of C and of the line is solved once.
+        assert calls <= 4 + 4 + 4 + 1
 
     def test_match_combinatorial_tables(self):
         for b, c in (((1, 1, 1), (1, 1, 1)), ((2, 1), (1, 2)), ((1, 2), (2, 1))):
