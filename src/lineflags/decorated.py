@@ -27,7 +27,6 @@ from .flagcore import (
     TransportMatrix,
     _is_int,
     from_permutation,
-    normalize_decoration,
     sort_key,
     to_permutation,
     validate,
@@ -85,6 +84,20 @@ class RBarTable:
         return self.values[i][j]
 
 
+def _threshold_table(
+    cells: Iterable[Position], q: int, r: int
+) -> tuple[tuple[int, ...], ...]:
+    """The bordered 0/1 table that is 1 at ``(i, j)`` unless some cell
+    ``(a, b)`` has ``a > i`` and ``b > j``.  Cells may lie one step past
+    the grid (``a = q + 1`` or ``b = r + 1``)."""
+    # below[i]: the largest column of a cell in a row > i.  Cells come by
+    # increasing column, so a later one overwrites a smaller value.
+    below = [0] * (q + 1)
+    for (a, b) in sorted(cells, key=itemgetter(1)):
+        below[:a] = [b] * a
+    return tuple((0,) * t + (1,) * (r + 1 - t) for t in below)
+
+
 def delta_table(dm: DecoratedMatrix) -> tuple[tuple[int, ...], ...]:
     """The 0/1 table of line membership, ``delta[i][j]`` over the border.
 
@@ -92,12 +105,7 @@ def delta_table(dm: DecoratedMatrix) -> tuple[tuple[int, ...], ...]:
     ``b <= j`` — equivalently, iff ``j`` reaches the largest column of a
     decorated cell in the rows below ``i``.
     """
-    # below[i]: the largest column of a decorated cell in a row > i.  Cells
-    # come by increasing column, so a later one overwrites a smaller value.
-    below = [0] * (dm.q + 1)
-    for (a, b) in sorted(dm.delta, key=itemgetter(1)):
-        below[:a] = [b] * a
-    return tuple((0,) * t + (1,) * (dm.r + 1 - t) for t in below)
+    return _threshold_table(dm.delta, dm.q, dm.r)
 
 
 def rbar_table(dm: DecoratedMatrix) -> RBarTable:
@@ -203,7 +211,7 @@ def decorated_from_tables(
     """Reconstruct the orbit from its two tables.
 
     Inverts :func:`rank_table` by second differences and reads the
-    decoration off the zero set of the delta table; raises
+    decoration off the maximal zeros of the delta table; raises
     :class:`NotAnOrbitInvariant` unless the tables round-trip exactly;
     entries are not coerced, so a float, string or bool raises too.
     """
@@ -219,15 +227,18 @@ def decorated_from_tables(
         tm = matrix_from_rank_table(RankTable(rv))
     except FlagError as exc:
         raise NotAnOrbitInvariant(f"rank table: {exc}") from exc
-    candidates = {
-        (i + 1, j + 1)
-        for i in range(len(dv))
-        for j in range(len(dv[0]))
-        if dv[i][j] == 0
-    }
-    if not candidates:
+    # The decoration is the set of maximal zeros, each moved one step
+    # southeast.  Only a row's last zero can be maximal, and it is when it
+    # lies east of every zero in the rows below.
+    corners, east = [], -1
+    for i in reversed(range(len(dv))):
+        last = max((j for j, x in enumerate(dv[i]) if x == 0), default=-1)
+        if last > east:
+            corners.append((i + 1, last + 1))
+            east = last
+    if not corners:
         raise NotAnOrbitInvariant("delta table has no zero")
-    delta = normalize_decoration(candidates)
+    delta = tuple(reversed(corners))
     code = validate(tm, delta)
     if code is not None:
         raise NotAnOrbitInvariant(code)

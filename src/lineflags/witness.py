@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, zip_longest
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .flagcore import (
     DecoratedMatrix,
@@ -33,8 +33,14 @@ from .flagcore import (
     raise_if_invalid,
     render,
 )
-from .twoflags import RankTable
-from .decorated import NotAnOrbitInvariant, RBarTable, decorated_from_tables
+from .twoflags import RankTable, rank_table
+from .decorated import (
+    NotAnOrbitInvariant,
+    RBarTable,
+    _threshold_table,
+    decorated_from_tables,
+    delta_table,
+)
 from .moves import Move, apply_move
 
 __all__ = [
@@ -173,18 +179,21 @@ def _source_slots(tm: TransportMatrix) -> list[tuple[int, int, int]]:
     ]
 
 
-def _flag_levels(tm: TransportMatrix, rows_of) -> tuple[tuple, tuple]:
+def _column_major(slots: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    return sorted(slots, key=lambda s: (s[1], s[0], s[2]))
+
+
+def _flag_levels(tm: TransportMatrix, by_row: list, by_column: list) -> tuple[tuple, tuple]:
     """Cumulative levels of the two flags on a matrix's coordinate slots.
 
-    ``rows_of`` maps a list of slots to their vectors.  ``B_i`` is the
-    prefix of the row-major rows cut at ``b_1 + ... + b_i``, and ``C_j``
-    the prefix of the column-major rows cut at ``c_1 + ... + c_j``.
+    ``by_row`` and ``by_column`` hold the slots' vectors in row-major and
+    in column-major order.  ``B_i`` is the prefix of ``by_row`` cut at
+    ``b_1 + ... + b_i``, and ``C_j`` the prefix of ``by_column`` cut at
+    ``c_1 + ... + c_j``.
     """
-    slots = _source_slots(tm)
-    by_column = sorted(slots, key=lambda s: (s[1], s[0], s[2]))
     return tuple(
         tuple(tuple(rows[:bound]) for bound in accumulate(sizes))
-        for rows, sizes in ((rows_of(slots), tm.b), (rows_of(by_column), tm.c))
+        for rows, sizes in ((by_row, tm.b), (by_column, tm.c))
     )
 
 
@@ -213,8 +222,11 @@ def standard_configuration(
             raise ZeroEntryPosition(f"({i},{j})")
     n = tm.n
     unit = [tuple(int(k == col) for col in range(n)) for k in range(n)]
-    index = {s: k for k, s in enumerate(_source_slots(tm))}
-    b_levels, c_levels = _flag_levels(tm, lambda slots: [unit[index[s]] for s in slots])
+    slots = _source_slots(tm)
+    index = {s: k for k, s in enumerate(slots)}
+    b_levels, c_levels = _flag_levels(
+        tm, unit, [unit[index[s]] for s in _column_major(slots)]
+    )
     a_vec = [0] * n
     for (i, j) in pts:
         a_vec[index[(i, j, 1)]] += 1
@@ -274,10 +286,15 @@ def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
       slot ``(B-level, C-level)``.
     * ``r[i][j]`` counts the slots northwest of ``(i, j)``, and
       ``delta[i][j]`` is ``dim(A)`` minus the rank of the line's
-      coordinates on the other slots.
+      coordinates on the other slots.  A line with one generator has
+      that rank 1 exactly when a slot of its support lies strictly
+      southeast of ``(i, j)``, so its ``delta`` is read from per-row
+      thresholds, as :func:`delta_table` reads a decoration.
 
     A level that starts with the one before it is read from where they
-    differ, so cumulative levels eliminate each generator once.
+    differ, so cumulative levels eliminate each generator once.  These
+    tables are the whole check of :func:`verify_move_degeneration`: it
+    compares them with the tables of the orbit each sample should lie in.
     """
     n, q, r = config.n, len(config.b_levels), len(config.c_levels)
     units = tuple(tuple(int(k == col) for col in range(n)) for k in range(n))
@@ -323,10 +340,14 @@ def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
         """Rank of the line's coordinates on the slots outside ``B_i + C_j``,
         taken over its columns there (one per slot of its support)."""
         columns = [column for (bi, cj), column in support if bi > i and cj > j]
-        if len(line) == 1:
-            return int(bool(columns))
         probe = IntEchelon()
         return sum(map(probe.add, columns))
+
+    if len(line) == 1 and support:
+        d_values = _threshold_table([slot for slot, _ in support], q, r)
+    else:
+        dim_a = outside_rank(0, 0)
+        d_values = [[dim_a - outside_rank(i, j) for j in range(r + 1)] for i in range(q + 1)]
 
     # Two-dimensional prefix sums of the number of vectors per slot.
     per_slot = [[0] * (r + 2) for _ in range(q + 2)]
@@ -336,8 +357,6 @@ def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
         (list(accumulate(row[: r + 1])) for row in per_slot[: q + 1]),
         lambda above, row: [a + b for a, b in zip(above, row)],
     ))
-    dim_a = outside_rank(0, 0)
-    d_values = [[dim_a - outside_rank(i, j) for j in range(r + 1)] for i in range(q + 1)]
     rank = RankTable(tuple(tuple(row) for row in r_values))
     rbar_values = tuple(
         tuple(r_values[i][j] + d_values[i][j] for j in range(r + 1))
@@ -506,12 +525,20 @@ def _saturate_limit(rows: Sequence[_PolyVec]) -> list[tuple[int, ...]]:
 # Degeneration families
 
 
-def _family_vectors(
-    dm: DecoratedMatrix, move: Move
-) -> tuple[DecoratedMatrix, dict[tuple[int, int, int], _PolyVec], _PolyVec]:
-    """Symbolic family rows for a move: the target orbit, the map from
-    target slots to polynomial vectors in source coordinates, and the
-    line generator."""
+class _Family(NamedTuple):
+    """A move's symbolic family: the target orbit, the polynomial vector
+    (in source coordinates) at each target slot, the line generator, and
+    the target's slots in row-major and in column-major order."""
+
+    target: DecoratedMatrix
+    vectors: dict[tuple[int, int, int], _PolyVec]
+    line: _PolyVec
+    by_row: list[tuple[int, int, int]]
+    by_column: list[tuple[int, int, int]]
+
+
+def _family_vectors(dm: DecoratedMatrix, move: Move) -> _Family:
+    """The symbolic family of a move, built once for every ``tau``."""
     target = apply_move(dm, move)
     tm, tgt = dm.matrix, target.matrix
     n = tm.n
@@ -599,11 +626,35 @@ def _family_vectors(
                     terms.append(_v_shift(h, 1))
             specials[(pos[0], pos[1], tgt.entry(pos[0], pos[1]))] = _v_sum(terms)
         a_set = tuple(rest) + ((i0, j_first), (i_last, j0))
-    vmap = {
-        slot: specials[slot] if slot in specials else e(*slot) for slot in _source_slots(tgt)
-    }
+    slots = _source_slots(tgt)
+    vmap = {slot: specials[slot] if slot in specials else e(*slot) for slot in slots}
     a_vec = _v_sum([vmap[(i, j, 1)] for (i, j) in a_set])
-    return target, vmap, a_vec
+    return _Family(target, vmap, a_vec, slots, _column_major(slots))
+
+
+def _family_at(family: _Family, tau: Fraction | int) -> Configuration:
+    """The family's configuration at ``tau``, or its exact limit at ``tau
+    = 0``.  Whether a nonzero ``tau`` gives a basis is not checked."""
+    orders = (family.by_row, family.by_column)
+    if tau != 0:
+        numeric = {slot: _v_eval(vec, tau) for slot, vec in family.vectors.items()}
+        levels = [[numeric[s] for s in slots] for slots in orders]
+        a_row = _v_eval(family.line, tau)
+    else:
+        levels = [_saturate_limit([family.vectors[s] for s in slots]) for slots in orders]
+        content = _v_order(family.line)
+        if content is None:
+            raise FlagError("family line vanishes identically")
+        a_row = family.line[content]
+    tgt = family.target.matrix
+    return Configuration(tgt.n, (a_row,), *_flag_levels(tgt, *levels))
+
+
+def _require_basis(config: Configuration, tau: Fraction | int) -> None:
+    """Raise :class:`FlagError` unless the family's ``B_q`` spans ``Q^n``."""
+    probe = IntEchelon()
+    if sum(map(probe.add, config.b_levels[-1])) != config.n:
+        raise FlagError(f"family is singular at tau={tau}")
 
 
 def degeneration_family(
@@ -620,25 +671,9 @@ def degeneration_family(
     """
     if not _is_rational(tau):
         raise ValidationError("NotARational(tau)")
-    target, vmap, a_vec = _family_vectors(dm, move)
-    tgt = target.matrix
-    n = tgt.n
-    if tau != 0:
-        numeric = {slot: _v_eval(vec, tau) for slot, vec in vmap.items()}
-        b_levels, c_levels = _flag_levels(tgt, lambda slots: [numeric[s] for s in slots])
-        probe = IntEchelon()
-        if sum(map(probe.add, b_levels[-1])) != n:
-            raise FlagError(f"family is singular at tau={tau}")
-        a_row = _v_eval(a_vec, tau)
-    else:
-        b_levels, c_levels = _flag_levels(
-            tgt, lambda slots: _saturate_limit([vmap[s] for s in slots])
-        )
-        content = _v_order(a_vec)
-        if content is None:
-            raise FlagError("family line vanishes identically")
-        a_row = a_vec[content]
-    return Configuration(n, (a_row,), b_levels, c_levels)
+    config = _family_at(_family_vectors(dm, move), tau)
+    _require_basis(config, tau)
+    return config
 
 
 @dataclass(frozen=True)
@@ -656,20 +691,26 @@ class MoveDegenerationReport:
 def verify_move_degeneration(dm: DecoratedMatrix, move: Move) -> MoveDegenerationReport:
     """Check the move's family at ``tau in {1, 2, 1/3}`` and at ``tau = 0``.
 
-    Every nonzero sample must identify as the move's target orbit and
-    the limit must identify as the source orbit.
+    Every nonzero sample must lie in the move's target orbit and the
+    limit in the source orbit.  The family is built once, and each
+    sample is compared with its orbit by the two rank tables, which fix
+    an orbit among those with the same margins.  Only a sample that
+    fails is identified (or found singular, as in
+    :func:`degeneration_family`), to name the orbit it lies in.
     """
-    target = apply_move(dm, move)
+    family = _family_vectors(dm, move)
     failures: list[str] = []
-    for tau in (1, 2, Fraction(1, 3)):
-        got = identify_orbit(degeneration_family(dm, move, tau))
-        if got != target:
+    for tau in (1, 2, Fraction(1, 3), 0):
+        orbit, sample = (family.target, "family") if tau else (dm, "limit")
+        config = _family_at(family, tau)
+        rank, rbar = geometric_rank_tables(config)
+        want = (rank_table(orbit.matrix).values, delta_table(orbit))
+        if (rank.values, rbar.delta_values) != want:
+            _require_basis(config, tau)
+            got = decorated_from_tables(rank.values, rbar.delta_values)
             failures.append(
-                f"tau={tau}: family lies in [{render(got)}], not [{render(target)}]"
+                f"tau={tau}: {sample} lies in [{render(got)}], not [{render(orbit)}]"
             )
-    got = identify_orbit(degeneration_family(dm, move, 0))
-    if got != dm:
-        failures.append(f"tau=0: limit lies in [{render(got)}], not [{render(dm)}]")
     return MoveDegenerationReport(move=move, failures=tuple(failures))
 
 

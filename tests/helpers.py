@@ -3,7 +3,8 @@
 Everything in this file is deliberately independent of the package
 internals: counts come from direct enumeration, order relations from
 their definitions, and reductions from cubic-time closures, so the fast
-implementations are measured against something honest.
+implementations are measured against something honest.  The reference
+versions of replaced fast paths use only the package's public functions.
 """
 
 from fractions import Fraction
@@ -299,6 +300,81 @@ def rank_tables_by_definition(config):
         rank.append(tuple(rank_row))
         delta.append(tuple(delta_row))
     return tuple(rank), tuple(delta)
+
+
+# ---------------------------------------------------------------------------
+# Reference versions of fast paths, built from the package's public
+# functions the way the fast paths were first written.
+
+
+def decorated_from_tables_by_zero_set(rank_values, delta_values):
+    """``decorated_from_tables`` that hands the whole zero set of the delta
+    table, moved one step southeast, to ``normalize_decoration``."""
+    from lineflags import (
+        DecoratedMatrix,
+        FlagError,
+        NotAnOrbitInvariant,
+        RankTable,
+        delta_table,
+        matrix_from_rank_table,
+        normalize_decoration,
+        rank_table,
+        validate,
+    )
+
+    rv = tuple(tuple(row) for row in rank_values)
+    dv = tuple(tuple(row) for row in delta_values)
+    if not all(_is_int(x) for row in rv + dv for x in row):
+        raise NotAnOrbitInvariant("table entries")
+    if len(rv) < 2 or len(rv[0]) < 2 or len(dv) != len(rv) or any(
+        len(a) != len(b) for a, b in zip(dv, rv)
+    ):
+        raise NotAnOrbitInvariant("table shapes")
+    try:
+        tm = matrix_from_rank_table(RankTable(rv))
+    except FlagError as exc:
+        raise NotAnOrbitInvariant(f"rank table: {exc}") from exc
+    candidates = {
+        (i + 1, j + 1)
+        for i in range(len(dv))
+        for j in range(len(dv[0]))
+        if dv[i][j] == 0
+    }
+    if not candidates:
+        raise NotAnOrbitInvariant("delta table has no zero")
+    delta = normalize_decoration(candidates)
+    code = validate(tm, delta)
+    if code is not None:
+        raise NotAnOrbitInvariant(code)
+    dm = DecoratedMatrix(tm, delta)
+    if rank_table(tm).values != rv or delta_table(dm) != dv:
+        raise NotAnOrbitInvariant("tables do not round-trip")
+    return dm
+
+
+def verify_move_degeneration_by_identification(dm, move):
+    """``verify_move_degeneration`` that rebuilds the family for each
+    sample with ``degeneration_family`` and identifies its orbit."""
+    from lineflags import (
+        MoveDegenerationReport,
+        apply_move,
+        degeneration_family,
+        identify_orbit,
+        render,
+    )
+
+    target = apply_move(dm, move)
+    failures = []
+    for tau in (1, 2, Fraction(1, 3)):
+        got = identify_orbit(degeneration_family(dm, move, tau))
+        if got != target:
+            failures.append(
+                f"tau={tau}: family lies in [{render(got)}], not [{render(target)}]"
+            )
+    got = identify_orbit(degeneration_family(dm, move, 0))
+    if got != dm:
+        failures.append(f"tau=0: limit lies in [{render(got)}], not [{render(dm)}]")
+    return MoveDegenerationReport(move=move, failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from helpers import (
     GOLDEN_N3_LABELS,
     brute_force_staircases,
     compositions,
+    decorated_from_tables_by_zero_set,
     delta_by_definition,
     first_entry,
     margin_pairs,
@@ -211,6 +212,30 @@ class TestTableRoundTrip:
                 rt = rank_table(dm.matrix).values
                 dt = delta_table(dm)
                 assert decorated_from_tables(rt, dt) == dm
+
+    def test_corners_match_the_zero_set_on_every_table(self):
+        def outcome(fn, rt, dt):
+            try:
+                return fn(rt, dt)
+            except NotAnOrbitInvariant as exc:
+                return str(exc)
+
+        rank_tables = {
+            rank_table(tm).values
+            for b, c in margin_pairs(2, 3)
+            if len(b) == len(c) == 2
+            for tm in enumerate_transport_matrices(b, c)
+        }
+        seen = set()
+        for rt in sorted(rank_tables):
+            for bits in range(1 << 9):
+                dt = tuple(tuple(bits >> (3 * i + j) & 1 for j in range(3)) for i in range(3))
+                got = outcome(decorated_from_tables, rt, dt)
+                assert got == outcome(decorated_from_tables_by_zero_set, rt, dt)
+                seen.add(got if isinstance(got, str) else "orbit")
+        assert len(rank_tables) == 10
+        assert {"orbit", "delta table has no zero", "tables do not round-trip"} <= seen
+        assert any(message.startswith("ZeroEntryDecorated") for message in seen)
 
     def test_rejects_garbage(self):
         with pytest.raises(NotAnOrbitInvariant):

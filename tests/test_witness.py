@@ -41,6 +41,7 @@ from helpers import (
     fraction_rank,
     margin_pairs,
     rank_tables_by_definition,
+    verify_move_degeneration_by_identification,
 )
 
 
@@ -538,6 +539,81 @@ class TestDegenerationFamilies:
             assert apply_move(src, mv) == tgt
             report = verify_move_degeneration(src, mv)
             assert report.passed, report.failures
+
+
+def cover_moves(lo, hi):
+    """``(source, move)`` for every cover of every margin pair of mass
+    between ``lo`` and ``hi``."""
+    for b, c in margin_pairs(lo, hi):
+        poset = build_poset(b, c, check_reduction=False)
+        for (a, _), mv in zip(poset.covers, poset.cover_moves):
+            yield poset.elements[a], mv
+
+
+def outcome(verify, dm, mv):
+    """The report's failures, or the type and message of what it raised."""
+    try:
+        return verify(dm, mv).failures
+    except FlagError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestMoveDegenerationByTables:
+    def test_matches_identification_on_every_cover_up_to_mass_four(self):
+        covers = 0
+        for dm, mv in cover_moves(1, 4):
+            report = verify_move_degeneration(dm, mv)
+            assert report == verify_move_degeneration_by_identification(dm, mv)
+            assert report.passed, (str(mv), report.failures)
+            covers += 1
+        assert covers == 4317
+
+    @pytest.mark.parametrize("sabotage", ["swap", "repeat"])
+    def test_a_sabotaged_family_fails_alike(self, monkeypatch, sabotage):
+        def sabotaged(dm, move):
+            family = family_vectors(dm, move)
+            first, last = family.by_row[0], family.by_row[-1]
+            vectors = dict(family.vectors)
+            vectors[last] = vectors[first]
+            if sabotage == "swap":
+                vectors[first] = family.vectors[last]
+            return family._replace(vectors=vectors)
+
+        family_vectors = witness._family_vectors
+        monkeypatch.setattr(witness, "_family_vectors", sabotaged)
+        outcomes = []
+        for dm, mv in cover_moves(2, 3):
+            got = outcome(verify_move_degeneration, dm, mv)
+            assert got == outcome(verify_move_degeneration_by_identification, dm, mv)
+            outcomes.append(got)
+        assert len(outcomes) == 198
+        if sabotage == "swap":
+            assert {bool(got) for got in outcomes} == {True, False}
+            assert {len(got) for got in outcomes} == {0, 1, 3, 4}
+        else:
+            assert set(outcomes) == {("FlagError", "family is singular at tau=1")}
+
+    def test_builds_the_family_once(self, monkeypatch):
+        calls = dict.fromkeys(("apply_move", "_family_vectors", "decorated_from_tables"), 0)
+
+        def counted(name):
+            fn = getattr(witness, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(witness, name, counted(name))
+        reports = [verify_move_degeneration(dm, mv) for dm, mv in cover_moves(3, 3)]
+        assert all(report.passed for report in reports)
+        assert calls == {
+            "apply_move": len(reports),
+            "_family_vectors": len(reports),
+            "decorated_from_tables": 0,
+        }
 
 
 class TestConfigurationSerialization:
