@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 from .flagcore import (
     DecoratedMatrix,
     FlagError,
-    NotFullFlag,
     Position,
     TransportMatrix,
     _is_int,

@@ -147,6 +147,18 @@ def _require_ints(field: str, values: Iterable[object]) -> None:
         raise ValidationError(f"NotAnInteger({field})")
 
 
+def _require_positions(field: str, positions: Iterable[object]) -> list[Position]:
+    """The positions as a list of ``(i, j)`` pairs of ints: raise
+    ``ValidationError("BadShape")`` unless each is a pair and
+    ``NotAnInteger(field)`` unless each coordinate is an int."""
+    try:
+        pts = [(i, j) for (i, j) in positions]
+    except (TypeError, ValueError):
+        raise ValidationError("BadShape") from None
+    _require_ints(field, (x for p in pts for x in p))
+    return pts
+
+
 def validate_composition(parts: tuple[int, ...]) -> str | None:
     """Return an error code unless every part is an integer >= 1."""
     if len(parts) == 0:
@@ -231,11 +243,10 @@ class DecoratedMatrix:
         """Build and validate, sorting the decoration canonically.
 
         Positions are not coerced: a float, string or bool raises
-        ``ValidationError("NotAnInteger(delta)")``.
+        ``ValidationError("NotAnInteger(delta)")``, and a position that
+        is not an ``(i, j)`` pair raises ``ValidationError("BadShape")``.
         """
-        pts = [(i, j) for (i, j) in delta]
-        _require_ints("delta", (x for p in pts for x in p))
-        dm = cls(matrix, tuple(sorted(pts)))
+        dm = cls(matrix, tuple(sorted(_require_positions("delta", delta))))
         raise_if_invalid(dm.matrix, dm.delta)
         return dm
 

@@ -39,10 +39,9 @@ from .flagcore import (
     _is_int,
     dominated,
     normalize_decoration,
-    pos_lt,
     raise_if_invalid,
 )
-from .decorated import enumerate_orbits, invariant
+from .decorated import delta_table, enumerate_orbits, invariant
 from .order import bits, closure, covers, dominance_masks
 from .twoflags import _check_same_shape, _flip, _nonzero_in_rect, _se_corners
 
@@ -93,13 +92,18 @@ def _in_grid(tm: TransportMatrix, p: Position) -> bool:
     return 1 <= p[0] <= tm.q and 1 <= p[1] <= tm.r
 
 
-def _shift(
-    tm: TransportMatrix, changes: dict[Position, int]
-) -> tuple[tuple[int, ...], ...]:
-    rows = [list(row) for row in tm.m]
-    for (i, j), d in changes.items():
-        rows[i - 1][j - 1] += d
-    return tuple(tuple(row) for row in rows)
+def _undominated(
+    tm: TransportMatrix, delta: tuple[Position, ...], i0: int, j0: int, i1: int, j1: int, skip
+) -> Position | None:
+    """First cell of rows ``i0..i1`` and columns ``j0..j1`` outside
+    ``skip``, in row-major order, that carries mass and lies weakly
+    northwest of no decorated cell; None if there is none."""
+    for i in range(i0, i1 + 1):
+        row = tm.m[i - 1]
+        for j in range(j0, j1 + 1):
+            if row[j - 1] and (i, j) not in skip and not dominated((i, j), delta):
+                return (i, j)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +122,9 @@ def _try_I(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
         return "entry at (i1,j1) must be positive"
     if dominated(p, delta):
         return "(i1,j1) must not lie weakly northwest of a decorated cell"
-    for i in range(1, i1 + 1):
-        for j in range(1, j1 + 1):
-            if (i, j) == p:
-                continue
-            if tm.entry(i, j) != 0 and not dominated((i, j), delta):
-                return f"nonzero undominated entry at ({i},{j}) northwest of (i1,j1)"
+    bad = _undominated(tm, delta, 1, 1, i1, j1, (p,))
+    if bad is not None:
+        return "nonzero undominated entry at (%d,%d) northwest of (i1,j1)" % bad
     return (tm.m, normalize_decoration(set(delta) | {p}))
 
 
@@ -149,42 +150,25 @@ def _try_II(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
         return "(i0,j1) and (i1,j0) must not both be decorated"
     if (i0, j0) in delta and tm.entry(i0, j0) < 2:
         return "a decorated (i0,j0) needs at least two units"
-    if _ii_factors_through_corner(tm, delta, i0, j0, i1, j1):
+    if _ii_factors_through_corner(dm, i0, j0, i1, j1):
         return "decorating (i1,j1) first gives a strictly intermediate orbit"
     return (_flip(tm.m, i0, j0, i1, j1), delta)
 
 
-def _ii_factors_through_corner(
-    tm: TransportMatrix,
-    delta: tuple[Position, ...],
-    i0: int,
-    j0: int,
-    i1: int,
-    j1: int,
-) -> bool:
+def _ii_factors_through_corner(dm: DecoratedMatrix, i0: int, j0: int, i1: int, j1: int) -> bool:
     """Whether the flip strictly contains the orbit decorated at (i1,j1).
 
     When (i1,j1) can itself be decorated (the kind-I conditions hold
     there) and every bordered position northwest of (i1,j1) whose
-    decorated cells all lie weakly northwest sits inside the rectangle,
-    the decorated orbit lies strictly between source and target, so the
-    flip skips a level and is rejected.
+    line-membership entry is 1 sits inside the rectangle, the decorated
+    orbit lies strictly between source and target, so the flip skips a
+    level and is rejected.
     """
-    if dominated((i1, j1), delta):
+    tm, delta = dm.matrix, dm.delta
+    if dominated((i1, j1), delta) or _undominated(tm, delta, 1, 1, i1, j1, ((i1, j1),)):
         return False
-    for i in range(1, i1 + 1):
-        for j in range(1, j1 + 1):
-            if (i, j) == (i1, j1):
-                continue
-            if tm.entry(i, j) != 0 and not dominated((i, j), delta):
-                return False
-    for i in range(0, i1):
-        for j in range(0, j1):
-            if i >= i0 and j >= j0:
-                continue
-            if all(a <= i or b <= j for (a, b) in delta):
-                return False
-    return True
+    dt = delta_table(dm)
+    return not any(dt[i][j] for i in range(i1) for j in range(j1) if i < i0 or j < j0)
 
 
 def _try_IIIa(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
@@ -205,12 +189,9 @@ def _try_IIIa(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
     bad = _nonzero_in_rect(tm.m, i0, j0, i1, j1, frozenset({(i1, j0)}))
     if bad is not None:
         return f"nonzero entry at {bad} strictly between the corners"
-    for i in range(1, i0 + 1):
-        for j in range(1, j1 + 1):
-            if (i, j) == (i0, j0):
-                continue
-            if tm.entry(i, j) != 0 and not dominated((i, j), delta):
-                return f"nonzero undominated entry at ({i},{j}) northwest of (i0,j1)"
+    bad = _undominated(tm, delta, 1, 1, i0, j1, ((i0, j0),))
+    if bad is not None:
+        return "nonzero undominated entry at (%d,%d) northwest of (i0,j1)" % bad
     return (
         _flip(tm.m, i0, j0, i1, j1),
         normalize_decoration(set(delta) | {(i0, j1)}),
@@ -236,26 +217,11 @@ def _try_IVa(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
         return "entry at (i2,j2) must be exactly 1"
     if tm.entry(i1, j1) <= 0:
         return "entry at (i1,j1) must be positive"
-    exempt = {(i0, j1), (i1, j2)}
-    for i in range(i0, i1 + 1):
-        for j in range(j2, j1 + 1):
-            p = (i, j)
-            if p in ((i0, j2), (i1, j1)) or p in exempt:
-                continue
-            if not pos_lt((i0, j2), p) or not pos_lt(p, (i1, j1)):
-                continue
-            if tm.entry(i, j) != 0 and not dominated(p, delta):
-                return f"nonzero undominated entry at ({i},{j}) inside the frame"
-    changes = {
-        (i0, j0): -1,
-        (i1, j1): -1,
-        (i2, j2): -1,
-        (i1, j2): +1,
-        (i2, j0): +1,
-        (i0, j1): +1,
-    }
+    bad = _undominated(tm, delta, i0, j2, i1, j1, ((i0, j2), (i1, j1), (i0, j1), (i1, j2)))
+    if bad is not None:
+        return "nonzero undominated entry at (%d,%d) inside the frame" % bad
     return (
-        _shift(tm, changes),
+        _flip(_flip(tm.m, i0, j0, i1, j1), i2, j2, i1, j0),
         normalize_decoration(set(delta) | {(i2, j0)}),
     )
 
@@ -330,18 +296,12 @@ def _try_V(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
             f"flipping into ({tail_i},{b}) first gives a strictly"
             " intermediate orbit"
         )
-    changes: dict[Position, int] = {pivot: -1}
-    for p in chain:
-        changes[p] = changes.get(p, 0) - 1
-    changes[(i0, chain[0][1])] = changes.get((i0, chain[0][1]), 0) + 1
-    changes[(chain[-1][0], j0)] = changes.get((chain[-1][0], j0), 0) + 1
-    for (a, b) in zip(chain, chain[1:]):
-        key = (a[0], b[1])
-        changes[key] = changes.get(key, 0) + 1
-    new_delta = normalize_decoration(
-        (set(delta) - set(chain)) | {(i0, chain[0][1]), (chain[-1][0], j0)}
-    )
-    return (_shift(tm, changes), new_delta)
+    # The cascade is a cycle of corner flips: the unit each flip leaves
+    # at (c_k_i, j0) the next one takes away.
+    rows = _flip(tm.m, i0, j0, head_i, head_j)
+    for (c, _), (i, j) in zip(chain, chain[1:]):
+        rows = _flip(rows, c, j0, i, j)
+    return (rows, normalize_decoration(others | {(i0, head_j), (tail_i, j0)}))
 
 
 def _transpose(rows, delta):

@@ -27,7 +27,7 @@ from .flagcore import (
     TransportMatrix,
     ValidationError,
     _is_int,
-    _require_ints,
+    _require_positions,
     normalize_decoration,
     pos_lt,
     raise_if_invalid,
@@ -206,13 +206,11 @@ def standard_configuration(
     m[i][j]`` in row-major order.  ``B_i`` is spanned by the slots in
     rows ``<= i``, ``C_j`` by the slots in columns ``<= j``, and the
     line by the sum of the ``k = 1`` unit vectors over ``positions``
-    (which must be nonempty and sit on positive entries, but need not
-    form a staircase).
+    (``(i, j)`` pairs, which must be nonempty and sit on positive
+    entries, but need not form a staircase).
     """
     raise_if_invalid(tm)
-    pts = [(i, j) for (i, j) in positions]
-    _require_ints("positions", (x for p in pts for x in p))
-    pts = sorted(set(pts))
+    pts = sorted(set(_require_positions("positions", positions)))
     if not pts:
         raise ValidationError("EmptyInput")
     for k, (i, j) in enumerate(pts, start=1):
@@ -383,13 +381,14 @@ def uncircling_check(tm: TransportMatrix, positions: Iterable[Position]) -> bool
     positive cells and tests that its orbit is the decorated matrix
     whose decoration is the set of componentwise-maximal marked cells.
     """
-    pts = normalize_decoration(positions)
-    config = standard_configuration(tm, positions)
+    pts = _require_positions("positions", positions)
+    hull = normalize_decoration(pts)
+    config = standard_configuration(tm, pts)
     try:
         dm = identify_orbit(config)
     except NotAnOrbitInvariant:
         return False
-    return dm.matrix.m == tm.m and dm.delta == pts
+    return dm.matrix.m == tm.m and dm.delta == hull
 
 
 def apply_basis_change(

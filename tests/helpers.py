@@ -377,6 +377,27 @@ def verify_move_degeneration_by_identification(dm, move):
     return MoveDegenerationReport(move=move, failures=tuple(failures))
 
 
+def raw_iva_target(dm, anchors):
+    """The decorated matrix a kind-IVa move produces, from its six-cell
+    change map, bypassing the move preconditions."""
+    from lineflags import DecoratedMatrix, TransportMatrix, normalize_decoration
+
+    (i0, j0), (i1, j1), (i2, j2) = anchors
+    changes = {
+        (i0, j0): -1,
+        (i1, j1): -1,
+        (i2, j2): -1,
+        (i1, j2): +1,
+        (i2, j0): +1,
+        (i0, j1): +1,
+    }
+    rows = [list(row) for row in dm.matrix.m]
+    for (i, j), d in changes.items():
+        rows[i - 1][j - 1] += d
+    tm = TransportMatrix(tuple(map(tuple, rows)), dm.matrix.b, dm.matrix.c)
+    return DecoratedMatrix.make(tm, normalize_decoration(set(dm.delta) | {(i2, j0)}))
+
+
 # ---------------------------------------------------------------------------
 # Golden data for the 28-element order on decorated permutation matrices
 # with margins (1,1,1) x (1,1,1).  Each label names the element built by

@@ -60,6 +60,17 @@ class TestTransportMatrix:
             DecoratedMatrix.make(tm, delta)
         assert info.value.code == "NotAnInteger(delta)"
 
+    @pytest.mark.parametrize(
+        "delta",
+        [[(1, 1, 1)], [(1,)], [5], [(1, 1), 5], 5],
+        ids=["triple", "single", "int", "mixed", "not-a-list"],
+    )
+    def test_make_rejects_positions_that_are_not_pairs(self, delta):
+        tm = TransportMatrix.from_rows([[1, 0], [0, 1]])
+        with pytest.raises(ValidationError) as info:
+            DecoratedMatrix.make(tm, delta)
+        assert info.value.code == "BadShape"
+
 
 class TestValidate:
     def test_valid_matrix_returns_none(self):

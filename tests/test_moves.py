@@ -34,6 +34,7 @@ from helpers import (
     GOLDEN_N3_LABELS,
     compositions,
     margin_pairs,
+    raw_iva_target,
     transitive_reduction,
 )
 
@@ -154,6 +155,22 @@ class TestMoveEnumeration:
                 checked = list(lineflags.moves._checked_moves(dm))
                 assert applicable_moves(dm) == [mv for mv, _ in checked]
                 assert [apply_move(dm, mv) for mv, _ in checked] == [res for _, res in checked]
+
+    def test_flip_products_match_the_change_maps(self):
+        """IVa and V results are built as products of corner flips; each
+        must shift exactly the cells of the move's direct change map."""
+        counts = {"IVa": 0, "V": 0}
+        for b, c in margin_pairs(1, 5):
+            for dm in enumerate_orbits(b, c):
+                for mv, res in lineflags.moves._checked_moves(dm):
+                    if mv.kind == "IVa":
+                        assert res == raw_iva_target(dm, mv.anchors)
+                    elif mv.kind == "V":
+                        assert res == raw_cascade_target(dm, mv.anchors[0], mv.anchors[1:])
+                    else:
+                        continue
+                    counts[mv.kind] += 1
+        assert counts == {"IVa": 1137, "V": 16948}
 
     def test_moves_are_listed_without_building_results(self, monkeypatch):
         def refuse(*args):

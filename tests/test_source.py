@@ -18,3 +18,31 @@ def test_no_assert_in_the_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _unused_imports(tree):
+    """Names the module imports but neither uses nor lists in ``__all__``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [(line, name) for name, line in imported.items() if name not in used]
+
+
+def test_every_import_is_used_or_exported():
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in SOURCES
+        for line, name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []

@@ -179,6 +179,16 @@ class TestStandardConfiguration:
         with pytest.raises(ValidationError, match=r"NotAnInteger\(positions\)"):
             standard_configuration(tm, marks)
 
+    @pytest.mark.parametrize(
+        "marks", [[(1, 1, 1)], [5], [5, 6], [(1, 1), (2,)]], ids=["triple", "int", "ints", "single"]
+    )
+    @pytest.mark.parametrize("check", [standard_configuration, uncircling_check])
+    def test_rejects_positions_that_are_not_pairs(self, check, marks):
+        tm = TransportMatrix.from_rows([[1, 0], [0, 1]])
+        with pytest.raises(ValidationError) as info:
+            check(tm, marks)
+        assert info.value.code == "BadShape"
+
 
 def config_with(field, vec, n=2):
     """A valid configuration in ``Q^2`` with ``vec`` put into one field."""
