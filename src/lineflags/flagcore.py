@@ -100,12 +100,16 @@ def pos_leq(p: Position, p2: Position) -> bool:
 
 def pos_lt(p: Position, p2: Position) -> bool:
     """Strict componentwise order: ``pos_leq`` and not equal."""
-    return p != p2 and pos_leq(p, p2)
+    return pos_leq(p, p2) and p != p2
 
 
 def dominated(p: Position, positions: Iterable[Position]) -> bool:
-    """True iff ``p <= d`` for some ``d`` in ``positions``."""
-    return any(pos_leq(p, d) for d in positions)
+    """True iff ``p <= d`` for some ``d`` in ``positions``; a position
+    that is not an ``(i, j)`` pair raises ``ValidationError("BadShape")``."""
+    try:
+        return any(pos_leq(p, d) for d in positions)
+    except (TypeError, IndexError):
+        raise ValidationError("BadShape") from None
 
 
 def set_leq(delta: Iterable[Position], delta2: Iterable[Position]) -> bool:
@@ -123,12 +127,15 @@ def normalize_decoration(positions: Iterable[Position]) -> tuple[Position, ...]:
 
     The result is an antichain, sorted by increasing row (hence, being
     an antichain, by decreasing column).  Idempotent; the identity on
-    antichains.
+    antichains.  Positions that are not pairs raise ``BadShape``.
     """
-    pts = set(positions)
+    try:
+        pts = set(positions)
+        maximal = [p for p in pts if not any(pos_lt(p, d) for d in pts)]
+    except (TypeError, IndexError):
+        raise ValidationError("BadShape") from None
     if not pts:
         raise ValidationError("EmptyInput")
-    maximal = [p for p in pts if not any(pos_lt(p, d) for d in pts)]
     return tuple(sorted(maximal))
 
 

@@ -36,6 +36,7 @@ from .flagcore import (
     Position,
     PreconditionFailed,
     TransportMatrix,
+    ValidationError,
     _is_int,
     dominated,
     normalize_decoration,
@@ -377,11 +378,16 @@ def _candidates(dm: DecoratedMatrix) -> Iterator[tuple[str, tuple[Position, ...]
     """Anchor tuples in canonical order, a superset of those the checkers
     accept: corners that must carry mass come from the positive cells,
     decorated anchors from the decoration, and far corners of rectangles
-    that must be empty inside from :func:`_se_corners`."""
+    that must be empty inside from :func:`_se_corners`.  Kind ``I`` is
+    tried only at the undominated positive cells with no other such
+    cell weakly northwest of them."""
     delta, positive = dm.delta, dm.matrix.positive_positions()
     corners = {p: _se_corners(dm.matrix.m, *p) for p in positive}
+    limit = dm.r + 1
     for p in positive:
-        yield "I", (p,)
+        if p[1] < limit and not dominated(p, delta):
+            yield "I", (p,)
+            limit = p[1]
     for p in positive:
         for far in corners[p]:
             yield "II", (p, far)
@@ -412,13 +418,14 @@ def _candidates(dm: DecoratedMatrix) -> Iterator[tuple[str, tuple[Position, ...]
                 yield "V", ((i0, j0),) + delta[start:stop]
 
 
-def _checked_moves(dm: DecoratedMatrix) -> Iterator[tuple[Move, DecoratedMatrix]]:
-    """Each applicable move with its result, checked once, in canonical
-    order; the result is the one :func:`apply_move` returns."""
+def _checked_moves(dm: DecoratedMatrix) -> Iterator[tuple[Move, tuple]]:
+    """Each applicable move with its raw result ``(rows, delta)``, checked
+    once, in canonical order; ``_result(dm, *raw)`` is the orbit
+    :func:`apply_move` returns."""
     for kind, anchors in _candidates(dm):
         result = _TRY[kind](dm, anchors)
         if not isinstance(result, str):
-            yield Move(kind, anchors), _result(dm, *result)
+            yield Move(kind, anchors), result
 
 
 def iter_moves(dm: DecoratedMatrix) -> Iterator[Move]:
@@ -475,14 +482,24 @@ class Poset:
 def _move_edges(
     elements: Sequence[DecoratedMatrix],
 ) -> tuple[list[list[Move]], list[list[int]]]:
-    """Canonical move lists and their target indices for each element."""
+    """Canonical move lists and their target indices for each element; a
+    raw result that is no enumerated orbit raises :class:`OrderCheckFailed`."""
     index = {(el.matrix.m, el.delta): k for k, el in enumerate(elements)}
     moves_of: list[list[Move]] = []
     targets_of: list[list[int]] = []
-    for el in elements:
+    for a, el in enumerate(elements):
         checked = list(_checked_moves(el))
         moves_of.append([mv for mv, _ in checked])
-        targets_of.append([index[(res.matrix.m, res.delta)] for _, res in checked])
+        targets = [index.get(raw) for _, raw in checked]
+        if None in targets:
+            mv, raw = checked[targets.index(None)]
+            try:
+                _result(el, *raw)
+            except ValidationError as exc:
+                msg = f"move {mv} of element {a} gives no orbit: {exc.code}"
+                raise OrderCheckFailed(msg) from exc
+            raise OrderCheckFailed(f"move {mv} of element {a} gives no enumerated orbit")
+        targets_of.append(targets)
     return moves_of, targets_of
 
 
@@ -515,7 +532,7 @@ def build_poset(
         leq = dominance_masks([invariant(el) for el in elements])
         if closure(targets_of) != leq:
             raise OrderCheckFailed("move closure differs from the rank order")
-        cover_masks = covers(leq)
+        cover_masks = covers(leq, targets_of)
         for (a, t) in poset.covers:
             if not (cover_masks[a] >> t) & 1:
                 raise OrderCheckFailed(f"edge {a}->{t} is not a cover")
@@ -537,7 +554,8 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
         return None
     chain: list[Move] = []
     while key != goal:
-        for mv, res in _checked_moves(z):
+        for mv, raw in _checked_moves(z):
+            res = _result(z, *raw)
             res_key = invariant(res)
             if all(map(ge, res_key, goal)):
                 break
@@ -602,7 +620,7 @@ def _report(b, c, elements: tuple[DecoratedMatrix, ...], targets_of) -> Equivale
         for a in range(count)
         if reach[a] != leq[a]
     ]
-    cover_masks = covers(leq)
+    cover_masks = covers(leq, targets_of if reach == leq else None)
     edge_set = {(a, t) for a in range(count) for t in targets_of[a]}
     cover_set = {(a, t) for a in range(count) for t in bits(cover_masks[a])}
     not_covers, not_moves = sorted(edge_set - cover_set), sorted(cover_set - edge_set)

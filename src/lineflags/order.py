@@ -3,14 +3,15 @@
 Elements are indexed ``0..N-1``; a set of elements is an ``int`` whose
 bit ``k`` stands for element ``k``.  An order is the list ``leq`` of
 up-sets: bit ``t`` of ``leq[a]`` is set iff ``a <= t``.  Covers are
-``up[a] & ~OR(up[z] for z in up[a])`` over the strict up-sets ``up``
-(Aho, Garey and Ullman, *The transitive reduction of a directed graph*,
-SIAM J. Comput. 1, 1972).
+``T[a] & ~OR(up[t] for t in T[a])`` over the strict up-sets ``up``, where
+``T[a]`` holds the targets of ``a`` in ``up[a]`` in a graph generating
+the order, such as the move edges (Aho, Garey and Ullman, *The transitive
+reduction of a directed graph*, SIAM J. Comput. 1, 1972).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = ["bits", "closure", "covers", "dominance_masks"]
 
@@ -80,13 +81,17 @@ def closure(targets: Sequence[Sequence[int]]) -> list[int]:
     return reach
 
 
-def covers(leq: Sequence[int]) -> list[int]:
-    """Bit ``t`` of ``covers(leq)[a]`` iff ``a < t`` with nothing strictly between."""
+def covers(leq: Sequence[int], targets: Sequence[Iterable[int]] | None = None) -> list[int]:
+    """Bit ``t`` of ``covers(leq, targets)[a]`` iff ``a < t`` with nothing
+    strictly between, given ``closure(targets) == leq``; by default the
+    order is its own generating graph."""
     up = [mask & ~(1 << a) for a, mask in enumerate(leq)]
     out = []
-    for mask in up:
-        above = 0
-        for z in bits(mask):
-            above |= up[z]
-        out.append(mask & ~above)
+    for a, mask in enumerate(up):
+        near = above = 0
+        for t in bits(mask) if targets is None else targets[a]:
+            if (mask >> t) & 1:
+                near |= 1 << t
+                above |= up[t]
+        out.append(near & ~above)
     return out

@@ -365,7 +365,7 @@ def verify_two_flag_theorem(b: tuple[int, ...], c: tuple[int, ...]) -> TwoFlagRe
         for a in range(count)
         if reach[a] != leq[a]
     ]
-    cover_masks = covers(leq)
+    cover_masks = covers(leq, edges if reach == leq else None)
     # A move that does not go up fails the closure check, not this one.
     not_covers = []
     for a in range(count):

@@ -231,6 +231,26 @@ class TestPositionOrder:
         with pytest.raises(ValidationError, match="EmptyInput"):
             normalize_decoration([])
 
+    @pytest.mark.parametrize("positions", [[5, 6], [5], [(1, 2), 5], [(1,), (2, 1)], [[1, 2]]])
+    def test_normalize_decoration_rejects_positions_that_are_not_pairs(self, positions):
+        with pytest.raises(ValidationError) as info:
+            normalize_decoration(positions)
+        assert info.value.code == "BadShape"
+
+    @pytest.mark.parametrize(
+        "delta, delta2", [([5], [(1, 1)]), ([(1, 1)], [5]), ([(1,)], [(1, 1)])]
+    )
+    def test_set_leq_rejects_positions_that_are_not_pairs(self, delta, delta2):
+        with pytest.raises(ValidationError) as info:
+            set_leq(delta, delta2)
+        assert info.value.code == "BadShape"
+
+    @pytest.mark.parametrize("p, positions", [((1, 1), [5]), (5, [(1, 1)]), ((1, 1), [(2,)])])
+    def test_dominated_rejects_positions_that_are_not_pairs(self, p, positions):
+        with pytest.raises(ValidationError) as info:
+            dominated(p, positions)
+        assert info.value.code == "BadShape"
+
 
 class TestPermutationDictionary:
     def test_cells_sit_at_row_and_image(self):

@@ -39,6 +39,14 @@ from helpers import (
 )
 
 
+def checked_results(dm):
+    """The moves of ``dm`` with their results built from the raw ones."""
+    return [
+        (mv, lineflags.moves._result(dm, *raw))
+        for mv, raw in lineflags.moves._checked_moves(dm)
+    ]
+
+
 def raw_flip_target(dm, lo, hi):
     """The decorated matrix a rectangle flip would produce, bypassing
     the move preconditions (decoration kept)."""
@@ -149,10 +157,20 @@ class TestMoveEnumeration:
             for dm in rng.sample(orbits, min(len(orbits), 40)):
                 assert applicable_moves(dm) == brute_force_moves(dm)
 
+    def test_every_kind_one_candidate_is_accepted(self):
+        tried = 0
+        for b, c in margin_pairs(1, 4):
+            for dm in enumerate_orbits(b, c):
+                for kind, anchors in lineflags.moves._candidates(dm):
+                    if kind == "I":
+                        assert not isinstance(lineflags.moves._try_I(dm, anchors), str)
+                        tried += 1
+        assert tried == 1806
+
     def test_moves_are_those_of_the_checked_results(self):
         for b, c in margin_pairs(1, 4):
             for dm in enumerate_orbits(b, c):
-                checked = list(lineflags.moves._checked_moves(dm))
+                checked = checked_results(dm)
                 assert applicable_moves(dm) == [mv for mv, _ in checked]
                 assert [apply_move(dm, mv) for mv, _ in checked] == [res for _, res in checked]
 
@@ -162,7 +180,7 @@ class TestMoveEnumeration:
         counts = {"IVa": 0, "V": 0}
         for b, c in margin_pairs(1, 5):
             for dm in enumerate_orbits(b, c):
-                for mv, res in lineflags.moves._checked_moves(dm):
+                for mv, res in checked_results(dm):
                     if mv.kind == "IVa":
                         assert res == raw_iva_target(dm, mv.anchors)
                     elif mv.kind == "V":
@@ -399,7 +417,7 @@ MIRROR_REJECTIONS = [
 class TestMirrorKinds:
     def test_moves_of_the_transpose_mirror_the_moves(self):
         checked = {
-            dm: list(lineflags.moves._checked_moves(dm))
+            dm: checked_results(dm)
             for b, c in margin_pairs(1, 5)
             for dm in enumerate_orbits(b, c)
         }
@@ -524,7 +542,7 @@ def sabotage(monkeypatch, drop=(), extra=None):
         if dm not in drop:
             yield from real(dm)
         if extra and dm == extra[0]:
-            yield fake, extra[1]
+            yield fake, (extra[1].matrix.m, extra[1].delta)
 
     monkeypatch.setattr(lineflags.moves, "_checked_moves", checked)
 
@@ -594,6 +612,75 @@ class TestSabotagedMoves:
         assert proc.stdout.splitlines() == [
             "debug False",
             "raised move closure differs from the rank order",
+        ]
+
+
+def off_margins(monkeypatch):
+    """Break the kind-I checker: its rows gain a unit in the first cell."""
+    real = lineflags.moves._TRY["I"]
+
+    def broken(dm, anchors):
+        result = real(dm, anchors)
+        if isinstance(result, str):
+            return result
+        rows, delta = result
+        return ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:], delta
+
+    monkeypatch.setitem(lineflags.moves._TRY, "I", broken)
+
+
+class TestResultsThatAreNotOrbits:
+    @pytest.mark.parametrize("check", [build_poset, verify_equivalence])
+    def test_a_result_off_the_margins_names_the_move(self, monkeypatch, check):
+        off_margins(monkeypatch)
+        with pytest.raises(OrderCheckFailed) as info:
+            check((1, 1), (1, 1))
+        assert str(info.value) == "move I (2,1) of element 0 gives no orbit: BadRowSum(1)"
+
+    @pytest.mark.parametrize("check", [build_poset, verify_equivalence])
+    def test_a_result_missing_from_the_orbits_names_the_move(self, monkeypatch, check):
+        real = lineflags.moves.enumerate_orbits
+        monkeypatch.setattr(
+            lineflags.moves, "enumerate_orbits", lambda b, c: [x for x in real(b, c) if x != TOP]
+        )
+        with pytest.raises(OrderCheckFailed) as info:
+            check((1, 1), (1, 1))
+        assert str(info.value) == "move I (2,1) of element 0 gives no enumerated orbit"
+
+    def test_a_result_off_the_margins_raises_under_optimization(self):
+        script = textwrap.dedent(
+            """
+            import lineflags.moves as moves
+            from lineflags import OrderCheckFailed, build_poset, verify_equivalence
+
+            real = moves._TRY["I"]
+
+            def broken(dm, anchors):
+                result = real(dm, anchors)
+                if isinstance(result, str):
+                    return result
+                rows, delta = result
+                return ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:], delta
+
+            moves._TRY["I"] = broken
+            print("debug", __debug__)
+            for check in (build_poset, verify_equivalence):
+                try:
+                    check((1, 1), (1, 1))
+                except OrderCheckFailed as exc:
+                    print("raised", exc)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(lineflags.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "debug False",
+            "raised move I (2,1) of element 0 gives no orbit: BadRowSum(1)",
+            "raised move I (2,1) of element 0 gives no orbit: BadRowSum(1)",
         ]
 
 

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from lineflags import enumerate_orbits, enumerate_transport_matrices, rank_table, rbar_table
+from lineflags import (
+    enumerate_orbits,
+    enumerate_transport_matrices,
+    invariant,
+    rank_table,
+    rbar_table,
+)
+from lineflags.moves import _move_edges
 from lineflags.order import bits, closure, covers, dominance_masks
 from helpers import margin_pairs, transitive_reduction
 
@@ -56,8 +63,47 @@ def test_masks_and_covers_match_the_oracles(keys_of):
         keys = keys_of(b, c)
         leq = dominance_masks(keys)
         assert leq == pairwise_masks(keys), (b, c)
-        got = [(a, t) for a, mask in enumerate(covers(leq)) for t in bits(mask)]
-        assert got == transitive_reduction(len(keys), lambda a, t: (leq[a] >> t) & 1), (b, c)
+        assert cover_pairs(covers(leq)) == reduction_of(leq), (b, c)
+
+
+def reduction_of(leq):
+    return transitive_reduction(len(leq), lambda a, t: (leq[a] >> t) & 1)
+
+
+def cover_pairs(masks):
+    return [(a, t) for a, mask in enumerate(masks) for t in bits(mask)]
+
+
+def test_covers_from_generating_edges_with_redundancy_and_self_loops():
+    rng = random.Random(1972)
+    for count in (1, 2, 5, 12, 30):
+        for _ in range(20):
+            rank = list(range(count))
+            rng.shuffle(rank)
+            # Edges go up in ``rank``: a DAG, hence a partial order.
+            targets = [
+                [t for t in range(count) if rank[t] > rank[a] and rng.random() < 0.2]
+                for a in range(count)
+            ]
+            leq = closure(targets)
+            for a, ts in enumerate(targets):
+                # Redundant edges: a repeat, a self-loop and a reachable non-cover.
+                ts += rng.sample(ts, min(len(ts), 1)) + [a] * rng.randrange(2)
+                ts += rng.sample(list(bits(leq[a])), 1)
+                rng.shuffle(ts)
+            assert closure(targets) == leq
+            expected = reduction_of(leq)
+            assert cover_pairs(covers(leq, targets)) == expected
+            assert cover_pairs(covers(leq)) == expected
+
+
+def test_covers_from_the_move_edges_match_the_oracle():
+    for b, c in MARGINS:
+        elements = tuple(enumerate_orbits(b, c))
+        targets = _move_edges(elements)[1]
+        leq = dominance_masks([invariant(el) for el in elements])
+        assert closure(targets) == leq, (b, c)
+        assert cover_pairs(covers(leq, targets)) == reduction_of(leq), (b, c)
 
 
 def test_closure_of_a_cover_graph_is_the_order():
