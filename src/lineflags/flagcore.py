@@ -117,9 +117,10 @@ def set_leq(delta: Iterable[Position], delta2: Iterable[Position]) -> bool:
 
     True iff every element of ``delta`` lies under some element of
     ``delta2``.  Reflexive and transitive; antisymmetric on antichains.
+    Positions that are not pairs of ints raise ``ValidationError``.
     """
-    targets = tuple(delta2)
-    return all(dominated(p, targets) for p in delta)
+    targets = _require_positions("positions", delta2)
+    return all(dominated(p, targets) for p in _require_positions("positions", delta))
 
 
 def normalize_decoration(positions: Iterable[Position]) -> tuple[Position, ...]:
@@ -127,16 +128,21 @@ def normalize_decoration(positions: Iterable[Position]) -> tuple[Position, ...]:
 
     The result is an antichain, sorted by increasing row (hence, being
     an antichain, by decreasing column).  Idempotent; the identity on
-    antichains.  Positions that are not pairs raise ``BadShape``.
+    antichains.  Positions that are not hashable pairs raise
+    ``BadShape``, coordinates that are not ints ``NotAnInteger(positions)``.
     """
     try:
         pts = set(positions)
-        maximal = [p for p in pts if not any(pos_lt(p, d) for d in pts)]
-    except (TypeError, IndexError):
+    except TypeError:
         raise ValidationError("BadShape") from None
-    if not pts:
+    # Scanned from the southeast, a cell is maximal iff it is east of all before it.
+    maximal: list[Position] = []
+    for p in sorted(_require_positions("positions", pts), reverse=True):
+        if not maximal or p[1] > maximal[-1][1]:
+            maximal.append(p)
+    if not maximal:
         raise ValidationError("EmptyInput")
-    return tuple(sorted(maximal))
+    return tuple(reversed(maximal))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .flagcore import (
     raise_if_invalid,
 )
 from .decorated import delta_table, enumerate_orbits, invariant
-from .order import bits, closure, covers, dominance_masks
+from .order import bits, dominance_masks, generated
 from .twoflags import _check_same_shape, _flip, _nonzero_in_rect, _se_corners
 
 __all__ = [
@@ -436,11 +436,7 @@ def iter_moves(dm: DecoratedMatrix) -> Iterator[Move]:
     and each is confirmed by the same checker :func:`apply_move` runs;
     the results are not built.
     """
-    return (
-        Move(kind, anchors)
-        for kind, anchors in _candidates(dm)
-        if not isinstance(_TRY[kind](dm, anchors), str)
-    )
+    return (mv for mv, _ in _checked_moves(dm))
 
 
 def applicable_moves(dm: DecoratedMatrix) -> list[Move]:
@@ -530,12 +526,11 @@ def build_poset(
     poset = _poset(elements, moves_of, targets_of)
     if check_reduction:
         leq = dominance_masks([invariant(el) for el in elements])
-        if closure(targets_of) != leq:
+        reach, _, not_covers, _ = generated(leq, targets_of)
+        if reach != leq:
             raise OrderCheckFailed("move closure differs from the rank order")
-        cover_masks = covers(leq, targets_of)
-        for (a, t) in poset.covers:
-            if not (cover_masks[a] >> t) & 1:
-                raise OrderCheckFailed(f"edge {a}->{t} is not a cover")
+        if not_covers:
+            raise OrderCheckFailed("edge %d->%d is not a cover" % not_covers[0])
     return poset
 
 
@@ -614,23 +609,17 @@ def _report(b, c, elements: tuple[DecoratedMatrix, ...], targets_of) -> Equivale
     """The checks of :func:`verify_equivalence` on a computed move graph."""
     count = len(elements)
     leq = dominance_masks([invariant(el) for el in elements])
-    reach = closure(targets_of)
-    counterexamples = [
-        f"element {a}: move closure and rank order disagree"
-        for a in range(count)
-        if reach[a] != leq[a]
-    ]
-    cover_masks = covers(leq, targets_of if reach == leq else None)
-    edge_set = {(a, t) for a in range(count) for t in targets_of[a]}
-    cover_set = {(a, t) for a in range(count) for t in bits(cover_masks[a])}
-    not_covers, not_moves = sorted(edge_set - cover_set), sorted(cover_set - edge_set)
+    reach, cover_masks, not_covers, not_moves = generated(leq, targets_of)
+    disagree = [a for a in range(count) if reach[a] != leq[a]]
+    counterexamples = [f"element {a}: move closure and rank order disagree" for a in disagree]
     counterexamples += [f"move edge {a}->{t} is not a cover" for a, t in not_covers]
     counterexamples += [f"cover {a}->{t} is not realized by a move" for a, t in not_moves]
     # A greedy walk toward t steps from z to the first move target below t.
     # When every target lies strictly above its source, all walks arrive
-    # iff each t > z lies above some target of z that is itself above z.
+    # iff each t > z lies above some target of z that is itself above z;
+    # that holds wherever the moves of z reach exactly leq[z].
     chains_ok = True
-    for z in range(count):
+    for z in disagree:
         above = leq[z] & ~(1 << z)
         reached = 0
         for t in targets_of[z]:
@@ -645,8 +634,8 @@ def _report(b, c, elements: tuple[DecoratedMatrix, ...], targets_of) -> Equivale
         b=tuple(b),
         c=tuple(c),
         element_count=count,
-        cover_count=len(cover_set),
-        order_equivalent=reach == leq,
+        cover_count=sum(mask.bit_count() for mask in cover_masks),
+        order_equivalent=not disagree,
         moves_are_covers=not not_covers,
         covers_are_moves=not not_moves,
         chains_ok=chains_ok,

@@ -1,19 +1,20 @@
-"""The order kernel: a dominance order, its closure and its covers as bitsets.
+"""The order kernel: a dominance order, and a graph checked against it, as bitsets.
 
 Elements are indexed ``0..N-1``; a set of elements is an ``int`` whose
 bit ``k`` stands for element ``k``.  An order is the list ``leq`` of
-up-sets: bit ``t`` of ``leq[a]`` is set iff ``a <= t``.  Covers are
-``T[a] & ~OR(up[t] for t in T[a])`` over the strict up-sets ``up``, where
-``T[a]`` holds the targets of ``a`` in ``up[a]`` in a graph generating
-the order, such as the move edges (Aho, Garey and Ullman, *The transitive
-reduction of a directed graph*, SIAM J. Comput. 1, 1972).
+up-sets: bit ``t`` of ``leq[a]`` is set iff ``a <= t``.  As ``leq`` is a
+partial order, a graph generates it iff ``leq[a] == 1 << a | OR(leq[t]
+for t in targets[a] if t != a)`` at every ``a``; where this holds at ``a``,
+the covers of ``a`` are the targets above no other target (Aho, Garey and
+Ullman, *The transitive reduction of a directed graph*, SIAM J. Comput. 1,
+1972).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-__all__ = ["bits", "closure", "covers", "dominance_masks"]
+__all__ = ["bits", "dominance_masks", "generated"]
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -48,50 +49,35 @@ def dominance_masks(keys: Sequence[Sequence[int]]) -> list[int]:
     return leq
 
 
-def closure(targets: Sequence[Sequence[int]]) -> list[int]:
-    """Reflexive-transitive closure of the graph ``k -> t`` for ``t`` in ``targets[k]``.
+def generated(
+    leq: Sequence[int], targets: Sequence[Iterable[int]]
+) -> tuple[list[int], list[int], list[tuple[int, int]], list[tuple[int, int]]]:
+    """Check the graph ``a -> t`` for ``t`` in ``targets[a]`` against ``leq``.
 
-    On an acyclic graph one pass in reverse topological order is exact;
-    nodes on cycles are swept until nothing changes.
+    Returns ``(reach, covers, not_covers, not_edges)``: the right-hand
+    sides of the identity, the cover masks of ``leq``, and the sorted
+    edges ``(a, t)`` that are not covers (self-loops included) and covers
+    that are not edges.
     """
-    count = len(targets)
-    indegree = [0] * count
-    for ts in targets:
-        for t in ts:
-            indegree[t] += 1
-    order = [k for k in range(count) if indegree[k] == 0]
-    for k in order:
-        for t in targets[k]:
-            indegree[t] -= 1
-            if indegree[t] == 0:
-                order.append(t)
-    acyclic = len(order) == count
-    order += [k for k in range(count) if indegree[k] > 0]
-    reach = [1 << k for k in range(count)]
-    changed = True
-    while changed:
-        changed = False
-        for k in reversed(order):
-            mask = reach[k]
-            for t in targets[k]:
-                mask |= reach[t]
-            if mask != reach[k]:
-                reach[k] = mask
-                changed = not acyclic
-    return reach
-
-
-def covers(leq: Sequence[int], targets: Sequence[Iterable[int]] | None = None) -> list[int]:
-    """Bit ``t`` of ``covers(leq, targets)[a]`` iff ``a < t`` with nothing
-    strictly between, given ``closure(targets) == leq``; by default the
-    order is its own generating graph."""
     up = [mask & ~(1 << a) for a, mask in enumerate(leq)]
-    out = []
-    for a, mask in enumerate(up):
-        near = above = 0
-        for t in bits(mask) if targets is None else targets[a]:
-            if (mask >> t) & 1:
-                near |= 1 << t
+    reach, cover_masks, not_covers, not_edges = [], [], [], []
+    for a, ts in enumerate(targets):
+        mask, edges, above = 1 << a, 0, 0
+        for t in ts:
+            edges |= 1 << t
+            if t != a:
+                mask |= leq[t]
                 above |= up[t]
-        out.append(near & ~above)
-    return out
+        if mask == leq[a]:
+            cover = edges & ~(1 << a) & ~above
+        else:
+            # The targets do not generate the up-set: read the covers off it.
+            above = 0
+            for z in bits(up[a]):
+                above |= up[z]
+            cover = up[a] & ~above
+        reach.append(mask)
+        cover_masks.append(cover)
+        not_covers += [(a, t) for t in bits(edges & ~cover)]
+        not_edges += [(a, t) for t in bits(cover & ~edges)]
+    return reach, cover_masks, not_covers, not_edges

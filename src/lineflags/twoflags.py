@@ -34,7 +34,7 @@ from .flagcore import (
     sort_key,
     validate_composition,
 )
-from .order import bits, closure, covers, dominance_masks
+from .order import bits, dominance_masks, generated
 
 __all__ = [
     "NotStrictlyLess",
@@ -357,28 +357,26 @@ def verify_two_flag_theorem(b: tuple[int, ...], c: tuple[int, ...]) -> TwoFlagRe
         sorted({index[_corner_flip(tm, rect).m] for rect in simple_moves(tm)})
         for tm in elements
     ]
-    reach = closure(edges)
     leq = dominance_masks([sum(rank_table(tm).values, ()) for tm in elements])
+    reach, cover_masks, not_covers, _ = generated(leq, edges)
     counterexamples = [
         f"element {a}: moves-only {bin(reach[a] & ~leq[a])},"
         f" rank-only {bin(leq[a] & ~reach[a])}"
         for a in range(count)
         if reach[a] != leq[a]
     ]
-    cover_masks = covers(leq, edges if reach == leq else None)
     # A move that does not go up fails the closure check, not this one.
-    not_covers = []
-    for a in range(count):
-        for t in edges[a]:
-            if t != a and ((leq[a] & ~cover_masks[a]) >> t) & 1:
-                via = next(z for z in bits(leq[a]) if z not in (a, t) and (leq[z] >> t) & 1)
-                not_covers.append(f"move {a} -> {t} is not a cover (via {via})")
+    not_cover_moves = []
+    for a, t in not_covers:
+        if t != a and (leq[a] >> t) & 1:
+            via = next(z for z in bits(leq[a]) if z not in (a, t) and (leq[z] >> t) & 1)
+            not_cover_moves.append(f"move {a} -> {t} is not a cover (via {via})")
     return TwoFlagReport(
         b=b,
         c=c,
         element_count=count,
         cover_count=sum(mask.bit_count() for mask in cover_masks),
         order_equivalent=reach == leq,
-        moves_are_covers=not not_covers,
-        counterexamples=tuple(counterexamples + not_covers),
+        moves_are_covers=not not_cover_moves,
+        counterexamples=tuple(counterexamples + not_cover_moves),
     )

@@ -76,6 +76,17 @@ def brute_force_staircases(points):
     return out
 
 
+def maximal_positions(points):
+    """The componentwise-maximal points, comparing every pair, sorted."""
+    pts = set(points)
+    return tuple(
+        sorted(
+            p for p in pts
+            if not any(p != d and p[0] <= d[0] and p[1] <= d[1] for d in pts)
+        )
+    )
+
+
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 

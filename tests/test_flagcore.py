@@ -24,7 +24,7 @@ from lineflags import (
     validate,
 )
 from lineflags.flagcore import raise_if_invalid
-from helpers import GOLDEN_N3_LABELS, margin_pairs, validate_by_rule
+from helpers import GOLDEN_N3_LABELS, margin_pairs, maximal_positions, validate_by_rule
 
 
 class TestTransportMatrix:
@@ -226,6 +226,28 @@ class TestPositionOrder:
     def test_normalize_decoration_idempotent_on_staircases(self):
         stair = ((1, 3), (2, 2), (3, 1))
         assert normalize_decoration(stair) == stair
+
+    def test_normalize_decoration_matches_the_pairwise_maximal_points(self):
+        rng = random.Random(125)
+        for size in range(1, 16):
+            for _ in range(100):
+                pts = [(rng.randrange(-1, 7), rng.randrange(-1, 7)) for _ in range(size)]
+                assert normalize_decoration(pts) == maximal_positions(pts), pts
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: normalize_decoration([("a", "b")]),
+            lambda: normalize_decoration([(1.5, 2), (1, 1)]),
+            lambda: normalize_decoration([(1, 1), (2, True)]),
+            lambda: set_leq([(1, 1)], [(True, 2.5)]),
+            lambda: set_leq([(1.0, 1)], [(2, 2)]),
+        ],
+    )
+    def test_non_integer_positions_are_rejected(self, call):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert info.value.code == "NotAnInteger(positions)"
 
     def test_normalize_decoration_rejects_empty(self):
         with pytest.raises(ValidationError, match="EmptyInput"):

@@ -12,7 +12,7 @@ from lineflags import (
     rbar_table,
 )
 from lineflags.moves import _move_edges
-from lineflags.order import bits, closure, covers, dominance_masks
+from lineflags.order import bits, dominance_masks, generated
 from helpers import margin_pairs, transitive_reduction
 
 
@@ -54,6 +54,14 @@ def reachable(targets, k):
     return sum(1 << t for t in seen)
 
 
+def reduction_of(leq):
+    return transitive_reduction(len(leq), lambda a, t: (leq[a] >> t) & 1)
+
+
+def cover_pairs(masks):
+    return [(a, t) for a, mask in enumerate(masks) for t in bits(mask)]
+
+
 MARGINS = margin_pairs(1, 4)
 
 
@@ -63,38 +71,91 @@ def test_masks_and_covers_match_the_oracles(keys_of):
         keys = keys_of(b, c)
         leq = dominance_masks(keys)
         assert leq == pairwise_masks(keys), (b, c)
-        assert cover_pairs(covers(leq)) == reduction_of(leq), (b, c)
+        expected = reduction_of(leq)
+        # With no edges the covers are read off the up-sets; with the
+        # order as its own graph, off the targets.
+        assert cover_pairs(generated(leq, [[]] * len(leq))[1]) == expected, (b, c)
+        assert cover_pairs(generated(leq, [list(bits(m)) for m in leq])[1]) == expected
 
 
-def reduction_of(leq):
-    return transitive_reduction(len(leq), lambda a, t: (leq[a] >> t) & 1)
+def random_order(rng, count):
+    """A random partial order on ``count`` elements and a graph generating it."""
+    rank = list(range(count))
+    rng.shuffle(rank)
+    # Edges go up in ``rank``: a DAG, hence a partial order.
+    targets = [
+        [t for t in range(count) if rank[t] > rank[a] and rng.random() < 0.3]
+        for a in range(count)
+    ]
+    return [reachable(targets, a) for a in range(count)], targets
 
 
-def cover_pairs(masks):
-    return [(a, t) for a, mask in enumerate(masks) for t in bits(mask)]
+def perturb(rng, leq, targets, how):
+    """Change the generating graph ``targets`` in place, as ``how`` says.
+
+    Returns whether the changed graph still generates ``leq``."""
+    count = len(leq)
+    below = [(a, t) for a in range(count) for t in bits(leq[a]) if t != a]
+    if how == "dropped edge" and below:
+        a, t = rng.choice(reduction_of(leq))
+        targets[a] = [s for s in targets[a] if s != t]
+        return False
+    if how == "down edge" and below:
+        a, t = rng.choice(below)
+        targets[t].append(a)
+        return False
+    if how == "two-cycle" and count > 1:
+        a, t = rng.sample(range(count), 2)
+        targets[a].append(t)
+        targets[t].append(a)
+        return False
+    if how == "self-loop":
+        a = rng.randrange(count)
+        targets[a].append(a)
+    if how == "repeated edges":
+        for ts in targets:
+            ts += rng.sample(ts, min(len(ts), 2))
+    # A non-cover edge inside the order changes nothing either.
+    if below:
+        a, t = rng.choice(below)
+        targets[a].append(t)
+    for ts in targets:
+        rng.shuffle(ts)
+    return True
 
 
-def test_covers_from_generating_edges_with_redundancy_and_self_loops():
-    rng = random.Random(1972)
+PERTURBATIONS = ["none", "dropped edge", "down edge", "two-cycle", "self-loop", "repeated edges"]
+
+
+@pytest.mark.parametrize("how", PERTURBATIONS)
+def test_generated_matches_graph_search_on_perturbed_orders(how):
+    rng = random.Random(f"1972 {how}")
+    branches = set()
     for count in (1, 2, 5, 12, 30):
         for _ in range(20):
-            rank = list(range(count))
-            rng.shuffle(rank)
-            # Edges go up in ``rank``: a DAG, hence a partial order.
-            targets = [
-                [t for t in range(count) if rank[t] > rank[a] and rng.random() < 0.2]
-                for a in range(count)
-            ]
-            leq = closure(targets)
-            for a, ts in enumerate(targets):
-                # Redundant edges: a repeat, a self-loop and a reachable non-cover.
-                ts += rng.sample(ts, min(len(ts), 1)) + [a] * rng.randrange(2)
-                ts += rng.sample(list(bits(leq[a])), 1)
-                rng.shuffle(ts)
-            assert closure(targets) == leq
-            expected = reduction_of(leq)
-            assert cover_pairs(covers(leq, targets)) == expected
-            assert cover_pairs(covers(leq)) == expected
+            leq, targets = random_order(rng, count)
+            generates = perturb(rng, leq, targets, how)
+            reach, cover_masks, not_covers, not_edges = generated(leq, targets)
+            searched = [reachable(targets, a) for a in range(count)]
+            assert (searched == leq) == generates
+            assert (reach == leq) == generates
+            # One element at a time: every other target lies strictly
+            # above, and every cover is a target.
+            covers = reduction_of(leq)
+            for a in range(count):
+                up = leq[a] & ~(1 << a)
+                local = all((up >> t) & 1 for t in targets[a] if t != a) and all(
+                    t in targets[a] for s, t in covers if s == a
+                )
+                assert (reach[a] == leq[a]) == local
+                branches.add(local)
+            assert cover_pairs(cover_masks) == covers
+            edges = {(a, t) for a, ts in enumerate(targets) for t in ts}
+            assert not_covers == sorted(edges - set(covers))
+            assert not_edges == sorted(set(covers) - edges)
+    # A graph that fails somewhere exercises both ways of reading the covers.
+    breaks = how in ("dropped edge", "down edge", "two-cycle")
+    assert branches == ({True, False} if breaks else {True})
 
 
 def test_covers_from_the_move_edges_match_the_oracle():
@@ -102,26 +163,18 @@ def test_covers_from_the_move_edges_match_the_oracle():
         elements = tuple(enumerate_orbits(b, c))
         targets = _move_edges(elements)[1]
         leq = dominance_masks([invariant(el) for el in elements])
-        assert closure(targets) == leq, (b, c)
-        assert cover_pairs(covers(leq, targets)) == reduction_of(leq), (b, c)
+        reach, cover_masks, not_covers, not_edges = generated(leq, targets)
+        assert reach == leq, (b, c)
+        assert cover_pairs(cover_masks) == reduction_of(leq), (b, c)
+        assert not_covers == not_edges == [], (b, c)
 
 
 def test_closure_of_a_cover_graph_is_the_order():
     for b, c in MARGINS:
         leq = dominance_masks(decorated_keys(b, c))
-        targets = [list(bits(mask)) for mask in covers(leq)]
-        assert closure(targets) == leq, (b, c)
-
-
-def test_closure_matches_graph_search_with_cycles_and_repeats():
-    rng = random.Random(20021)
-    for count in (1, 2, 5, 12, 30):
-        for _ in range(20):
-            targets = [
-                [rng.randrange(count) for _ in range(rng.randrange(4))]
-                for _ in range(count)
-            ]
-            assert closure(targets) == [reachable(targets, k) for k in range(count)]
+        cover_masks = generated(leq, [[]] * len(leq))[1]
+        targets = [list(bits(mask)) for mask in cover_masks]
+        assert generated(leq, targets) == (leq, cover_masks, [], []), (b, c)
 
 
 def test_bits_lists_set_bits_in_order():
@@ -133,5 +186,6 @@ def test_bits_lists_set_bits_in_order():
 def test_degenerate_inputs():
     assert dominance_masks([]) == []
     assert dominance_masks([(), ()]) == [0b11, 0b11]
-    assert closure([]) == []
-    assert covers([0b1]) == [0]
+    assert generated([], []) == ([], [], [], [])
+    assert generated([0b1], [[0]]) == ([0b1], [0], [(0, 0)], [])
+    assert generated([0b11, 0b10], [[], []]) == ([0b01, 0b10], [0b10, 0], [], [(0, 1)])

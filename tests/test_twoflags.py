@@ -206,3 +206,17 @@ class TestSabotagedSimpleMoves:
         assert report.order_equivalent
         assert not report.moves_are_covers
         assert report.counterexamples == (f"move {a} -> {t} is not a cover (via {via})",)
+
+    def test_down_move_fails_the_closure_check_only(self, monkeypatch):
+        identity, reversal = perm_matrix((1, 2)), perm_matrix((2, 1))
+        monkeypatch.setattr(lineflags.twoflags, "simple_moves", lambda tm: [Rectangle(1, 1, 2, 2)])
+        monkeypatch.setattr(
+            lineflags.twoflags,
+            "_corner_flip",
+            lambda tm, rect: reversal if tm == identity else identity,
+        )
+        report = verify_two_flag_theorem((1, 1), (1, 1))
+        assert (report.element_count, report.cover_count) == (2, 1)
+        assert not report.order_equivalent
+        assert report.moves_are_covers
+        assert report.counterexamples == ("element 0: moves-only 0b10, rank-only 0b0",)
