@@ -32,7 +32,7 @@ from .flagcore import (
     element_to_obj,
     render,
 )
-from .decorated import rk_compare_witness, rk_first_difference, rk_leq_dec
+from .decorated import rk_compare_witness, rk_first_difference
 from .moves import _verified_poset, build_poset, find_chain, verify_equivalence
 from .witness import identify_orbit, standard_configuration, verify_move_degeneration
 
@@ -40,13 +40,12 @@ __all__ = ["main"]
 
 
 def _margins(text: str) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(x) for x in text.split(","))
-    except ValueError:
+    """Comma-separated parts of ASCII digits only: ``int`` alone would
+    also take signs, spaces, underscores and non-ASCII digits."""
+    parts = text.split(",")
+    if not all(x.isascii() and x.isdigit() for x in parts):
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    if not parts:
-        raise argparse.ArgumentTypeError("empty margin list")
-    return parts
+    return tuple(map(int, parts))
 
 
 def _load_element(arg: str) -> DecoratedMatrix:
@@ -96,14 +95,12 @@ def _cmd_compare(args) -> tuple[int, str]:
     diff = rk_first_difference(x, y)
     if diff is None:
         return 0, "="
-    if rk_leq_dec(x, y):
-        table, (i, j), xv, yv = diff
-        return 0, f"<\nstrict at {table}[{i},{j}]: {xv} vs {yv}"
-    if rk_leq_dec(y, x):
-        table, (i, j), xv, yv = diff
-        return 0, f">\nstrict at {table}[{i},{j}]: {xv} vs {yv}"
     fwd = rk_compare_witness(x, y)
     bwd = rk_compare_witness(y, x)
+    if fwd is None or bwd is None:
+        sign = "<" if fwd is None else ">"
+        table, (i, j), xv, yv = diff
+        return 0, f"{sign}\nstrict at {table}[{i},{j}]: {xv} vs {yv}"
     table, (i, j), xv, yv = fwd
     lines = ["incomparable", f"lhs<=rhs fails at {table}[{i},{j}]: {xv} vs {yv}"]
     table, (i, j), yv, xv = bwd

@@ -15,7 +15,7 @@ entrywise order, now on the pair of tables ``(r, rbar)`` jointly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count
+from itertools import chain, compress, count
 from operator import add, itemgetter, lt, ne
 from typing import Iterable, Sequence
 
@@ -33,6 +33,7 @@ from .flagcore import (
 from .twoflags import (
     RankTable,
     _check_same_shape,
+    _ranks,
     enumerate_transport_matrices,
     matrix_from_rank_table,
     rank_table,
@@ -121,11 +122,7 @@ def invariant(dm: DecoratedMatrix) -> tuple[int, ...]:
     Orbits with the same margins are equal iff their invariants are, and
     ``x <= y`` iff ``invariant(x)`` is entrywise ``>=`` ``invariant(y)``.
     """
-    ranks = [0] * (dm.r + 1)
-    flat = ranks[:]
-    for row in dm.matrix.m:
-        ranks = list(map(add, ranks, accumulate(row, initial=0)))
-        flat += ranks
+    flat = _ranks(dm.matrix.m, dm.r)
     rbar = map(add, flat, chain.from_iterable(delta_table(dm)))
     return tuple(chain.from_iterable(zip(flat, rbar)))
 

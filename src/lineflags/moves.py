@@ -44,7 +44,7 @@ from .flagcore import (
 )
 from .decorated import delta_table, enumerate_orbits, invariant
 from .order import bits, dominance_masks, generated
-from .twoflags import _check_same_shape, _flip, _nonzero_in_rect, _se_corners
+from .twoflags import _check_same_shape, _flip, _nonzero_in_rect, _rectangle_clause, _se_corners
 
 __all__ = [
     "KIND_ORDER",
@@ -134,17 +134,9 @@ def _try_II(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
         return "expected anchors ((i0,j0), (i1,j1))"
     (i0, j0), (i1, j1) = anchors
     tm, delta = dm.matrix, dm.delta
-    if not (_in_grid(tm, (i0, j0)) and _in_grid(tm, (i1, j1))):
-        return "anchor outside the grid"
-    if not (i0 < i1 and j0 < j1):
-        return "corners must satisfy i0 < i1 and j0 < j1"
-    if tm.entry(i0, j0) <= 0:
-        return "entry at (i0,j0) must be positive"
-    if tm.entry(i1, j1) <= 0:
-        return "entry at (i1,j1) must be positive"
-    bad = _nonzero_in_rect(tm.m, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0)}))
-    if bad is not None:
-        return f"nonzero entry at {bad} strictly between the corners"
+    clause = _rectangle_clause(tm, i0, j0, i1, j1)
+    if clause is not None:
+        return clause
     if (i1, j1) in delta:
         return "(i1,j1) must not be decorated"
     if (i0, j1) in delta and (i1, j0) in delta:

@@ -11,16 +11,21 @@ which can only grow intersections elsewhere, is the *reverse* entrywise
 order: ``M <= M'`` iff ``r[i][j] >= r'[i][j]`` everywhere.  The minimum
 of the order is the generic orbit, the maximum the most special one.
 
-This module also provides the simple moves on transport matrices
-(southwest corner flips across a rectangle empty in between), which
-generate exactly the cover relations of the order, and a deterministic
-procedure producing, for any strict comparison, one move of progress
-toward the larger element.
+Every rank comparison here and in :mod:`decorated` reads the flat
+row-major list of one kernel, :func:`_ranks`.  This module also provides
+the simple moves on transport matrices (southwest corner flips across a
+rectangle empty in between), which generate exactly the cover relations
+of the order; :func:`_rectangle_clause` states their conditions, which
+are the first clauses of the kind-II move as well.  For a strict
+comparison, :func:`progress_move` takes the first simple move that stays
+below the larger element, the greedy step of ``moves.find_chain``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, ge
 from typing import Iterator, Sequence
 
 from .flagcore import (
@@ -76,16 +81,26 @@ class RankTable:
         return self.values[i][j]
 
 
+def _ranks(m: Sequence[Sequence[int]], r: int) -> list[int]:
+    """The running northwest sums of the ``r``-column rows ``m``, with a
+    zero border, as one flat row-major list of ``len(m) + 1`` rows."""
+    ranks = [0] * (r + 1)
+    flat = ranks[:]
+    for row in m:
+        ranks = list(map(add, ranks, accumulate(row, initial=0)))
+        flat += ranks
+    return flat
+
+
+def _rank_table(m: Sequence[Sequence[int]], r: int) -> RankTable:
+    """:func:`_ranks` cut into the rows of a :class:`RankTable`."""
+    flat = _ranks(m, r)
+    return RankTable(tuple(tuple(flat[k : k + r + 1]) for k in range(0, len(flat), r + 1)))
+
+
 def rank_table(tm: TransportMatrix) -> RankTable:
     """Running northwest sums of the matrix, with a zero border."""
-    q, r = tm.q, tm.r
-    values = [[0] * (r + 1) for _ in range(q + 1)]
-    for i in range(1, q + 1):
-        row_sum = 0
-        for j in range(1, r + 1):
-            row_sum += tm.m[i - 1][j - 1]
-            values[i][j] = values[i - 1][j] + row_sum
-    return RankTable(tuple(tuple(row) for row in values))
+    return _rank_table(tm.m, tm.r)
 
 
 def matrix_from_rank_table(rt: RankTable) -> TransportMatrix:
@@ -107,12 +122,7 @@ def _check_same_shape(x: TransportMatrix, y: TransportMatrix) -> None:
 def rk_leq(x: TransportMatrix, y: TransportMatrix) -> bool:
     """Degeneration order: every rank of ``x`` >= the rank of ``y``."""
     _check_same_shape(x, y)
-    rx, ry = rank_table(x), rank_table(y)
-    return all(
-        rx.values[i][j] >= ry.values[i][j]
-        for i in range(x.q + 1)
-        for j in range(x.r + 1)
-    )
+    return all(map(ge, _ranks(x.m, x.r), _ranks(y.m, y.r)))
 
 
 @dataclass(frozen=True)
@@ -168,18 +178,21 @@ def _se_corners(m: Sequence[Sequence[int]], i0: int, j0: int) -> list[Position]:
     return out
 
 
-def _simple_move_clause(tm: TransportMatrix, rect: Rectangle) -> str | None:
-    """First violated condition of the simple move on ``rect``, if any."""
-    i0, j0, i1, j1 = rect.i0, rect.j0, rect.i1, rect.j1
-    if not (1 <= i0 < i1 <= tm.q and 1 <= j0 < j1 <= tm.r):
-        return "corners must satisfy i0 < i1 and j0 < j1 inside the grid"
+def _rectangle_clause(tm: TransportMatrix, i0: int, j0: int, i1: int, j1: int) -> str | None:
+    """First violated condition of the corner flip from ``(i0, j0)`` and
+    ``(i1, j1)``, if any: the simple move's conditions, and the first
+    clauses of the kind-II move."""
+    if not (1 <= i0 <= tm.q and 1 <= i1 <= tm.q and 1 <= j0 <= tm.r and 1 <= j1 <= tm.r):
+        return "anchor outside the grid"
+    if not (i0 < i1 and j0 < j1):
+        return "corners must satisfy i0 < i1 and j0 < j1"
     if tm.entry(i0, j0) <= 0:
-        return "entry (i0,j0) must be positive"
+        return "entry at (i0,j0) must be positive"
     if tm.entry(i1, j1) <= 0:
-        return "entry (i1,j1) must be positive"
+        return "entry at (i1,j1) must be positive"
     bad = _nonzero_in_rect(tm.m, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0)}))
     if bad is not None:
-        return "nonzero entry at (%d,%d) strictly between the corners" % bad
+        return f"nonzero entry at {bad} strictly between the corners"
     return None
 
 
@@ -205,7 +218,7 @@ def simple_moves(tm: TransportMatrix) -> list[Rectangle]:
 
 def apply_simple_move(tm: TransportMatrix, rect: Rectangle) -> TransportMatrix:
     """Apply the corner flip after re-checking the conditions."""
-    clause = _simple_move_clause(tm, rect)
+    clause = _rectangle_clause(tm, rect.i0, rect.j0, rect.i1, rect.j1)
     if clause is not None:
         raise PreconditionFailed("simple", clause)
     return _corner_flip(tm, rect)
@@ -214,73 +227,22 @@ def apply_simple_move(tm: TransportMatrix, rect: Rectangle) -> TransportMatrix:
 def progress_move(x: TransportMatrix, y: TransportMatrix) -> Rectangle:
     """A simple move from ``x`` strictly toward ``y``, given ``x < y``.
 
-    Deterministic: scan the rank difference in row-major order; the
-    first position ``(k0, l0)`` where the tables differ carries a
-    positive entry of ``x``.  Grow the strictly-larger region downward
-    then rightward, pick the first positive entry ``(i1, j1)`` of ``x``
-    southeast of it inside that region, and close the rectangle with
-    the nearest positive entry west of ``(k0, j1)`` on row ``k0``, else
-    south of ``(i1, l0)`` on column ``l0``, else ``(k0, l0)`` itself.
-    The result of the move still satisfies ``result <= y``.
+    Deterministic: the first rectangle of :func:`simple_moves` whose flip
+    still satisfies ``result <= y``, the greedy step of
+    ``moves.find_chain``.  The simple moves are the covers of the order,
+    so such a rectangle exists; if none does, the order and the moves
+    disagree and :class:`OrderCheckFailed` is raised.
     """
     _check_same_shape(x, y)
-    rx, ry = rank_table(x), rank_table(y)
-    if rx.values == ry.values:
+    rx, goal = _ranks(x.m, x.r), _ranks(y.m, y.r)
+    if rx == goal:
         raise NotStrictlyLess("elements are equal")
-    diff = None
-    for i in range(x.q + 1):
-        for j in range(x.r + 1):
-            if rx.values[i][j] != ry.values[i][j]:
-                diff = (i, j)
-                break
-        if diff:
-            break
-    k0, l0 = diff
-    if rx.values[k0][l0] < ry.values[k0][l0]:
+    if not all(map(ge, rx, goal)):
         raise NotStrictlyLess("source is not below target")
-    # The first rank difference is a positive entry of x exceeding y.
-    k1 = k0 + 1
-    while k1 <= x.q and rx.values[k1][l0] > ry.values[k1][l0]:
-        k1 += 1
-    if k1 > x.q:
-        raise NotStrictlyLess("source is not below target")
-    l1 = l0 + 1
-    while l1 <= x.r and all(
-        rx.values[i][l1] > ry.values[i][l1] for i in range(k0, k1)
-    ):
-        l1 += 1
-    if l1 > x.r:
-        raise NotStrictlyLess("source is not below target")
-    target = None
-    for i in range(k0 + 1, k1 + 1):
-        for j in range(l0 + 1, l1 + 1):
-            if x.entry(i, j) > 0:
-                target = (i, j)
-                break
-        if target:
-            break
-    if target is None:
-        raise NotStrictlyLess("source is not below target")
-    i1, j1 = target
-    source = None
-    for j in range(j1 - 1, l0, -1):
-        if x.entry(k0, j) > 0:
-            source = (k0, j)
-            break
-    if source is None:
-        for i in range(i1 - 1, k0, -1):
-            if x.entry(i, l0) > 0:
-                source = (i, l0)
-                break
-    if source is None:
-        source = (k0, l0)
-    rect = Rectangle(source[0], source[1], i1, j1)
-    clause = _simple_move_clause(x, rect)
-    if clause is not None:
-        raise OrderCheckFailed(f"progress move {rect} is not a simple move: {clause}")
-    if not rk_leq(_corner_flip(x, rect), y):
-        raise OrderCheckFailed(f"progress move {rect} overshoots the target")
-    return rect
+    for rect in simple_moves(x):
+        if all(map(ge, _ranks(_corner_flip(x, rect).m, x.r), goal)):
+            return rect
+    raise OrderCheckFailed(f"no simple move from {x.m} stays below the target")
 
 
 def enumerate_transport_matrices(
@@ -357,7 +319,7 @@ def verify_two_flag_theorem(b: tuple[int, ...], c: tuple[int, ...]) -> TwoFlagRe
         sorted({index[_corner_flip(tm, rect).m] for rect in simple_moves(tm)})
         for tm in elements
     ]
-    leq = dominance_masks([sum(rank_table(tm).values, ()) for tm in elements])
+    leq = dominance_masks([_ranks(tm.m, tm.r) for tm in elements])
     reach, cover_masks, not_covers, _ = generated(leq, edges)
     counterexamples = [
         f"element {a}: moves-only {bin(reach[a] & ~leq[a])},"
@@ -372,8 +334,8 @@ def verify_two_flag_theorem(b: tuple[int, ...], c: tuple[int, ...]) -> TwoFlagRe
             via = next(z for z in bits(leq[a]) if z not in (a, t) and (leq[z] >> t) & 1)
             not_cover_moves.append(f"move {a} -> {t} is not a cover (via {via})")
     return TwoFlagReport(
-        b=b,
-        c=c,
+        b=tuple(b),
+        c=tuple(c),
         element_count=count,
         cover_count=sum(mask.bit_count() for mask in cover_masks),
         order_equivalent=reach == leq,

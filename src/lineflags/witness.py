@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, zip_longest
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .flagcore import (
@@ -33,7 +33,7 @@ from .flagcore import (
     raise_if_invalid,
     render,
 )
-from .twoflags import RankTable, rank_table
+from .twoflags import RankTable, _rank_table, rank_table
 from .decorated import (
     NotAnOrbitInvariant,
     RBarTable,
@@ -347,19 +347,13 @@ def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
         dim_a = outside_rank(0, 0)
         d_values = [[dim_a - outside_rank(i, j) for j in range(r + 1)] for i in range(q + 1)]
 
-    # Two-dimensional prefix sums of the number of vectors per slot.
-    per_slot = [[0] * (r + 2) for _ in range(q + 2)]
+    # The ranks count the vectors at the slots inside the grid.
+    counts = [[0] * r for _ in range(q)]
     for bi, cj in slots:
-        per_slot[bi][cj] += 1
-    r_values = list(accumulate(
-        (list(accumulate(row[: r + 1])) for row in per_slot[: q + 1]),
-        lambda above, row: [a + b for a, b in zip(above, row)],
-    ))
-    rank = RankTable(tuple(tuple(row) for row in r_values))
-    rbar_values = tuple(
-        tuple(r_values[i][j] + d_values[i][j] for j in range(r + 1))
-        for i in range(q + 1)
-    )
+        if bi <= q and cj <= r:
+            counts[bi - 1][cj - 1] += 1
+    rank = _rank_table(counts, r)
+    rbar_values = tuple(tuple(map(add, row, d_row)) for row, d_row in zip(rank.values, d_values))
     return rank, RBarTable(rbar_values, tuple(tuple(row) for row in d_values))
 
 

@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import lineflags.moves
 from lineflags import build_poset, element_to_obj, enumerate_orbits
 from lineflags.cli import main
@@ -205,6 +207,21 @@ class TestErrorHandling:
         code, _, err = run_cli(["enum", "--b", "1,x", "--c", "1,1"])
         assert code == 2
         assert "usage:" in err
+
+    @pytest.mark.parametrize(
+        "b, c",
+        [("1_0", "10"), ("\u0662", "2"), (" 1", "1"), ("+1", "1"), ("1,,1", "1,1")],
+        ids=["underscore", "arabic-indic-digit", "space", "plus", "empty-part"],
+    )
+    def test_margins_other_than_ascii_digits_exit_2(self, b, c):
+        code, out, err = run_cli(["enum", "--b", b, "--c", c])
+        assert (code, out) == (2, "")
+        assert "usage:" in err and "not a comma-separated integer list" in err
+
+    def test_zero_part_reaches_validation(self):
+        code, out, err = run_cli(["enum", "--b", "0", "--c", "1"])
+        assert (code, out) == (2, "")
+        assert err == "error: BadPart(1)\n"
 
     def test_malformed_element_exit_2(self):
         code, _, err = run_cli(["compare", '{"m": "bogus"}', MAX2])

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from itertools import product
 
 import pytest
 
@@ -16,10 +17,12 @@ from lineflags import (
     Move,
     OrderCheckFailed,
     PreconditionFailed,
+    Rectangle,
     ShapeMismatch,
     TransportMatrix,
     applicable_moves,
     apply_move,
+    apply_simple_move,
     build_poset,
     enumerate_orbits,
     find_chain,
@@ -224,6 +227,33 @@ class TestMoveEnumeration:
 
 
 class TestPreconditions:
+    def test_two_flag_flip_and_kind_II_fail_the_same_rectangle_clause(self):
+        """On every orbit of mass <= 3 and every corner pair in the grid
+        or one step outside it, a rectangle the shared clauses reject is
+        rejected by the simple move and by kind II with the same clause."""
+        seen = set()
+        for b, c in margin_pairs(1, 3):
+            for dm in enumerate_orbits(b, c):
+                tm = dm.matrix
+                for i0, i1 in product(range(tm.q + 2), repeat=2):
+                    for j0, j1 in product(range(tm.r + 2), repeat=2):
+                        clause = lineflags.twoflags._rectangle_clause(tm, i0, j0, i1, j1)
+                        if clause is None:
+                            continue
+                        with pytest.raises(PreconditionFailed) as simple:
+                            apply_simple_move(tm, Rectangle(i0, j0, i1, j1))
+                        with pytest.raises(PreconditionFailed) as kind_ii:
+                            apply_move(dm, Move("II", ((i0, j0), (i1, j1))))
+                        assert simple.value.clause == kind_ii.value.clause == clause
+                        seen.add(clause.split(" at (")[0] if clause[0] == "n" else clause)
+        assert seen == {
+            "anchor outside the grid",
+            "corners must satisfy i0 < i1 and j0 < j1",
+            "entry at (i0,j0) must be positive",
+            "entry at (i1,j1) must be positive",
+            "nonzero entry",
+        }
+
     def test_unknown_kind(self):
         dm = from_permutation((1, 2), (1,))
         with pytest.raises(PreconditionFailed, match="unknown move kind"):

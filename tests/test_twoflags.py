@@ -6,6 +6,7 @@ import lineflags.twoflags
 from lineflags import (
     FlagError,
     NotStrictlyLess,
+    OrderCheckFailed,
     RankTable,
     Rectangle,
     TransportMatrix,
@@ -145,7 +146,53 @@ class TestSimpleMoves:
             progress_move(hi, lo)
 
 
+class TestProgressMove:
+    def test_every_step_is_a_cover_below_the_target(self):
+        """The walk by ``progress_move`` climbs by covers of the
+        brute-force reduction and reaches the target.  Inversion counts
+        are no grading here: partial margins have covers across several
+        levels."""
+        walked = 0
+        for b, c in margin_pairs(2, 4):
+            mats = enumerate_transport_matrices(b, c)
+            index = {tm: k for k, tm in enumerate(mats)}
+            covers = set(
+                transitive_reduction(len(mats), lambda a, t: rk_leq(mats[a], mats[t]))
+            )
+            for x in mats:
+                for y in mats:
+                    if x == y or not rk_leq(x, y):
+                        continue
+                    z = x
+                    while z != y:
+                        step = apply_simple_move(z, progress_move(z, y))
+                        assert (index[z], index[step]) in covers, (z, y)
+                        assert rk_leq(step, y)
+                        z = step
+                    walked += 1
+        assert walked == 831
+
+    def test_errors_name_the_failed_comparison(self):
+        x, y = perm_matrix((2, 3, 1)), perm_matrix((3, 1, 2))
+        with pytest.raises(NotStrictlyLess, match="^elements are equal$"):
+            progress_move(x, x)
+        with pytest.raises(NotStrictlyLess, match="^source is not below target$"):
+            progress_move(x, y)
+        with pytest.raises(NotStrictlyLess, match="^source is not below target$"):
+            progress_move(perm_matrix((3, 2, 1)), x)
+
+    def test_no_qualifying_simple_move_fails_the_order_check(self, monkeypatch):
+        monkeypatch.setattr(lineflags.twoflags, "simple_moves", lambda tm: [])
+        with pytest.raises(OrderCheckFailed, match="no simple move"):
+            progress_move(perm_matrix((1, 2)), perm_matrix((2, 1)))
+
+
 class TestTwoFlagTheorem:
+    def test_report_is_hashable_for_list_margins(self):
+        report = verify_two_flag_theorem([1, 1], [1, 1])
+        assert (report.b, report.c) == ((1, 1), (1, 1))
+        assert hash(report) == hash(verify_two_flag_theorem((1, 1), (1, 1)))
+
     def test_report_on_unit_margins(self):
         report = verify_two_flag_theorem((1, 1, 1), (1, 1, 1))
         assert report.passed
