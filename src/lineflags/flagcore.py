@@ -154,6 +154,13 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _int_pairs(anchors: object) -> bool:
+    """True for a tuple of ``(i, j)`` tuples of ints."""
+    return isinstance(anchors, tuple) and all(
+        isinstance(p, tuple) and len(p) == 2 and all(map(_is_int, p)) for p in anchors
+    )
+
+
 def _require_ints(field: str, values: Iterable[object]) -> None:
     """Raise ``ValidationError("NotAnInteger(field)")`` unless all are ints."""
     if not all(_is_int(x) for x in values):

@@ -31,13 +31,12 @@ from typing import Iterator, Sequence
 
 from .flagcore import (
     DecoratedMatrix,
-    FlagError,
     OrderCheckFailed,
     Position,
     PreconditionFailed,
     TransportMatrix,
     ValidationError,
-    _is_int,
+    _int_pairs,
     dominated,
     normalize_decoration,
     raise_if_invalid,
@@ -356,9 +355,7 @@ def apply_move(dm: DecoratedMatrix, move: Move) -> DecoratedMatrix:
     try_fn = _TRY.get(move.kind)
     if try_fn is None:
         raise PreconditionFailed(move.kind, "unknown move kind")
-    if not isinstance(move.anchors, tuple) or not all(
-        isinstance(p, tuple) and len(p) == 2 and all(map(_is_int, p)) for p in move.anchors
-    ):
+    if not _int_pairs(move.anchors):
         raise PreconditionFailed(move.kind, "anchors must be (i, j) pairs of integers")
     result = try_fn(dm, move.anchors)
     if isinstance(result, str):
@@ -533,6 +530,9 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
     fails, and otherwise a list of moves whose successive application
     transforms ``x`` into ``y``.  Deterministic: each step takes the
     canonically first applicable move whose result stays below ``y``.
+    The moves generate the order, so such a move exists; if none does,
+    the order and the moves disagree and :class:`OrderCheckFailed` is
+    raised.
     """
     _check_same_shape(x.matrix, y.matrix)
     goal = invariant(y)
@@ -547,7 +547,7 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
             if all(map(ge, res_key, goal)):
                 break
         else:
-            raise FlagError(f"no progressing move below the target from {z}")
+            raise OrderCheckFailed(f"no progressing move below the target from {z}")
         chain.append(mv)
         z, key = res, res_key
     return chain

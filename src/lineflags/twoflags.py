@@ -36,6 +36,7 @@ from .flagcore import (
     ShapeMismatch,
     TransportMatrix,
     ValidationError,
+    _int_pairs,
     sort_key,
     validate_composition,
 )
@@ -217,7 +218,10 @@ def simple_moves(tm: TransportMatrix) -> list[Rectangle]:
 
 
 def apply_simple_move(tm: TransportMatrix, rect: Rectangle) -> TransportMatrix:
-    """Apply the corner flip after re-checking the conditions."""
+    """Apply the corner flip after re-checking the conditions; corners
+    that are not ints raise :class:`PreconditionFailed`."""
+    if not _int_pairs(((rect.i0, rect.j0), (rect.i1, rect.j1))):
+        raise PreconditionFailed("simple", "anchors must be (i, j) pairs of integers")
     clause = _rectangle_clause(tm, rect.i0, rect.j0, rect.i1, rect.j1)
     if clause is not None:
         raise PreconditionFailed("simple", clause)

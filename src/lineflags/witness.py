@@ -101,13 +101,19 @@ class IntEchelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    def add(self, vec: Sequence[Fraction | int]) -> bool:
+    def _reduce(self, vec: Sequence[Fraction | int]) -> list[int]:
+        """A nonzero integer multiple of ``vec`` minus a combination of
+        the stored rows, vanishing at every pivot."""
         v = _integral(vec)
         for col, row in self._rows.items():
             f = v[col]
             if f:
                 lead = row[col]
                 v = [a * lead - b * f for a, b in zip(v, row)]
+        return v
+
+    def add(self, vec: Sequence[Fraction | int]) -> bool:
+        v = self._reduce(vec)
         k = next((idx for idx, x in enumerate(v) if x != 0), None)
         if k is None:
             return False
@@ -471,47 +477,33 @@ def _v_order(u: _PolyVec) -> int | None:
     return next((k for k, row in enumerate(u) if any(row)), None)
 
 
-def _first_relation(
-    rows: Sequence[Sequence[Fraction | int]],
-) -> tuple[int, list[int]] | None:
-    """First row lying in the span of the previous ones, as ``(p, coeffs)``
-    with ``sum(coeffs[k] * rows[k] for k <= p) = 0`` in integers and
-    ``coeffs[p] != 0``, or None.  Each row enters one echelon with a
-    unit block appended; earlier pivots lie before the block, so a pivot
-    in it is this row's, and the block holds the relation.
-    """
-    echelon = IntEchelon()
-    for p, row in enumerate(rows):
-        echelon.add([*row, *(int(k == p) for k in range(len(rows)))])
-        pivot = max(echelon._rows)
-        if pivot >= len(row):
-            return p, echelon._rows[pivot][len(row) : len(row) + p + 1]
-    return None
-
-
 def _saturate_limit(rows: Sequence[_PolyVec]) -> list[tuple[int, ...]]:
     """Exact limit of the row flag as the parameter goes to 0.
 
-    Repeatedly replaces a row whose value at 0 (its row 0) depends on
-    the earlier rows by the dependency combination divided by its
-    parameter content (its rows from the first nonzero one on); this
-    changes no prefix span at nonzero parameter values and strictly
-    lowers the determinant's vanishing order, so it terminates with a
-    nonsingular value at 0, whose prefix spans are the limit flag.
+    One forward pass.  Each row's coefficient rows, laid end to end, are
+    reduced against the rows kept before it; while its value at 0 (the
+    first block) vanishes, the row is divided by the parameter (its
+    first block dropped) and reduced again.  Neither step changes a
+    prefix span at nonzero parameter values, and each division lowers
+    the vanishing order of the rows' exterior product, which is at most
+    the sum of the rows' degrees, so more divisions than that mean the
+    rows are dependent for all parameter values.  The kept rows' values
+    at 0 are independent, and their prefix spans are the limit flag.
     """
-    work = list(rows)
-    for _ in range(10000):
-        values = [vec[0] for vec in work]
-        relation = _first_relation(values)
-        if relation is None:
-            return values
-        p, coeffs = relation
-        comb = _v_sum([_v_scale(work[k], c) for k, c in enumerate(coeffs)])
-        e = _v_order(comb)
-        if e is None:
-            raise FlagError("family rows are dependent for all parameter values")
-        work[p] = comb[e:]
-    raise FlagError("limit computation did not terminate")
+    n, width = len(rows[0][0]), max(map(len, rows))
+    divisions = sum(len(vec) - 1 for vec in rows)
+    echelon = IntEchelon()
+    values = []
+    for vec in rows:
+        v = echelon._reduce([*chain.from_iterable(vec), *[0] * (n * (width - len(vec)))])
+        while not any(v[:n]):
+            if not divisions:
+                raise FlagError("family rows are dependent for all parameter values")
+            divisions -= 1
+            v = echelon._reduce(v[n:] + [0] * n)
+        values.append(tuple(v[:n]))
+        echelon.add(v)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +533,17 @@ def _family_vectors(dm: DecoratedMatrix, move: Move) -> _Family:
         return _v_unit(n, src_index[(i, j, k)])
 
     delta = dm.delta
+
+    def below(i: int, j: int) -> list[_PolyVec]:
+        """The ``k = 1`` unit vectors of the decorated cells strictly
+        northwest of ``(i, j)``."""
+        return [e(d[0], d[1], 1) for d in delta if pos_lt(d, (i, j))]
+
     specials: dict[tuple[int, int, int], _PolyVec] = {}
     kind, anchors = move.kind, move.anchors
     if kind == "I":
         ((i1, j1),) = anchors
-        below = [d for d in delta if pos_lt(d, (i1, j1))]
-        specials[(i1, j1, 1)] = _v_sum(
-            [_v_shift(e(i1, j1, 1), 1)] + [e(d[0], d[1], 1) for d in below]
-        )
+        specials[(i1, j1, 1)] = _v_sum([_v_shift(e(i1, j1, 1), 1), *below(i1, j1)])
         a_set = target.delta
     elif kind in ("II", "IVb", "IVc"):
         (i0, j0), (i1, j1) = anchors[0], anchors[1]
@@ -558,31 +553,22 @@ def _family_vectors(dm: DecoratedMatrix, move: Move) -> _Family:
         )
         specials[(i1, j0, tgt.entry(i1, j0))] = nw_top
         a_set = delta
-    elif kind == "IIIa":
+    elif kind in ("IIIa", "IIIb"):
         (i0, j0), (i1, j1) = anchors
-        below = [d for d in delta if pos_lt(d, (i0, j1))]
-        specials[(i1, j0, tgt.entry(i1, j0))] = e(i0, j0, 1)
-        specials[(i0, j1, 1)] = _v_sum(
-            [_v_shift(e(i1, j1, tm.entry(i1, j1)), 1)]
-            + [e(d[0], d[1], 1) for d in below]
-        )
-        a_set = target.delta
-    elif kind == "IIIb":
-        (i0, j0), (i1, j1) = anchors
-        below = [d for d in delta if pos_lt(d, (i1, j0))]
-        specials[(i0, j1, tgt.entry(i0, j1))] = e(i0, j0, 1)
-        specials[(i1, j0, 1)] = _v_sum(
-            [_v_shift(e(i1, j1, tm.entry(i1, j1)), 1)]
-            + [e(d[0], d[1], 1) for d in below]
+        # IIIa keeps the unit at the SW corner and slides the decoration
+        # to the NE corner; IIIb is its mirror image.
+        unit, slide = ((i1, j0), (i0, j1)) if kind == "IIIa" else ((i0, j1), (i1, j0))
+        specials[(*unit, tgt.entry(*unit))] = e(i0, j0, 1)
+        specials[(*slide, 1)] = _v_sum(
+            [_v_shift(e(i1, j1, tm.entry(i1, j1)), 1), *below(*slide)]
         )
         a_set = target.delta
     elif kind == "IVa":
         (i0, j0), (i1, j1), (i2, j2) = anchors
-        below = [d for d in delta if pos_lt(d, (i2, j0))]
         se_top = _v_shift(e(i1, j1, tm.entry(i1, j1)), 1)
         specials[(i1, j2, tgt.entry(i1, j2))] = _v_sum([e(i2, j2, 1), se_top])
         specials[(i0, j1, tgt.entry(i0, j1))] = _v_sum([e(i0, j0, 1), se_top])
-        specials[(i2, j0, 1)] = _v_sum([e(d[0], d[1], 1) for d in below])
+        specials[(i2, j0, 1)] = _v_sum(below(i2, j0))
         a_set = target.delta
     else:  # kind V
         (i0, j0), chain = anchors[0], anchors[1:]

@@ -285,6 +285,45 @@ def fraction_rank(vectors):
     return rank
 
 
+def limit_by_restarts(rows):
+    """Values at ``tau = 0`` of polynomial rows, saturated by restarts.
+
+    ``rows[p][k]`` holds the coefficients of ``tau**k`` in row ``p``.
+    While the values at 0 have a first dependency ``rows[p](0) =
+    sum(c[k] * rows[k](0) for k < p)``, row ``p`` is replaced by
+    ``rows[p] - sum(c[k] * rows[k])`` divided by the largest power of
+    ``tau`` dividing it, and the search starts over from the first row.
+    The prefix spans of the values returned are the limit flag.  Returns
+    None when the rows are dependent for all parameter values: their
+    rank is short at the points ``tau = 1, ..., 1 + (sum of degrees)``,
+    more points than a nonzero maximal minor has roots.
+    """
+    width = len(rows[0][0])
+    degrees = sum(len(vec) - 1 for vec in rows)
+    if fraction_dependency([vec[0] for vec in rows]) is not None and all(
+        fraction_rank([[sum(block[col] * tau**k for k, block in enumerate(vec))
+                        for col in range(width)] for vec in rows]) < len(rows)
+        for tau in range(1, degrees + 2)
+    ):
+        return None
+    zero = [Fraction(0)] * width
+    work = [[[Fraction(x) for x in block] for block in vec] for vec in rows]
+    while True:
+        values = [vec[0] for vec in work]
+        relation = fraction_dependency(values)
+        if relation is None:
+            return values
+        p, coeffs = relation
+        comb = []
+        for k in range(max(len(vec) for vec in work[: p + 1])):
+            blocks = [vec[k] if k < len(vec) else zero for vec in work[: p + 1]]
+            comb.append([
+                blocks[p][col] - sum(c * block[col] for c, block in zip(coeffs, blocks))
+                for col in range(width)
+            ])
+        work[p] = comb[next(k for k, block in enumerate(comb) if any(block)):]
+
+
 def rank_tables_by_definition(config):
     """Rank and delta tables of a configuration, straight from the definition.
 

@@ -547,6 +547,11 @@ class TestFindChain:
         with pytest.raises(ShapeMismatch):
             find_chain(x, y)
 
+    def test_no_progressing_move_fails_the_order_check(self, monkeypatch):
+        monkeypatch.setattr(lineflags.moves, "_checked_moves", lambda dm: iter(()))
+        with pytest.raises(OrderCheckFailed, match="no progressing move"):
+            find_chain(from_permutation((1, 2), (1,)), from_permutation((2, 1), (1, 2)))
+
     def test_every_comparable_pair_gets_a_valid_chain(self, poset3):
         els = poset3.elements
         for x in els:

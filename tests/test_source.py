@@ -1,6 +1,7 @@
 """Properties of the library source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import lineflags
@@ -44,5 +45,32 @@ def test_every_import_is_used_or_exported():
         f"{path.name}:{line} {name}"
         for path in SOURCES
         for line, name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def _references(tree):
+    """The names a tree refers to, as plain names or as attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_private_helper_is_called():
+    """A module-level ``_name`` function is referenced somewhere in the
+    library outside its own definition, so no helper is left without
+    callers."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    uses = Counter(name for tree in trees for name in _references(tree))
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in zip(SOURCES, trees)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and uses[node.name] == Counter(_references(node))[node.name]
     ]
     assert found == []

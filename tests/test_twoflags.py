@@ -7,6 +7,7 @@ from lineflags import (
     FlagError,
     NotStrictlyLess,
     OrderCheckFailed,
+    PreconditionFailed,
     RankTable,
     Rectangle,
     TransportMatrix,
@@ -121,6 +122,13 @@ class TestSimpleMoves:
         out = apply_simple_move(tm, rect)
         assert out.m == ((0, 1), (1, 0))
         assert (rect.i0, rect.j0, rect.i1, rect.j1) == (1, 1, 2, 2)
+
+    @pytest.mark.parametrize("corner", [True, 1.0, "1"], ids=["bool", "float", "string"])
+    def test_corners_that_are_not_ints_are_rejected(self, corner):
+        with pytest.raises(PreconditionFailed) as info:
+            apply_simple_move(perm_matrix((1, 2)), Rectangle(corner, 1, 2, 2))
+        assert info.value.kind == "simple"
+        assert info.value.clause == "anchors must be (i, j) pairs of integers"
 
     def test_progress_move_walks_to_the_target(self):
         mats = enumerate_transport_matrices((1, 1, 1), (1, 1, 1))

@@ -35,10 +35,11 @@ from lineflags import (
     verify_move_degeneration,
 )
 from lineflags import witness
-from lineflags.witness import _first_relation, _triangular_coordinates
+from lineflags.witness import _saturate_limit, _triangular_coordinates
 from helpers import (
     fraction_dependency,
     fraction_rank,
+    limit_by_restarts,
     margin_pairs,
     rank_tables_by_definition,
     verify_move_degeneration_by_identification,
@@ -102,31 +103,88 @@ def oracle_rank(rows):
     return len(kept)
 
 
-class TestIntegerRelation:
+class TestIntEchelonRank:
     def test_matches_the_fraction_oracle(self):
         rng = random.Random(20261018)
         dependent = 0
         for _ in range(400):
             rows = random_rows(rng)
-            want = fraction_dependency(rows)
-            got = _first_relation(rows)
             ech = IntEchelon()
             for row in rows:
                 ech.add(row)
             assert ech.rank == oracle_rank(rows)
-            if want is None:
-                assert got is None
-                continue
-            dependent += 1
-            p, coeffs = got
-            assert p == want[0]
-            assert len(coeffs) == p + 1 and coeffs[p] != 0
-            assert all(type(c) is int for c in coeffs)
-            for k, ck in enumerate(want[1]):
-                assert coeffs[k] == -ck * coeffs[p]
-            for col in range(len(rows[0])):
-                assert sum(c * rows[k][col] for k, c in enumerate(coeffs)) == 0
+            dependent += fraction_dependency(rows) is not None
         assert dependent > 100
+
+
+def random_polynomial_rows(rng):
+    """Polynomial rows whose values at 0 often depend on the earlier
+    rows: a row may be a combination of earlier ones plus a random
+    multiple of ``tau`` or ``tau**2``, or such a combination alone."""
+    n = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(1, n + 1)):
+        degree = rng.randint(0, 2)
+        vec = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(degree + 1))
+        if rows and rng.random() < 0.6:
+            terms = [witness._v_scale(row, rng.randint(-2, 2)) for row in rows]
+            if rng.random() < 0.8:
+                terms.append(witness._v_shift(vec, rng.randint(1, 2)))
+            vec = witness._v_sum(terms)
+        rows.append(vec)
+    return rows
+
+
+def check_limit(rows):
+    """``_saturate_limit`` agrees with the restart loop of the oracle:
+    equal prefix spans, or both find the rows dependent.  Returns
+    whether the rows are independent."""
+    want = limit_by_restarts(rows)
+    if want is None:
+        with pytest.raises(FlagError, match="dependent for all parameter values"):
+            _saturate_limit(rows)
+        return False
+    got = _saturate_limit(rows)
+    assert all(type(x) is int for vec in got for x in vec)
+    # Both lists are independent, so equal prefix spans mean that each
+    # value lies in the span of the oracle's values up to its own.
+    assert fraction_rank(got) == len(rows)
+    for k in range(len(rows)):
+        assert fraction_rank(want[: k + 1] + got[k : k + 1]) == k + 1
+    return True
+
+
+class TestSaturateLimit:
+    def test_matches_the_restart_oracle_on_random_rows(self):
+        rng = random.Random(20261019)
+        outcomes = {"dependent": 0, "divided": 0}
+        for _ in range(600):
+            rows = random_polynomial_rows(rng)
+            if not check_limit(rows):
+                outcomes["dependent"] += 1
+            elif fraction_rank([vec[0] for vec in rows]) < len(rows):
+                outcomes["divided"] += 1
+        assert min(outcomes.values()) > 100, outcomes
+
+    def test_matches_the_restart_oracle_on_every_cover_up_to_mass_four(self):
+        families = 0
+        for dm, mv in cover_moves(1, 4):
+            family = witness._family_vectors(dm, mv)
+            for slots in (family.by_row, family.by_column):
+                assert check_limit([family.vectors[s] for s in slots])
+            families += 1
+        assert families == 4317
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [((1,), (1,)), ((1,),)],
+            [((1, 0), (0, 1)), ((0, 1),), ((1, 0),)],
+        ],
+        ids=["two-rows-in-a-line", "three-rows-in-a-plane"],
+    )
+    def test_rows_dependent_for_all_parameters_raise(self, rows):
+        assert not check_limit(rows)
 
 
 class TestTriangularCoordinates:
