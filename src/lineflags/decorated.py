@@ -91,10 +91,11 @@ def _threshold_table(
     ``(a, b)`` has ``a > i`` and ``b > j``.  Cells may lie one step past
     the grid (``a = q + 1`` or ``b = r + 1``)."""
     # below[i]: the largest column of a cell in a row > i.  Cells come by
-    # increasing column, so a later one overwrites a smaller value.
+    # increasing column, so a later one overwrites a smaller value.  A cell
+    # above row 1, in a decoration that is not valid, bounds no row.
     below = [0] * (q + 1)
     for (a, b) in sorted(cells, key=itemgetter(1)):
-        below[:a] = [b] * a
+        below[: max(a, 0)] = [b] * a
     return tuple((0,) * t + (1,) * (r + 1 - t) for t in below)
 
 
@@ -115,6 +116,12 @@ def rbar_table(dm: DecoratedMatrix) -> RBarTable:
     return RBarTable(tuple(tuple(map(add, row, drow)) for row, drow in rows), dt)
 
 
+def _rbar(ranks: list[int], delta: Iterable[Position], q: int, r: int) -> list[int]:
+    """The augmented ranks ``r + delta`` as one flat row-major list, from
+    the flat ranks of :func:`_ranks` and the decoration."""
+    return list(map(add, ranks, chain.from_iterable(_threshold_table(delta, q, r))))
+
+
 def invariant(dm: DecoratedMatrix) -> tuple[int, ...]:
     """The orbit's tables as one flat key: ``(r, rbar)`` at every bordered
     position, row-major, ``r`` before ``rbar``.
@@ -123,8 +130,7 @@ def invariant(dm: DecoratedMatrix) -> tuple[int, ...]:
     ``x <= y`` iff ``invariant(x)`` is entrywise ``>=`` ``invariant(y)``.
     """
     flat = _ranks(dm.matrix.m, dm.r)
-    rbar = map(add, flat, chain.from_iterable(delta_table(dm)))
-    return tuple(chain.from_iterable(zip(flat, rbar)))
+    return tuple(chain.from_iterable(zip(flat, _rbar(flat, dm.delta, dm.q, dm.r))))
 
 
 def rk_leq_dec(x: DecoratedMatrix, y: DecoratedMatrix) -> bool:

@@ -104,12 +104,11 @@ def pos_lt(p: Position, p2: Position) -> bool:
 
 
 def dominated(p: Position, positions: Iterable[Position]) -> bool:
-    """True iff ``p <= d`` for some ``d`` in ``positions``; a position
-    that is not an ``(i, j)`` pair raises ``ValidationError("BadShape")``."""
-    try:
-        return any(pos_leq(p, d) for d in positions)
-    except (TypeError, IndexError):
-        raise ValidationError("BadShape") from None
+    """True iff ``p <= d`` for some ``d`` in ``positions``.  Positions
+    that are not pairs of ints raise ``ValidationError``, as in
+    :func:`set_leq`."""
+    (p,) = _require_positions("positions", (p,))
+    return any(pos_leq(p, d) for d in _require_positions("positions", positions))
 
 
 def set_leq(delta: Iterable[Position], delta2: Iterable[Position]) -> bool:
@@ -120,7 +119,9 @@ def set_leq(delta: Iterable[Position], delta2: Iterable[Position]) -> bool:
     Positions that are not pairs of ints raise ``ValidationError``.
     """
     targets = _require_positions("positions", delta2)
-    return all(dominated(p, targets) for p in _require_positions("positions", delta))
+    return all(
+        any(pos_leq(p, d) for d in targets) for p in _require_positions("positions", delta)
+    )
 
 
 def normalize_decoration(positions: Iterable[Position]) -> tuple[Position, ...]:
@@ -135,13 +136,20 @@ def normalize_decoration(positions: Iterable[Position]) -> tuple[Position, ...]:
         pts = set(positions)
     except TypeError:
         raise ValidationError("BadShape") from None
-    # Scanned from the southeast, a cell is maximal iff it is east of all before it.
-    maximal: list[Position] = []
-    for p in sorted(_require_positions("positions", pts), reverse=True):
-        if not maximal or p[1] > maximal[-1][1]:
-            maximal.append(p)
+    maximal = _staircase(_require_positions("positions", pts))
     if not maximal:
         raise ValidationError("EmptyInput")
+    return maximal
+
+
+def _staircase(cells: Iterable[Position]) -> tuple[Position, ...]:
+    """The componentwise-maximal ``cells``, sorted by row; the cells are
+    taken to be pairs of ints, unchecked."""
+    # Scanned from the southeast, a cell is maximal iff it is east of all before it.
+    maximal: list[Position] = []
+    for p in sorted(cells, reverse=True):
+        if not maximal or p[1] > maximal[-1][1]:
+            maximal.append(p)
     return tuple(reversed(maximal))
 
 
@@ -239,12 +247,7 @@ class TransportMatrix:
 
     def positive_positions(self) -> list[Position]:
         """All positions carrying a positive entry, in row-major order."""
-        return [
-            (i, j)
-            for i in range(1, self.q + 1)
-            for j in range(1, self.r + 1)
-            if self.m[i - 1][j - 1] > 0
-        ]
+        return [(i, j) for i, row in enumerate(self.m, 1) for j, x in enumerate(row, 1) if x > 0]
 
 
 @dataclass(frozen=True)
@@ -288,10 +291,10 @@ def validate(matrix: TransportMatrix, delta: Iterable[Position] | None = None) -
 
     Matrix codes: ``EmptyComposition``, ``BadPart(k)``, ``BadShape``,
     ``NegativeEntry(i,j)``, ``BadRowSum(i)``, ``BadColSum(j)``.
-    Decoration codes: ``EmptyDecoration``, ``BadPosition(k)``,
-    ``NotStaircase(k)``, ``ZeroEntryDecorated(i,j)``.  Each rule is
-    tested in one bulk pass; the offending index is located only when
-    the rule fails.
+    Decoration codes: ``EmptyDecoration``, ``BadPosition(k)`` (outside
+    the grid, or a coordinate that is not an int), ``NotStaircase(k)``,
+    ``ZeroEntryDecorated(i,j)``.  Each rule is tested in one bulk pass;
+    the offending index is located only when the rule fails.
     """
     m, b, c = matrix.m, matrix.b, matrix.c
     code = validate_composition(b) or validate_composition(c)
@@ -316,8 +319,12 @@ def validate(matrix: TransportMatrix, delta: Iterable[Position] | None = None) -
     pts = list(delta)
     if not pts:
         return "EmptyDecoration"
+    try:
+        ints = set(map(type, chain.from_iterable(pts))) == {int}
+    except TypeError:  # a position that is not a pair fails in the loop below
+        ints = False
     for k, (i, j) in enumerate(pts, start=1):
-        if not (1 <= i <= q and 1 <= j <= r):
+        if not (ints or _is_int(i) and _is_int(j)) or not (1 <= i <= q and 1 <= j <= r):
             return f"BadPosition({k})"
     pts.sort()
     for k, ((i0, j0), (i1, j1)) in enumerate(zip(pts, pts[1:]), start=2):

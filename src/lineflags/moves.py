@@ -20,6 +20,12 @@ Swapping the two flags transposes the matrix, so ``IIIb`` and ``IVc``
 are the transposes of ``IIIa`` and ``IVb``.  ``apply_move`` checks every
 stated condition and raises :class:`PreconditionFailed` naming the first
 violated clause; the pipeline checks each candidate move once.
+
+The checkers of one orbit share one view of it, :class:`_Orbit`: a
+table lookup answers whether a cell lies northwest of the decoration,
+the transposed orbit for the mirror kinds is built once, and the far
+corners of each cell when first asked for.  ``find_chain`` compares a
+candidate's ranks with the target's before it reads the decoration.
 """
 
 from __future__ import annotations
@@ -37,13 +43,20 @@ from .flagcore import (
     TransportMatrix,
     ValidationError,
     _int_pairs,
-    dominated,
-    normalize_decoration,
+    _require_positions,
+    _staircase,
     raise_if_invalid,
 )
-from .decorated import delta_table, enumerate_orbits, invariant
+from .decorated import _rbar, delta_table, enumerate_orbits, invariant
 from .order import bits, dominance_masks, generated
-from .twoflags import _check_same_shape, _flip, _nonzero_in_rect, _rectangle_clause, _se_corners
+from .twoflags import (
+    _check_same_shape,
+    _flip,
+    _nonzero_in_rect,
+    _ranks,
+    _rectangle_clause,
+    _se_corners,
+)
 
 __all__ = [
     "KIND_ORDER",
@@ -88,51 +101,93 @@ class Move:
         return (KIND_ORDER.index(self.kind), self.anchors)
 
 
-def _in_grid(tm: TransportMatrix, p: Position) -> bool:
-    return 1 <= p[0] <= tm.q and 1 <= p[1] <= tm.r
+class _Orbit:
+    """One orbit as the checkers and :func:`_candidates` read it, built
+    once per orbit: its rows, decoration and free table.
+
+    ``free[i - 1][j - 1]`` is 0 exactly when the cell ``(i, j)`` lies
+    weakly northwest of a decorated cell: ``free`` is the orbit's
+    :func:`delta_table`.  The transposed orbit of the mirror kinds and the
+    far corners of each cell are built on first use.
+    """
+
+    def __init__(self, tm: TransportMatrix, delta: tuple[Position, ...], free):
+        self.tm, self.m, self.delta, self.free = tm, tm.m, delta, free
+        self.q, self.r = tm.q, tm.r
+        self._far: dict[Position, list[Position]] = {}
+        self._mirror: _Orbit | None = None
+
+    @classmethod
+    def of(cls, dm: DecoratedMatrix) -> _Orbit:
+        """The view of ``dm``.  A decoration that is not a tuple of int
+        pairs raises :class:`ValidationError`, so the checkers take every
+        decorated cell for one."""
+        if not _int_pairs(dm.delta):
+            _require_positions("delta", dm.delta)
+            raise ValidationError("BadShape")
+        return cls(dm.matrix, dm.delta, delta_table(dm))
+
+    def mirror(self) -> _Orbit:
+        """The orbit with the two flags swapped; its free table is the
+        transpose of this one's."""
+        if self._mirror is None:
+            rows, delta = _transpose(self.m, self.delta)
+            tm = TransportMatrix(rows, self.tm.c, self.tm.b)
+            self._mirror = _Orbit(tm, delta, tuple(zip(*self.free)))
+        return self._mirror
+
+    def far(self, p: Position) -> list[Position]:
+        """The far corners of flips from ``p`` (:func:`_se_corners`)."""
+        corners = self._far.get(p)
+        if corners is None:
+            corners = self._far[p] = _se_corners(self.m, *p)
+        return corners
 
 
-def _undominated(
-    tm: TransportMatrix, delta: tuple[Position, ...], i0: int, j0: int, i1: int, j1: int, skip
-) -> Position | None:
+def _in_grid(v: _Orbit, p: Position) -> bool:
+    return 1 <= p[0] <= v.q and 1 <= p[1] <= v.r
+
+
+def _undominated(v: _Orbit, i0: int, j0: int, i1: int, j1: int, skip) -> Position | None:
     """First cell of rows ``i0..i1`` and columns ``j0..j1`` outside
     ``skip``, in row-major order, that carries mass and lies weakly
     northwest of no decorated cell; None if there is none."""
     for i in range(i0, i1 + 1):
-        row = tm.m[i - 1]
+        row, free = v.m[i - 1], v.free[i - 1]
         for j in range(j0, j1 + 1):
-            if row[j - 1] and (i, j) not in skip and not dominated((i, j), delta):
+            if row[j - 1] and free[j - 1] and (i, j) not in skip:
                 return (i, j)
     return None
 
 
 # ---------------------------------------------------------------------------
-# Per-kind condition checks.  Each returns (new_rows, new_delta) on
-# success and the first violated clause as a string on failure.
+# Per-kind condition checks.  Each reads an orbit's :class:`_Orbit` and
+# returns (new_rows, new_delta) on success and the first violated clause
+# as a string on failure.
 
-def _try_I(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
+def _try_I(v: _Orbit, anchors: tuple[Position, ...]):
     if len(anchors) != 1:
         return "expected a single anchor (i1,j1)"
     (p,) = anchors
-    tm, delta = dm.matrix, dm.delta
-    if not _in_grid(tm, p):
+    tm = v.tm
+    if not _in_grid(v, p):
         return "anchor outside the grid"
     i1, j1 = p
     if tm.entry(i1, j1) <= 0:
         return "entry at (i1,j1) must be positive"
-    if dominated(p, delta):
+    if not v.free[i1 - 1][j1 - 1]:
         return "(i1,j1) must not lie weakly northwest of a decorated cell"
-    bad = _undominated(tm, delta, 1, 1, i1, j1, (p,))
+    bad = _undominated(v, 1, 1, i1, j1, (p,))
     if bad is not None:
         return "nonzero undominated entry at (%d,%d) northwest of (i1,j1)" % bad
-    return (tm.m, normalize_decoration(set(delta) | {p}))
+    return (tm.m, _staircase(v.delta + (p,)))
 
 
-def _try_II(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
+def _try_II(v: _Orbit, anchors: tuple[Position, ...]):
     if len(anchors) != 2:
         return "expected anchors ((i0,j0), (i1,j1))"
     (i0, j0), (i1, j1) = anchors
-    tm, delta = dm.matrix, dm.delta
+    tm, delta = v.tm, v.delta
     clause = _rectangle_clause(tm, i0, j0, i1, j1)
     if clause is not None:
         return clause
@@ -142,12 +197,12 @@ def _try_II(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
         return "(i0,j1) and (i1,j0) must not both be decorated"
     if (i0, j0) in delta and tm.entry(i0, j0) < 2:
         return "a decorated (i0,j0) needs at least two units"
-    if _ii_factors_through_corner(dm, i0, j0, i1, j1):
+    if _ii_factors_through_corner(v, i0, j0, i1, j1):
         return "decorating (i1,j1) first gives a strictly intermediate orbit"
     return (_flip(tm.m, i0, j0, i1, j1), delta)
 
 
-def _ii_factors_through_corner(dm: DecoratedMatrix, i0: int, j0: int, i1: int, j1: int) -> bool:
+def _ii_factors_through_corner(v: _Orbit, i0: int, j0: int, i1: int, j1: int) -> bool:
     """Whether the flip strictly contains the orbit decorated at (i1,j1).
 
     When (i1,j1) can itself be decorated (the kind-I conditions hold
@@ -156,19 +211,18 @@ def _ii_factors_through_corner(dm: DecoratedMatrix, i0: int, j0: int, i1: int, j
     orbit lies strictly between source and target, so the flip skips a
     level and is rejected.
     """
-    tm, delta = dm.matrix, dm.delta
-    if dominated((i1, j1), delta) or _undominated(tm, delta, 1, 1, i1, j1, ((i1, j1),)):
+    dt = v.free
+    if not dt[i1 - 1][j1 - 1] or _undominated(v, 1, 1, i1, j1, ((i1, j1),)):
         return False
-    dt = delta_table(dm)
     return not any(dt[i][j] for i in range(i1) for j in range(j1) if i < i0 or j < j0)
 
 
-def _try_IIIa(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
+def _try_IIIa(v: _Orbit, anchors: tuple[Position, ...]):
     if len(anchors) != 2:
         return "expected anchors ((i0,j0), (i1,j1))"
     (i0, j0), (i1, j1) = anchors
-    tm, delta = dm.matrix, dm.delta
-    if not (_in_grid(tm, (i0, j0)) and _in_grid(tm, (i1, j1))):
+    tm, delta = v.tm, v.delta
+    if not (_in_grid(v, (i0, j0)) and _in_grid(v, (i1, j1))):
         return "anchor outside the grid"
     if not (i0 < i1 and j0 < j1):
         return "corners must satisfy i0 < i1 and j0 < j1"
@@ -181,21 +235,21 @@ def _try_IIIa(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
     bad = _nonzero_in_rect(tm.m, i0, j0, i1, j1, frozenset({(i1, j0)}))
     if bad is not None:
         return f"nonzero entry at {bad} strictly between the corners"
-    bad = _undominated(tm, delta, 1, 1, i0, j1, ((i0, j0),))
+    bad = _undominated(v, 1, 1, i0, j1, ((i0, j0),))
     if bad is not None:
         return "nonzero undominated entry at (%d,%d) northwest of (i0,j1)" % bad
     return (
         _flip(tm.m, i0, j0, i1, j1),
-        normalize_decoration(set(delta) | {(i0, j1)}),
+        _staircase(delta + ((i0, j1),)),
     )
 
 
-def _try_IVa(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
+def _try_IVa(v: _Orbit, anchors: tuple[Position, ...]):
     if len(anchors) != 3:
         return "expected anchors ((i0,j0), (i1,j1), (i2,j2))"
     (i0, j0), (i1, j1), (i2, j2) = anchors
-    tm, delta = dm.matrix, dm.delta
-    if not all(_in_grid(tm, p) for p in anchors):
+    tm, delta = v.tm, v.delta
+    if not all(_in_grid(v, p) for p in anchors):
         return "anchor outside the grid"
     if not (i0 < i2 < i1 and j2 < j0 < j1):
         return "anchors must satisfy i0 < i2 < i1 and j2 < j0 < j1"
@@ -209,21 +263,21 @@ def _try_IVa(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
         return "entry at (i2,j2) must be exactly 1"
     if tm.entry(i1, j1) <= 0:
         return "entry at (i1,j1) must be positive"
-    bad = _undominated(tm, delta, i0, j2, i1, j1, ((i0, j2), (i1, j1), (i0, j1), (i1, j2)))
+    bad = _undominated(v, i0, j2, i1, j1, ((i0, j2), (i1, j1), (i0, j1), (i1, j2)))
     if bad is not None:
         return "nonzero undominated entry at (%d,%d) inside the frame" % bad
     return (
         _flip(_flip(tm.m, i0, j0, i1, j1), i2, j2, i1, j0),
-        normalize_decoration(set(delta) | {(i2, j0)}),
+        _staircase(delta + ((i2, j0),)),
     )
 
 
-def _try_IVb(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
+def _try_IVb(v: _Orbit, anchors: tuple[Position, ...]):
     if len(anchors) != 3:
         return "expected anchors ((i0,j0), (i1,j1), (i2,j0))"
     (i0, j0), (i1, j1), (i2, j0b) = anchors
-    tm, delta = dm.matrix, dm.delta
-    if not all(_in_grid(tm, p) for p in anchors):
+    tm, delta = v.tm, v.delta
+    if not all(_in_grid(v, p) for p in anchors):
         return "anchor outside the grid"
     if j0b != j0:
         return "third anchor must sit in column j0"
@@ -237,7 +291,7 @@ def _try_IVb(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
         return "entry at (i0,j0) must be positive"
     if tm.entry(i1, j1) <= 0:
         return "entry at (i1,j1) must be positive"
-    if dominated((i0, j1), delta):
+    if not v.free[i0 - 1][j1 - 1]:
         return "(i0,j1) must not lie weakly northwest of a decorated cell"
     bad = _nonzero_in_rect(
         tm.m, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0), (i2, j0)})
@@ -247,12 +301,12 @@ def _try_IVb(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
     return (_flip(tm.m, i0, j0, i1, j1), delta)
 
 
-def _try_V(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
+def _try_V(v: _Orbit, anchors: tuple[Position, ...]):
     if len(anchors) < 2:
         return "expected a pivot followed by a nonempty chain"
     pivot, chain = anchors[0], anchors[1:]
-    tm, delta = dm.matrix, dm.delta
-    if not all(_in_grid(tm, p) for p in anchors):
+    tm, delta = v.tm, v.delta
+    if not all(_in_grid(v, p) for p in anchors):
         return "anchor outside the grid"
     if chain[0] not in delta:
         return "chain must consist of decorated positions"
@@ -293,7 +347,7 @@ def _try_V(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
     rows = _flip(tm.m, i0, j0, head_i, head_j)
     for (c, _), (i, j) in zip(chain, chain[1:]):
         rows = _flip(rows, c, j0, i, j)
-    return (rows, normalize_decoration(others | {(i0, head_j), (tail_i, j0)}))
+    return (rows, _staircase((*others, (i0, head_j), (tail_i, j0))))
 
 
 def _transpose(rows, delta):
@@ -316,14 +370,12 @@ def _mirror_clause(clause: str) -> str:
 
 
 def _mirrored(try_fn):
-    """The mirror of a checker: run it on the transposed orbit and
-    anchors, then transpose its result, or its clause, back."""
+    """The mirror of a checker: run it on the transposed orbit, built
+    once per orbit, and the transposed anchors, then transpose its
+    result, or its clause, back."""
 
-    def try_mirror(dm: DecoratedMatrix, anchors: tuple[Position, ...]):
-        tm = dm.matrix
-        rows, delta = _transpose(tm.m, dm.delta)
-        flipped = DecoratedMatrix(TransportMatrix(rows, tm.c, tm.b), delta)
-        result = try_fn(flipped, tuple((j, i) for (i, j) in anchors))
+    def try_mirror(v: _Orbit, anchors: tuple[Position, ...]):
+        result = try_fn(v.mirror(), tuple((j, i) for (i, j) in anchors))
         return _mirror_clause(result) if isinstance(result, str) else _transpose(*result)
 
     return try_mirror
@@ -357,32 +409,31 @@ def apply_move(dm: DecoratedMatrix, move: Move) -> DecoratedMatrix:
         raise PreconditionFailed(move.kind, "unknown move kind")
     if not _int_pairs(move.anchors):
         raise PreconditionFailed(move.kind, "anchors must be (i, j) pairs of integers")
-    result = try_fn(dm, move.anchors)
+    result = try_fn(_Orbit.of(dm), move.anchors)
     if isinstance(result, str):
         raise PreconditionFailed(move.kind, result)
     return _result(dm, *result)
 
 
-def _candidates(dm: DecoratedMatrix) -> Iterator[tuple[str, tuple[Position, ...]]]:
+def _candidates(v: _Orbit) -> Iterator[tuple[str, tuple[Position, ...]]]:
     """Anchor tuples in canonical order, a superset of those the checkers
     accept: corners that must carry mass come from the positive cells,
     decorated anchors from the decoration, and far corners of rectangles
-    that must be empty inside from :func:`_se_corners`.  Kind ``I`` is
+    that must be empty inside from :meth:`_Orbit.far`.  Kind ``I`` is
     tried only at the undominated positive cells with no other such
     cell weakly northwest of them."""
-    delta, positive = dm.delta, dm.matrix.positive_positions()
-    corners = {p: _se_corners(dm.matrix.m, *p) for p in positive}
-    limit = dm.r + 1
+    delta, positive = v.delta, v.tm.positive_positions()
+    limit = v.r + 1
+    for (i, j) in positive:
+        if j < limit and v.free[i - 1][j - 1]:
+            yield "I", ((i, j),)
+            limit = j
     for p in positive:
-        if p[1] < limit and not dominated(p, delta):
-            yield "I", (p,)
-            limit = p[1]
-    for p in positive:
-        for far in corners[p]:
+        for far in v.far(p):
             yield "II", (p, far)
     for kind in ("IIIa", "IIIb"):
         for p in delta:
-            for far in corners.get(p, ()):
+            for far in v.far(p):
                 yield kind, (p, far)
     for (i0, j0) in delta:
         for (i1, j1) in positive:
@@ -391,12 +442,12 @@ def _candidates(dm: DecoratedMatrix) -> Iterator[tuple[str, tuple[Position, ...]
                     if i0 < i2 < i1 and j2 < j0:
                         yield "IVa", ((i0, j0), (i1, j1), (i2, j2))
     for (i0, j0) in positive:
-        for (i1, j1) in corners[(i0, j0)]:
+        for (i1, j1) in v.far((i0, j0)):
             for (i2, j2) in delta:
                 if j2 == j0 and i0 < i2 < i1:
                     yield "IVb", ((i0, j0), (i1, j1), (i2, j0))
     for (i0, j0) in positive:
-        for (i1, j1) in corners[(i0, j0)]:
+        for (i1, j1) in v.far((i0, j0)):
             for (i2, j2) in delta:
                 if i2 == i0 and j0 < j2 < j1:
                     yield "IVc", ((i0, j0), (i1, j1), (i0, j2))
@@ -410,9 +461,10 @@ def _candidates(dm: DecoratedMatrix) -> Iterator[tuple[str, tuple[Position, ...]
 def _checked_moves(dm: DecoratedMatrix) -> Iterator[tuple[Move, tuple]]:
     """Each applicable move with its raw result ``(rows, delta)``, checked
     once, in canonical order; ``_result(dm, *raw)`` is the orbit
-    :func:`apply_move` returns."""
-    for kind, anchors in _candidates(dm):
-        result = _TRY[kind](dm, anchors)
+    :func:`apply_move` returns.  One :class:`_Orbit` serves every check."""
+    v = _Orbit.of(dm)
+    for kind, anchors in _candidates(v):
+        result = _TRY[kind](v, anchors)
         if not isinstance(result, str):
             yield Move(kind, anchors), result
 
@@ -530,26 +582,34 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
     fails, and otherwise a list of moves whose successive application
     transforms ``x`` into ``y``.  Deterministic: each step takes the
     canonically first applicable move whose result stays below ``y``.
-    The moves generate the order, so such a move exists; if none does,
-    the order and the moves disagree and :class:`OrderCheckFailed` is
-    raised.
+    Every result looked at is built and validated; its ranks are compared
+    with those of ``y`` first, and its augmented ranks only when the ranks
+    pass.  The moves generate the order, so such a move exists; if none
+    does, the order and the moves disagree and :class:`OrderCheckFailed`
+    is raised.
     """
     _check_same_shape(x.matrix, y.matrix)
-    goal = invariant(y)
-    z, key = x, invariant(x)
-    if not all(map(ge, key, goal)):
+    q, r = x.q, x.r
+    goal_ranks = _ranks(y.matrix.m, r)
+    goal_rbar = _rbar(goal_ranks, y.delta, q, r)
+    ranks = _ranks(x.matrix.m, r)
+    rbar = _rbar(ranks, x.delta, q, r)
+    if not (all(map(ge, ranks, goal_ranks)) and all(map(ge, rbar, goal_rbar))):
         return None
     chain: list[Move] = []
-    while key != goal:
-        for mv, raw in _checked_moves(z):
-            res = _result(z, *raw)
-            res_key = invariant(res)
-            if all(map(ge, res_key, goal)):
-                break
+    z = x
+    while ranks != goal_ranks or rbar != goal_rbar:
+        for mv, (rows, delta) in _checked_moves(z):
+            res = _result(z, rows, delta)
+            ranks = _ranks(rows, r)
+            if all(map(ge, ranks, goal_ranks)):
+                rbar = _rbar(ranks, delta, q, r)
+                if all(map(ge, rbar, goal_rbar)):
+                    break
         else:
             raise OrderCheckFailed(f"no progressing move below the target from {z}")
         chain.append(mv)
-        z, key = res, res_key
+        z = res
     return chain
 
 

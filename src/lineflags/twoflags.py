@@ -161,8 +161,9 @@ def _nonzero_in_rect(
     corners and ``exempt``, in row-major order; None if all are zero."""
     skip = exempt | {(i0, j0), (i1, j1)}
     for i in range(i0, i1 + 1):
+        row = m[i - 1]
         for j in range(j0, j1 + 1):
-            if (i, j) not in skip and m[i - 1][j - 1] != 0:
+            if row[j - 1] != 0 and (i, j) not in skip:
                 return (i, j)
     return None
 
@@ -170,12 +171,14 @@ def _nonzero_in_rect(
 def _se_corners(m: Sequence[Sequence[int]], i0: int, j0: int) -> list[Position]:
     """The positive cells strictly southeast of ``(i0, j0)`` whose rectangle
     with it holds no other such cell, by row: the far corners of flips."""
-    out, limit = [], len(m[0]) + 1
-    for i in range(i0 + 1, len(m) + 1):
-        j = next((j for j in range(j0 + 1, limit) if m[i - 1][j - 1]), None)
-        if j is not None:
-            out.append((i, j))
-            limit = j
+    out, limit = [], len(m[0])
+    for i in range(i0, len(m)):  # 0-based rows and columns below
+        row = m[i]
+        for j in range(j0, limit):
+            if row[j]:
+                out.append((i + 1, j + 1))
+                limit = j
+                break
     return out
 
 

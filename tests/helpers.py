@@ -132,7 +132,7 @@ def validate_by_rule(matrix, delta=None):
     if not pts:
         return "EmptyDecoration"
     for k, (i, j) in enumerate(pts, start=1):
-        if not (1 <= i <= q and 1 <= j <= r):
+        if not (_is_int(i) and _is_int(j)) or not (1 <= i <= q and 1 <= j <= r):
             return f"BadPosition({k})"
     pts.sort()
     for k in range(1, len(pts)):
@@ -165,6 +165,23 @@ def brute_force_simple_moves(m):
                     ):
                         out.append((i0 + 1, j0 + 1, i1 + 1, j1 + 1))
     return out
+
+
+def se_corners_by_definition(m, i0, j0):
+    """The positive cells strictly southeast of ``(i0, j0)`` (1-based)
+    whose closed rectangle with it holds no other such cell, by row."""
+    q, r = len(m), len(m[0])
+    below = [
+        (i, j)
+        for i in range(i0 + 1, q + 1)
+        for j in range(j0 + 1, r + 1)
+        if m[i - 1][j - 1] > 0
+    ]
+    return [
+        (i, j)
+        for (i, j) in below
+        if not any((a, b) != (i, j) and a <= i and b <= j for (a, b) in below)
+    ]
 
 
 def prefix_rank_table(m, q, r):
@@ -425,6 +442,21 @@ def verify_move_degeneration_by_identification(dm, move):
     if got != dm:
         failures.append(f"tau=0: limit lies in [{render(got)}], not [{render(dm)}]")
     return MoveDegenerationReport(move=move, failures=tuple(failures))
+
+
+def greedy_chain_by_public_api(x, y):
+    """``find_chain`` from the public functions alone: each step applies
+    the first move of ``applicable_moves`` whose result lies below ``y``."""
+    from lineflags import applicable_moves, apply_move, rk_leq_dec
+
+    if not rk_leq_dec(x, y):
+        return None
+    chain, z = [], x
+    while z != y:
+        mv = next(mv for mv in applicable_moves(z) if rk_leq_dec(apply_move(z, mv), y))
+        chain.append(mv)
+        z = apply_move(z, mv)
+    return chain
 
 
 def raw_iva_target(dm, anchors):

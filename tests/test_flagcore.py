@@ -99,6 +99,19 @@ class TestValidate:
         assert validate(anti, [(1, 2), (2, 1)]) is None
 
     @pytest.mark.parametrize(
+        "delta, code",
+        [
+            (((1.0, 1),), "BadPosition(1)"),
+            ((("1", 1),), "BadPosition(1)"),
+            (((True, 1),), "BadPosition(1)"),
+            (((1, 1), (2, 2.0)), "BadPosition(2)"),
+        ],
+    )
+    def test_a_coordinate_that_is_not_an_int_is_a_bad_position(self, delta, code):
+        tm = TransportMatrix.from_rows([[1, 0], [0, 1]])
+        assert validate(tm, delta) == validate_by_rule(tm, delta) == code
+
+    @pytest.mark.parametrize(
         "m, b, c, delta, code",
         [
             (((True, 0), (0, 1)), (1, 1), (1, 1), None, "NegativeEntry(1,1)"),
@@ -196,10 +209,12 @@ class TestValidateOracle:
             assert got == _outcome(validate_by_rule, tm, delta), (tm, delta)
             codes.add(got.split("(")[0] if isinstance(got, str) else got)
         assert codes >= {
-            None, TypeError, ValueError, "EmptyComposition", "BadPart", "BadShape",
+            None, ValueError, "EmptyComposition", "BadPart", "BadShape",
             "NegativeEntry", "BadRowSum", "BadColSum", "EmptyDecoration",
             "BadPosition", "NotStaircase", "ZeroEntryDecorated",
         }
+        # A decoration coordinate that is not an int gets a code, not a TypeError.
+        assert TypeError not in codes
 
 
 class TestPositionOrder:
@@ -242,6 +257,8 @@ class TestPositionOrder:
             lambda: normalize_decoration([(1, 1), (2, True)]),
             lambda: set_leq([(1, 1)], [(True, 2.5)]),
             lambda: set_leq([(1.0, 1)], [(2, 2)]),
+            lambda: dominated((1, 1), [(True, 2.5)]),
+            lambda: dominated((1.0, 1), [(2, 2)]),
         ],
     )
     def test_non_integer_positions_are_rejected(self, call):

@@ -20,10 +20,13 @@ from lineflags import (
     Rectangle,
     ShapeMismatch,
     TransportMatrix,
+    ValidationError,
     applicable_moves,
     apply_move,
     apply_simple_move,
     build_poset,
+    delta_table,
+    dominated,
     enumerate_orbits,
     find_chain,
     from_permutation,
@@ -36,8 +39,10 @@ from helpers import (
     GOLDEN_N3_COVERS,
     GOLDEN_N3_LABELS,
     compositions,
+    greedy_chain_by_public_api,
     margin_pairs,
     raw_iva_target,
+    se_corners_by_definition,
     transitive_reduction,
 )
 
@@ -164,9 +169,10 @@ class TestMoveEnumeration:
         tried = 0
         for b, c in margin_pairs(1, 4):
             for dm in enumerate_orbits(b, c):
-                for kind, anchors in lineflags.moves._candidates(dm):
+                orbit = lineflags.moves._Orbit.of(dm)
+                for kind, anchors in lineflags.moves._candidates(orbit):
                     if kind == "I":
-                        assert not isinstance(lineflags.moves._try_I(dm, anchors), str)
+                        assert not isinstance(lineflags.moves._try_I(orbit, anchors), str)
                         tried += 1
         assert tried == 1806
 
@@ -224,6 +230,49 @@ class TestMoveEnumeration:
                 out = apply_move(dm, mv)
                 assert rk_leq_dec(dm, out) and out != dm
                 assert mv.kind in KIND_ORDER
+
+
+class TestOrbitView:
+    def test_view_matches_the_definitions(self):
+        """The free table, the transposed orbit and the far corners of
+        the per-orbit view, on every orbit of mass <= 4."""
+        views = 0
+        for b, c in margin_pairs(1, 4):
+            for dm in enumerate_orbits(b, c):
+                m, delta = dm.matrix.m, dm.delta
+                orbit = lineflags.moves._Orbit.of(dm)
+                assert orbit._far == {} and orbit._mirror is None
+                for i in range(1, dm.q + 1):
+                    for j in range(1, dm.r + 1):
+                        assert (not orbit.free[i - 1][j - 1]) == dominated((i, j), delta)
+                mirror = orbit.mirror()
+                assert (mirror.m, mirror.delta) == lineflags.moves._transpose(m, delta)
+                assert (mirror.tm.b, mirror.tm.c) == (dm.matrix.c, dm.matrix.b)
+                assert mirror.free == delta_table(DecoratedMatrix(mirror.tm, mirror.delta))
+                assert orbit.mirror() is mirror
+                for p in dm.matrix.positive_positions():
+                    want = lineflags.twoflags._se_corners(m, *p)
+                    assert orbit.far(p) == want == se_corners_by_definition(m, *p)
+                views += 1
+        assert views == 1694
+
+    def test_far_corners_on_random_matrices(self):
+        rng = random.Random(15)
+        for _ in range(500):
+            q, r = rng.randint(1, 6), rng.randint(1, 6)
+            m = tuple(tuple(rng.choice((0, 0, 1, 2)) for _ in range(r)) for _ in range(q))
+            for i0, j0 in product(range(1, q + 1), range(1, r + 1)):
+                assert lineflags.twoflags._se_corners(m, i0, j0) == se_corners_by_definition(
+                    m, i0, j0
+                )
+
+    @pytest.mark.parametrize("delta", [((1.0, 1),), ((True, 1),), (("1", 1),), ((1, 1, 1),)])
+    def test_a_decoration_that_is_not_int_pairs_raises(self, delta):
+        dm = DecoratedMatrix(from_permutation((1, 2), (1,)).matrix, delta)
+        with pytest.raises(ValidationError):
+            applicable_moves(dm)
+        with pytest.raises(ValidationError):
+            apply_move(dm, Move("I", ((2, 2),)))
 
 
 class TestPreconditions:
@@ -551,6 +600,44 @@ class TestFindChain:
         monkeypatch.setattr(lineflags.moves, "_checked_moves", lambda dm: iter(()))
         with pytest.raises(OrderCheckFailed, match="no progressing move"):
             find_chain(from_permutation((1, 2), (1,)), from_permutation((2, 1), (1, 2)))
+
+    def test_chains_match_the_public_api_greedy_walk(self):
+        """On every pair of orbits of mass <= 3, find_chain is the walk
+        that takes, at each step, the first applicable move whose result
+        lies below the target."""
+        comparable = 0
+        for b, c in margin_pairs(1, 3):
+            orbits = enumerate_orbits(b, c)
+            for x in orbits:
+                for y in orbits:
+                    chain = find_chain(x, y)
+                    assert chain == greedy_chain_by_public_api(x, y)
+                    comparable += chain is not None
+        assert comparable == 559
+
+    def test_chains_match_the_public_api_greedy_walk_at_n5(self):
+        orbits = enumerate_orbits((1,) * 5, (1,) * 5)
+        rng = random.Random(5)
+        pairs = 0
+        while pairs < 300:
+            x, y = rng.sample(orbits, 2)
+            if rk_leq_dec(y, x):
+                x, y = y, x
+            elif not rk_leq_dec(x, y):
+                continue
+            assert find_chain(x, y) == greedy_chain_by_public_api(x, y)
+            pairs += 1
+
+    def test_every_result_looked_at_is_validated(self, monkeypatch):
+        """The first move from LOW is of kind I, and the greedy walk to
+        MID looks at its result but does not take it.  With a kind-I
+        checker whose results leave the margins, the walk raises."""
+        assert applicable_moves(LOW)[0].kind == "I"
+        assert find_chain(LOW, MID)[0].kind != "I"
+        off_margins(monkeypatch)
+        with pytest.raises(ValidationError) as info:
+            find_chain(LOW, MID)
+        assert info.value.code == "BadRowSum(1)"
 
     def test_every_comparable_pair_gets_a_valid_chain(self, poset3):
         els = poset3.elements

@@ -74,3 +74,17 @@ def test_every_private_helper_is_called():
         and uses[node.name] == Counter(_references(node))[node.name]
     ]
     assert found == []
+
+
+def test_the_move_kernel_calls_no_validating_helper():
+    """``dominated`` and ``normalize_decoration`` check their input, so
+    the per-orbit view of ``moves`` answers their questions instead."""
+    path = Path(lineflags.__file__).parent / "moves.py"
+    calls = [
+        f"{node.lineno} {name}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+        if name in ("dominated", "normalize_decoration")
+    ]
+    assert calls == []
