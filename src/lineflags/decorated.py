@@ -24,7 +24,9 @@ from .flagcore import (
     FlagError,
     Position,
     TransportMatrix,
+    ValidationError,
     _is_int,
+    _require_positions,
     from_permutation,
     sort_key,
     to_permutation,
@@ -104,9 +106,14 @@ def delta_table(dm: DecoratedMatrix) -> tuple[tuple[int, ...], ...]:
 
     ``delta[i][j] = 1`` iff every decorated ``(a, b)`` has ``a <= i`` or
     ``b <= j`` — equivalently, iff ``j`` reaches the largest column of a
-    decorated cell in the rows below ``i``.
+    decorated cell in the rows below ``i``.  The ``k``-th decorated cell
+    outside the grid raises ``ValidationError("BadPosition(k)")``.
     """
-    return _threshold_table(dm.delta, dm.q, dm.r)
+    q, r = dm.q, dm.r
+    for k, (i, j) in enumerate(_require_positions("delta", dm.delta), start=1):
+        if not (1 <= i <= q and 1 <= j <= r):
+            raise ValidationError(f"BadPosition({k})")
+    return _threshold_table(dm.delta, q, r)
 
 
 def rbar_table(dm: DecoratedMatrix) -> RBarTable:
@@ -122,6 +129,14 @@ def _rbar(ranks: list[int], delta: Iterable[Position], q: int, r: int) -> list[i
     return list(map(add, ranks, chain.from_iterable(_threshold_table(delta, q, r))))
 
 
+def _key(ranks: list[int], free: Iterable[Iterable[int]]) -> tuple[int, ...]:
+    """:func:`invariant` from the flat ranks and the threshold table."""
+    key = [0] * (2 * len(ranks))
+    key[::2] = ranks
+    key[1::2] = map(add, ranks, chain.from_iterable(free))
+    return tuple(key)
+
+
 def invariant(dm: DecoratedMatrix) -> tuple[int, ...]:
     """The orbit's tables as one flat key: ``(r, rbar)`` at every bordered
     position, row-major, ``r`` before ``rbar``.
@@ -129,8 +144,13 @@ def invariant(dm: DecoratedMatrix) -> tuple[int, ...]:
     Orbits with the same margins are equal iff their invariants are, and
     ``x <= y`` iff ``invariant(x)`` is entrywise ``>=`` ``invariant(y)``.
     """
-    flat = _ranks(dm.matrix.m, dm.r)
-    return tuple(chain.from_iterable(zip(flat, _rbar(flat, dm.delta, dm.q, dm.r))))
+    return _key(_ranks(dm.matrix.m, dm.r), _threshold_table(dm.delta, dm.q, dm.r))
+
+
+def _tables(dm: DecoratedMatrix) -> tuple[list[int], list[int]]:
+    """The flat ranks and augmented ranks that :func:`invariant` interleaves."""
+    ranks = _ranks(dm.matrix.m, dm.r)
+    return ranks, _rbar(ranks, dm.delta, dm.q, dm.r)
 
 
 def rk_leq_dec(x: DecoratedMatrix, y: DecoratedMatrix) -> bool:
@@ -140,11 +160,16 @@ def rk_leq_dec(x: DecoratedMatrix, y: DecoratedMatrix) -> bool:
 
 def _first(x: DecoratedMatrix, y: DecoratedMatrix, differs) -> tuple | None:
     """``(table, (i, j), xval, yval)`` at the first entry of the invariants
-    where ``differs(xval, yval)``."""
+    where ``differs(xval, yval)``, read off the flat tables: the first rank
+    that differs, unless an ``rbar`` entry before it differs."""
     _check_same_shape(x.matrix, y.matrix)
-    ix, iy = invariant(x), invariant(y)
-    for k in compress(count(), map(differs, ix, iy)):
-        return ("rbar" if k % 2 else "r", divmod(k // 2, x.r + 1), ix[k], iy[k])
+    (rx, bx), (ry, by) = _tables(x), _tables(y)
+    k = next(compress(count(), map(differs, rx, ry)), len(rx))
+    kb = next(compress(count(), map(differs, bx[:k], by)), None)
+    if kb is not None:
+        return ("rbar", divmod(kb, x.r + 1), bx[kb], by[kb])
+    if k < len(rx):
+        return ("r", divmod(k, x.r + 1), rx[k], ry[k])
     return None
 
 

@@ -21,17 +21,23 @@ are the transposes of ``IIIa`` and ``IVb``.  ``apply_move`` checks every
 stated condition and raises :class:`PreconditionFailed` naming the first
 violated clause; the pipeline checks each candidate move once.
 
-The checkers of one orbit share one view of it, :class:`_Orbit`: a
-table lookup answers whether a cell lies northwest of the decoration,
-the transposed orbit for the mirror kinds is built once, and the far
-corners of each cell when first asked for.  ``find_chain`` compares a
-candidate's ranks with the target's before it reads the decoration.
+The checkers read an orbit in two parts.  The matrix part,
+:class:`_Matrix`, answers what depends on the transport matrix alone:
+its cells with mass, far corners and transpose, and the clause, flipped
+rows and undominated cells of each corner pair.  The orbit part,
+:class:`_Orbit`, adds the decoration, the threshold table that answers
+whether a cell lies northwest of the decoration, and the mirror orbit of
+the mirror kinds.  ``_move_edges`` gives the orbits of one matrix one
+:class:`_SharedMatrix`, which keeps each clause and flip, and takes each
+orbit's order key from the same threshold table.  ``find_chain`` compares
+a candidate's ranks with the target's before it reads the decoration.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from operator import ge
 from typing import Iterator, Sequence
 
@@ -47,7 +53,7 @@ from .flagcore import (
     _staircase,
     raise_if_invalid,
 )
-from .decorated import _rbar, delta_table, enumerate_orbits, invariant
+from .decorated import _key, _rbar, _tables, _threshold_table, enumerate_orbits
 from .order import bits, dominance_masks, generated
 from .twoflags import (
     _check_same_shape,
@@ -101,63 +107,135 @@ class Move:
         return (KIND_ORDER.index(self.kind), self.anchors)
 
 
-class _Orbit:
-    """One orbit as the checkers and :func:`_candidates` read it, built
-    once per orbit: its rows, decoration and free table.
+class _FarCorners(dict):
+    """The far corners of flips from each cell (:func:`_se_corners`) of
+    the rows ``m``, each computed on its first lookup."""
 
-    ``free[i - 1][j - 1]`` is 0 exactly when the cell ``(i, j)`` lies
-    weakly northwest of a decorated cell: ``free`` is the orbit's
-    :func:`delta_table`.  The transposed orbit of the mirror kinds and the
-    far corners of each cell are built on first use.
-    """
+    def __init__(self, m):
+        self.m = m
 
-    def __init__(self, tm: TransportMatrix, delta: tuple[Position, ...], free):
-        self.tm, self.m, self.delta, self.free = tm, tm.m, delta, free
-        self.q, self.r = tm.q, tm.r
-        self._far: dict[Position, list[Position]] = {}
-        self._mirror: _Orbit | None = None
-
-    @classmethod
-    def of(cls, dm: DecoratedMatrix) -> _Orbit:
-        """The view of ``dm``.  A decoration that is not a tuple of int
-        pairs raises :class:`ValidationError`, so the checkers take every
-        decorated cell for one."""
-        if not _int_pairs(dm.delta):
-            _require_positions("delta", dm.delta)
-            raise ValidationError("BadShape")
-        return cls(dm.matrix, dm.delta, delta_table(dm))
-
-    def mirror(self) -> _Orbit:
-        """The orbit with the two flags swapped; its free table is the
-        transpose of this one's."""
-        if self._mirror is None:
-            rows, delta = _transpose(self.m, self.delta)
-            tm = TransportMatrix(rows, self.tm.c, self.tm.b)
-            self._mirror = _Orbit(tm, delta, tuple(zip(*self.free)))
-        return self._mirror
-
-    def far(self, p: Position) -> list[Position]:
-        """The far corners of flips from ``p`` (:func:`_se_corners`)."""
-        corners = self._far.get(p)
-        if corners is None:
-            corners = self._far[p] = _se_corners(self.m, *p)
+    def __missing__(self, p: Position) -> list[Position]:
+        corners = self[p] = _se_corners(self.m, *p)
         return corners
 
 
-def _in_grid(v: _Orbit, p: Position) -> bool:
-    return 1 <= p[0] <= v.q and 1 <= p[1] <= v.r
+class _Matrix:
+    """One transport matrix as the checkers of one orbit read it: its
+    cells with mass, their far corners and its transpose for the mirror
+    kinds, each built on first use, and the clause, flipped rows and
+    undominated cells of its corner pairs.  :class:`_SharedMatrix` keeps
+    the clauses and flips for the orbits of one matrix."""
 
+    def __init__(self, tm: TransportMatrix):
+        self.tm, self.m, self.q, self.r = tm, tm.m, tm.q, tm.r
 
-def _undominated(v: _Orbit, i0: int, j0: int, i1: int, j1: int, skip) -> Position | None:
-    """First cell of rows ``i0..i1`` and columns ``j0..j1`` outside
-    ``skip``, in row-major order, that carries mass and lies weakly
-    northwest of no decorated cell; None if there is none."""
-    for i in range(i0, i1 + 1):
-        row, free = v.m[i - 1], v.free[i - 1]
-        for j in range(j0, j1 + 1):
-            if row[j - 1] and free[j - 1] and (i, j) not in skip:
+    @cached_property
+    def support(self) -> list[Position]:
+        """The cells whose entry is not 0, in row-major order."""
+        return [(i, j) for i, row in enumerate(self.m, 1) for j, x in enumerate(row, 1) if x]
+
+    @cached_property
+    def far(self) -> _FarCorners:
+        """The far corners of flips from each cell, on first lookup."""
+        return _FarCorners(self.m)
+
+    @cached_property
+    def mirror(self) -> _Matrix:
+        """The part, of the same class, of the transposed matrix."""
+        return type(self)(TransportMatrix(tuple(zip(*self.m)), self.tm.c, self.tm.b))
+
+    def clause(self, i0: int, j0: int, i1: int, j1: int) -> str | None:
+        """The :func:`_rectangle_clause` of the flip from ``(i0, j0)`` and
+        ``(i1, j1)``."""
+        return _rectangle_clause(self.tm, i0, j0, i1, j1)
+
+    def flip(self, i0: int, j0: int, i1: int, j1: int) -> tuple[tuple[int, ...], ...]:
+        """The rows after the flip from ``(i0, j0)`` and ``(i1, j1)``."""
+        return _flip(self.m, i0, j0, i1, j1)
+
+    def undominated(self, free, i0: int, j0: int, i1: int, j1: int, skip) -> Position | None:
+        """First cell of rows ``i0..i1`` and columns ``j0..j1`` outside
+        ``skip``, in row-major order, that carries mass and lies weakly
+        northwest of no decorated cell of an orbit with the free table
+        ``free``; None if there is none."""
+        for (i, j) in self.support:
+            if i > i1:
+                break
+            if i >= i0 and j0 <= j <= j1 and free[i - 1][j - 1] and (i, j) not in skip:
                 return (i, j)
-    return None
+        return None
+
+
+_UNSET = object()
+
+
+def _once(method):
+    """``method`` of a matrix part, run once for each argument tuple."""
+
+    def once(self, *args):
+        key = (method, *args)
+        value = self._memo.get(key, _UNSET)
+        if value is _UNSET:
+            value = self._memo[key] = method(self, *args)
+        return value
+
+    return once
+
+
+class _SharedMatrix(_Matrix):
+    """The matrix part that the orbits of one matrix share in
+    :func:`_move_edges`: it computes the clause and the flipped rows of
+    each corner pair once, and holds the flat ranks of the orbits' keys."""
+
+    def __init__(self, tm: TransportMatrix):
+        super().__init__(tm)
+        self._memo: dict[tuple, object] = {}
+
+    clause = _once(_Matrix.clause)
+    flip = _once(_Matrix.flip)
+
+    @cached_property
+    def ranks(self) -> list[int]:
+        """The flat ranks of :func:`_ranks`, which the orbits' keys share."""
+        return _ranks(self.m, self.r)
+
+
+class _Orbit:
+    """One orbit as the checkers and :func:`_candidates` read it: its
+    matrix part, decoration and free table, and the mirror orbit built on
+    first use.
+
+    ``free[i - 1][j - 1]`` is 0 exactly when the cell ``(i, j)`` lies
+    weakly northwest of a decorated cell: ``free`` is the orbit's
+    threshold table, as :func:`delta_table` reads it.
+    """
+
+    def __init__(self, mat: _Matrix, delta: tuple[Position, ...], free):
+        self.mat, self.delta, self.free = mat, delta, free
+        self.tm, self.m, self.q, self.r = mat.tm, mat.m, mat.q, mat.r
+
+    @classmethod
+    def of(cls, dm: DecoratedMatrix) -> _Orbit:
+        """The view of ``dm`` on a new matrix part.  A decoration that is
+        not a tuple of int pairs raises :class:`ValidationError`, so the
+        checkers take every decorated cell for one."""
+        if not _int_pairs(dm.delta):
+            _require_positions("delta", dm.delta)
+            raise ValidationError("BadShape")
+        return cls(_Matrix(dm.matrix), dm.delta, _threshold_table(dm.delta, dm.q, dm.r))
+
+    @cached_property
+    def mirror(self) -> _Orbit:
+        """The orbit with the two flags swapped; its free table is the
+        transpose of this one's."""
+        return _Orbit(self.mat.mirror, _transpose_delta(self.delta), tuple(zip(*self.free)))
+
+
+def _in_grid(v: _Orbit, anchors: tuple[Position, ...]) -> bool:
+    for (i, j) in anchors:
+        if not (1 <= i <= v.q and 1 <= j <= v.r):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +248,14 @@ def _try_I(v: _Orbit, anchors: tuple[Position, ...]):
         return "expected a single anchor (i1,j1)"
     (p,) = anchors
     tm = v.tm
-    if not _in_grid(v, p):
+    if not _in_grid(v, anchors):
         return "anchor outside the grid"
     i1, j1 = p
     if tm.entry(i1, j1) <= 0:
         return "entry at (i1,j1) must be positive"
     if not v.free[i1 - 1][j1 - 1]:
         return "(i1,j1) must not lie weakly northwest of a decorated cell"
-    bad = _undominated(v, 1, 1, i1, j1, (p,))
+    bad = v.mat.undominated(v.free, 1, 1, i1, j1, anchors)
     if bad is not None:
         return "nonzero undominated entry at (%d,%d) northwest of (i1,j1)" % bad
     return (tm.m, _staircase(v.delta + (p,)))
@@ -188,7 +266,7 @@ def _try_II(v: _Orbit, anchors: tuple[Position, ...]):
         return "expected anchors ((i0,j0), (i1,j1))"
     (i0, j0), (i1, j1) = anchors
     tm, delta = v.tm, v.delta
-    clause = _rectangle_clause(tm, i0, j0, i1, j1)
+    clause = v.mat.clause(i0, j0, i1, j1)
     if clause is not None:
         return clause
     if (i1, j1) in delta:
@@ -199,7 +277,7 @@ def _try_II(v: _Orbit, anchors: tuple[Position, ...]):
         return "a decorated (i0,j0) needs at least two units"
     if _ii_factors_through_corner(v, i0, j0, i1, j1):
         return "decorating (i1,j1) first gives a strictly intermediate orbit"
-    return (_flip(tm.m, i0, j0, i1, j1), delta)
+    return (v.mat.flip(i0, j0, i1, j1), delta)
 
 
 def _ii_factors_through_corner(v: _Orbit, i0: int, j0: int, i1: int, j1: int) -> bool:
@@ -212,9 +290,11 @@ def _ii_factors_through_corner(v: _Orbit, i0: int, j0: int, i1: int, j1: int) ->
     level and is rejected.
     """
     dt = v.free
-    if not dt[i1 - 1][j1 - 1] or _undominated(v, 1, 1, i1, j1, ((i1, j1),)):
+    if not dt[i1 - 1][j1 - 1] or v.mat.undominated(dt, 1, 1, i1, j1, ((i1, j1),)):
         return False
-    return not any(dt[i][j] for i in range(i1) for j in range(j1) if i < i0 or j < j0)
+    # The table grows weakly southward and eastward, so the positions
+    # outside the rectangle peak at (i0 - 1, j1 - 1) and (i1 - 1, j0 - 1).
+    return not (dt[i0 - 1][j1 - 1] or dt[i1 - 1][j0 - 1])
 
 
 def _try_IIIa(v: _Orbit, anchors: tuple[Position, ...]):
@@ -222,7 +302,7 @@ def _try_IIIa(v: _Orbit, anchors: tuple[Position, ...]):
         return "expected anchors ((i0,j0), (i1,j1))"
     (i0, j0), (i1, j1) = anchors
     tm, delta = v.tm, v.delta
-    if not (_in_grid(v, (i0, j0)) and _in_grid(v, (i1, j1))):
+    if not _in_grid(v, anchors):
         return "anchor outside the grid"
     if not (i0 < i1 and j0 < j1):
         return "corners must satisfy i0 < i1 and j0 < j1"
@@ -235,13 +315,10 @@ def _try_IIIa(v: _Orbit, anchors: tuple[Position, ...]):
     bad = _nonzero_in_rect(tm.m, i0, j0, i1, j1, frozenset({(i1, j0)}))
     if bad is not None:
         return f"nonzero entry at {bad} strictly between the corners"
-    bad = _undominated(v, 1, 1, i0, j1, ((i0, j0),))
+    bad = v.mat.undominated(v.free, 1, 1, i0, j1, ((i0, j0),))
     if bad is not None:
         return "nonzero undominated entry at (%d,%d) northwest of (i0,j1)" % bad
-    return (
-        _flip(tm.m, i0, j0, i1, j1),
-        _staircase(delta + ((i0, j1),)),
-    )
+    return (v.mat.flip(i0, j0, i1, j1), _staircase(delta + ((i0, j1),)))
 
 
 def _try_IVa(v: _Orbit, anchors: tuple[Position, ...]):
@@ -249,7 +326,7 @@ def _try_IVa(v: _Orbit, anchors: tuple[Position, ...]):
         return "expected anchors ((i0,j0), (i1,j1), (i2,j2))"
     (i0, j0), (i1, j1), (i2, j2) = anchors
     tm, delta = v.tm, v.delta
-    if not all(_in_grid(v, p) for p in anchors):
+    if not _in_grid(v, anchors):
         return "anchor outside the grid"
     if not (i0 < i2 < i1 and j2 < j0 < j1):
         return "anchors must satisfy i0 < i2 < i1 and j2 < j0 < j1"
@@ -263,11 +340,11 @@ def _try_IVa(v: _Orbit, anchors: tuple[Position, ...]):
         return "entry at (i2,j2) must be exactly 1"
     if tm.entry(i1, j1) <= 0:
         return "entry at (i1,j1) must be positive"
-    bad = _undominated(v, i0, j2, i1, j1, ((i0, j2), (i1, j1), (i0, j1), (i1, j2)))
+    bad = v.mat.undominated(v.free, i0, j2, i1, j1, ((i0, j2), (i1, j1), (i0, j1), (i1, j2)))
     if bad is not None:
         return "nonzero undominated entry at (%d,%d) inside the frame" % bad
     return (
-        _flip(_flip(tm.m, i0, j0, i1, j1), i2, j2, i1, j0),
+        _flip(v.mat.flip(i0, j0, i1, j1), i2, j2, i1, j0),
         _staircase(delta + ((i2, j0),)),
     )
 
@@ -277,7 +354,7 @@ def _try_IVb(v: _Orbit, anchors: tuple[Position, ...]):
         return "expected anchors ((i0,j0), (i1,j1), (i2,j0))"
     (i0, j0), (i1, j1), (i2, j0b) = anchors
     tm, delta = v.tm, v.delta
-    if not all(_in_grid(v, p) for p in anchors):
+    if not _in_grid(v, anchors):
         return "anchor outside the grid"
     if j0b != j0:
         return "third anchor must sit in column j0"
@@ -298,7 +375,7 @@ def _try_IVb(v: _Orbit, anchors: tuple[Position, ...]):
     )
     if bad is not None:
         return f"nonzero entry at {bad} strictly between the corners"
-    return (_flip(tm.m, i0, j0, i1, j1), delta)
+    return (v.mat.flip(i0, j0, i1, j1), delta)
 
 
 def _try_V(v: _Orbit, anchors: tuple[Position, ...]):
@@ -306,7 +383,7 @@ def _try_V(v: _Orbit, anchors: tuple[Position, ...]):
         return "expected a pivot followed by a nonempty chain"
     pivot, chain = anchors[0], anchors[1:]
     tm, delta = v.tm, v.delta
-    if not all(_in_grid(v, p) for p in anchors):
+    if not _in_grid(v, anchors):
         return "anchor outside the grid"
     if chain[0] not in delta:
         return "chain must consist of decorated positions"
@@ -344,16 +421,21 @@ def _try_V(v: _Orbit, anchors: tuple[Position, ...]):
         )
     # The cascade is a cycle of corner flips: the unit each flip leaves
     # at (c_k_i, j0) the next one takes away.
-    rows = _flip(tm.m, i0, j0, head_i, head_j)
+    rows = v.mat.flip(i0, j0, head_i, head_j)
     for (c, _), (i, j) in zip(chain, chain[1:]):
         rows = _flip(rows, c, j0, i, j)
     return (rows, _staircase((*others, (i0, head_j), (tail_i, j0))))
 
 
+def _transpose_delta(delta: tuple[Position, ...]) -> tuple[Position, ...]:
+    """Each decorated cell ``(i, j) -> (j, i)``, the staircase kept
+    sorted by row."""
+    return tuple((j, i) for (i, j) in reversed(delta))
+
+
 def _transpose(rows, delta):
-    """``m -> m^T`` and each decorated cell ``(i, j) -> (j, i)``, the
-    staircase kept sorted by row."""
-    return tuple(zip(*rows)), tuple((j, i) for (i, j) in reversed(delta))
+    """``m -> m^T`` and the decoration by :func:`_transpose_delta`."""
+    return tuple(zip(*rows)), _transpose_delta(delta)
 
 
 _MIRROR_WORDS = {"i": "j", "j": "i", "row": "column", "column": "row"}
@@ -371,11 +453,11 @@ def _mirror_clause(clause: str) -> str:
 
 def _mirrored(try_fn):
     """The mirror of a checker: run it on the transposed orbit, built
-    once per orbit, and the transposed anchors, then transpose its
-    result, or its clause, back."""
+    once per orbit on the matrix part's transpose, and the transposed
+    anchors, then transpose its result, or its clause, back."""
 
     def try_mirror(v: _Orbit, anchors: tuple[Position, ...]):
-        result = try_fn(v.mirror(), tuple((j, i) for (i, j) in anchors))
+        result = try_fn(v.mirror, tuple((j, i) for (i, j) in anchors))
         return _mirror_clause(result) if isinstance(result, str) else _transpose(*result)
 
     return try_mirror
@@ -417,52 +499,57 @@ def apply_move(dm: DecoratedMatrix, move: Move) -> DecoratedMatrix:
 
 def _candidates(v: _Orbit) -> Iterator[tuple[str, tuple[Position, ...]]]:
     """Anchor tuples in canonical order, a superset of those the checkers
-    accept: corners that must carry mass come from the positive cells,
+    accept: corners that must carry mass come from the cells with mass,
     decorated anchors from the decoration, and far corners of rectangles
-    that must be empty inside from :meth:`_Orbit.far`.  Kind ``I`` is
-    tried only at the undominated positive cells with no other such
+    that must be empty inside from ``_Matrix.far``.  Kind ``I`` is
+    tried only at the undominated cells with mass with no other such
     cell weakly northwest of them."""
-    delta, positive = v.delta, v.tm.positive_positions()
+    delta, support = v.delta, v.mat.support
     limit = v.r + 1
-    for (i, j) in positive:
+    for (i, j) in support:
         if j < limit and v.free[i - 1][j - 1]:
             yield "I", ((i, j),)
             limit = j
-    for p in positive:
-        for far in v.far(p):
-            yield "II", (p, far)
+    far = v.mat.far
+    for p in support:
+        for s in far[p]:
+            yield "II", (p, s)
     for kind in ("IIIa", "IIIb"):
         for p in delta:
-            for far in v.far(p):
-                yield kind, (p, far)
+            for s in far[p]:
+                yield kind, (p, s)
     for (i0, j0) in delta:
-        for (i1, j1) in positive:
+        for (i1, j1) in support:
             if i1 > i0 + 1 and j1 > j0:
                 for (i2, j2) in delta:
                     if i0 < i2 < i1 and j2 < j0:
                         yield "IVa", ((i0, j0), (i1, j1), (i2, j2))
-    for (i0, j0) in positive:
-        for (i1, j1) in v.far((i0, j0)):
+    for (i0, j0) in support:
+        for (i1, j1) in far[(i0, j0)]:
             for (i2, j2) in delta:
                 if j2 == j0 and i0 < i2 < i1:
                     yield "IVb", ((i0, j0), (i1, j1), (i2, j0))
-    for (i0, j0) in positive:
-        for (i1, j1) in v.far((i0, j0)):
+    for (i0, j0) in support:
+        for (i1, j1) in far[(i0, j0)]:
             for (i2, j2) in delta:
                 if i2 == i0 and j0 < j2 < j1:
                     yield "IVc", ((i0, j0), (i1, j1), (i0, j2))
-    for (i0, j0) in positive:
+    for (i0, j0) in support:
         run = [k for k, (i, j) in enumerate(delta) if i > i0 and j > j0]
         for start in run:
             for stop in range(start + 1, run[-1] + 2):
                 yield "V", ((i0, j0),) + delta[start:stop]
 
 
-def _checked_moves(dm: DecoratedMatrix) -> Iterator[tuple[Move, tuple]]:
+def _checked_moves(
+    dm: DecoratedMatrix, view: _Orbit | None = None
+) -> Iterator[tuple[Move, tuple]]:
     """Each applicable move with its raw result ``(rows, delta)``, checked
     once, in canonical order; ``_result(dm, *raw)`` is the orbit
-    :func:`apply_move` returns.  One :class:`_Orbit` serves every check."""
-    v = _Orbit.of(dm)
+    :func:`apply_move` returns.  One :class:`_Orbit` serves every check:
+    ``view``, the view of ``dm`` on a shared matrix part, or by default a
+    new one."""
+    v = _Orbit.of(dm) if view is None else view
     for kind, anchors in _candidates(v):
         result = _TRY[kind](v, anchors)
         if not isinstance(result, str):
@@ -517,16 +604,33 @@ class Poset:
 
 
 def _move_edges(
-    elements: Sequence[DecoratedMatrix],
-) -> tuple[list[list[Move]], list[list[int]]]:
-    """Canonical move lists and their target indices for each element; a
-    raw result that is no enumerated orbit raises :class:`OrderCheckFailed`."""
+    elements: Sequence[DecoratedMatrix], with_moves: bool = True
+) -> tuple[list[list[Move]] | None, list[list[int]], list[tuple[int, ...]]]:
+    """The canonical move lists (None unless ``with_moves``), their target
+    indices and the :func:`invariant` of each element; a raw result that
+    is no enumerated orbit raises :class:`OrderCheckFailed`.
+
+    The orbits of one transport matrix, which :func:`enumerate_orbits`
+    lists together, share one :class:`_SharedMatrix`, and the orbits of
+    one decoration one free table, which serves their checkers and their
+    keys.
+    """
     index = {(el.matrix.m, el.delta): k for k, el in enumerate(elements)}
-    moves_of: list[list[Move]] = []
+    moves_of: list[list[Move]] | None = [] if with_moves else None
     targets_of: list[list[int]] = []
+    keys: list[tuple[int, ...]] = []
+    mat = None
+    free_of: dict[tuple[Position, ...], tuple[tuple[int, ...], ...]] = {}
     for a, el in enumerate(elements):
-        checked = list(_checked_moves(el))
-        moves_of.append([mv for mv, _ in checked])
+        if mat is None or mat.tm != el.matrix:
+            mat = _SharedMatrix(el.matrix)
+        free = free_of.get(el.delta)
+        if free is None:
+            free = free_of[el.delta] = _threshold_table(el.delta, el.q, el.r)
+        keys.append(_key(mat.ranks, free))
+        checked = list(_checked_moves(el, _Orbit(mat, el.delta, free)))
+        if moves_of is not None:
+            moves_of.append([mv for mv, _ in checked])
         targets = [index.get(raw) for _, raw in checked]
         if None in targets:
             mv, raw = checked[targets.index(None)]
@@ -537,7 +641,7 @@ def _move_edges(
                 raise OrderCheckFailed(msg) from exc
             raise OrderCheckFailed(f"move {mv} of element {a} gives no enumerated orbit")
         targets_of.append(targets)
-    return moves_of, targets_of
+    return moves_of, targets_of, keys
 
 
 def _poset(elements: tuple[DecoratedMatrix, ...], moves_of, targets_of) -> Poset:
@@ -563,10 +667,10 @@ def build_poset(
     otherwise.
     """
     elements = tuple(enumerate_orbits(b, c))
-    moves_of, targets_of = _move_edges(elements)
+    moves_of, targets_of, keys = _move_edges(elements)
     poset = _poset(elements, moves_of, targets_of)
     if check_reduction:
-        leq = dominance_masks([invariant(el) for el in elements])
+        leq = dominance_masks(keys)
         reach, _, not_covers, _ = generated(leq, targets_of)
         if reach != leq:
             raise OrderCheckFailed("move closure differs from the rank order")
@@ -590,10 +694,8 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
     """
     _check_same_shape(x.matrix, y.matrix)
     q, r = x.q, x.r
-    goal_ranks = _ranks(y.matrix.m, r)
-    goal_rbar = _rbar(goal_ranks, y.delta, q, r)
-    ranks = _ranks(x.matrix.m, r)
-    rbar = _rbar(ranks, x.delta, q, r)
+    goal_ranks, goal_rbar = _tables(y)
+    ranks, rbar = _tables(x)
     if not (all(map(ge, ranks, goal_ranks)) and all(map(ge, rbar, goal_rbar))):
         return None
     chain: list[Move] = []
@@ -646,21 +748,23 @@ def verify_equivalence(b: tuple[int, ...], c: tuple[int, ...]) -> EquivalenceRep
     greedy chain construction reaches every comparable target.
     """
     elements = tuple(enumerate_orbits(b, c))
-    return _report(b, c, elements, _move_edges(elements)[1])
+    _, targets_of, keys = _move_edges(elements, with_moves=False)
+    return _report(b, c, targets_of, keys)
 
 
 def _verified_poset(b: tuple[int, ...], c: tuple[int, ...]) -> tuple[EquivalenceReport, Poset]:
     """``verify_equivalence`` and ``build_poset(check_reduction=False)``
     from one enumeration of the orbits and their moves."""
     elements = tuple(enumerate_orbits(b, c))
-    moves_of, targets_of = _move_edges(elements)
-    return _report(b, c, elements, targets_of), _poset(elements, moves_of, targets_of)
+    moves_of, targets_of, keys = _move_edges(elements)
+    return _report(b, c, targets_of, keys), _poset(elements, moves_of, targets_of)
 
 
-def _report(b, c, elements: tuple[DecoratedMatrix, ...], targets_of) -> EquivalenceReport:
-    """The checks of :func:`verify_equivalence` on a computed move graph."""
-    count = len(elements)
-    leq = dominance_masks([invariant(el) for el in elements])
+def _report(b, c, targets_of, keys) -> EquivalenceReport:
+    """The checks of :func:`verify_equivalence` on a computed move graph
+    whose elements have the order keys ``keys``."""
+    count = len(keys)
+    leq = dominance_masks(keys)
     reach, cover_masks, not_covers, not_moves = generated(leq, targets_of)
     disagree = [a for a in range(count) if reach[a] != leq[a]]
     counterexamples = [f"element {a}: move closure and rank order disagree" for a in disagree]

@@ -39,7 +39,6 @@ from .decorated import (
     RBarTable,
     _threshold_table,
     decorated_from_tables,
-    delta_table,
 )
 from .moves import Move, apply_move
 
@@ -683,7 +682,7 @@ def verify_move_degeneration(dm: DecoratedMatrix, move: Move) -> MoveDegeneratio
         orbit, sample = (family.target, "family") if tau else (dm, "limit")
         config = _family_at(family, tau)
         rank, rbar = geometric_rank_tables(config)
-        want = (rank_table(orbit.matrix).values, delta_table(orbit))
+        want = (rank_table(orbit.matrix).values, _threshold_table(orbit.delta, orbit.q, orbit.r))
         if (rank.values, rbar.delta_values) != want:
             _require_basis(config, tau)
             got = decorated_from_tables(rank.values, rbar.delta_values)

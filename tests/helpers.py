@@ -218,6 +218,19 @@ def first_entry(tables_x, tables_y, differs):
     return None
 
 
+def first_by_invariant(x, y, differs):
+    """The ``rk_*`` scan over the public ``invariant`` tuples: the
+    ``(table, (i, j), xval, yval)`` of their first entry where
+    ``differs(xval, yval)``, ``r`` at even and ``rbar`` at odd entries."""
+    from lineflags import invariant
+
+    ix, iy = invariant(x), invariant(y)
+    for k, (u, w) in enumerate(zip(ix, iy)):
+        if differs(u, w):
+            return ("rbar" if k % 2 else "r", divmod(k // 2, x.r + 1), u, w)
+    return None
+
+
 def transitive_reduction(count, leq):
     """Cover pairs of a finite order given by a ``leq(a, t)`` predicate."""
     covers = []

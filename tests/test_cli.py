@@ -183,7 +183,9 @@ class TestVerify:
         seen = []
         real = lineflags.moves._checked_moves
         monkeypatch.setattr(
-            lineflags.moves, "_checked_moves", lambda dm: seen.append(dm) or real(dm)
+            lineflags.moves,
+            "_checked_moves",
+            lambda dm, view=None: seen.append(dm) or real(dm, view),
         )
         code, out, _ = run_cli(["verify", "--b", "1,1,1", "--c", "1,1,1", "--witness"])
         assert code == 0 and out.endswith("PASS\n")

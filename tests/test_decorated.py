@@ -9,6 +9,7 @@ from lineflags import (
     DecoratedMatrix,
     NotAnOrbitInvariant,
     TransportMatrix,
+    ValidationError,
     decorated_from_tables,
     delta_table,
     dimension_full_flags,
@@ -30,6 +31,7 @@ from helpers import (
     compositions,
     decorated_from_tables_by_zero_set,
     delta_by_definition,
+    first_by_invariant,
     first_entry,
     margin_pairs,
     prefix_rank_table,
@@ -60,6 +62,26 @@ class TestDeltaTable:
             for i in range(dm.q + 1):
                 for j in range(dm.r + 1):
                     assert bt.values[i][j] == rt[i][j] + dt[i][j]
+
+
+    @pytest.mark.parametrize(
+        "delta, code",
+        [
+            (((5, 1),), "BadPosition(1)"),
+            (((0, 1),), "BadPosition(1)"),
+            (((1, 3),), "BadPosition(1)"),
+            (((1, 2), (3, 1)), "BadPosition(2)"),
+            (((1.0, 1),), "NotAnInteger(delta)"),
+            (((1, 1, 1),), "BadShape"),
+        ],
+    )
+    def test_a_decorated_cell_outside_the_grid_raises(self, delta, code):
+        """A 2x2 orbit decorated at (5, 1) gave a table of 5 rows."""
+        dm = DecoratedMatrix(from_permutation((1, 2), (1,)).matrix, delta)
+        for table in (delta_table, rbar_table):
+            with pytest.raises(ValidationError) as info:
+                table(dm)
+            assert info.value.code == code
 
 
 class TestDecoratedOrder:
@@ -156,6 +178,34 @@ class TestAgainstDefinition:
             orbits = enumerate_orbits(b, c)
             some = rng.sample(orbits, min(len(orbits), 30))
             check_against_definition(some, [(x, y) for x in some for y in some])
+
+
+class TestScanAgainstInvariant:
+    """The ``rk_*`` scans over the flat tables against the scan over the
+    interleaved ``invariant`` tuples."""
+
+    @staticmethod
+    def check(x, y):
+        witness = first_by_invariant(x, y, operator.lt)
+        assert rk_compare_witness(x, y) == witness
+        assert rk_leq_dec(x, y) == (witness is None)
+        assert rk_first_difference(x, y) == first_by_invariant(x, y, operator.ne)
+
+    def test_every_pair_up_to_mass_three(self):
+        pairs = 0
+        for b, c in margin_pairs(1, 3):
+            orbits = enumerate_orbits(b, c)
+            for x in orbits:
+                for y in orbits:
+                    self.check(x, y)
+                    pairs += 1
+        assert pairs == 1574
+
+    def test_seeded_pairs_at_n5(self):
+        orbits = enumerate_orbits((1,) * 5, (1,) * 5)
+        rng = random.Random(5)
+        for _ in range(300):
+            self.check(*rng.sample(orbits, 2))
 
 
 class TestEnumeration:

@@ -30,6 +30,7 @@ from lineflags import (
     enumerate_orbits,
     find_chain,
     from_permutation,
+    invariant,
     iter_moves,
     normalize_decoration,
     rk_leq_dec,
@@ -45,14 +46,6 @@ from helpers import (
     se_corners_by_definition,
     transitive_reduction,
 )
-
-
-def checked_results(dm):
-    """The moves of ``dm`` with their results built from the raw ones."""
-    return [
-        (mv, lineflags.moves._result(dm, *raw))
-        for mv, raw in lineflags.moves._checked_moves(dm)
-    ]
 
 
 def raw_flip_target(dm, lo, hi):
@@ -104,9 +97,9 @@ def assert_skips_a_level(dm, target):
     )
 
 
-def brute_force_moves(dm):
+def anchor_tuples(dm):
     """Every anchor tuple of every kind over the whole grid, in canonical
-    order, kept where the public ``apply_move`` accepts it."""
+    order."""
     q, r, delta = dm.q, dm.r, dm.delta
     cells = [(i, j) for i in range(1, q + 1) for j in range(1, r + 1)]
     pairs = [(p, s) for p in cells for s in cells if s[0] > p[0] and s[1] > p[1]]
@@ -138,8 +131,14 @@ def brute_force_moves(dm):
         for start in range(len(delta))
         for stop in range(start + 1, len(delta) + 1)
     ]
+    return tuples
+
+
+def brute_force_moves(dm):
+    """The tuples of :func:`anchor_tuples` that the public ``apply_move``
+    accepts."""
     out = []
-    for kind, anchors in tuples:
+    for kind, anchors in anchor_tuples(dm):
         try:
             apply_move(dm, Move(kind, anchors))
         except PreconditionFailed:
@@ -176,27 +175,26 @@ class TestMoveEnumeration:
                         tried += 1
         assert tried == 1806
 
-    def test_moves_are_those_of_the_checked_results(self):
+    def test_moves_are_those_of_the_checked_results(self, checked_to_mass_five):
         for b, c in margin_pairs(1, 4):
             for dm in enumerate_orbits(b, c):
-                checked = checked_results(dm)
+                checked = checked_to_mass_five[dm]
                 assert applicable_moves(dm) == [mv for mv, _ in checked]
                 assert [apply_move(dm, mv) for mv, _ in checked] == [res for _, res in checked]
 
-    def test_flip_products_match_the_change_maps(self):
+    def test_flip_products_match_the_change_maps(self, checked_to_mass_five):
         """IVa and V results are built as products of corner flips; each
         must shift exactly the cells of the move's direct change map."""
         counts = {"IVa": 0, "V": 0}
-        for b, c in margin_pairs(1, 5):
-            for dm in enumerate_orbits(b, c):
-                for mv, res in checked_results(dm):
-                    if mv.kind == "IVa":
-                        assert res == raw_iva_target(dm, mv.anchors)
-                    elif mv.kind == "V":
-                        assert res == raw_cascade_target(dm, mv.anchors[0], mv.anchors[1:])
-                    else:
-                        continue
-                    counts[mv.kind] += 1
+        for dm, checked in checked_to_mass_five.items():
+            for mv, res in checked:
+                if mv.kind == "IVa":
+                    assert res == raw_iva_target(dm, mv.anchors)
+                elif mv.kind == "V":
+                    assert res == raw_cascade_target(dm, mv.anchors[0], mv.anchors[1:])
+                else:
+                    continue
+                counts[mv.kind] += 1
         assert counts == {"IVa": 1137, "V": 16948}
 
     def test_moves_are_listed_without_building_results(self, monkeypatch):
@@ -234,27 +232,64 @@ class TestMoveEnumeration:
 
 class TestOrbitView:
     def test_view_matches_the_definitions(self):
-        """The free table, the transposed orbit and the far corners of
-        the per-orbit view, on every orbit of mass <= 4."""
+        """The free table, the mirror orbit and the far corners of the view
+        of every orbit of mass <= 4; a new matrix part holds nothing
+        before it is asked."""
         views = 0
         for b, c in margin_pairs(1, 4):
             for dm in enumerate_orbits(b, c):
                 m, delta = dm.matrix.m, dm.delta
                 orbit = lineflags.moves._Orbit.of(dm)
-                assert orbit._far == {} and orbit._mirror is None
+                mat = orbit.mat
+                assert type(mat) is lineflags.moves._Matrix and mat.tm is dm.matrix
+                assert vars(orbit).keys().isdisjoint({"mirror"})
+                assert vars(mat).keys() == {"tm", "m", "q", "r"}
                 for i in range(1, dm.q + 1):
                     for j in range(1, dm.r + 1):
                         assert (not orbit.free[i - 1][j - 1]) == dominated((i, j), delta)
-                mirror = orbit.mirror()
+                mirror = orbit.mirror
                 assert (mirror.m, mirror.delta) == lineflags.moves._transpose(m, delta)
                 assert (mirror.tm.b, mirror.tm.c) == (dm.matrix.c, dm.matrix.b)
                 assert mirror.free == delta_table(DecoratedMatrix(mirror.tm, mirror.delta))
-                assert orbit.mirror() is mirror
-                for p in dm.matrix.positive_positions():
+                assert orbit.mirror is mirror and type(mirror.mat) is type(mat)
+                assert mat.support == dm.matrix.positive_positions()
+                for p in mat.support:
                     want = lineflags.twoflags._se_corners(m, *p)
-                    assert orbit.far(p) == want == se_corners_by_definition(m, *p)
+                    assert mat.far[p] == want == se_corners_by_definition(m, *p)
                 views += 1
         assert views == 1694
+
+    def test_kind_II_corner_test_matches_the_scan(self):
+        """``_ii_factors_through_corner`` reads two cells of the free
+        table.  On every orbit of mass <= 4 and every corner pair in the
+        grid it agrees with the scan by :func:`dominated`: ``(i1, j1)`` is
+        free, every other cell with mass northwest of it is dominated, and
+        so is every cell northwest of it in rows ``<= i0`` or columns
+        ``<= j0``."""
+        outcomes = {True: 0, False: 0}
+        for b, c in margin_pairs(1, 4):
+            for dm in enumerate_orbits(b, c):
+                view = lineflags.moves._Orbit.of(dm)
+                q, r, entry = dm.q, dm.r, dm.matrix.entry
+                dom = {
+                    (i, j): dominated((i, j), dm.delta)
+                    for i in range(1, q + 1)
+                    for j in range(1, r + 1)
+                }
+                for i0, i1 in product(range(1, q + 1), repeat=2):
+                    for j0, j1 in product(range(1, r + 1), repeat=2):
+                        if not (i0 < i1 and j0 < j1):
+                            continue
+                        northwest = [(i, j) for (i, j) in dom if i <= i1 and j <= j1]
+                        want = (
+                            not dom[i1, j1]
+                            and all(dom[p] for p in northwest if entry(*p) and p != (i1, j1))
+                            and all(dom[i, j] for (i, j) in northwest if i <= i0 or j <= j0)
+                        )
+                        got = lineflags.moves._ii_factors_through_corner(view, i0, j0, i1, j1)
+                        assert got == want, (dm, (i0, j0), (i1, j1))
+                        outcomes[got] += 1
+        assert outcomes[True] > 0 and outcomes[False] > 0
 
     def test_far_corners_on_random_matrices(self):
         rng = random.Random(15)
@@ -273,6 +308,60 @@ class TestOrbitView:
             applicable_moves(dm)
         with pytest.raises(ValidationError):
             apply_move(dm, Move("I", ((2, 2),)))
+
+
+class TestSharedMatrixPart:
+    def test_move_edges_match_the_per_orbit_moves(self, checked_to_mass_five):
+        """``_move_edges`` shares one matrix part among the orbits of a
+        matrix.  Its moves, targets and keys are those of the per-orbit
+        view on every margin pair of mass <= 4, on (2,2,1)x(1,2,2) and on
+        full flags n=5; without the moves it returns the same targets and
+        keys."""
+        pairs = margin_pairs(1, 4) + [((2, 2, 1), (1, 2, 2)), ((1,) * 5, (1,) * 5)]
+        for b, c in pairs:
+            elements = tuple(enumerate_orbits(b, c))
+            index = {el: k for k, el in enumerate(elements)}
+            moves_of, targets_of, keys = lineflags.moves._move_edges(elements)
+            lean = lineflags.moves._move_edges(elements, with_moves=False)
+            assert lean == (None, targets_of, keys)
+            rows = zip(elements, moves_of, targets_of, keys, strict=True)
+            for el, moves, targets, key in rows:
+                checked = checked_to_mass_five[el]
+                assert moves == [mv for mv, _ in checked]
+                assert targets == [index[res] for _, res in checked]
+                assert key == invariant(el)
+
+    def test_checkers_on_a_shared_matrix_part_match_a_new_one(self):
+        """Every anchor tuple of every kind, on every orbit of mass <= 4,
+        gets the same outcome from one matrix part shared by the orbits of
+        its matrix as from a new part for each check."""
+        tried = 0
+        for b, c in margin_pairs(1, 4):
+            mat = None
+            for dm in enumerate_orbits(b, c):
+                if mat is None or mat.tm != dm.matrix:
+                    mat = lineflags.moves._SharedMatrix(dm.matrix)
+                    assert type(mat.mirror) is lineflags.moves._SharedMatrix
+                    assert all(getattr(mat, name) is getattr(mat, name) for name in ("mirror", "support", "far"))
+                shared = lineflags.moves._Orbit(mat, dm.delta, delta_table(dm))
+                for kind, anchors in anchor_tuples(dm):
+                    check = lineflags.moves._TRY[kind]
+                    assert check(shared, anchors) == check(lineflags.moves._Orbit.of(dm), anchors)
+                    tried += 1
+        assert tried == 73769
+
+    def test_verify_equivalence_keeps_no_move_lists(self, monkeypatch):
+        real = lineflags.moves._move_edges
+        calls = []
+
+        def move_edges(elements, with_moves=True):
+            calls.append(with_moves)
+            return real(elements, with_moves)
+
+        monkeypatch.setattr(lineflags.moves, "_move_edges", move_edges)
+        assert verify_equivalence((1, 1, 1), (1, 1, 1)).passed
+        build_poset((1, 1, 1), (1, 1, 1))
+        assert calls == [False, True]
 
 
 class TestPreconditions:
@@ -494,12 +583,8 @@ MIRROR_REJECTIONS = [
 
 
 class TestMirrorKinds:
-    def test_moves_of_the_transpose_mirror_the_moves(self):
-        checked = {
-            dm: checked_results(dm)
-            for b, c in margin_pairs(1, 5)
-            for dm in enumerate_orbits(b, c)
-        }
+    def test_moves_of_the_transpose_mirror_the_moves(self, checked_to_mass_five):
+        checked = checked_to_mass_five
         assert len(checked) == 1694 + 24949
         flipped = {dm: transpose(dm) for dm in checked}
         for dm, pairs in checked.items():
@@ -660,9 +745,9 @@ def sabotage(monkeypatch, drop=(), extra=None):
     real = lineflags.moves._checked_moves
     fake = Move("V", ((0, 0), (0, 0)))
 
-    def checked(dm):
+    def checked(dm, view=None):
         if dm not in drop:
-            yield from real(dm)
+            yield from real(dm, view)
         if extra and dm == extra[0]:
             yield fake, (extra[1].matrix.m, extra[1].delta)
 
@@ -717,7 +802,7 @@ class TestSabotagedMoves:
             from lineflags import OrderCheckFailed, build_poset
 
             real = moves._checked_moves
-            moves._checked_moves = lambda dm: list(real(dm))[1:]
+            moves._checked_moves = lambda dm, view=None: list(real(dm, view))[1:]
             print("debug", __debug__)
             try:
                 build_poset((1, 1), (1, 1))
