@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, zip_longest
 from math import gcd, lcm
 from operator import add, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .flagcore import (
     DecoratedMatrix,
@@ -90,7 +90,9 @@ class IntEchelon:
     from ``numerator``/``denominator`` and elimination cross-multiplies,
     as in Bareiss's integer-preserving scheme, so no ``Fraction`` is
     built.  ``add`` either absorbs a vector already in the span
-    (returning False) or extends the span by it (returning True).
+    (returning False) or extends the span by it (returning True).  The
+    oracle's own integer vectors skip the clearing: they go through
+    ``_reduce`` and ``_insert``, the two halves of ``add``.
     """
 
     def __init__(self) -> None:
@@ -100,10 +102,9 @@ class IntEchelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Sequence[Fraction | int]) -> list[int]:
-        """A nonzero integer multiple of ``vec`` minus a combination of
-        the stored rows, vanishing at every pivot."""
-        v = _integral(vec)
+    def _reduce(self, v: Sequence[int]) -> Sequence[int]:
+        """A nonzero multiple of the integer vector ``v`` minus a
+        combination of the stored rows, vanishing at every pivot."""
         for col, row in self._rows.items():
             f = v[col]
             if f:
@@ -112,7 +113,10 @@ class IntEchelon:
         return v
 
     def add(self, vec: Sequence[Fraction | int]) -> bool:
-        v = self._reduce(vec)
+        return self._insert(self._reduce(_integral(vec)))
+
+    def _insert(self, v: Sequence[int]) -> bool:
+        """Store ``v``, already reduced, unless it vanishes."""
         k = next((idx for idx, x in enumerate(v) if x != 0), None)
         if k is None:
             return False
@@ -236,27 +240,44 @@ def standard_configuration(
     return Configuration(n, (tuple(a_vec),), b_levels, c_levels)
 
 
-def _triangular_coordinates(x: list[int], rows: dict[int, list[int]]) -> list[int]:
-    """Integer coordinates of ``x`` in a triangular basis.
+def _triangular_coordinates(
+    x: list[int], rows: dict[int, list[int]]
+) -> tuple[list[int], list[int]]:
+    """Integer coordinates of ``x`` in a triangular basis, in one pass.
 
-    ``rows[p]`` vanishes before its pivot ``p``; the basis is these rows
-    together with the unit vectors at the positions that are no row's
-    pivot.  Positions are read in increasing order, so each coefficient
-    is found once.  The result is a nonzero multiple of the coordinates;
-    on the unit positions it is also the residual of ``x`` reduced
-    against the rows.
+    ``rows`` maps a pivot to its row, in the order the rows were kept,
+    and each row vanishes at the pivots of the rows kept before it.  The
+    basis is these rows together with the unit vectors at the positions
+    that are no row's pivot.  Eliminating ``x`` at the pivots in the
+    order kept finds each coefficient once.  Returns ``(y, residual)``
+    with ``c * x == sum(y[t] * row_t) + residual`` for a nonzero integer
+    ``c``: ``y`` holds the rows' coefficients in order, and the residual,
+    zero at every pivot, those of the unit vectors.
     """
-    y = [0] * len(x)
-    for p in range(len(x)):
+    y = []
+    for p, row in rows.items():
         f = x[p]
         if f:
-            row = rows.get(p)
-            if row is not None:
-                lead = row[p]
-                x = [a * lead - f * b for a, b in zip(x, row)]
-                y = [v * lead for v in y]
-            y[p] = f
-    return y
+            lead = row[p]
+            x = [a * lead - f * b for a, b in zip(x, row)]
+            y = [v * lead for v in y]
+        y.append(f)
+    return y, x
+
+
+def _keep_rows(levels: Iterable[Sequence[list[int]]], rows: dict[int, list[int]]) -> list[int]:
+    """Reduce the levels' vectors forward, in order, into ``rows``: a
+    vector outside their span is kept as its residual, at its first
+    nonzero position.  Returns each kept row's level, counted from 1."""
+    kept = []
+    for j, level in enumerate(levels, start=1):
+        for x in level:
+            _, v = _triangular_coordinates(x, rows)
+            k = next((p for p, a in enumerate(v) if a), None)
+            if k is not None:
+                rows[k] = _int_normalize(v, k)
+                kept.append(j)
+    return kept
 
 
 def _fresh(levels: Sequence[tuple]) -> list[tuple]:
@@ -278,15 +299,18 @@ def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
     Both are read from one basis adapted to both flags, as in the proof
     that orbits are decorated matrices:
 
-    * ``B`` is reduced to a basis level by level and completed by unit
-      vectors at level ``q + 1``.  One echelon of ``[basis | I]`` gives
-      coordinates in it, ordered so that a vector's first nonzero
-      coordinate is on its last basis vector.
+    * The generators of ``B`` are reduced forward, level by level, into
+      triangular rows.  With unit vectors at the positions that are no
+      row's pivot (level ``q + 1``) they form a basis adapted to ``B``.
+      A vector's coordinates in it come from one forward pass over the
+      rows.  They are read in reverse, last basis vector first, so that
+      a vector's first nonzero coordinate is on the basis vector of the
+      lowest level of ``B`` that holds it.
     * The ``C`` generators are reduced in order on these coordinates,
-      without back-substitution, so each kept vector lies in its own
-      level of ``C``.  With unit vectors at the other positions (level
-      ``r + 1`` of ``C``) they form the adapted basis, each vector at a
-      slot ``(B-level, C-level)``.
+      again forward only, so each kept vector lies in its own level of
+      ``C`` and in the level of ``B`` of its pivot.  With unit vectors at
+      the other positions (level ``r + 1`` of ``C``) they form the
+      adapted basis, each vector at a slot ``(B-level, C-level)``.
     * ``r[i][j]`` counts the slots northwest of ``(i, j)``, and
       ``delta[i][j]`` is ``dim(A)`` minus the rank of the line's
       coordinates on the other slots.  A line with one generator has
@@ -294,49 +318,35 @@ def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
       southeast of ``(i, j)``, so its ``delta`` is read from per-row
       thresholds, as :func:`delta_table` reads a decoration.
 
-    A level that starts with the one before it is read from where they
-    differ, so cumulative levels eliminate each generator once.  These
-    tables are the whole check of :func:`verify_move_degeneration`: it
-    compares them with the tables of the orbit each sample should lie in.
+    Each generator is made integral once, on entry.  A level that starts
+    with the one before it is read from where they differ, so cumulative
+    levels eliminate each generator once.  These tables are the whole
+    check of :func:`verify_move_degeneration`: it compares them with the
+    tables of the orbit each sample should lie in.
     """
     n, q, r = config.n, len(config.b_levels), len(config.c_levels)
-    units = tuple(tuple(int(k == col) for col in range(n)) for k in range(n))
-    echelon = IntEchelon()
-    basis, b_level = [], []
-    for i, level in enumerate(_fresh((*config.b_levels, units)), start=1):
-        for g in level:
-            if echelon.rank < n and echelon.add(g):
-                basis.append(g)
-                b_level.append(i)
-    basis.reverse()
-    b_level.reverse()
-    inverse = IntEchelon()
-    for g, unit in zip(basis, units):
-        inverse.add([*g, *unit])
-    # Row ``c`` of the echelon is ``[lead * e_c | w]`` with ``w . basis =
-    # lead * e_c``; scaled to a common lead, the ``w`` are the rows of
-    # the inverse of the basis.
-    solved = [inverse._rows[c] for c in range(n)]
-    scale = lcm(*(row[c] for c, row in enumerate(solved)))
-    inverse_rows = [[x * (scale // row[c]) for x in row[n:]] for c, row in enumerate(solved)]
-    to_basis = list(zip(*inverse_rows))
+    b_fresh, c_fresh = (
+        [[_integral(g) for g in level] for level in _fresh(levels)]
+        for levels in (config.b_levels, config.c_levels)
+    )
+    b_rows: dict[int, list[int]] = {}
+    b_kept = _keep_rows(b_fresh, b_rows)
+    b_units = [p for p in range(n) if p not in b_rows][::-1]
+    b_level = [q + 1] * len(b_units) + b_kept[::-1]
 
-    def coordinates(vec: Sequence[Fraction | int]) -> list[int]:
-        v = _integral(vec)
-        return [sum(map(mul, v, col)) for col in to_basis]
+    def coordinates(vec: list[int]) -> list[int]:
+        y, residual = _triangular_coordinates(vec, b_rows)
+        return [residual[p] for p in b_units] + y[::-1]
 
     rows: dict[int, list[int]] = {}
-    c_level = [r + 1] * n
-    for j, level in enumerate(_fresh(config.c_levels), start=1):
-        for g in level:
-            y = _triangular_coordinates(coordinates(g), rows)
-            residual = [0 if p in rows else v for p, v in enumerate(y)]
-            k = next((p for p, v in enumerate(residual) if v), None)
-            if k is not None:
-                rows[k] = _int_normalize(residual, k)
-                c_level[k] = j
-    slots = list(zip(b_level, c_level))
-    line = [_triangular_coordinates(coordinates(g), rows) for g in config.a]
+    c_kept = _keep_rows(([coordinates(g) for g in level] for level in c_fresh), rows)
+    c_units = [p for p in range(n) if p not in rows]
+    slots = [(b_level[p], j) for p, j in zip(rows, c_kept)]
+    slots += [(b_level[p], r + 1) for p in c_units]
+    line = []
+    for g in config.a:
+        y, residual = _triangular_coordinates(coordinates(_integral(g)), rows)
+        line.append(y + [residual[p] for p in c_units])
     support = [(slot, column) for slot, *column in zip(slots, *line) if any(column)]
 
     def outside_rank(i: int, j: int) -> int:
@@ -344,7 +354,7 @@ def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
         taken over its columns there (one per slot of its support)."""
         columns = [column for (bi, cj), column in support if bi > i and cj > j]
         probe = IntEchelon()
-        return sum(map(probe.add, columns))
+        return sum(probe._insert(probe._reduce(column)) for column in columns)
 
     if len(line) == 1 and support:
         d_values = _threshold_table([slot for slot, _ in support], q, r)
@@ -467,6 +477,18 @@ def _v_eval(u: _PolyVec, x: Fraction | int) -> tuple[Fraction | int, ...]:
     out = u[-1]
     for row in reversed(u[:-1]):
         out = tuple(a * x + b for a, b in zip(out, row))
+    return out
+
+
+def _v_sample(u: _PolyVec, x: Fraction | int) -> tuple[int, ...]:
+    """``d**deg * u(p/d)`` for ``x = p/d`` in lowest terms: a nonzero
+    multiple of the value at ``x`` with integer entries, by Horner's rule
+    on the homogeneous form of ``u``."""
+    p, d = x.numerator, x.denominator
+    out, scale = u[-1], 1
+    for row in reversed(u[:-1]):
+        scale *= d
+        out = tuple(a * p + b * scale for a, b in zip(out, row))
     return out
 
 
@@ -607,17 +629,27 @@ def _family_vectors(dm: DecoratedMatrix, move: Move) -> _Family:
     slots = _source_slots(tgt)
     vmap = {slot: specials[slot] if slot in specials else e(*slot) for slot in slots}
     a_vec = _v_sum([vmap[(i, j, 1)] for (i, j) in a_set])
+    # The samples are built unchecked (see ``_family_at``), so the rows
+    # are checked here, once for every ``tau``.
+    rows = [row for vec in (*vmap.values(), a_vec) for row in vec]
+    if any(len(row) != n for row in rows):
+        raise ValidationError("BadShape")
+    if any(type(x) is not int for row in rows for x in row):
+        raise ValidationError("NotARational(config)")
     return _Family(target, vmap, a_vec, slots, _column_major(slots))
 
 
-def _family_at(family: _Family, tau: Fraction | int) -> Configuration:
+def _family_at(family: _Family, tau: Fraction | int, value: Callable = _v_sample) -> Configuration:
     """The family's configuration at ``tau``, or its exact limit at ``tau
-    = 0``.  Whether a nonzero ``tau`` gives a basis is not checked."""
+    = 0``, built without the checks that :func:`_family_vectors` made
+    once.  A nonzero ``tau`` gives each vector as ``value(vector, tau)``:
+    by default the integer multiple :func:`_v_sample`, which spans the
+    same flags.  Whether a nonzero ``tau`` gives a basis is not checked."""
     orders = (family.by_row, family.by_column)
     if tau != 0:
-        numeric = {slot: _v_eval(vec, tau) for slot, vec in family.vectors.items()}
+        numeric = {slot: value(vec, tau) for slot, vec in family.vectors.items()}
         levels = [[numeric[s] for s in slots] for slots in orders]
-        a_row = _v_eval(family.line, tau)
+        a_row = value(family.line, tau)
     else:
         levels = [_saturate_limit([family.vectors[s] for s in slots]) for slots in orders]
         content = _v_order(family.line)
@@ -625,7 +657,10 @@ def _family_at(family: _Family, tau: Fraction | int) -> Configuration:
             raise FlagError("family line vanishes identically")
         a_row = family.line[content]
     tgt = family.target.matrix
-    return Configuration(tgt.n, (a_row,), *_flag_levels(tgt, *levels))
+    b_levels, c_levels = _flag_levels(tgt, *levels)
+    config = object.__new__(Configuration)
+    vars(config).update(n=tgt.n, a=(a_row,), b_levels=b_levels, c_levels=c_levels)
+    return config
 
 
 def _require_basis(config: Configuration, tau: Fraction | int) -> None:
@@ -649,7 +684,7 @@ def degeneration_family(
     """
     if not _is_rational(tau):
         raise ValidationError("NotARational(tau)")
-    config = _family_at(_family_vectors(dm, move), tau)
+    config = _family_at(_family_vectors(dm, move), tau, _v_eval)
     _require_basis(config, tau)
     return config
 
@@ -677,12 +712,16 @@ def verify_move_degeneration(dm: DecoratedMatrix, move: Move) -> MoveDegeneratio
     :func:`degeneration_family`), to name the orbit it lies in.
     """
     family = _family_vectors(dm, move)
+    checks = [
+        (orbit, (rank_table(orbit.matrix).values, _threshold_table(orbit.delta, orbit.q, orbit.r)))
+        for orbit in (dm, family.target)
+    ]
     failures: list[str] = []
     for tau in (1, 2, Fraction(1, 3), 0):
-        orbit, sample = (family.target, "family") if tau else (dm, "limit")
+        orbit, want = checks[tau != 0]
+        sample = "family" if tau else "limit"
         config = _family_at(family, tau)
         rank, rbar = geometric_rank_tables(config)
-        want = (rank_table(orbit.matrix).values, _threshold_table(orbit.delta, orbit.q, orbit.r))
         if (rank.values, rbar.delta_values) != want:
             _require_basis(config, tau)
             got = decorated_from_tables(rank.values, rbar.delta_values)

@@ -1,6 +1,9 @@
 """The exact geometric oracle: configurations, ranks, degenerations."""
 
+import hashlib
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 
@@ -193,13 +196,20 @@ class TestTriangularCoordinates:
         for _ in range(400):
             n = rng.randint(1, 6)
             rows = {}
-            for p in sorted(rng.sample(range(n), rng.randint(0, n))):
-                tail = [rng.randint(-3, 3) for _ in range(p + 1, n)]
-                rows[p] = [0] * p + [rng.choice((1, 2, 3, -2))] + tail
+            # Each row vanishes at the pivots kept before it; its other
+            # entries, before its pivot too, are arbitrary.
+            for p in rng.sample(range(n), rng.randint(0, n)):
+                row = [0 if k in rows else rng.randint(-3, 3) for k in range(n)]
+                row[p] = rng.choice((1, 2, 3, -2))
+                rows[p] = row
             x = [rng.choice((0, rng.randint(-3, 3))) for _ in range(n)]
-            y = _triangular_coordinates(x, rows)
-            basis = [rows.get(p, [int(k == p) for k in range(n)]) for p in range(n)]
-            rebuilt = [sum(y[p] * basis[p][k] for p in range(n)) for k in range(n)]
+            y, residual = _triangular_coordinates(x, rows)
+            assert len(y) == len(rows)
+            assert not any(residual[p] for p in rows)
+            rebuilt = [
+                sum(c * row[k] for c, row in zip(y, rows.values())) + residual[k]
+                for k in range(n)
+            ]
             lead = next((k for k, v in enumerate(x) if v), None)
             if lead is None:
                 assert not any(rebuilt)
@@ -444,27 +454,54 @@ class TestGeometricTables:
             assert (rank.values, rbar.delta_values) == rank_tables_by_definition(config)
         assert len(configs) == 210
 
+    def test_match_the_definition_on_family_samples(self):
+        """The integer samples that :func:`verify_move_degeneration` checks,
+        at each of its parameters, on sampled covers of full flags and
+        of partial margins of mass 4."""
+        rng = random.Random(17)
+        full, partial = [], []
+        for dm, mv in cover_moves(4, 4):
+            (full if dm.matrix.b == dm.matrix.c == (1,) * 4 else partial).append((dm, mv))
+        samples = 0
+        for dm, mv in rng.sample(full, 25) + rng.sample(partial, 25):
+            family = witness._family_vectors(dm, mv)
+            for tau in (1, 2, Fraction(1, 3), 0):
+                config = witness._family_at(family, tau)
+                entries = chain(config.a, *config.b_levels, *config.c_levels)
+                assert all(type(x) is int for vec in entries for x in vec)
+                rank, rbar = geometric_rank_tables(config)
+                assert (rank.values, rbar.delta_values) == rank_tables_by_definition(config)
+                samples += 1
+        assert samples == 200
+
     def test_each_generator_is_eliminated_once(self, monkeypatch):
+        """One forward pass per generator over the basis adapted to ``B``
+        (the generators of ``B`` are reduced, those of ``C`` and of the
+        line solved), one more per generator of ``C`` and of the line
+        over the rows kept from ``C``, and no echelon: inverting the
+        basis of ``B`` would need one."""
         dm = from_permutation((4, 3, 2, 1), (1,))
         config = standard_configuration(dm.matrix, dm.delta)
-        calls = 0
+        passes = Counter()
+        echelon_reductions = 0
+        forward, reduce = witness._triangular_coordinates, IntEchelon._reduce
 
-        def counted(fn):
-            def wrapper(*args):
-                nonlocal calls
-                calls += 1
-                return fn(*args)
+        def counted_forward(x, rows):
+            passes[id(rows)] += 1
+            return forward(x, rows)
 
-            return wrapper
+        def counted_reduce(self, v):
+            nonlocal echelon_reductions
+            echelon_reductions += 1
+            return reduce(self, v)
 
-        monkeypatch.setattr(IntEchelon, "add", counted(IntEchelon.add))
-        monkeypatch.setattr(
-            witness, "_triangular_coordinates", counted(witness._triangular_coordinates)
-        )
+        monkeypatch.setattr(witness, "_triangular_coordinates", counted_forward)
+        monkeypatch.setattr(IntEchelon, "_reduce", counted_reduce)
         geometric_rank_tables(config)
-        # Each basis vector of B enters the basis echelon and the one of
-        # [basis | I]; each generator of C and of the line is solved once.
-        assert calls <= 4 + 4 + 4 + 1
+        over_b, over_c = passes.values()
+        assert over_b <= 4 + 4 + 1
+        assert over_c <= 4 + 1
+        assert echelon_reductions == 0
 
     def test_match_combinatorial_tables(self):
         for b, c in (((1, 1, 1), (1, 1, 1)), ((2, 1), (1, 2)), ((1, 2), (2, 1))):
@@ -600,6 +637,76 @@ class TestDegenerationFamilies:
         (mv,) = [m for m in applicable_moves(lo) if m.kind == "V"]
         with pytest.raises(ValidationError, match=r"NotARational\(tau\)"):
             degeneration_family(lo, mv, tau)
+
+    def test_public_samples_are_exact_and_unchanged(self):
+        """``degeneration_family`` returns a ``Configuration`` of exact
+        values, although the oracle checks integer multiples of them.
+
+        Two covers of each kind are taken from full flags at n = 4 and
+        from the margins ``(1,1,1,1)|(1,2,1)`` and back, which hold the
+        kinds IVb and IVc.  The digest pins their serialized samples, as
+        evaluated in exact ``Fraction`` arithmetic.
+        """
+        picked = {}
+        margins = (((1,) * 4, (1,) * 4), ((1, 1, 1, 1), (1, 2, 1)), ((1, 2, 1), (1, 1, 1, 1)))
+        for b, c in margins:
+            poset = build_poset(b, c, check_reduction=False)
+            for (a, _), mv in zip(poset.covers, poset.cover_moves):
+                if len(picked.setdefault(mv.kind, [])) < 2:
+                    picked[mv.kind].append((poset.elements[a], mv))
+        assert sorted(picked) == ["I", "II", "IIIa", "IIIb", "IVa", "IVb", "IVc", "V"]
+
+        def exact(vec, tau):
+            """The polynomial vector's exact value at ``tau``."""
+            return tuple(
+                sum(row[k] * tau**p for p, row in enumerate(vec)) for k in range(len(vec[0]))
+            )
+
+        objs = []
+        for kind in sorted(picked):
+            for dm, mv in picked[kind]:
+                family = witness._family_vectors(dm, mv)
+                for tau in (1, 2, Fraction(1, 3), -3, 0):
+                    config = degeneration_family(dm, mv, tau)
+                    assert type(config) is Configuration
+                    checked = Configuration(config.n, config.a, config.b_levels, config.c_levels)
+                    assert checked == config
+                    objs.append(configuration_to_obj(config))
+                    if not tau:
+                        continue
+                    assert config.a == (exact(family.line, tau),)
+                    for levels, slots in (
+                        (config.b_levels, family.by_row),
+                        (config.c_levels, family.by_column),
+                    ):
+                        assert levels[-1] == tuple(exact(family.vectors[s], tau) for s in slots)
+                    entries = [x for vec in chain(config.a, *config.b_levels[-1:]) for x in vec]
+                    assert all(type(x) in (int, Fraction) for x in entries)
+                    if tau == Fraction(1, 3):
+                        assert any(type(x) is Fraction and x.denominator > 1 for x in entries)
+        digest = hashlib.sha256(json.dumps(objs).encode()).hexdigest()
+        assert digest == "c656c55fbfd31b1b3d6475218a5bb2cbfe971e4840a98651538712d34b155399"
+
+    @pytest.mark.parametrize(
+        "unit, error",
+        [
+            (
+                lambda n, idx: (tuple(float(k == idx) for k in range(n)),),
+                r"NotARational\(config\)",
+            ),
+            (lambda n, idx: (tuple(int(k == idx) for k in range(n + 1)),), "BadShape"),
+        ],
+        ids=["float", "long"],
+    )
+    def test_family_rows_are_checked(self, monkeypatch, unit, error):
+        """The samples skip the checks of ``Configuration``, so a family
+        whose rows are not integer vectors of length ``n`` is refused
+        when it is built."""
+        lo = from_permutation((1, 2), (2,))
+        (mv,) = [m for m in applicable_moves(lo) if m.kind == "V"]
+        monkeypatch.setattr(witness, "_v_unit", unit)
+        with pytest.raises(ValidationError, match=error):
+            verify_move_degeneration(lo, mv)
 
     def test_every_small_cover_is_a_degeneration(self, poset2):
         for (a, t), mv in zip(poset2.covers, poset2.cover_moves):
