@@ -14,10 +14,9 @@ entrywise order, now on the pair of tables ``(r, rbar)`` jointly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress, count
 from operator import add, itemgetter, lt, ne
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .flagcore import (
     DecoratedMatrix,
@@ -62,28 +61,18 @@ class NotAnOrbitInvariant(FlagError):
     """The given tables do not arise from any decorated matrix."""
 
 
-@dataclass(frozen=True)
-class RBarTable:
+class RBarTable(NamedTuple):
     """Augmented ranks and their 0/1 increments over the bordered grid.
 
     ``values[i][j] = r[i][j] + delta_values[i][j]`` for
-    ``0 <= i <= q``, ``0 <= j <= r``.
+    ``0 <= i <= q``, ``0 <= j <= r``; ``q``, ``r`` and ``t[i, j]`` read
+    ``values`` as those of :class:`RankTable` do.
     """
 
     values: tuple[tuple[int, ...], ...]
     delta_values: tuple[tuple[int, ...], ...]
 
-    @property
-    def q(self) -> int:
-        return len(self.values) - 1
-
-    @property
-    def r(self) -> int:
-        return len(self.values[0]) - 1
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.values[i][j]
+    q, r, __getitem__ = RankTable.q, RankTable.r, RankTable.__getitem__
 
 
 def _threshold_table(

@@ -15,9 +15,8 @@ always inside the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Position = tuple[int, int]
 
@@ -201,8 +200,7 @@ def validate_composition(parts: tuple[int, ...]) -> str | None:
 # Transport matrices and decorations
 
 
-@dataclass(frozen=True)
-class TransportMatrix:
+class TransportMatrix(NamedTuple):
     """A q x r matrix of nonnegative integers with margins b and c.
 
     ``m`` is stored as a tuple of row tuples; ``b`` and ``c`` are the
@@ -250,8 +248,7 @@ class TransportMatrix:
         return [(i, j) for i, row in enumerate(self.m, 1) for j, x in enumerate(row, 1) if x > 0]
 
 
-@dataclass(frozen=True)
-class DecoratedMatrix:
+class DecoratedMatrix(NamedTuple):
     """A transport matrix with a NE-to-SW staircase of decorated positions.
 
     ``delta`` is stored sorted by increasing row; every decorated

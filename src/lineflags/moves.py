@@ -36,10 +36,9 @@ a candidate's ranks with the target's before it reads the decoration.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from operator import ge
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .flagcore import (
     DecoratedMatrix,
@@ -80,8 +79,7 @@ __all__ = [
 KIND_ORDER = ("I", "II", "IIIa", "IIIb", "IVa", "IVb", "IVc", "V")
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """A move kind together with its anchor positions.
 
     Anchor layout by kind:  ``I``: ``((i1,j1),)``.  ``II``, ``IIIa``,
@@ -454,11 +452,12 @@ def _mirror_clause(clause: str) -> str:
 def _mirrored(try_fn):
     """The mirror of a checker: run it on the transposed orbit, built
     once per orbit on the matrix part's transpose, and the transposed
-    anchors, then transpose its result, or its clause, back."""
+    anchors, then transpose its result back.  A clause stays in the base
+    kind's names: only :func:`apply_move` reports one, and mirrors it."""
 
     def try_mirror(v: _Orbit, anchors: tuple[Position, ...]):
         result = try_fn(v.mirror, tuple((j, i) for (i, j) in anchors))
-        return _mirror_clause(result) if isinstance(result, str) else _transpose(*result)
+        return result if isinstance(result, str) else _transpose(*result)
 
     return try_mirror
 
@@ -493,7 +492,8 @@ def apply_move(dm: DecoratedMatrix, move: Move) -> DecoratedMatrix:
         raise PreconditionFailed(move.kind, "anchors must be (i, j) pairs of integers")
     result = try_fn(_Orbit.of(dm), move.anchors)
     if isinstance(result, str):
-        raise PreconditionFailed(move.kind, result)
+        clause = _mirror_clause(result) if move.kind in ("IIIb", "IVc") else result
+        raise PreconditionFailed(move.kind, clause)
     return _result(dm, *result)
 
 
@@ -576,7 +576,6 @@ def applicable_moves(dm: DecoratedMatrix) -> list[Move]:
 # The cover poset
 
 
-@dataclass(frozen=True, eq=False)
 class Poset:
     """Elements and cover relations of the degeneration order.
 
@@ -584,23 +583,31 @@ class Poset:
     covered by element ``b`` (``a < b`` with nothing strictly between);
     ``cover_kinds[k]`` lists the kinds of the moves realizing
     ``covers[k]`` and ``cover_moves[k]`` is the first of those moves in
-    canonical order.
+    canonical order.  A poset is read-only and compares by identity.
     """
 
+    __slots__ = ("elements", "covers", "cover_kinds", "cover_moves", "_index")
     elements: tuple[DecoratedMatrix, ...]
     covers: tuple[tuple[int, int], ...]
     cover_kinds: tuple[tuple[str, ...], ...]
     cover_moves: tuple[Move, ...]
 
-    def index_of(self, dm: DecoratedMatrix) -> int:
-        return self._index[(dm.matrix.m, dm.delta)]
+    def __init__(self, elements, covers, cover_kinds, cover_moves):
+        values = (elements, covers, cover_kinds, cover_moves, None)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "_index",
-            {(el.matrix.m, el.delta): k for k, el in enumerate(self.elements)},
-        )
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return Poset, (self.elements, self.covers, self.cover_kinds, self.cover_moves)
+
+    def index_of(self, dm: DecoratedMatrix) -> int:
+        if self._index is None:  # built on the first call
+            index = {(el.matrix.m, el.delta): k for k, el in enumerate(self.elements)}
+            object.__setattr__(self, "_index", index)
+        return self._index[(dm.matrix.m, dm.delta)]
 
 
 def _move_edges(
@@ -715,8 +722,7 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
     return chain
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Outcome of the exhaustive move/order equivalence check."""
 
     b: tuple[int, ...]

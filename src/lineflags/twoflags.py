@@ -23,10 +23,9 @@ below the larger element, the greedy step of ``moves.find_chain``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, ge
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .flagcore import (
     FlagError,
@@ -62,8 +61,7 @@ class NotStrictlyLess(FlagError):
     """progress_move requires source < target strictly."""
 
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(NamedTuple):
     """Bordered table of running sums, indexed ``values[i][j]`` for
     ``0 <= i <= q``, ``0 <= j <= r``."""
 
@@ -126,8 +124,7 @@ def rk_leq(x: TransportMatrix, y: TransportMatrix) -> bool:
     return all(map(ge, _ranks(x.m, x.r), _ranks(y.m, y.r)))
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(NamedTuple):
     """Corners of an axis-parallel rectangle, ``i0 <= i1`` and ``j0 <= j1``."""
 
     i0: int
@@ -294,8 +291,7 @@ def _compositions_bounded(total: int, bounds: tuple[int, ...]) -> Iterator[tuple
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class TwoFlagReport:
+class TwoFlagReport(NamedTuple):
     """Outcome of the exhaustive two-flag verification for one margin pair."""
 
     b: tuple[int, ...]

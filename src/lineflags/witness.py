@@ -13,7 +13,6 @@ polynomial rows — lands in the more special one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, zip_longest
 from math import gcd, lcm
@@ -144,8 +143,14 @@ def _int_normalize(row: list[int], pivot: int) -> list[int]:
 # Configurations
 
 
-@dataclass(frozen=True)
-class Configuration:
+class _ConfigurationFields(NamedTuple):
+    n: int
+    a: tuple[tuple[Fraction | int, ...], ...]
+    b_levels: tuple[tuple[tuple[Fraction | int, ...], ...], ...]
+    c_levels: tuple[tuple[tuple[Fraction | int, ...], ...], ...]
+
+
+class Configuration(_ConfigurationFields):
     """A line and two partial flags in ``Q^n``, by rational generators.
 
     ``a`` lists generators of the line.  ``b_levels[i]`` lists vectors
@@ -154,28 +159,31 @@ class Configuration:
     non-negative ``int``, a field, level or vector that is not a
     ``tuple``, or a vector whose length is not ``n`` raises
     ``BadShape``; an entry that is not an ``int`` or ``Fraction``, or is
-    a ``bool``, raises ``NotARational(config)``.
+    a ``bool``, raises ``NotARational(config)``.  ``_make`` and
+    ``_replace`` check alike.
     """
 
-    n: int
-    a: tuple[tuple[Fraction | int, ...], ...]
-    b_levels: tuple[tuple[tuple[Fraction | int, ...], ...], ...]
-    c_levels: tuple[tuple[tuple[Fraction | int, ...], ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (_is_int(self.n) and self.n >= 0):
+    def __new__(cls, n, a, b_levels, c_levels) -> Configuration:
+        if not (_is_int(n) and n >= 0):
             raise ValidationError("BadShape")
         try:
-            levels = [*self.b_levels, *self.c_levels]
-            vectors = [*self.a, *chain.from_iterable(levels)]
+            levels = [*b_levels, *c_levels]
+            vectors = [*a, *chain.from_iterable(levels)]
         except TypeError:
             raise ValidationError("BadShape") from None
-        parts = (self.a, self.b_levels, self.c_levels, *levels, *vectors)
-        if not all(isinstance(x, tuple) for x in parts) or set(map(len, vectors)) - {self.n}:
+        parts = (a, b_levels, c_levels, *levels, *vectors)
+        if not all(isinstance(x, tuple) for x in parts) or set(map(len, vectors)) - {n}:
             raise ValidationError("BadShape")
         kinds = set(map(type, chain.from_iterable(vectors)))
         if any(t is bool or not issubclass(t, (int, Fraction)) for t in kinds):
             raise ValidationError("NotARational(config)")
+        return super().__new__(cls, n, a, b_levels, c_levels)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Configuration:
+        return cls(*iterable)
 
 
 def _source_slots(tm: TransportMatrix) -> list[tuple[int, int, int]]:
@@ -658,9 +666,7 @@ def _family_at(family: _Family, tau: Fraction | int, value: Callable = _v_sample
         a_row = family.line[content]
     tgt = family.target.matrix
     b_levels, c_levels = _flag_levels(tgt, *levels)
-    config = object.__new__(Configuration)
-    vars(config).update(n=tgt.n, a=(a_row,), b_levels=b_levels, c_levels=c_levels)
-    return config
+    return tuple.__new__(Configuration, (tgt.n, (a_row,), b_levels, c_levels))
 
 
 def _require_basis(config: Configuration, tau: Fraction | int) -> None:
@@ -689,8 +695,7 @@ def degeneration_family(
     return config
 
 
-@dataclass(frozen=True)
-class MoveDegenerationReport:
+class MoveDegenerationReport(NamedTuple):
     """Geometric verification of one move as a degeneration."""
 
     move: Move

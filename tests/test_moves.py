@@ -601,6 +601,26 @@ class TestMirrorKinds:
             apply_move(dm, Move(kind, anchors))
         assert (info.value.kind, info.value.clause) == (kind, clause)
 
+    def test_the_move_search_words_no_mirror_clause(self, monkeypatch):
+        """Only ``apply_move`` reports a clause, so the search, which drops
+        the clauses of the candidates it rejects, never mirrors one."""
+        rejected = {}
+        for kind in ("IIIb", "IVc"):
+            def counted(v, anchors, real=lineflags.moves._TRY[kind], kind=kind):
+                result = real(v, anchors)
+                rejected[kind] = rejected.get(kind, 0) + isinstance(result, str)
+                return result
+
+            monkeypatch.setitem(lineflags.moves._TRY, kind, counted)
+
+        def refuse(clause):
+            raise AssertionError(f"mirrored {clause!r}")
+
+        monkeypatch.setattr(lineflags.moves, "_mirror_clause", refuse)
+        for dm in enumerate_orbits((2, 1, 1), (2, 1, 1)):
+            applicable_moves(dm)
+        assert rejected["IIIb"] > 0 and rejected["IVc"] > 0
+
 
 class TestPoset:
     def test_counts(self, poset2, poset3):
