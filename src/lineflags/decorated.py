@@ -112,17 +112,17 @@ def rbar_table(dm: DecoratedMatrix) -> RBarTable:
     return RBarTable(tuple(tuple(map(add, row, drow)) for row, drow in rows), dt)
 
 
-def _rbar(ranks: list[int], delta: Iterable[Position], q: int, r: int) -> list[int]:
+def _rbar(ranks: list[int], free: Iterable[Iterable[int]]) -> list[int]:
     """The augmented ranks ``r + delta`` as one flat row-major list, from
-    the flat ranks of :func:`_ranks` and the decoration."""
-    return list(map(add, ranks, chain.from_iterable(_threshold_table(delta, q, r))))
+    the flat ranks of :func:`_ranks` and the threshold table."""
+    return list(map(add, ranks, chain.from_iterable(free)))
 
 
 def _key(ranks: list[int], free: Iterable[Iterable[int]]) -> tuple[int, ...]:
     """:func:`invariant` from the flat ranks and the threshold table."""
     key = [0] * (2 * len(ranks))
     key[::2] = ranks
-    key[1::2] = map(add, ranks, chain.from_iterable(free))
+    key[1::2] = _rbar(ranks, free)
     return tuple(key)
 
 
@@ -139,7 +139,7 @@ def invariant(dm: DecoratedMatrix) -> tuple[int, ...]:
 def _tables(dm: DecoratedMatrix) -> tuple[list[int], list[int]]:
     """The flat ranks and augmented ranks that :func:`invariant` interleaves."""
     ranks = _ranks(dm.matrix.m, dm.r)
-    return ranks, _rbar(ranks, dm.delta, dm.q, dm.r)
+    return ranks, _rbar(ranks, _threshold_table(dm.delta, dm.q, dm.r))
 
 
 def rk_leq_dec(x: DecoratedMatrix, y: DecoratedMatrix) -> bool:

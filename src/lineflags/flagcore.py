@@ -16,7 +16,7 @@ always inside the grid.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 Position = tuple[int, int]
 
@@ -298,21 +298,68 @@ def validate(matrix: TransportMatrix, delta: Iterable[Position] | None = None) -
     if code is not None:
         return code
     q, r = len(b), len(c)
-    if sum(b) != sum(c) or len(m) != q or any(len(row) != r for row in m):
+    if sum(b) != sum(c) or len(m) != q:
         return "BadShape"
-    cells = list(chain.from_iterable(m))
+    code = _rows_code(m, range(q), list(b), r) or _col_code(tuple(map(sum, zip(*m))), tuple(c))
+    if code is not None or delta is None:
+        return code
+    return _delta_code(m, q, r, delta)
+
+
+def _step_code(
+    old: Sequence[Sequence[int]], rows: Sequence[Sequence[int]], b: tuple[int, ...],
+    delta: Iterable[Position],
+) -> str | None:
+    """The code ``validate(TransportMatrix(rows, b, c), delta)`` gives,
+    where ``old`` are the rows of a valid matrix with margins ``(b, c)``
+    and a row of ``rows`` that is the same object as ``old``'s row at its
+    index is unchanged.  Only the other rows are read: for their shape,
+    entries and row sums, then for the column sums of the same rows of
+    ``old``."""
+    q, r = len(old), len(old[0])
+    if len(rows) != q:
+        return "BadShape"
+    at = [] if rows is old else [i for i in range(q) if rows[i] is not old[i]]
+    if at:
+        new = [rows[i] for i in at]
+        code = _rows_code(new, at, [b[i] for i in at], r) or _col_code(
+            tuple(map(sum, zip(*new))), tuple(map(sum, zip(*[old[i] for i in at])))
+        )
+        if code is not None:
+            return code
+    return _delta_code(rows, q, r, delta)
+
+
+def _rows_code(
+    rows: Sequence[Sequence[int]], at: Sequence[int], sums: list[int], r: int
+) -> str | None:
+    """The first violated shape, entry or row-sum rule, in that order, of
+    the ``r``-column rows ``rows``; ``rows[k]`` is the matrix's row
+    ``at[k]``, 0-based, and must sum to ``sums[k]``."""
+    if any(len(row) != r for row in rows):
+        return "BadShape"
+    cells = list(chain.from_iterable(rows))
     if set(map(type, cells)) != {int} or min(cells) < 0:
         for k, x in enumerate(cells):
             if not _is_int(x) or x < 0:
-                return f"NegativeEntry({k // r + 1},{k % r + 1})"
-    sums = tuple(map(sum, m))
-    if sums != tuple(b):
-        return next(f"BadRowSum({i})" for i, s in enumerate(sums, start=1) if s != b[i - 1])
-    sums = tuple(map(sum, zip(*m)))
-    if sums != tuple(c):
-        return next(f"BadColSum({j})" for j, s in enumerate(sums, start=1) if s != c[j - 1])
-    if delta is None:
-        return None
+                return f"NegativeEntry({at[k // r] + 1},{k % r + 1})"
+    got = list(map(sum, rows))
+    if got != sums:
+        return next(f"BadRowSum({i + 1})" for i, s, w in zip(at, got, sums) if s != w)
+    return None
+
+
+def _col_code(sums: tuple[int, ...], want: tuple[int, ...]) -> str | None:
+    """``BadColSum(j)`` at the first column whose sum is not the one wanted."""
+    if sums != want:
+        return next(f"BadColSum({j})" for j, (s, w) in enumerate(zip(sums, want), 1) if s != w)
+    return None
+
+
+def _delta_code(
+    m: Sequence[Sequence[int]], q: int, r: int, delta: Iterable[Position]
+) -> str | None:
+    """The first violated decoration rule on the valid ``q``-by-``r`` rows ``m``."""
     pts = list(delta)
     if not pts:
         return "EmptyDecoration"

@@ -29,8 +29,10 @@ rows and undominated cells of each corner pair.  The orbit part,
 whether a cell lies northwest of the decoration, and the mirror orbit of
 the mirror kinds.  ``_move_edges`` gives the orbits of one matrix one
 :class:`_SharedMatrix`, which keeps each clause and flip, and takes each
-orbit's order key from the same threshold table.  ``find_chain`` compares
-a candidate's ranks with the target's before it reads the decoration.
+orbit's order key from the same threshold table.  ``find_chain`` checks
+each candidate only on the rows its move built, compares the candidate's
+ranks with the target's before it reads the decoration, and carries the
+tables of the move it takes into the next step.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .flagcore import (
     _int_pairs,
     _require_positions,
     _staircase,
+    _step_code,
     raise_if_invalid,
 )
 from .decorated import _key, _rbar, _tables, _threshold_table, enumerate_orbits
@@ -693,32 +696,48 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
     fails, and otherwise a list of moves whose successive application
     transforms ``x`` into ``y``.  Deterministic: each step takes the
     canonically first applicable move whose result stays below ``y``.
-    Every result looked at is built and validated; its ranks are compared
-    with those of ``y`` first, and its augmented ranks only when the ranks
-    pass.  The moves generate the order, so such a move exists; if none
-    does, the order and the moves disagree and :class:`OrderCheckFailed`
-    is raised.
+    Invalid ``x`` or ``y`` raise :class:`ValidationError`.  Every result
+    looked at is validated against its source, which is valid: only the
+    rows the move built are read, and a result that is not an orbit raises
+    with the code :func:`validate` gives it.  Its ranks are compared with
+    those of ``y`` first, and its augmented ranks only when the ranks pass;
+    the orbit is built only for the move taken.  The moves generate the
+    order, so such a move exists; if none does, the order and the moves
+    disagree and :class:`OrderCheckFailed` is raised.
     """
+    raise_if_invalid(x.matrix, x.delta)
+    raise_if_invalid(y.matrix, y.delta)
     _check_same_shape(x.matrix, y.matrix)
     q, r = x.q, x.r
     goal_ranks, goal_rbar = _tables(y)
-    ranks, rbar = _tables(x)
+    view = _Orbit.of(x)
+    ranks, free = _ranks(x.matrix.m, r), view.free
+    rbar = _rbar(ranks, free)
     if not (all(map(ge, ranks, goal_ranks)) and all(map(ge, rbar, goal_rbar))):
         return None
     chain: list[Move] = []
     z = x
     while ranks != goal_ranks or rbar != goal_rbar:
-        for mv, (rows, delta) in _checked_moves(z):
-            res = _result(z, rows, delta)
-            ranks = _ranks(rows, r)
-            if all(map(ge, ranks, goal_ranks)):
-                rbar = _rbar(ranks, delta, q, r)
-                if all(map(ge, rbar, goal_rbar)):
+        (m, b, c), source_delta = z
+        # A kind-I result keeps the rows, and so the ranks, of its source;
+        # a result that keeps the decoration keeps its threshold table.
+        for mv, (rows, delta) in _checked_moves(z, view):
+            code = _step_code(m, rows, b, delta)
+            if code is not None:
+                raise ValidationError(code)
+            step_ranks = ranks if rows is m else _ranks(rows, r)
+            if all(map(ge, step_ranks, goal_ranks)):
+                step_free = free if delta == source_delta else _threshold_table(delta, q, r)
+                step_rbar = _rbar(step_ranks, step_free)
+                if all(map(ge, step_rbar, goal_rbar)):
                     break
         else:
             raise OrderCheckFailed(f"no progressing move below the target from {z}")
         chain.append(mv)
-        z = res
+        z = DecoratedMatrix(TransportMatrix(rows, b, c), delta)
+        ranks, free, rbar = step_ranks, step_free, step_rbar
+        # The checkers build each decoration as a tuple of int pairs.
+        view = _Orbit(_Matrix(z.matrix), delta, free)
     return chain
 
 

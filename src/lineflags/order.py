@@ -12,6 +12,8 @@ Ullman, *The transitive reduction of a directed graph*, SIAM J. Comput. 1,
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 __all__ = ["bits", "dominance_masks", "generated"]
@@ -29,23 +31,22 @@ def dominance_masks(keys: Sequence[Sequence[int]]) -> list[int]:
     """Up-sets of the order ``a <= t`` iff ``keys[a][i] >= keys[t][i]`` for all ``i``.
 
     Per coordinate, the elements whose value is at most ``v`` form one
-    cumulative bitset; ``leq[a]`` ANDs those selected by ``keys[a]``:
+    cumulative bitset, listed by ``v`` minus the column's least value, and
+    a column of one value is skipped; ``leq[a]`` ANDs those selected by
+    ``keys[a]``:
     ``O(N * len(key))`` bitset operations instead of ``N**2`` comparisons.
     """
     leq = [(1 << len(keys)) - 1] * len(keys)
     for column in zip(*keys):
-        by_value: dict[int, int] = {}
-        for t, v in enumerate(column):
-            by_value[v] = by_value.get(v, 0) | (1 << t)
-        if len(by_value) == 1:
+        low, high = min(column), max(column)
+        if low == high:
             continue
-        at_most = {}
-        acc = 0
-        for v in sorted(by_value):
-            acc |= by_value[v]
-            at_most[v] = acc
+        at_most = [0] * (high - low + 1)
+        for t, v in enumerate(column):
+            at_most[v - low] |= 1 << t
+        at_most = list(accumulate(at_most, or_))
         for a, v in enumerate(column):
-            leq[a] &= at_most[v]
+            leq[a] &= at_most[v - low]
     return leq
 
 

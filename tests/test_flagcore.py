@@ -23,7 +23,7 @@ from lineflags import (
     to_permutation,
     validate,
 )
-from lineflags.flagcore import raise_if_invalid
+from lineflags.flagcore import _step_code, raise_if_invalid
 from helpers import GOLDEN_N3_LABELS, margin_pairs, maximal_positions, validate_by_rule
 
 
@@ -215,6 +215,88 @@ class TestValidateOracle:
         }
         # A decoration coordinate that is not an int gets a code, not a TypeError.
         assert TypeError not in codes
+
+
+def _row_edits(rng, row):
+    """New tuples for ``row``: a negative, float or bool entry, a wrong
+    length, a unit moved within the row or added to it, and an equal copy."""
+    j, k = rng.sample(range(len(row)), 2) if len(row) > 1 else (0, 0)
+    edits = [
+        row[:j] + (-1,) + row[j + 1 :],
+        row[:j] + (float(row[j]),) + row[j + 1 :],
+        row[:j] + (bool(row[j]),) + row[j + 1 :],
+        row + (0,),
+        row[:-1],
+        row[:j] + (row[j] + 1,) + row[j + 1 :],
+        tuple(list(row)),
+    ]
+    if row[j] > 0 and j != k:
+        moved = list(row)
+        moved[j] -= 1
+        moved[k] += 1
+        edits.append(tuple(moved))
+    return edits
+
+
+def _step_results(rng, m):
+    """Rows a step from the rows ``m`` could build: ``m`` itself, one or
+    two rows replaced by new tuples (a flip among them), a row missing
+    and a row too many; unchanged rows stay the objects of ``m``."""
+    q, r = len(m), len(m[0])
+    out = [m, m[:-1], m + (m[-1],)]
+    i = rng.randrange(q)
+    out += [m[:i] + (row,) + m[i + 1 :] for row in _row_edits(rng, m[i])]
+    if q > 1:
+        i, i2 = sorted(rng.sample(range(q), 2))
+        for _ in range(4):
+            rows = list(m)
+            rows[i] = rng.choice(_row_edits(rng, m[i]))
+            rows[i2] = rng.choice(_row_edits(rng, m[i2]))
+            out.append(tuple(rows))
+        j, k = rng.randrange(r), rng.randrange(r)
+        if j != k and m[i][j] > 0 and m[i2][k] > 0:
+            rows = [list(m[i]), list(m[i2])]
+            rows[0][j], rows[0][k] = rows[0][j] - 1, rows[0][k] + 1
+            rows[1][k], rows[1][j] = rows[1][k] - 1, rows[1][j] + 1
+            out.append(m[:i] + (tuple(rows[0]),) + m[i + 1 : i2] + (tuple(rows[1]),) + m[i2 + 1 :])
+    return out
+
+
+def _step_decorations(rng, m, delta):
+    """``delta`` and decorations that are empty, outside the grid, not a
+    staircase, on a zero entry or not made of ints."""
+    q, r = len(m), len(m[0])
+    i, j = rng.randrange(q) + 1, rng.randrange(r) + 1
+    out = [delta, (), ((q + 1, 1),), ((1, r + 1),), ((0, 1),), ((1.0, 1),), ((True, 1),)]
+    out.append(tuple(sorted(set(delta) | {(i, j)})))
+    out.append(delta + (delta[0],))
+    out += [((a, b),) for a in range(1, q + 1) for b in range(1, r + 1) if m[a - 1][b - 1] == 0][:1]
+    return out
+
+
+class TestStepCheck:
+    """``_step_code`` reads only the rows a step changed, and gives the
+    code that ``validate`` gives the whole result."""
+
+    orbits = TestValidateOracle.orbits + random.Random(19).sample(
+        enumerate_orbits((1,) * 5, (1,) * 5), 500
+    )
+
+    def test_codes_match_validate_and_the_rule_by_rule_oracle(self):
+        rng = random.Random(19)
+        codes = set()
+        for dm in self.orbits:
+            (m, b, c), delta = dm
+            for rows in _step_results(rng, m):
+                for d in _step_decorations(rng, m, delta):
+                    tm = TransportMatrix(rows, b, c)
+                    got = _step_code(m, rows, b, d)
+                    assert got == validate(tm, d) == validate_by_rule(tm, d), (dm, rows, d)
+                    codes.add(got and got.split("(")[0])
+        assert codes == {
+            None, "BadShape", "NegativeEntry", "BadRowSum", "BadColSum",
+            "EmptyDecoration", "BadPosition", "NotStaircase", "ZeroEntryDecorated",
+        }
 
 
 class TestPositionOrder:

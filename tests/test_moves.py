@@ -34,6 +34,7 @@ from lineflags import (
     iter_moves,
     normalize_decoration,
     rk_leq_dec,
+    validate,
     verify_equivalence,
 )
 from helpers import (
@@ -701,8 +702,23 @@ class TestFindChain:
         with pytest.raises(ShapeMismatch):
             find_chain(x, y)
 
+    @pytest.mark.parametrize(
+        "rows, delta, code",
+        [
+            (((2, -1, 0), (-1, 2, 0), (0, 0, 1)), ((1, 1),), "NegativeEntry(1,2)"),
+            (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 1), (2, 2)), "NotStaircase(2)"),
+        ],
+    )
+    def test_invalid_arguments_raise(self, rows, delta, code):
+        bad = DecoratedMatrix(TransportMatrix(rows, (1, 1, 1), (1, 1, 1)), delta)
+        top = from_permutation((3, 2, 1), (1, 2, 3))
+        for x, y in ((bad, top), (top, bad), (bad, bad)):
+            with pytest.raises(ValidationError) as info:
+                find_chain(x, y)
+            assert info.value.code == code
+
     def test_no_progressing_move_fails_the_order_check(self, monkeypatch):
-        monkeypatch.setattr(lineflags.moves, "_checked_moves", lambda dm: iter(()))
+        monkeypatch.setattr(lineflags.moves, "_checked_moves", lambda dm, view=None: iter(()))
         with pytest.raises(OrderCheckFailed, match="no progressing move"):
             find_chain(from_permutation((1, 2), (1,)), from_permutation((2, 1), (1, 2)))
 
@@ -736,13 +752,31 @@ class TestFindChain:
     def test_every_result_looked_at_is_validated(self, monkeypatch):
         """The first move from LOW is of kind I, and the greedy walk to
         MID looks at its result but does not take it.  With a kind-I
-        checker whose results leave the margins, the walk raises."""
-        assert applicable_moves(LOW)[0].kind == "I"
+        checker whose results leave the margins, the walk raises; so it
+        does, with the code ``validate`` gives, when the results have a
+        negative entry, a unit moved to another column or a decorated
+        zero."""
+        first = applicable_moves(LOW)[0]
+        assert first.kind == "I"
         assert find_chain(LOW, MID)[0].kind != "I"
         off_margins(monkeypatch)
         with pytest.raises(ValidationError) as info:
             find_chain(LOW, MID)
         assert info.value.code == "BadRowSum(1)"
+        monkeypatch.undo()
+        seen = apply_move(LOW, first)
+        for change, code in (
+            (lambda rows, delta: (((2, -1),) + rows[1:], delta), "NegativeEntry(1,2)"),
+            (lambda rows, delta: ((rows[0][::-1],) + rows[1:], delta), "BadColSum(1)"),
+            (lambda rows, delta: (rows, ((1, 2),)), "ZeroEntryDecorated(1,2)"),
+        ):
+            rows, delta = change(seen.matrix.m, seen.delta)
+            assert validate(TransportMatrix(rows, LOW.matrix.b, LOW.matrix.c), delta) == code
+            with monkeypatch.context() as patch:
+                broken_kind_i(patch, change)
+                with pytest.raises(ValidationError) as info:
+                    find_chain(LOW, MID)
+            assert info.value.code == code
 
     def test_every_comparable_pair_gets_a_valid_chain(self, poset3):
         els = poset3.elements
@@ -842,18 +876,23 @@ class TestSabotagedMoves:
         ]
 
 
-def off_margins(monkeypatch):
-    """Break the kind-I checker: its rows gain a unit in the first cell."""
+def broken_kind_i(monkeypatch, change):
+    """Break the kind-I checker: ``change(rows, delta)`` rewrites each of
+    its results."""
     real = lineflags.moves._TRY["I"]
 
     def broken(dm, anchors):
         result = real(dm, anchors)
-        if isinstance(result, str):
-            return result
-        rows, delta = result
-        return ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:], delta
+        return result if isinstance(result, str) else change(*result)
 
     monkeypatch.setitem(lineflags.moves._TRY, "I", broken)
+
+
+def off_margins(monkeypatch):
+    """Break the kind-I checker: its rows gain a unit in the first cell."""
+    broken_kind_i(
+        monkeypatch, lambda rows, delta: (((rows[0][0] + 1,) + rows[0][1:],) + rows[1:], delta)
+    )
 
 
 class TestResultsThatAreNotOrbits:
@@ -878,7 +917,10 @@ class TestResultsThatAreNotOrbits:
         script = textwrap.dedent(
             """
             import lineflags.moves as moves
-            from lineflags import OrderCheckFailed, build_poset, verify_equivalence
+            from lineflags import (
+                OrderCheckFailed, ValidationError, build_poset, find_chain, from_permutation,
+                verify_equivalence,
+            )
 
             real = moves._TRY["I"]
 
@@ -896,6 +938,10 @@ class TestResultsThatAreNotOrbits:
                     check((1, 1), (1, 1))
                 except OrderCheckFailed as exc:
                     print("raised", exc)
+            try:
+                find_chain(from_permutation((1, 2), (1,)), from_permutation((2, 1), (1,)))
+            except ValidationError as exc:
+                print("find_chain raised", exc.code)
             """
         )
         src = os.path.dirname(os.path.dirname(lineflags.__file__))
@@ -908,6 +954,7 @@ class TestResultsThatAreNotOrbits:
             "debug False",
             "raised move I (2,1) of element 0 gives no orbit: BadRowSum(1)",
             "raised move I (2,1) of element 0 gives no orbit: BadRowSum(1)",
+            "find_chain raised BadRowSum(1)",
         ]
 
 
