@@ -231,8 +231,11 @@ def decorated_from_tables(
     :class:`NotAnOrbitInvariant` unless the tables round-trip exactly;
     entries are not coerced, so a float, string or bool raises too.
     """
-    rv = tuple(tuple(row) for row in rank_values)
-    dv = tuple(tuple(row) for row in delta_values)
+    try:
+        rv = tuple(tuple(row) for row in rank_values)
+        dv = tuple(tuple(row) for row in delta_values)
+    except TypeError:
+        raise NotAnOrbitInvariant("table shapes") from None
     if not all(map(_is_int, chain(*rv, *dv))):
         raise NotAnOrbitInvariant("table entries")
     if len(rv) < 2 or len(rv[0]) < 2 or len(dv) != len(rv) or any(

@@ -83,60 +83,74 @@ def _integral(vec: Sequence[Fraction | int]) -> list[int]:
 class IntEchelon:
     """Incremental fraction-free echelon form over the rationals.
 
-    Rows are stored as integer vectors, fully reduced against one
-    another (each stored row vanishes at every other row's pivot),
-    gcd-normalized with positive pivots.  Input denominators are cleared
-    from ``numerator``/``denominator`` and elimination cross-multiplies,
-    as in Bareiss's integer-preserving scheme, so no ``Fraction`` is
-    built.  ``add`` either absorbs a vector already in the span
-    (returning False) or extends the span by it (returning True).  The
-    oracle's own integer vectors skip the clearing: they go through
-    ``_reduce`` and ``_insert``, the two halves of ``add``.
+    ``_rows`` maps each pivot to its row, in the order the rows were
+    kept.  The rows are forward only: each vanishes at the pivots of the
+    rows kept before it, and none is reduced against the rows kept after
+    it.  They are integer vectors, gcd-normalized with positive pivots.
+    A nonzero combination of them is nonzero at the pivot of the first
+    row it uses, so a vector's residual, vanishing at every pivot, is
+    unique up to scale.  Input denominators are cleared from
+    ``numerator``/``denominator`` and elimination cross-multiplies, as
+    in Bareiss's integer-preserving scheme, so no ``Fraction`` is built.
+    ``add`` either absorbs a vector already in the span (returning
+    False) or extends the span by it (returning True); a vector whose
+    length is not the first vector's raises ``BadShape``, and an entry
+    that is not an ``int`` or ``Fraction``, or is a ``bool``, raises
+    ``NotARational(vec)``.  The oracle's own integer vectors skip the
+    checks and the clearing: they go through ``_coordinates`` and
+    ``_insert``, the two halves of ``add``.
     """
 
     def __init__(self) -> None:
         self._rows: dict[int, list[int]] = {}
+        self._width: int | None = None
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: Sequence[int]) -> Sequence[int]:
-        """A nonzero multiple of the integer vector ``v`` minus a
-        combination of the stored rows, vanishing at every pivot."""
-        for col, row in self._rows.items():
-            f = v[col]
-            if f:
-                lead = row[col]
-                v = [a * lead - b * f for a, b in zip(v, row)]
-        return v
-
     def add(self, vec: Sequence[Fraction | int]) -> bool:
-        return self._insert(self._reduce(_integral(vec)))
+        try:
+            vec = tuple(vec)
+        except TypeError:
+            raise ValidationError("BadShape") from None
+        if self._width is None:
+            self._width = len(vec)
+        if len(vec) != self._width:
+            raise ValidationError("BadShape")
+        if not all(map(_is_rational, vec)):
+            raise ValidationError("NotARational(vec)")
+        return self._insert(self._coordinates(_integral(vec))[1])
+
+    def _coordinates(self, x: Sequence[int]) -> tuple[list[int], Sequence[int]]:
+        """Integer coordinates of ``x`` in the basis of the rows and the
+        unit vectors at the positions that are no row's pivot.
+
+        Eliminating ``x`` at the pivots in the order kept finds each
+        coefficient once.  Returns ``(y, residual)`` with ``c * x ==
+        sum(y[t] * row_t) + residual`` for a positive integer ``c``:
+        ``y`` holds the rows' coefficients in order, and the residual,
+        zero at every pivot, those of the unit vectors.
+        """
+        y = []
+        for p, row in self._rows.items():
+            f = x[p]
+            if f:
+                lead = row[p]
+                x = [a * lead - f * b for a, b in zip(x, row)]
+                y = [v * lead for v in y]
+            y.append(f)
+        return y, x
 
     def _insert(self, v: Sequence[int]) -> bool:
-        """Store ``v``, already reduced, unless it vanishes."""
-        k = next((idx for idx, x in enumerate(v) if x != 0), None)
+        """Keep the residual ``v`` at its first nonzero position, unless
+        it vanishes."""
+        k = next((idx for idx, x in enumerate(v) if x), None)
         if k is None:
             return False
-        v = _int_normalize(v, k)
-        for col, row in list(self._rows.items()):
-            f = row[k]
-            if f:
-                lead = v[k]
-                merged = [a * lead - b * f for a, b in zip(row, v)]
-                self._rows[col] = _int_normalize(merged, col)
-        self._rows[k] = v
+        g = gcd(*v) if v[k] > 0 else -gcd(*v)
+        self._rows[k] = [x // g for x in v] if g != 1 else v
         return True
-
-
-def _int_normalize(row: list[int], pivot: int) -> list[int]:
-    g = gcd(*row)
-    if g > 1:
-        row = [x // g for x in row]
-    if row[pivot] < 0:
-        row = [-x for x in row]
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -248,46 +262,6 @@ def standard_configuration(
     return Configuration(n, (tuple(a_vec),), b_levels, c_levels)
 
 
-def _triangular_coordinates(
-    x: list[int], rows: dict[int, list[int]]
-) -> tuple[list[int], list[int]]:
-    """Integer coordinates of ``x`` in a triangular basis, in one pass.
-
-    ``rows`` maps a pivot to its row, in the order the rows were kept,
-    and each row vanishes at the pivots of the rows kept before it.  The
-    basis is these rows together with the unit vectors at the positions
-    that are no row's pivot.  Eliminating ``x`` at the pivots in the
-    order kept finds each coefficient once.  Returns ``(y, residual)``
-    with ``c * x == sum(y[t] * row_t) + residual`` for a nonzero integer
-    ``c``: ``y`` holds the rows' coefficients in order, and the residual,
-    zero at every pivot, those of the unit vectors.
-    """
-    y = []
-    for p, row in rows.items():
-        f = x[p]
-        if f:
-            lead = row[p]
-            x = [a * lead - f * b for a, b in zip(x, row)]
-            y = [v * lead for v in y]
-        y.append(f)
-    return y, x
-
-
-def _keep_rows(levels: Iterable[Sequence[list[int]]], rows: dict[int, list[int]]) -> list[int]:
-    """Reduce the levels' vectors forward, in order, into ``rows``: a
-    vector outside their span is kept as its residual, at its first
-    nonzero position.  Returns each kept row's level, counted from 1."""
-    kept = []
-    for j, level in enumerate(levels, start=1):
-        for x in level:
-            _, v = _triangular_coordinates(x, rows)
-            k = next((p for p, a in enumerate(v) if a), None)
-            if k is not None:
-                rows[k] = _int_normalize(v, k)
-                kept.append(j)
-    return kept
-
-
 def _fresh(levels: Sequence[tuple]) -> list[tuple]:
     """Per level, the generators that do not repeat the previous level:
     cumulative levels start with it, and it spans nothing new."""
@@ -337,23 +311,31 @@ def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
         [[_integral(g) for g in level] for level in _fresh(levels)]
         for levels in (config.b_levels, config.c_levels)
     )
-    b_rows: dict[int, list[int]] = {}
-    b_kept = _keep_rows(b_fresh, b_rows)
-    b_units = [p for p in range(n) if p not in b_rows][::-1]
+    # Each echelon keeps the generators that leave the span of those
+    # before them; the lists give each kept row's level, counted from 1.
+    b, c = IntEchelon(), IntEchelon()
+    b_kept = [
+        j for j, level in enumerate(b_fresh, 1) for g in level if b._insert(b._coordinates(g)[1])
+    ]
+    b_units = [p for p in range(n) if p not in b._rows][::-1]
     b_level = [q + 1] * len(b_units) + b_kept[::-1]
 
     def coordinates(vec: list[int]) -> list[int]:
-        y, residual = _triangular_coordinates(vec, b_rows)
+        y, residual = b._coordinates(vec)
         return [residual[p] for p in b_units] + y[::-1]
 
-    rows: dict[int, list[int]] = {}
-    c_kept = _keep_rows(([coordinates(g) for g in level] for level in c_fresh), rows)
-    c_units = [p for p in range(n) if p not in rows]
-    slots = [(b_level[p], j) for p, j in zip(rows, c_kept)]
+    c_kept = [
+        j
+        for j, level in enumerate(c_fresh, 1)
+        for g in level
+        if c._insert(c._coordinates(coordinates(g))[1])
+    ]
+    c_units = [p for p in range(n) if p not in c._rows]
+    slots = [(b_level[p], j) for p, j in zip(c._rows, c_kept)]
     slots += [(b_level[p], r + 1) for p in c_units]
     line = []
     for g in config.a:
-        y, residual = _triangular_coordinates(coordinates(_integral(g)), rows)
+        y, residual = c._coordinates(coordinates(_integral(g)))
         line.append(y + [residual[p] for p in c_units])
     support = [(slot, column) for slot, *column in zip(slots, *line) if any(column)]
 
@@ -362,7 +344,7 @@ def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
         taken over its columns there (one per slot of its support)."""
         columns = [column for (bi, cj), column in support if bi > i and cj > j]
         probe = IntEchelon()
-        return sum(probe._insert(probe._reduce(column)) for column in columns)
+        return sum(probe._insert(probe._coordinates(column)[1]) for column in columns)
 
     if len(line) == 1 and support:
         d_values = _threshold_table([slot for slot, _ in support], q, r)
@@ -415,7 +397,10 @@ def apply_basis_change(
     are rows; the new vector is ``vec @ g``).  An entry that is not an
     ``int`` or ``Fraction``, or is a ``bool``, raises ``NotARational(g)``."""
     n = config.n
-    rows = [tuple(row) for row in g]
+    try:
+        rows = [tuple(row) for row in g]
+    except TypeError:
+        raise ValidationError("BadShape") from None
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValidationError("BadShape")
     if not all(_is_rational(x) for row in rows for x in row):
@@ -524,14 +509,14 @@ def _saturate_limit(rows: Sequence[_PolyVec]) -> list[tuple[int, ...]]:
     echelon = IntEchelon()
     values = []
     for vec in rows:
-        v = echelon._reduce([*chain.from_iterable(vec), *[0] * (n * (width - len(vec)))])
+        _, v = echelon._coordinates([*chain.from_iterable(vec), *[0] * (n * (width - len(vec)))])
         while not any(v[:n]):
             if not divisions:
                 raise FlagError("family rows are dependent for all parameter values")
             divisions -= 1
-            v = echelon._reduce(v[n:] + [0] * n)
+            _, v = echelon._coordinates(v[n:] + [0] * n)
         values.append(tuple(v[:n]))
-        echelon.add(v)
+        echelon._insert(v)
     return values
 
 
@@ -743,14 +728,11 @@ def verify_move_degeneration(dm: DecoratedMatrix, move: Move) -> MoveDegeneratio
 def configuration_to_obj(config: Configuration) -> dict:
     """JSON-ready dict with rational entries rendered as strings."""
 
-    def num(x: Fraction) -> str:
-        return str(x)
-
     return {
         "n": config.n,
-        "A": [[num(x) for x in vec] for vec in config.a],
-        "B": [[[num(x) for x in vec] for vec in level] for level in config.b_levels],
-        "C": [[[num(x) for x in vec] for vec in level] for level in config.c_levels],
+        "A": [[str(x) for x in vec] for vec in config.a],
+        "B": [[[str(x) for x in vec] for vec in level] for level in config.b_levels],
+        "C": [[[str(x) for x in vec] for vec in level] for level in config.c_levels],
     }
 
 

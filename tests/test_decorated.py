@@ -299,6 +299,15 @@ class TestTableRoundTrip:
             decorated_from_tables(rt, bad_dt)
 
     @pytest.mark.parametrize(
+        "rank_values, delta_values",
+        [(5, 6), ([1, 2], [3, 4]), (((0, 0), (0, 1)), None)],
+        ids=["numbers", "rows-of-numbers", "delta-none"],
+    )
+    def test_rejects_tables_that_are_not_nested(self, rank_values, delta_values):
+        with pytest.raises(NotAnOrbitInvariant, match="table shapes"):
+            decorated_from_tables(rank_values, delta_values)
+
+    @pytest.mark.parametrize(
         "table, cell, value",
         [("rank", (2, 2), 2.9), ("rank", (1, 1), True), ("rank", (2, 2), "2"),
          ("delta", (0, 0), False), ("delta", (2, 2), 1.0)],

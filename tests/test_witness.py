@@ -2,13 +2,19 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 
 import pytest
 
+import lineflags
 from lineflags import (
     Configuration,
     FlagError,
@@ -38,7 +44,7 @@ from lineflags import (
     verify_move_degeneration,
 )
 from lineflags import witness
-from lineflags.witness import _saturate_limit, _triangular_coordinates
+from lineflags.witness import _integral, _saturate_limit
 from helpers import (
     fraction_dependency,
     fraction_rank,
@@ -78,6 +84,66 @@ class TestIntEchelon:
         assert ech.rank == 2
         assert ech.add((0, 0, 5))
         assert ech.rank == 3
+
+    @pytest.mark.parametrize(
+        "first, vec, code",
+        [
+            ((1, 0, 0), (1,), "BadShape"),
+            ((0, 0, 1), (1,), "BadShape"),
+            ((0, 0), (1, 0, 0), "BadShape"),
+            (None, 5, "BadShape"),
+            (None, (1.5, 0), "NotARational(vec)"),
+            (None, ("a", 0), "NotARational(vec)"),
+            (None, (True, 0), "NotARational(vec)"),
+            ((1, 0), (0, False), "NotARational(vec)"),
+        ],
+        ids=[
+            "shorter-after-a-pivot-at-0",
+            "shorter-after-a-pivot-at-2",
+            "longer-after-a-zero-vector",
+            "not-iterable",
+            "float",
+            "string",
+            "true",
+            "false-after-a-vector",
+        ],
+    )
+    def test_rejects_bad_vectors(self, first, vec, code):
+        ech = IntEchelon()
+        if first is not None:
+            ech.add(first)
+        rank = ech.rank
+        with pytest.raises(ValidationError) as info:
+            ech.add(vec)
+        assert info.value.code == code
+        assert ech.rank == rank
+
+    def test_rejects_bad_vectors_under_optimization(self):
+        script = textwrap.dedent(
+            """
+            from lineflags import IntEchelon, ValidationError
+
+            print("debug", __debug__)
+            for first, vec in (((0, 0, 1), (1,)), ((1, 0), (True, 0))):
+                ech = IntEchelon()
+                ech.add(first)
+                try:
+                    ech.add(vec)
+                except ValidationError as exc:
+                    print("raised", exc.code)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(lineflags.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "debug False",
+            "raised BadShape",
+            "raised NotARational(vec)",
+        ]
 
 
 def random_rows(rng):
@@ -190,32 +256,37 @@ class TestSaturateLimit:
         assert not check_limit(rows)
 
 
-class TestTriangularCoordinates:
-    def test_coordinates_rebuild_a_multiple_of_the_vector(self):
+class TestCoordinates:
+    def test_forward_rows_rebuild_a_multiple_of_the_vector(self):
         rng = random.Random(11)
         for _ in range(400):
-            n = rng.randint(1, 6)
-            rows = {}
-            # Each row vanishes at the pivots kept before it; its other
-            # entries, before its pivot too, are arbitrary.
-            for p in rng.sample(range(n), rng.randint(0, n)):
-                row = [0 if k in rows else rng.randint(-3, 3) for k in range(n)]
-                row[p] = rng.choice((1, 2, 3, -2))
-                rows[p] = row
-            x = [rng.choice((0, rng.randint(-3, 3))) for _ in range(n)]
-            y, residual = _triangular_coordinates(x, rows)
-            assert len(y) == len(rows)
-            assert not any(residual[p] for p in rows)
-            rebuilt = [
-                sum(c * row[k] for c, row in zip(y, rows.values())) + residual[k]
-                for k in range(n)
-            ]
-            lead = next((k for k, v in enumerate(x) if v), None)
-            if lead is None:
-                assert not any(rebuilt)
-                continue
-            assert rebuilt[lead] != 0
-            assert all(rebuilt[k] * x[lead] == x[k] * rebuilt[lead] for k in range(n))
+            ech = IntEchelon()
+            for added in random_rows(rng):
+                ech.add(added)
+                pivots = list(ech._rows)
+                for t, (p, row) in enumerate(ech._rows.items()):
+                    # Forward only: zero at the earlier pivots and before
+                    # its own, whatever it holds at the later pivots.
+                    assert not any(row[k] for k in pivots[:t])
+                    assert not any(row[:p])
+                    assert gcd(*row) == 1 and row[p] > 0
+                n = len(added)
+                probe = [rng.choice((0, rng.randint(-3, 3))) for _ in range(n)]
+                for x in (_integral(added), probe):
+                    y, residual = ech._coordinates(x)
+                    assert len(y) == len(pivots)
+                    assert not any(residual[p] for p in pivots)
+                    rebuilt = [
+                        sum(c * row[k] for c, row in zip(y, ech._rows.values())) + residual[k]
+                        for k in range(n)
+                    ]
+                    lead = next((k for k, v in enumerate(x) if v), None)
+                    if lead is None:
+                        assert not any(rebuilt)
+                        continue
+                    assert rebuilt[lead] != 0 and rebuilt[lead] * x[lead] > 0
+                    assert all(rebuilt[k] * x[lead] == x[k] * rebuilt[lead] for k in range(n))
+                assert not any(ech._coordinates(_integral(added))[1])
 
 
 class TestStandardConfiguration:
@@ -478,30 +549,24 @@ class TestGeometricTables:
         """One forward pass per generator over the basis adapted to ``B``
         (the generators of ``B`` are reduced, those of ``C`` and of the
         line solved), one more per generator of ``C`` and of the line
-        over the rows kept from ``C``, and no echelon: inverting the
-        basis of ``B`` would need one."""
+        over the rows kept from ``C``, and only these two echelons: no
+        inverse of the basis of ``B``, and no probe for a line with one
+        generator."""
         dm = from_permutation((4, 3, 2, 1), (1,))
         config = standard_configuration(dm.matrix, dm.delta)
         passes = Counter()
-        echelon_reductions = 0
-        forward, reduce = witness._triangular_coordinates, IntEchelon._reduce
+        coordinates = IntEchelon._coordinates
 
-        def counted_forward(x, rows):
-            passes[id(rows)] += 1
-            return forward(x, rows)
+        def counted(self, x):
+            passes[self] += 1
+            return coordinates(self, x)
 
-        def counted_reduce(self, v):
-            nonlocal echelon_reductions
-            echelon_reductions += 1
-            return reduce(self, v)
-
-        monkeypatch.setattr(witness, "_triangular_coordinates", counted_forward)
-        monkeypatch.setattr(IntEchelon, "_reduce", counted_reduce)
+        monkeypatch.setattr(IntEchelon, "_coordinates", counted)
         geometric_rank_tables(config)
+        assert len(passes) == 2
         over_b, over_c = passes.values()
         assert over_b <= 4 + 4 + 1
         assert over_c <= 4 + 1
-        assert echelon_reductions == 0
 
     def test_match_combinatorial_tables(self):
         for b, c in (((1, 1, 1), (1, 1, 1)), ((2, 1), (1, 2)), ((1, 2), (2, 1))):
@@ -579,6 +644,17 @@ class TestBasisInvariance:
         config = standard_configuration(dm.matrix, dm.delta)
         with pytest.raises(FlagError, match="singular"):
             apply_basis_change(config, ((1, 1), (1, 1)))
+
+    @pytest.mark.parametrize(
+        "g",
+        [5, [1, 2, 3], [None] * 3, ((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (1, 1))],
+        ids=["number", "row-of-numbers", "rows-of-none", "too-few-rows", "short-rows"],
+    )
+    def test_rejects_bad_shapes(self, g):
+        dm = from_permutation((1, 2, 3), (1,))
+        config = standard_configuration(dm.matrix, dm.delta)
+        with pytest.raises(ValidationError, match="BadShape"):
+            apply_basis_change(config, g)
 
     @pytest.mark.parametrize(
         "g",
