@@ -288,8 +288,9 @@ def validate(matrix: TransportMatrix, delta: Iterable[Position] | None = None) -
 
     Matrix codes: ``EmptyComposition``, ``BadPart(k)``, ``BadShape``,
     ``NegativeEntry(i,j)``, ``BadRowSum(i)``, ``BadColSum(j)``.
-    Decoration codes: ``EmptyDecoration``, ``BadPosition(k)`` (outside
-    the grid, or a coordinate that is not an int), ``NotStaircase(k)``,
+    Decoration codes: ``BadShape`` (not iterable), ``EmptyDecoration``,
+    ``BadPosition(k)`` (not an ``(i, j)`` pair, outside the grid, or a
+    coordinate that is not an int), ``NotStaircase(k)``,
     ``ZeroEntryDecorated(i,j)``.  Each rule is tested in one bulk pass;
     the offending index is located only when the rule fails.
     """
@@ -360,17 +361,26 @@ def _delta_code(
     m: Sequence[Sequence[int]], q: int, r: int, delta: Iterable[Position]
 ) -> str | None:
     """The first violated decoration rule on the valid ``q``-by-``r`` rows ``m``."""
-    pts = list(delta)
+    try:
+        pts = list(delta)
+    except TypeError:
+        return "BadShape"
     if not pts:
         return "EmptyDecoration"
     try:
         ints = set(map(type, chain.from_iterable(pts))) == {int}
     except TypeError:  # a position that is not a pair fails in the loop below
         ints = False
-    for k, (i, j) in enumerate(pts, start=1):
-        if not (ints or _is_int(i) and _is_int(j)) or not (1 <= i <= q and 1 <= j <= r):
-            return f"BadPosition({k})"
-    pts.sort()
+    try:
+        for k, (i, j) in enumerate(pts, start=1):
+            if not (ints or _is_int(i) and _is_int(j)) or not (1 <= i <= q and 1 <= j <= r):
+                return f"BadPosition({k})"
+    except (TypeError, ValueError):  # ``k`` is bound before its position is unpacked
+        return f"BadPosition({k})"
+    try:
+        pts.sort()
+    except TypeError:  # pairs of different sequence types
+        pts.sort(key=tuple)
     for k, ((i0, j0), (i1, j1)) in enumerate(zip(pts, pts[1:]), start=2):
         if not (i0 < i1 and j0 > j1):
             return f"NotStaircase({k})"
@@ -400,14 +410,17 @@ def from_permutation(w: Iterable[int], delta_cols: Iterable[int]) -> DecoratedMa
     decreasing along the chosen indices.  The matrix is the permutation
     matrix with ``m[k][w(k)] = 1`` and margins ``b = c = (1, ..., 1)``.
     Values are not coerced: a float, string or bool raises
-    ``ValidationError("NotAnInteger(w)")`` or ``"NotAnInteger(delta_cols)"``.
+    ``ValidationError("NotAnInteger(w)")`` or ``"NotAnInteger(delta_cols)"``;
+    an argument that is not iterable, or an unhashable index, ``"BadShape"``.
     """
-    wt = tuple(w)
+    try:
+        wt, cols = tuple(w), set(delta_cols)
+    except TypeError:
+        raise ValidationError("BadShape") from None
     _require_ints("w", wt)
     n = len(wt)
     if sorted(wt) != list(range(1, n + 1)):
         raise ValidationError("NotAPermutation")
-    cols = set(delta_cols)
     _require_ints("delta_cols", cols)
     cols = sorted(cols)
     if not cols:

@@ -23,16 +23,17 @@ violated clause; the pipeline checks each candidate move once.
 
 The checkers read an orbit in two parts.  The matrix part,
 :class:`_Matrix`, answers what depends on the transport matrix alone:
-its cells with mass, far corners and transpose, and the clause, flipped
-rows and undominated cells of each corner pair.  The orbit part,
+its cells with mass, ranks, far corners and transpose, and the clause,
+flipped rows and undominated cells of each corner pair; it keeps each
+far corner list, clause and flip it computes.  The orbit part,
 :class:`_Orbit`, adds the decoration, the threshold table that answers
 whether a cell lies northwest of the decoration, and the mirror orbit of
 the mirror kinds.  ``_move_edges`` gives the orbits of one matrix one
-:class:`_SharedMatrix`, which keeps each clause and flip, and takes each
-orbit's order key from the same threshold table.  ``find_chain`` checks
-each candidate only on the rows its move built, compares the candidate's
-ranks with the target's before it reads the decoration, and carries the
-tables of the move it takes into the next step.
+matrix part, and takes each orbit's order key from the same threshold
+table.  ``find_chain`` checks each candidate only on the rows its move
+built, compares the candidate's ranks with the target's before it reads
+the decoration, and carries the tables and, after a kind-I step, the
+matrix part of the move it takes into the next step.
 """
 
 from __future__ import annotations
@@ -108,27 +109,32 @@ class Move(NamedTuple):
         return (KIND_ORDER.index(self.kind), self.anchors)
 
 
-class _FarCorners(dict):
-    """The far corners of flips from each cell (:func:`_se_corners`) of
-    the rows ``m``, each computed on its first lookup."""
+class _Memo(dict):
+    """The values ``fn(arg, *key)``, each computed on its first lookup."""
 
-    def __init__(self, m):
-        self.m = m
+    __slots__ = ("fn", "arg")
 
-    def __missing__(self, p: Position) -> list[Position]:
-        corners = self[p] = _se_corners(self.m, *p)
-        return corners
+    def __init__(self, fn, arg):
+        self.fn, self.arg = fn, arg
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(self.arg, *key)
+        return value
 
 
 class _Matrix:
-    """One transport matrix as the checkers of one orbit read it: its
-    cells with mass, their far corners and its transpose for the mirror
-    kinds, each built on first use, and the clause, flipped rows and
-    undominated cells of its corner pairs.  :class:`_SharedMatrix` keeps
-    the clauses and flips for the orbits of one matrix."""
+    """One transport matrix as the checkers of its orbits read it.  Built
+    on first use: its cells with mass, its flat ranks and its transpose
+    for the mirror kinds.  Kept as they are looked up, by cell or by
+    corner pair: the far corners of flips from a cell (``far[i, j]``),
+    and the clause and flipped rows of a corner pair
+    (``clause[i0, j0, i1, j1]``, ``flip[i0, j0, i1, j1]``)."""
 
     def __init__(self, tm: TransportMatrix):
         self.tm, self.m, self.q, self.r = tm, tm.m, tm.q, tm.r
+        self.far = _Memo(_se_corners, tm.m)
+        self.clause = _Memo(_rectangle_clause, tm)
+        self.flip = _Memo(_flip, tm.m)
 
     @cached_property
     def support(self) -> list[Position]:
@@ -136,23 +142,14 @@ class _Matrix:
         return [(i, j) for i, row in enumerate(self.m, 1) for j, x in enumerate(row, 1) if x]
 
     @cached_property
-    def far(self) -> _FarCorners:
-        """The far corners of flips from each cell, on first lookup."""
-        return _FarCorners(self.m)
+    def ranks(self) -> list[int]:
+        """The flat ranks of :func:`_ranks`, which the orbits' keys share."""
+        return _ranks(self.m, self.r)
 
     @cached_property
     def mirror(self) -> _Matrix:
-        """The part, of the same class, of the transposed matrix."""
-        return type(self)(TransportMatrix(tuple(zip(*self.m)), self.tm.c, self.tm.b))
-
-    def clause(self, i0: int, j0: int, i1: int, j1: int) -> str | None:
-        """The :func:`_rectangle_clause` of the flip from ``(i0, j0)`` and
-        ``(i1, j1)``."""
-        return _rectangle_clause(self.tm, i0, j0, i1, j1)
-
-    def flip(self, i0: int, j0: int, i1: int, j1: int) -> tuple[tuple[int, ...], ...]:
-        """The rows after the flip from ``(i0, j0)`` and ``(i1, j1)``."""
-        return _flip(self.m, i0, j0, i1, j1)
+        """The part of the transposed matrix."""
+        return _Matrix(TransportMatrix(tuple(zip(*self.m)), self.tm.c, self.tm.b))
 
     def undominated(self, free, i0: int, j0: int, i1: int, j1: int, skip) -> Position | None:
         """First cell of rows ``i0..i1`` and columns ``j0..j1`` outside
@@ -165,40 +162,6 @@ class _Matrix:
             if i >= i0 and j0 <= j <= j1 and free[i - 1][j - 1] and (i, j) not in skip:
                 return (i, j)
         return None
-
-
-_UNSET = object()
-
-
-def _once(method):
-    """``method`` of a matrix part, run once for each argument tuple."""
-
-    def once(self, *args):
-        key = (method, *args)
-        value = self._memo.get(key, _UNSET)
-        if value is _UNSET:
-            value = self._memo[key] = method(self, *args)
-        return value
-
-    return once
-
-
-class _SharedMatrix(_Matrix):
-    """The matrix part that the orbits of one matrix share in
-    :func:`_move_edges`: it computes the clause and the flipped rows of
-    each corner pair once, and holds the flat ranks of the orbits' keys."""
-
-    def __init__(self, tm: TransportMatrix):
-        super().__init__(tm)
-        self._memo: dict[tuple, object] = {}
-
-    clause = _once(_Matrix.clause)
-    flip = _once(_Matrix.flip)
-
-    @cached_property
-    def ranks(self) -> list[int]:
-        """The flat ranks of :func:`_ranks`, which the orbits' keys share."""
-        return _ranks(self.m, self.r)
 
 
 class _Orbit:
@@ -267,7 +230,7 @@ def _try_II(v: _Orbit, anchors: tuple[Position, ...]):
         return "expected anchors ((i0,j0), (i1,j1))"
     (i0, j0), (i1, j1) = anchors
     tm, delta = v.tm, v.delta
-    clause = v.mat.clause(i0, j0, i1, j1)
+    clause = v.mat.clause[i0, j0, i1, j1]
     if clause is not None:
         return clause
     if (i1, j1) in delta:
@@ -278,7 +241,7 @@ def _try_II(v: _Orbit, anchors: tuple[Position, ...]):
         return "a decorated (i0,j0) needs at least two units"
     if _ii_factors_through_corner(v, i0, j0, i1, j1):
         return "decorating (i1,j1) first gives a strictly intermediate orbit"
-    return (v.mat.flip(i0, j0, i1, j1), delta)
+    return (v.mat.flip[i0, j0, i1, j1], delta)
 
 
 def _ii_factors_through_corner(v: _Orbit, i0: int, j0: int, i1: int, j1: int) -> bool:
@@ -319,7 +282,7 @@ def _try_IIIa(v: _Orbit, anchors: tuple[Position, ...]):
     bad = v.mat.undominated(v.free, 1, 1, i0, j1, ((i0, j0),))
     if bad is not None:
         return "nonzero undominated entry at (%d,%d) northwest of (i0,j1)" % bad
-    return (v.mat.flip(i0, j0, i1, j1), _staircase(delta + ((i0, j1),)))
+    return (v.mat.flip[i0, j0, i1, j1], _staircase(delta + ((i0, j1),)))
 
 
 def _try_IVa(v: _Orbit, anchors: tuple[Position, ...]):
@@ -345,7 +308,7 @@ def _try_IVa(v: _Orbit, anchors: tuple[Position, ...]):
     if bad is not None:
         return "nonzero undominated entry at (%d,%d) inside the frame" % bad
     return (
-        _flip(v.mat.flip(i0, j0, i1, j1), i2, j2, i1, j0),
+        _flip(v.mat.flip[i0, j0, i1, j1], i2, j2, i1, j0),
         _staircase(delta + ((i2, j0),)),
     )
 
@@ -376,7 +339,7 @@ def _try_IVb(v: _Orbit, anchors: tuple[Position, ...]):
     )
     if bad is not None:
         return f"nonzero entry at {bad} strictly between the corners"
-    return (v.mat.flip(i0, j0, i1, j1), delta)
+    return (v.mat.flip[i0, j0, i1, j1], delta)
 
 
 def _try_V(v: _Orbit, anchors: tuple[Position, ...]):
@@ -422,7 +385,7 @@ def _try_V(v: _Orbit, anchors: tuple[Position, ...]):
         )
     # The cascade is a cycle of corner flips: the unit each flip leaves
     # at (c_k_i, j0) the next one takes away.
-    rows = v.mat.flip(i0, j0, head_i, head_j)
+    rows = v.mat.flip[i0, j0, head_i, head_j]
     for (c, _), (i, j) in zip(chain, chain[1:]):
         rows = _flip(rows, c, j0, i, j)
     return (rows, _staircase((*others, (i0, head_j), (tail_i, j0))))
@@ -621,8 +584,8 @@ def _move_edges(
     is no enumerated orbit raises :class:`OrderCheckFailed`.
 
     The orbits of one transport matrix, which :func:`enumerate_orbits`
-    lists together, share one :class:`_SharedMatrix`, and the orbits of
-    one decoration one free table, which serves their checkers and their
+    lists together, share one :class:`_Matrix`, and the orbits of one
+    decoration one free table, which serves their checkers and their
     keys.
     """
     index = {(el.matrix.m, el.delta): k for k, el in enumerate(elements)}
@@ -633,7 +596,7 @@ def _move_edges(
     free_of: dict[tuple[Position, ...], tuple[tuple[int, ...], ...]] = {}
     for a, el in enumerate(elements):
         if mat is None or mat.tm != el.matrix:
-            mat = _SharedMatrix(el.matrix)
+            mat = _Matrix(el.matrix)
         free = free_of.get(el.delta)
         if free is None:
             free = free_of[el.delta] = _threshold_table(el.delta, el.q, el.r)
@@ -711,7 +674,7 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
     q, r = x.q, x.r
     goal_ranks, goal_rbar = _tables(y)
     view = _Orbit.of(x)
-    ranks, free = _ranks(x.matrix.m, r), view.free
+    ranks, free = view.mat.ranks, view.free
     rbar = _rbar(ranks, free)
     if not (all(map(ge, ranks, goal_ranks)) and all(map(ge, rbar, goal_rbar))):
         return None
@@ -736,8 +699,9 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
         chain.append(mv)
         z = DecoratedMatrix(TransportMatrix(rows, b, c), delta)
         ranks, free, rbar = step_ranks, step_free, step_rbar
-        # The checkers build each decoration as a tuple of int pairs.
-        view = _Orbit(_Matrix(z.matrix), delta, free)
+        # The checkers build each decoration as a tuple of int pairs; a
+        # kind-I step keeps the rows, and so the matrix part.
+        view = _Orbit(view.mat if rows is m else _Matrix(z.matrix), delta, free)
     return chain
 
 

@@ -36,6 +36,7 @@ from .flagcore import (
     TransportMatrix,
     ValidationError,
     _int_pairs,
+    raise_if_invalid,
     sort_key,
     validate_composition,
 )
@@ -235,8 +236,11 @@ def progress_move(x: TransportMatrix, y: TransportMatrix) -> Rectangle:
     still satisfies ``result <= y``, the greedy step of
     ``moves.find_chain``.  The simple moves are the covers of the order,
     so such a rectangle exists; if none does, the order and the moves
-    disagree and :class:`OrderCheckFailed` is raised.
+    disagree and :class:`OrderCheckFailed` is raised.  Invalid ``x`` or
+    ``y`` raise :class:`ValidationError`.
     """
+    raise_if_invalid(x)
+    raise_if_invalid(y)
     _check_same_shape(x, y)
     rx, goal = _ranks(x.m, x.r), _ranks(y.m, y.r)
     if rx == goal:

@@ -128,13 +128,20 @@ def validate_by_rule(matrix, delta=None):
             return f"BadColSum({j})"
     if delta is None:
         return None
-    pts = list(delta)
+    try:
+        pts = list(delta)
+    except TypeError:
+        return "BadShape"
     if not pts:
         return "EmptyDecoration"
-    for k, (i, j) in enumerate(pts, start=1):
+    for k, p in enumerate(pts, start=1):
+        try:
+            i, j = p
+        except (TypeError, ValueError):
+            return f"BadPosition({k})"
         if not (_is_int(i) and _is_int(j)) or not (1 <= i <= q and 1 <= j <= r):
             return f"BadPosition({k})"
-    pts.sort()
+    pts = sorted(tuple(p) for p in pts)
     for k in range(1, len(pts)):
         (i0, j0), (i1, j1) = pts[k - 1], pts[k]
         if not (i0 < i1 and j0 > j1):

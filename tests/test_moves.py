@@ -234,8 +234,8 @@ class TestMoveEnumeration:
 class TestOrbitView:
     def test_view_matches_the_definitions(self):
         """The free table, the mirror orbit and the far corners of the view
-        of every orbit of mass <= 4; a new matrix part holds nothing
-        before it is asked."""
+        of every orbit of mass <= 4; a new matrix part builds nothing and
+        keeps nothing in its three tables before it is asked."""
         views = 0
         for b, c in margin_pairs(1, 4):
             for dm in enumerate_orbits(b, c):
@@ -244,7 +244,8 @@ class TestOrbitView:
                 mat = orbit.mat
                 assert type(mat) is lineflags.moves._Matrix and mat.tm is dm.matrix
                 assert vars(orbit).keys().isdisjoint({"mirror"})
-                assert vars(mat).keys() == {"tm", "m", "q", "r"}
+                assert vars(mat).keys() == {"tm", "m", "q", "r", "far", "clause", "flip"}
+                assert mat.far == mat.clause == mat.flip == {}
                 for i in range(1, dm.q + 1):
                     for j in range(1, dm.r + 1):
                         assert (not orbit.free[i - 1][j - 1]) == dominated((i, j), delta)
@@ -257,6 +258,8 @@ class TestOrbitView:
                 for p in mat.support:
                     want = lineflags.twoflags._se_corners(m, *p)
                     assert mat.far[p] == want == se_corners_by_definition(m, *p)
+                    assert mat.far[p] is mat.far[p]
+                assert mat.far.keys() == set(mat.support)
                 views += 1
         assert views == 1694
 
@@ -341,8 +344,7 @@ class TestSharedMatrixPart:
             mat = None
             for dm in enumerate_orbits(b, c):
                 if mat is None or mat.tm != dm.matrix:
-                    mat = lineflags.moves._SharedMatrix(dm.matrix)
-                    assert type(mat.mirror) is lineflags.moves._SharedMatrix
+                    mat = lineflags.moves._Matrix(dm.matrix)
                     assert all(getattr(mat, name) is getattr(mat, name) for name in ("mirror", "support", "far"))
                 shared = lineflags.moves._Orbit(mat, dm.delta, delta_table(dm))
                 for kind, anchors in anchor_tuples(dm):
@@ -777,6 +779,32 @@ class TestFindChain:
                 with pytest.raises(ValidationError) as info:
                     find_chain(LOW, MID)
             assert info.value.code == code
+
+    def test_a_kind_i_step_keeps_its_matrix_part(self, monkeypatch):
+        """On every pair of full flags n=3, each step after a kind-I step
+        checks its moves on the same matrix part, with what that part has
+        kept, and each step after another kind on a new part of its own
+        matrix."""
+        real = lineflags.moves._checked_moves
+        seen = []
+
+        def checked(dm, view=None):
+            assert view.mat.tm == dm.matrix
+            seen.append(view.mat)
+            return real(dm, view)
+
+        monkeypatch.setattr(lineflags.moves, "_checked_moves", checked)
+        kept = {True: 0, False: 0}
+        orbits = enumerate_orbits((1, 1, 1), (1, 1, 1))
+        for x in orbits:
+            for y in orbits:
+                seen.clear()
+                chain = find_chain(x, y) or []
+                assert len(seen) == len(chain)
+                for mv, mat, after in zip(chain, seen, seen[1:]):
+                    assert (after is mat) == (mv.kind == "I")
+                    kept[after is mat] += 1
+        assert kept[True] > 0 and kept[False] > 0
 
     def test_every_comparable_pair_gets_a_valid_chain(self, poset3):
         els = poset3.elements

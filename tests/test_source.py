@@ -59,16 +59,16 @@ def _references(tree):
 
 
 def test_every_private_helper_is_called():
-    """A module-level ``_name`` function is referenced somewhere in the
-    library outside its own definition, so no helper is left without
-    callers."""
+    """A module-level ``_name`` function or class is referenced somewhere
+    in the library outside its own definition, so no helper is left
+    without callers."""
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
     uses = Counter(name for tree in trees for name in _references(tree))
     found = [
         f"{path.name}:{node.lineno} {node.name}"
         for path, tree in zip(SOURCES, trees)
         for node in tree.body
-        if isinstance(node, ast.FunctionDef)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name.startswith("_")
         and not node.name.startswith("__")
         and uses[node.name] == Counter(_references(node))[node.name]

@@ -189,6 +189,23 @@ class TestProgressMove:
         with pytest.raises(NotStrictlyLess, match="^source is not below target$"):
             progress_move(perm_matrix((3, 2, 1)), x)
 
+    def test_invalid_arguments_raise(self):
+        """``x`` is checked first, then ``y``, then the shapes agree."""
+        bad = TransportMatrix(((2, -1), (-1, 2)), (1, 1), (1, 1))
+        top = perm_matrix((2, 1))
+        other = TransportMatrix(((1, 1), (0, 1)), (2, 1), (1, 2))
+        bad_other = TransportMatrix(((1, 1), (1, 1)), (2, 1), (1, 2))
+        for x, y, code in (
+            (bad, top, "NegativeEntry(1,2)"),
+            (top, bad, "NegativeEntry(1,2)"),
+            (bad, bad_other, "NegativeEntry(1,2)"),
+            (bad, other, "NegativeEntry(1,2)"),
+            (top, bad_other, "BadRowSum(2)"),
+        ):
+            with pytest.raises(ValidationError) as info:
+                progress_move(x, y)
+            assert info.value.code == code
+
     def test_no_qualifying_simple_move_fails_the_order_check(self, monkeypatch):
         monkeypatch.setattr(lineflags.twoflags, "simple_moves", lambda tm: [])
         with pytest.raises(OrderCheckFailed, match="no simple move"):
