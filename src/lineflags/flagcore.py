@@ -168,6 +168,12 @@ def _int_pairs(anchors: object) -> bool:
     )
 
 
+def _sequence(p: object) -> object:
+    """``p`` if it is a tuple or a list, else ``()``: a position of any
+    other type, such as a dict or a range, unpacks into no pair."""
+    return p if isinstance(p, (tuple, list)) else ()
+
+
 def _require_ints(field: str, values: Iterable[object]) -> None:
     """Raise ``ValidationError("NotAnInteger(field)")`` unless all are ints."""
     if not all(_is_int(x) for x in values):
@@ -176,10 +182,10 @@ def _require_ints(field: str, values: Iterable[object]) -> None:
 
 def _require_positions(field: str, positions: Iterable[object]) -> list[Position]:
     """The positions as a list of ``(i, j)`` pairs of ints: raise
-    ``ValidationError("BadShape")`` unless each is a pair and
-    ``NotAnInteger(field)`` unless each coordinate is an int."""
+    ``ValidationError("BadShape")`` unless each is a tuple or list of two
+    and ``NotAnInteger(field)`` unless each coordinate is an int."""
     try:
-        pts = [(i, j) for (i, j) in positions]
+        pts = [(i, j) for (i, j) in map(_sequence, positions)]
     except (TypeError, ValueError):
         raise ValidationError("BadShape") from None
     _require_ints(field, (x for p in pts for x in p))
@@ -289,8 +295,8 @@ def validate(matrix: TransportMatrix, delta: Iterable[Position] | None = None) -
     Matrix codes: ``EmptyComposition``, ``BadPart(k)``, ``BadShape``,
     ``NegativeEntry(i,j)``, ``BadRowSum(i)``, ``BadColSum(j)``.
     Decoration codes: ``BadShape`` (not iterable), ``EmptyDecoration``,
-    ``BadPosition(k)`` (not an ``(i, j)`` pair, outside the grid, or a
-    coordinate that is not an int), ``NotStaircase(k)``,
+    ``BadPosition(k)`` (not a tuple or list ``(i, j)``, outside the grid,
+    or a coordinate that is not an int), ``NotStaircase(k)``,
     ``ZeroEntryDecorated(i,j)``.  Each rule is tested in one bulk pass;
     the offending index is located only when the rule fails.
     """
@@ -337,7 +343,7 @@ def _rows_code(
     """The first violated shape, entry or row-sum rule, in that order, of
     the ``r``-column rows ``rows``; ``rows[k]`` is the matrix's row
     ``at[k]``, 0-based, and must sum to ``sums[k]``."""
-    if any(len(row) != r for row in rows):
+    if set(map(len, rows)) != {r}:
         return "BadShape"
     cells = list(chain.from_iterable(rows))
     if set(map(type, cells)) != {int} or min(cells) < 0:
@@ -369,13 +375,14 @@ def _delta_code(
         return "EmptyDecoration"
     try:
         ints = set(map(type, chain.from_iterable(pts))) == {int}
-    except TypeError:  # a position that is not a pair fails in the loop below
+    except TypeError:  # a position that is not iterable fails in the loop below
         ints = False
     try:
-        for k, (i, j) in enumerate(pts, start=1):
+        for k, p in enumerate(pts, start=1):
+            i, j = p if type(p) is tuple else _sequence(p)
             if not (ints or _is_int(i) and _is_int(j)) or not (1 <= i <= q and 1 <= j <= r):
                 return f"BadPosition({k})"
-    except (TypeError, ValueError):  # ``k`` is bound before its position is unpacked
+    except ValueError:  # ``k`` is bound before its position is unpacked
         return f"BadPosition({k})"
     try:
         pts.sort()

@@ -3,7 +3,7 @@
 Each move rearranges one unit of mass and/or the decoration of a
 decorated transport matrix, producing the immediately more generic
 orbits: the moves are exactly the covers of the degeneration order.
-There are five families (the third and fourth come in mirror variants):
+There are five families:
 
 * ``I`` — decorate an existing positive entry whose northwest region is
   already accounted for.
@@ -16,30 +16,30 @@ There are five families (the third and fourth come in mirror variants):
 * ``V`` — a cascade: a unit leaves a pivot northwest of a consecutive
   run of decorated cells, shifting each circle one step along the run.
 
-Swapping the two flags transposes the matrix, so ``IIIb`` and ``IVc``
-are the transposes of ``IIIa`` and ``IVb``.  ``apply_move`` checks every
-stated condition and raises :class:`PreconditionFailed` naming the first
-violated clause; the pipeline checks each candidate move once.
+Swapping the two flags transposes the matrix and takes ``IIIa`` and
+``IVb`` to ``IIIb`` and ``IVc``; each kind is checked in the orbit's own
+coordinates.  ``apply_move`` checks every stated condition and raises
+:class:`PreconditionFailed` naming the first violated clause; the
+pipeline checks each candidate move once.
 
 The checkers read an orbit in two parts.  The matrix part,
 :class:`_Matrix`, answers what depends on the transport matrix alone:
-its cells with mass, ranks, far corners and transpose, and the clause,
-flipped rows and undominated cells of each corner pair; it keeps each
-far corner list, clause and flip it computes.  The orbit part,
-:class:`_Orbit`, adds the decoration, the threshold table that answers
-whether a cell lies northwest of the decoration, and the mirror orbit of
-the mirror kinds.  ``_move_edges`` gives the orbits of one matrix one
-matrix part, and takes each orbit's order key from the same threshold
-table.  ``find_chain`` checks each candidate only on the rows its move
-built, compares the candidate's ranks with the target's before it reads
-the decoration, and carries the tables and, after a kind-I step, the
-matrix part of the move it takes into the next step.
+its cells with mass, ranks and far corners, and the clause, flipped
+rows and undominated cells of each corner pair; it keeps each far
+corner list, clause and flip it computes.  The orbit part,
+:class:`_Orbit`, adds the decoration and the threshold table that
+answers whether a cell lies northwest of the decoration.
+``_move_edges`` gives the orbits of one matrix one matrix part, and
+takes each orbit's order key from the same threshold table.
+``find_chain`` checks each candidate only on the rows its move built,
+compares the candidate's ranks with the target's before it reads the
+decoration, and carries the tables and, after a kind-I step, the matrix
+part of the move it takes into the next step.
 """
 
 from __future__ import annotations
 
-import re
-from functools import cached_property
+from functools import cached_property, partial
 from operator import ge
 from typing import Iterator, NamedTuple, Sequence
 
@@ -51,7 +51,6 @@ from .flagcore import (
     TransportMatrix,
     ValidationError,
     _int_pairs,
-    _require_positions,
     _staircase,
     _step_code,
     raise_if_invalid,
@@ -124,11 +123,10 @@ class _Memo(dict):
 
 class _Matrix:
     """One transport matrix as the checkers of its orbits read it.  Built
-    on first use: its cells with mass, its flat ranks and its transpose
-    for the mirror kinds.  Kept as they are looked up, by cell or by
-    corner pair: the far corners of flips from a cell (``far[i, j]``),
-    and the clause and flipped rows of a corner pair
-    (``clause[i0, j0, i1, j1]``, ``flip[i0, j0, i1, j1]``)."""
+    on first use: its cells with mass and its flat ranks.  Kept as they
+    are looked up, by cell or by corner pair: the far corners of flips
+    from a cell (``far[i, j]``), and the clause and flipped rows of a
+    corner pair (``clause[i0, j0, i1, j1]``, ``flip[i0, j0, i1, j1]``)."""
 
     def __init__(self, tm: TransportMatrix):
         self.tm, self.m, self.q, self.r = tm, tm.m, tm.q, tm.r
@@ -146,11 +144,6 @@ class _Matrix:
         """The flat ranks of :func:`_ranks`, which the orbits' keys share."""
         return _ranks(self.m, self.r)
 
-    @cached_property
-    def mirror(self) -> _Matrix:
-        """The part of the transposed matrix."""
-        return _Matrix(TransportMatrix(tuple(zip(*self.m)), self.tm.c, self.tm.b))
-
     def undominated(self, free, i0: int, j0: int, i1: int, j1: int, skip) -> Position | None:
         """First cell of rows ``i0..i1`` and columns ``j0..j1`` outside
         ``skip``, in row-major order, that carries mass and lies weakly
@@ -166,8 +159,7 @@ class _Matrix:
 
 class _Orbit:
     """One orbit as the checkers and :func:`_candidates` read it: its
-    matrix part, decoration and free table, and the mirror orbit built on
-    first use.
+    matrix part, decoration and free table.
 
     ``free[i - 1][j - 1]`` is 0 exactly when the cell ``(i, j)`` lies
     weakly northwest of a decorated cell: ``free`` is the orbit's
@@ -180,19 +172,14 @@ class _Orbit:
 
     @classmethod
     def of(cls, dm: DecoratedMatrix) -> _Orbit:
-        """The view of ``dm`` on a new matrix part.  A decoration that is
-        not a tuple of int pairs raises :class:`ValidationError`, so the
-        checkers take every decorated cell for one."""
+        """The view of ``dm`` on a new matrix part.  An invalid ``dm``, or
+        a decoration that is not a tuple of int pairs, raises
+        :class:`ValidationError`, so the checkers take the orbit for a
+        valid one and every decorated cell for a tuple."""
+        raise_if_invalid(dm.matrix, dm.delta)
         if not _int_pairs(dm.delta):
-            _require_positions("delta", dm.delta)
             raise ValidationError("BadShape")
         return cls(_Matrix(dm.matrix), dm.delta, _threshold_table(dm.delta, dm.q, dm.r))
-
-    @cached_property
-    def mirror(self) -> _Orbit:
-        """The orbit with the two flags swapped; its free table is the
-        transpose of this one's."""
-        return _Orbit(self.mat.mirror, _transpose_delta(self.delta), tuple(zip(*self.free)))
 
 
 def _in_grid(v: _Orbit, anchors: tuple[Position, ...]) -> bool:
@@ -261,7 +248,10 @@ def _ii_factors_through_corner(v: _Orbit, i0: int, j0: int, i1: int, j1: int) ->
     return not (dt[i0 - 1][j1 - 1] or dt[i1 - 1][j0 - 1])
 
 
-def _try_IIIa(v: _Orbit, anchors: tuple[Position, ...]):
+def _try_III(v: _Orbit, anchors: tuple[Position, ...], to_ne: bool):
+    """Kinds IIIa (``to_ne``) and IIIb: the decoration at ``(i0,j0)``
+    slides to the NE corner ``(i0,j1)`` or the SW corner ``(i1,j0)``, and
+    the other off corner may carry mass."""
     if len(anchors) != 2:
         return "expected anchors ((i0,j0), (i1,j1))"
     (i0, j0), (i1, j1) = anchors
@@ -276,13 +266,15 @@ def _try_IIIa(v: _Orbit, anchors: tuple[Position, ...]):
         return "entry at (i0,j0) must be exactly 1"
     if tm.entry(i1, j1) <= 0:
         return "entry at (i1,j1) must be positive"
-    bad = _nonzero_in_rect(tm.m, i0, j0, i1, j1, frozenset({(i1, j0)}))
+    to, other = ((i0, j1), (i1, j0)) if to_ne else ((i1, j0), (i0, j1))
+    bad = _nonzero_in_rect(tm.m, i0, j0, i1, j1, frozenset({other}))
     if bad is not None:
         return f"nonzero entry at {bad} strictly between the corners"
-    bad = v.mat.undominated(v.free, 1, 1, i0, j1, ((i0, j0),))
+    bad = v.mat.undominated(v.free, 1, 1, *to, ((i0, j0),))
     if bad is not None:
-        return "nonzero undominated entry at (%d,%d) northwest of (i0,j1)" % bad
-    return (v.mat.flip[i0, j0, i1, j1], _staircase(delta + ((i0, j1),)))
+        corner = "(i0,j1)" if to_ne else "(i1,j0)"
+        return "nonzero undominated entry at (%d,%d) northwest of " % bad + corner
+    return (v.mat.flip[i0, j0, i1, j1], _staircase(delta + (to,)))
 
 
 def _try_IVa(v: _Orbit, anchors: tuple[Position, ...]):
@@ -342,6 +334,35 @@ def _try_IVb(v: _Orbit, anchors: tuple[Position, ...]):
     return (v.mat.flip[i0, j0, i1, j1], delta)
 
 
+def _try_IVc(v: _Orbit, anchors: tuple[Position, ...]):
+    if len(anchors) != 3:
+        return "expected anchors ((i0,j0), (i1,j1), (i0,j2))"
+    (i0, j0), (i1, j1), (i0b, j2) = anchors
+    tm, delta = v.tm, v.delta
+    if not _in_grid(v, anchors):
+        return "anchor outside the grid"
+    if i0b != i0:
+        return "third anchor must sit in row i0"
+    if not (j0 < j2 < j1 and i0 < i1):
+        return "anchors must satisfy j0 < j2 < j1 and i0 < i1"
+    if (i0, j2) not in delta:
+        return "(i0,j2) must be decorated"
+    if tm.entry(i0, j2) != 1:
+        return "entry at (i0,j2) must be exactly 1"
+    if tm.entry(i0, j0) <= 0:
+        return "entry at (i0,j0) must be positive"
+    if tm.entry(i1, j1) <= 0:
+        return "entry at (i1,j1) must be positive"
+    if not v.free[i1 - 1][j0 - 1]:
+        return "(i1,j0) must not lie weakly northwest of a decorated cell"
+    bad = _nonzero_in_rect(
+        tm.m, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0), (i0, j2)})
+    )
+    if bad is not None:
+        return f"nonzero entry at {bad} strictly between the corners"
+    return (v.mat.flip[i0, j0, i1, j1], delta)
+
+
 def _try_V(v: _Orbit, anchors: tuple[Position, ...]):
     if len(anchors) < 2:
         return "expected a pivot followed by a nonempty chain"
@@ -391,60 +412,26 @@ def _try_V(v: _Orbit, anchors: tuple[Position, ...]):
     return (rows, _staircase((*others, (i0, head_j), (tail_i, j0))))
 
 
-def _transpose_delta(delta: tuple[Position, ...]) -> tuple[Position, ...]:
-    """Each decorated cell ``(i, j) -> (j, i)``, the staircase kept
-    sorted by row."""
-    return tuple((j, i) for (i, j) in reversed(delta))
-
-
-def _transpose(rows, delta):
-    """``m -> m^T`` and the decoration by :func:`_transpose_delta`."""
-    return tuple(zip(*rows)), _transpose_delta(delta)
-
-
-_MIRROR_WORDS = {"i": "j", "j": "i", "row": "column", "column": "row"}
-
-
-def _mirror_clause(clause: str) -> str:
-    """A base kind's clause in its mirror kind's names: ``i <-> j``,
-    ``row <-> column``, each named cell transposed.  The corner clause
-    reads the same in both."""
-    if clause == "corners must satisfy i0 < i1 and j0 < j1":
-        return clause
-    clause = re.sub(r"\b(?:[ij](?=\d)|row\b|column\b)", lambda m: _MIRROR_WORDS[m[0]], clause)
-    return re.sub(r"\((\w+),( ?)(\w+)\)", r"(\3,\2\1)", clause)
-
-
-def _mirrored(try_fn):
-    """The mirror of a checker: run it on the transposed orbit, built
-    once per orbit on the matrix part's transpose, and the transposed
-    anchors, then transpose its result back.  A clause stays in the base
-    kind's names: only :func:`apply_move` reports one, and mirrors it."""
-
-    def try_mirror(v: _Orbit, anchors: tuple[Position, ...]):
-        result = try_fn(v.mirror, tuple((j, i) for (i, j) in anchors))
-        return result if isinstance(result, str) else _transpose(*result)
-
-    return try_mirror
-
-
 _TRY = {
     "I": _try_I,
     "II": _try_II,
-    "IIIa": _try_IIIa,
-    "IIIb": _mirrored(_try_IIIa),
+    "IIIa": partial(_try_III, to_ne=True),
+    "IIIb": partial(_try_III, to_ne=False),
     "IVa": _try_IVa,
     "IVb": _try_IVb,
-    "IVc": _mirrored(_try_IVb),
+    "IVc": _try_IVc,
     "V": _try_V,
 }
 
 
 def _result(dm: DecoratedMatrix, rows, delta) -> DecoratedMatrix:
-    """The validated orbit a checker built from ``dm``."""
-    tm = TransportMatrix(rows, dm.matrix.b, dm.matrix.c)
-    raise_if_invalid(tm, delta)
-    return DecoratedMatrix(tm, delta)
+    """The orbit a checker built from the valid ``dm``, validated against
+    it; only the rows the move built are read."""
+    (m, b, c), _ = dm
+    code = _step_code(m, rows, b, delta)
+    if code is not None:
+        raise ValidationError(code)
+    return DecoratedMatrix(TransportMatrix(rows, b, c), delta)
 
 
 def apply_move(dm: DecoratedMatrix, move: Move) -> DecoratedMatrix:
@@ -458,8 +445,7 @@ def apply_move(dm: DecoratedMatrix, move: Move) -> DecoratedMatrix:
         raise PreconditionFailed(move.kind, "anchors must be (i, j) pairs of integers")
     result = try_fn(_Orbit.of(dm), move.anchors)
     if isinstance(result, str):
-        clause = _mirror_clause(result) if move.kind in ("IIIb", "IVc") else result
-        raise PreconditionFailed(move.kind, clause)
+        raise PreconditionFailed(move.kind, result)
     return _result(dm, *result)
 
 
@@ -528,9 +514,10 @@ def iter_moves(dm: DecoratedMatrix) -> Iterator[Move]:
     Canonical order: kinds in ``KIND_ORDER``, anchors lexicographically
     within each kind.  Candidates are drawn from the structure of ``dm``
     and each is confirmed by the same checker :func:`apply_move` runs;
-    the results are not built.
+    the results are not built.  An invalid ``dm`` raises
+    :class:`ValidationError` on the call.
     """
-    return (mv for mv, _ in _checked_moves(dm))
+    return (mv for mv, _ in _checked_moves(dm, _Orbit.of(dm)))
 
 
 def applicable_moves(dm: DecoratedMatrix) -> list[Move]:
@@ -668,12 +655,11 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
     order, so such a move exists; if none does, the order and the moves
     disagree and :class:`OrderCheckFailed` is raised.
     """
-    raise_if_invalid(x.matrix, x.delta)
+    view = _Orbit.of(x)
     raise_if_invalid(y.matrix, y.delta)
     _check_same_shape(x.matrix, y.matrix)
     q, r = x.q, x.r
     goal_ranks, goal_rbar = _tables(y)
-    view = _Orbit.of(x)
     ranks, free = view.mat.ranks, view.free
     rbar = _rbar(ranks, free)
     if not (all(map(ge, ranks, goal_ranks)) and all(map(ge, rbar, goal_rbar))):

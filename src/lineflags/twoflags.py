@@ -120,7 +120,10 @@ def _check_same_shape(x: TransportMatrix, y: TransportMatrix) -> None:
 
 
 def rk_leq(x: TransportMatrix, y: TransportMatrix) -> bool:
-    """Degeneration order: every rank of ``x`` >= the rank of ``y``."""
+    """Degeneration order: every rank of ``x`` >= the rank of ``y``.
+    Invalid ``x`` or ``y`` raise :class:`ValidationError`."""
+    raise_if_invalid(x)
+    raise_if_invalid(y)
     _check_same_shape(x, y)
     return all(map(ge, _ranks(x.m, x.r), _ranks(y.m, y.r)))
 

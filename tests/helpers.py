@@ -135,9 +135,11 @@ def validate_by_rule(matrix, delta=None):
     if not pts:
         return "EmptyDecoration"
     for k, p in enumerate(pts, start=1):
+        if not isinstance(p, (tuple, list)):
+            return f"BadPosition({k})"
         try:
             i, j = p
-        except (TypeError, ValueError):
+        except ValueError:
             return f"BadPosition({k})"
         if not (_is_int(i) and _is_int(j)) or not (1 <= i <= q and 1 <= j <= r):
             return f"BadPosition({k})"

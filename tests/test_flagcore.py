@@ -62,8 +62,8 @@ class TestTransportMatrix:
 
     @pytest.mark.parametrize(
         "delta",
-        [[(1, 1, 1)], [(1,)], [5], [(1, 1), 5], 5],
-        ids=["triple", "single", "int", "mixed", "not-a-list"],
+        [[(1, 1, 1)], [(1,)], [5], [(1, 1), 5], 5, [{2: 0, 1: 0}], [range(2, 4)]],
+        ids=["triple", "single", "int", "mixed", "not-a-list", "dict", "range"],
     )
     def test_make_rejects_positions_that_are_not_pairs(self, delta):
         tm = TransportMatrix.from_rows([[1, 0], [0, 1]])
@@ -122,9 +122,12 @@ class TestValidate:
             (((9, 9), (1,)), "BadPosition(1)"),
             (5, "BadShape"),
             (([1, 1], (2, 2)), "NotStaircase(2)"),
+            (({2: 0, 1: 0},), "BadPosition(1)"),
+            (((1, 1), range(1, 3)), "BadPosition(2)"),
+            (({1, 2},), "BadPosition(1)"),
         ],
         ids=["triple", "single", "int", "int-second", "triple-second", "outside-first",
-             "not-iterable", "list-and-tuple"],
+             "not-iterable", "list-and-tuple", "dict", "range-second", "set"],
     )
     def test_a_decoration_of_the_wrong_shape_gets_a_code(self, delta, code):
         tm = TransportMatrix(((1, 0), (0, 1)), (1, 1), (1, 1))

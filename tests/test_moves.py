@@ -233,9 +233,9 @@ class TestMoveEnumeration:
 
 class TestOrbitView:
     def test_view_matches_the_definitions(self):
-        """The free table, the mirror orbit and the far corners of the view
-        of every orbit of mass <= 4; a new matrix part builds nothing and
-        keeps nothing in its three tables before it is asked."""
+        """The free table and the far corners of the view of every orbit of
+        mass <= 4; a new matrix part builds nothing and keeps nothing in
+        its three tables before it is asked."""
         views = 0
         for b, c in margin_pairs(1, 4):
             for dm in enumerate_orbits(b, c):
@@ -243,17 +243,13 @@ class TestOrbitView:
                 orbit = lineflags.moves._Orbit.of(dm)
                 mat = orbit.mat
                 assert type(mat) is lineflags.moves._Matrix and mat.tm is dm.matrix
-                assert vars(orbit).keys().isdisjoint({"mirror"})
+                assert vars(orbit).keys() == {"mat", "delta", "free", "tm", "m", "q", "r"}
                 assert vars(mat).keys() == {"tm", "m", "q", "r", "far", "clause", "flip"}
                 assert mat.far == mat.clause == mat.flip == {}
                 for i in range(1, dm.q + 1):
                     for j in range(1, dm.r + 1):
                         assert (not orbit.free[i - 1][j - 1]) == dominated((i, j), delta)
-                mirror = orbit.mirror
-                assert (mirror.m, mirror.delta) == lineflags.moves._transpose(m, delta)
-                assert (mirror.tm.b, mirror.tm.c) == (dm.matrix.c, dm.matrix.b)
-                assert mirror.free == delta_table(DecoratedMatrix(mirror.tm, mirror.delta))
-                assert orbit.mirror is mirror and type(mirror.mat) is type(mat)
+                assert orbit.free == delta_table(dm)
                 assert mat.support == dm.matrix.positive_positions()
                 for p in mat.support:
                     want = lineflags.twoflags._se_corners(m, *p)
@@ -345,7 +341,7 @@ class TestSharedMatrixPart:
             for dm in enumerate_orbits(b, c):
                 if mat is None or mat.tm != dm.matrix:
                     mat = lineflags.moves._Matrix(dm.matrix)
-                    assert all(getattr(mat, name) is getattr(mat, name) for name in ("mirror", "support", "far"))
+                    assert all(getattr(mat, name) is getattr(mat, name) for name in ("support", "far"))
                 shared = lineflags.moves._Orbit(mat, dm.delta, delta_table(dm))
                 for kind, anchors in anchor_tuples(dm):
                     check = lineflags.moves._TRY[kind]
@@ -435,6 +431,19 @@ class TestPreconditions:
         mv = Move("V", ((1, 1), (2, 4), (4, 1)))
         with pytest.raises(PreconditionFailed, match="consecutive run"):
             apply_move(dm, mv)
+
+    def test_a_move_from_an_invalid_source_is_rejected(self):
+        """A decorated zero entry: each entry point raises on the call
+        rather than list or apply the moves of kind I at (1,2) and (2,1)."""
+        dm = DecoratedMatrix(TransportMatrix(((0, 1), (1, 0)), (1, 1), (1, 1)), ((1, 1),))
+        for call in (
+            lambda: apply_move(dm, Move("I", ((1, 2),))),
+            lambda: iter_moves(dm),
+            lambda: applicable_moves(dm),
+        ):
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert info.value.code == "ZeroEntryDecorated(1,1)"
 
     def test_result_is_validated(self):
         # Decorating (2,2) supersedes the old (1,1) circle: the
@@ -582,7 +591,20 @@ MIRROR_REJECTIONS = [
      "nonzero entry at (2, 2) strictly between the corners"),
     (((1, 1), (1, 1)), ((1, 2),), "IVc", ((1, 1), (2, 2)),
      "expected anchors ((i0,j0), (i1,j1), (i0,j2))"),
+    # Several cells break the clause; the first in row-major order is named.
+    (((1, 0, 0), (0, 1, 0), (1, 0, 1)), ((1, 1),), "IIIb", ((1, 1), (3, 3)),
+     "nonzero entry at (2, 2) strictly between the corners"),
+    (((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 1)), ((1, 3),), "IIIb", ((1, 3), (3, 4)),
+     "nonzero undominated entry at (2,2) northwest of (i1,j0)"),
 ]
+
+
+def applied(dm, move):
+    """``apply_move(dm, move)``, or None if a precondition fails."""
+    try:
+        return apply_move(dm, move)
+    except PreconditionFailed:
+        return None
 
 
 class TestMirrorKinds:
@@ -604,25 +626,42 @@ class TestMirrorKinds:
             apply_move(dm, Move(kind, anchors))
         assert (info.value.kind, info.value.clause) == (kind, clause)
 
-    def test_the_move_search_words_no_mirror_clause(self, monkeypatch):
-        """Only ``apply_move`` reports a clause, so the search, which drops
-        the clauses of the candidates it rejects, never mirrors one."""
-        rejected = {}
-        for kind in ("IIIb", "IVc"):
-            def counted(v, anchors, real=lineflags.moves._TRY[kind], kind=kind):
-                result = real(v, anchors)
-                rejected[kind] = rejected.get(kind, 0) + isinstance(result, str)
-                return result
+    def test_mirror_kinds_are_the_base_kinds_on_the_transpose(self):
+        """On every orbit of mass <= 3, every in-grid anchor pair of kind
+        IIIb and triple of kind IVc gives the transpose of what the
+        mirrored move of kind IIIa or IVb gives on the transposed orbit,
+        or both fail a precondition."""
+        tried = accepted = 0
+        for b, c in margin_pairs(1, 3):
+            for dm in enumerate_orbits(b, c):
+                flipped = transpose(dm)
+                cells = [(i, j) for i in range(1, dm.q + 1) for j in range(1, dm.r + 1)]
+                for kind, size in (("IIIb", 2), ("IVc", 3)):
+                    for anchors in product(cells, repeat=size):
+                        move = Move(kind, anchors)
+                        out, image = applied(dm, move), applied(flipped, mirror(move))
+                        assert out == (image and transpose(image)), (dm, move)
+                        tried += 1
+                        accepted += out is not None
+        assert (tried, accepted) == (37462, 24)
 
-            monkeypatch.setitem(lineflags.moves._TRY, kind, counted)
-
-        def refuse(clause):
-            raise AssertionError(f"mirrored {clause!r}")
-
-        monkeypatch.setattr(lineflags.moves, "_mirror_clause", refuse)
-        for dm in enumerate_orbits((2, 1, 1), (2, 1, 1)):
-            applicable_moves(dm)
-        assert rejected["IIIb"] > 0 and rejected["IVc"] > 0
+    def test_results_keep_the_rows_they_do_not_change(self):
+        """The rows of an IIIb or IVc result outside rows ``i0`` and ``i1``
+        are the source's row objects, raw and applied, on every orbit of
+        mass <= 4."""
+        seen = {"IIIb": 0, "IVc": 0}
+        for b, c in margin_pairs(1, 4):
+            for dm in enumerate_orbits(b, c):
+                m = dm.matrix.m
+                for mv, (rows, _) in lineflags.moves._checked_moves(dm):
+                    if mv.kind not in seen:
+                        continue
+                    (i0, _), (i1, _) = mv.anchors[:2]
+                    out = apply_move(dm, mv).matrix.m
+                    for i in range(dm.q):
+                        assert (rows[i] is m[i] and out[i] is m[i]) == (i + 1 not in (i0, i1))
+                    seen[mv.kind] += 1
+        assert seen["IIIb"] > 0 and seen["IVc"] > 0
 
 
 class TestPoset:

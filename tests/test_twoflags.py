@@ -190,7 +190,8 @@ class TestProgressMove:
             progress_move(perm_matrix((3, 2, 1)), x)
 
     def test_invalid_arguments_raise(self):
-        """``x`` is checked first, then ``y``, then the shapes agree."""
+        """``progress_move`` and ``rk_leq`` check ``x`` first, then ``y``,
+        then that the shapes agree."""
         bad = TransportMatrix(((2, -1), (-1, 2)), (1, 1), (1, 1))
         top = perm_matrix((2, 1))
         other = TransportMatrix(((1, 1), (0, 1)), (2, 1), (1, 2))
@@ -202,9 +203,10 @@ class TestProgressMove:
             (bad, other, "NegativeEntry(1,2)"),
             (top, bad_other, "BadRowSum(2)"),
         ):
-            with pytest.raises(ValidationError) as info:
-                progress_move(x, y)
-            assert info.value.code == code
+            for check in (progress_move, rk_leq):
+                with pytest.raises(ValidationError) as info:
+                    check(x, y)
+                assert info.value.code == code
 
     def test_no_qualifying_simple_move_fails_the_order_check(self, monkeypatch):
         monkeypatch.setattr(lineflags.twoflags, "simple_moves", lambda tm: [])
