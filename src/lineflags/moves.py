@@ -437,8 +437,14 @@ def _result(dm: DecoratedMatrix, rows, delta) -> DecoratedMatrix:
 def apply_move(dm: DecoratedMatrix, move: Move) -> DecoratedMatrix:
     """Apply ``move`` to ``dm``; raise :class:`PreconditionFailed` if the
     anchors are not a tuple of ``(i, j)`` pairs of ints or a stated
-    condition fails."""
-    try_fn = _TRY.get(move.kind)
+    condition fails.  A ``move`` that is not a :class:`Move`, or whose
+    kind cannot be hashed, raises ``BadShape``."""
+    if not isinstance(move, Move):
+        raise ValidationError("BadShape")
+    try:
+        try_fn = _TRY.get(move.kind)
+    except TypeError:
+        raise ValidationError("BadShape") from None
     if try_fn is None:
         raise PreconditionFailed(move.kind, "unknown move kind")
     if not _int_pairs(move.anchors):

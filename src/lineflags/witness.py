@@ -14,7 +14,7 @@ polynomial rows — lands in the more special one.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, zip_longest
+from itertools import accumulate, chain, product, zip_longest
 from math import gcd, lcm
 from operator import add, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -32,7 +32,7 @@ from .flagcore import (
     raise_if_invalid,
     render,
 )
-from .twoflags import RankTable, _rank_table, rank_table
+from .twoflags import RankTable, _rank_table
 from .decorated import (
     NotAnOrbitInvariant,
     RBarTable,
@@ -249,17 +249,19 @@ def standard_configuration(
             raise ValidationError(f"BadPosition({k})")
         if tm.entry(i, j) <= 0:
             raise ZeroEntryPosition(f"({i},{j})")
-    n = tm.n
-    unit = [tuple(int(k == col) for col in range(n)) for k in range(n)]
     slots = _source_slots(tm)
-    index = {s: k for k, s in enumerate(slots)}
-    b_levels, c_levels = _flag_levels(
-        tm, unit, [unit[index[s]] for s in _column_major(slots)]
-    )
-    a_vec = [0] * n
-    for (i, j) in pts:
-        a_vec[index[(i, j, 1)]] += 1
-    return Configuration(n, (tuple(a_vec),), b_levels, c_levels)
+    return _standard(tm, slots, _column_major(slots), pts)
+
+
+def _standard(tm: TransportMatrix, by_row: list, by_column: list, positions) -> Configuration:
+    """The standard configuration on the matrix's slots, given in
+    row-major and in column-major order, with the line the sum of the
+    ``k = 1`` unit vectors over ``positions``; built unchecked."""
+    n = tm.n
+    unit = {s: tuple(int(k == col) for col in range(n)) for k, s in enumerate(by_row)}
+    b_levels, c_levels = _flag_levels(tm, list(unit.values()), [unit[s] for s in by_column])
+    a_vec = tuple(map(sum, zip(*(unit[(i, j, 1)] for (i, j) in positions))))
+    return tuple.__new__(Configuration, (n, (a_vec,), b_levels, c_levels))
 
 
 def _fresh(levels: Sequence[tuple]) -> list[tuple]:
@@ -302,9 +304,7 @@ def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
 
     Each generator is made integral once, on entry.  A level that starts
     with the one before it is read from where they differ, so cumulative
-    levels eliminate each generator once.  These tables are the whole
-    check of :func:`verify_move_degeneration`: it compares them with the
-    tables of the orbit each sample should lie in.
+    levels eliminate each generator once.
     """
     n, q, r = config.n, len(config.b_levels), len(config.c_levels)
     b_fresh, c_fresh = (
@@ -362,6 +362,11 @@ def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
     return rank, RBarTable(rbar_values, tuple(tuple(row) for row in d_values))
 
 
+def _tables_of(config: Configuration) -> tuple:
+    rank, rbar = geometric_rank_tables(config)
+    return rank.values, rbar.delta_values
+
+
 def identify_orbit(config: Configuration) -> DecoratedMatrix:
     """The decorated matrix whose invariants match the configuration.
 
@@ -369,8 +374,7 @@ def identify_orbit(config: Configuration) -> DecoratedMatrix:
     come from any decorated matrix (e.g. the input is not a genuine
     flag pair with a line in general position over the grid).
     """
-    rank, rbar = geometric_rank_tables(config)
-    return decorated_from_tables(rank.values, rbar.delta_values)
+    return decorated_from_tables(*_tables_of(config))
 
 
 def uncircling_check(tm: TransportMatrix, positions: Iterable[Position]) -> bool:
@@ -423,7 +427,10 @@ def apply_basis_change(
 
 def random_int_invertible(n: int, rng) -> tuple[tuple[int, ...], ...]:
     """A random integer matrix of determinant ±1 (row operations on the
-    identity), for exercising basis invariance."""
+    identity), for exercising basis invariance.  An ``n`` that is not a
+    non-negative ``int`` raises ``BadShape``."""
+    if not (_is_int(n) and n >= 0):
+        raise ValidationError("BadShape")
     rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
     for _ in range(3 * n * n):
         a, b = rng.randrange(n), rng.randrange(n)
@@ -520,20 +527,67 @@ def _saturate_limit(rows: Sequence[_PolyVec]) -> list[tuple[int, ...]]:
     return values
 
 
+def _p_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """The product of integer polynomials, as coefficient lists lowest first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for a, x in enumerate(f):
+        for b, y in enumerate(g):
+            out[a + b] += x * y
+    return out
+
+
+def _p_det(columns: list[list[tuple[int, Sequence[int]]]]) -> list[int]:
+    """Determinant of a square polynomial matrix given by its columns, as
+    ``(row, entry)`` lists of the nonzero entries with rows counted from
+    0: Laplace expansion along the sparsest column, so a column with one
+    entry peels off as a factor and only a dense minor branches."""
+    if not columns:
+        return [1]
+    c = min(range(len(columns)), key=lambda k: len(columns[k]))
+    rest = columns[:c] + columns[c + 1 :]
+    det: list[int] = []
+    for r, entry in columns[c]:
+        term = _p_mul(entry, _p_det([[(s - (s > r), p) for s, p in col if s != r] for col in rest]))
+        sign = -1 if (r + c) % 2 else 1
+        det = [a + sign * b for a, b in zip_longest(det, term, fillvalue=0)]
+    return det
+
+
+def _rational_root(p: Sequence[int]) -> Fraction | None:
+    """A nonzero rational root of ``p``, or None (and 1 for ``p = 0``).
+    Once ``tau**k`` is divided out, every root is ``±a/b`` with ``a``
+    dividing the constant coefficient and ``b`` the leading one."""
+    support = [k for k, x in enumerate(p) if x]
+    if not support:
+        return Fraction(1)
+    p = p[support[0] : support[-1] + 1]
+    d = len(p) - 1
+    if not d:
+        return None
+    divisors = [[a for a in range(1, abs(x) + 1) if not x % a] for x in (p[0], p[-1])]
+    for a, b in product(*divisors):
+        for x in (a, -a):
+            if not sum(c * x**i * b ** (d - i) for i, c in enumerate(p)):
+                return Fraction(x, b)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Degeneration families
 
 
 class _Family(NamedTuple):
     """A move's symbolic family: the target orbit, the polynomial vector
-    (in source coordinates) at each target slot, the line generator, and
-    the target's slots in row-major and in column-major order."""
+    (in source coordinates) at each target slot, the line generator, the
+    target's slots in row-major and in column-major order, and the
+    positions whose ``k = 1`` slot vectors sum to the line."""
 
     target: DecoratedMatrix
     vectors: dict[tuple[int, int, int], _PolyVec]
     line: _PolyVec
     by_row: list[tuple[int, int, int]]
     by_column: list[tuple[int, int, int]]
+    a_set: tuple[Position, ...]
 
 
 def _family_vectors(dm: DecoratedMatrix, move: Move) -> _Family:
@@ -606,11 +660,10 @@ def _family_vectors(dm: DecoratedMatrix, move: Move) -> _Family:
             specials[(i_last, j0, k)] = e(i_last, j0, k - 1)
         for s in range(1, len(chain)):
             pos = (chain[s - 1][0], chain[s][1])
-            # Early chain heads fade at second order; the (1 + tau)
-            # factor keeps the family a basis at every nonzero
-            # rational parameter (the determinant's other roots are
-            # irrational), while leaving all lowest-order terms, and
-            # hence the limit, untouched.
+            # Early chain heads fade at second order.  Without the
+            # (1 + tau) factor the determinant would vanish at tau = 1;
+            # with it, it has no nonzero rational root (checked by
+            # verify_move_degeneration), and the limit is untouched.
             terms = [pivot_top]
             for u, h in enumerate(heads, start=1):
                 if u <= s:
@@ -629,7 +682,7 @@ def _family_vectors(dm: DecoratedMatrix, move: Move) -> _Family:
         raise ValidationError("BadShape")
     if any(type(x) is not int for row in rows for x in row):
         raise ValidationError("NotARational(config)")
-    return _Family(target, vmap, a_vec, slots, _column_major(slots))
+    return _Family(target, vmap, a_vec, slots, _column_major(slots), a_set)
 
 
 def _family_at(family: _Family, tau: Fraction | int, value: Callable = _v_sample) -> Configuration:
@@ -668,8 +721,8 @@ def degeneration_family(
 
     For ``tau != 0`` the configuration lies in the orbit of
     ``apply_move(dm, move)``; at ``tau = 0`` it is the exact limit,
-    lying in the orbit of ``dm`` itself.  The family is a basis for
-    every nonzero rational ``tau``; a singular evaluation raises
+    lying in the orbit of ``dm`` itself.  :func:`verify_move_degeneration`
+    proves both for every nonzero ``tau``.  A singular evaluation raises
     :class:`FlagError` rather than returning a degenerate flag.  A
     non-rational or ``bool`` ``tau`` raises ``NotARational(tau)``.
     """
@@ -678,6 +731,13 @@ def degeneration_family(
     config = _family_at(_family_vectors(dm, move), tau, _v_eval)
     _require_basis(config, tau)
     return config
+
+
+def _family_det(family: _Family) -> list[int]:
+    """``det g(tau)``, where the columns of ``g`` are the slot vectors in
+    row-major order."""
+    columns = (zip(*family.vectors[s]) for s in family.by_row)
+    return _p_det([[(r, p) for r, p in enumerate(column) if any(p)] for column in columns])
 
 
 class MoveDegenerationReport(NamedTuple):
@@ -692,32 +752,45 @@ class MoveDegenerationReport(NamedTuple):
 
 
 def verify_move_degeneration(dm: DecoratedMatrix, move: Move) -> MoveDegenerationReport:
-    """Check the move's family at ``tau in {1, 2, 1/3}`` and at ``tau = 0``.
+    """Check that the move's family lies in the target orbit at every
+    nonzero ``tau`` and its limit at ``tau = 0`` in the orbit of ``dm``.
 
-    Every nonzero sample must lie in the move's target orbit and the
-    limit in the source orbit.  The family is built once, and each
-    sample is compared with its orbit by the two rank tables, which fix
-    an orbit among those with the same margins.  Only a sample that
-    fails is identified (or found singular, as in
-    :func:`degeneration_family`), to name the orbit it lies in.
+    The family is built once.  If its line is the sum of its ``k = 1``
+    slot vectors over ``a_set``, it is ``g(tau)``, the matrix of its slot
+    vectors, applied to the standard configuration of the target with
+    the line on ``a_set``.  So when that configuration has the target's
+    tables and ``det g(tau)`` has no nonzero rational root, only the
+    limit is compared with its orbit by the two tables.  Otherwise the
+    family is compared at ``tau in {1, 2, 1/3}`` too, and a root that
+    those miss raises :class:`FlagError`.  Only a value that fails is
+    identified (or found singular), to name the orbit it lies in.
     """
     family = _family_vectors(dm, move)
-    checks = [
-        (orbit, (rank_table(orbit.matrix).values, _threshold_table(orbit.delta, orbit.q, orbit.r)))
-        for orbit in (dm, family.target)
-    ]
+    target, vectors, line, by_row, by_column, a_set = family
+    checks = []
+    for orbit in (dm, target):
+        rank = _rank_table(orbit.matrix.m, orbit.r).values
+        checks.append((orbit, (rank, _threshold_table(orbit.delta, orbit.q, orbit.r))))
+    root = _rational_root(_family_det(family))
+    proved = (
+        root is None
+        and line == _v_sum([vectors[(i, j, 1)] for (i, j) in a_set])
+        and _tables_of(_standard(target.matrix, by_row, by_column, a_set)) == checks[1][1]
+    )
     failures: list[str] = []
-    for tau in (1, 2, Fraction(1, 3), 0):
+    for tau in (0,) if proved else (1, 2, Fraction(1, 3), 0):
         orbit, want = checks[tau != 0]
         sample = "family" if tau else "limit"
         config = _family_at(family, tau)
-        rank, rbar = geometric_rank_tables(config)
-        if (rank.values, rbar.delta_values) != want:
+        got = _tables_of(config)
+        if got != want:
             _require_basis(config, tau)
-            got = decorated_from_tables(rank.values, rbar.delta_values)
+            got = decorated_from_tables(*got)
             failures.append(
                 f"tau={tau}: {sample} lies in [{render(got)}], not [{render(orbit)}]"
             )
+    if root is not None and not failures:
+        raise FlagError(f"family is singular at tau={root}")
     return MoveDegenerationReport(move=move, failures=tuple(failures))
 
 

@@ -466,6 +466,38 @@ def verify_move_degeneration_by_identification(dm, move):
     return MoveDegenerationReport(move=move, failures=tuple(failures))
 
 
+def exact_determinant(rows):
+    n = len(rows)
+    mat = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det *= mat[col][col]
+        inv = 1 / mat[col][col]
+        for r in range(col + 1, n):
+            f = mat[r][col] * inv
+            if f:
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
+    return det
+
+
+def det_by_fractions(family, tau):
+    """``det g(tau)`` for a degeneration family, ``g`` having the slot
+    vectors in row-major order as its columns: exact Gaussian
+    elimination on the vectors' values at ``tau``."""
+    tau = Fraction(tau)
+
+    def value(vec):
+        return [sum(row[k] * tau**p for p, row in enumerate(vec)) for k in range(len(vec[0]))]
+
+    return exact_determinant([value(family.vectors[s]) for s in family.by_row])
+
+
 def greedy_chain_by_public_api(x, y):
     """``find_chain`` from the public functions alone: each step applies
     the first move of ``applicable_moves`` whose result lies below ``y``."""

@@ -76,15 +76,45 @@ def test_every_private_helper_is_called():
     assert found == []
 
 
+def _calls(tree, names):
+    """The calls in a tree of any of ``names``, as plain names or as
+    attributes."""
+    return [
+        f"{node.lineno} {name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+        if name in names
+    ]
+
+
 def test_the_move_kernel_calls_no_validating_helper():
     """``dominated`` and ``normalize_decoration`` check their input, so
     the per-orbit view of ``moves`` answers their questions instead."""
     path = Path(lineflags.__file__).parent / "moves.py"
-    calls = [
-        f"{node.lineno} {name}"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Call)
-        for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
-        if name in ("dominated", "normalize_decoration")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _calls(tree, ("dominated", "normalize_decoration")) == []
+
+
+def test_the_degeneration_proof_calls_no_validating_helper():
+    """``apply_move`` has validated both orbits of a family, so the proof
+    in ``verify_move_degeneration`` reads their ranks and builds its
+    standard configuration without checking them again."""
+    path = Path(lineflags.__file__).parent / "witness.py"
+    proof = {
+        "verify_move_degeneration",
+        "_family_det",
+        "_p_det",
+        "_p_mul",
+        "_rational_root",
+        "_standard",
+        "_tables_of",
+    }
+    functions = [
+        node
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef) and node.name in proof
     ]
-    assert calls == []
+    assert {node.name for node in functions} == proof
+    validating = ("raise_if_invalid", "rank_table", "standard_configuration")
+    assert [call for node in functions for call in _calls(node, validating)] == []

@@ -19,6 +19,7 @@ from lineflags import (
     Configuration,
     FlagError,
     IntEchelon,
+    Move,
     NotAnOrbitInvariant,
     TransportMatrix,
     ValidationError,
@@ -46,6 +47,8 @@ from lineflags import (
 from lineflags import witness
 from lineflags.witness import _integral, _saturate_limit
 from helpers import (
+    det_by_fractions,
+    exact_determinant,
     fraction_dependency,
     fraction_rank,
     limit_by_restarts,
@@ -53,26 +56,6 @@ from helpers import (
     rank_tables_by_definition,
     verify_move_degeneration_by_identification,
 )
-
-
-def exact_determinant(rows):
-    n = len(rows)
-    mat = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            f = mat[r][col] * inv
-            if f:
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return det
 
 
 class TestIntEchelon:
@@ -673,6 +656,21 @@ class TestBasisInvariance:
         with pytest.raises(ValidationError, match=r"NotARational\(g\)"):
             apply_basis_change(config, g)
 
+    @pytest.mark.parametrize("n", [True, -2, 2.5, "3"], ids=["bool", "negative", "float", "str"])
+    def test_random_matrices_reject_bad_sizes(self, n):
+        with pytest.raises(ValidationError, match="BadShape"):
+            random_int_invertible(n, random.Random(4))
+
+    def test_random_matrices_keep_their_draws(self):
+        """The seeded draws feed benchmark goldens, so one is pinned."""
+        assert random_int_invertible(0, random.Random(4)) == ()
+        assert random_int_invertible(4, random.Random(4)) == (
+            (61, -178, 29, 178),
+            (1, -4, 2, 17),
+            (81, -232, 32, 176),
+            (35, -101, 15, 87),
+        )
+
     def test_accepts_fraction_entries(self):
         dm = from_permutation((2, 1), (1,))
         config = standard_configuration(dm.matrix, dm.delta)
@@ -865,6 +863,110 @@ class TestMoveDegenerationByTables:
             "_family_vectors": len(reports),
             "decorated_from_tables": 0,
         }
+
+
+@pytest.mark.parametrize(
+    "move", [("I", ((2, 1),)), None, Move(["I"], ((2, 1),))], ids=["tuple", "none", "list-kind"]
+)
+@pytest.mark.parametrize(
+    "entry",
+    [apply_move, verify_move_degeneration, lambda dm, mv: degeneration_family(dm, mv, 1)],
+    ids=["apply_move", "verify_move_degeneration", "degeneration_family"],
+)
+def test_a_move_that_is_not_a_move_is_rejected(entry, move):
+    with pytest.raises(ValidationError, match="BadShape"):
+        entry(from_permutation((1, 2), (2,)), move)
+
+
+class TestDeterminantProof:
+    """``verify_move_degeneration`` proves a family for every nonzero
+    ``tau`` from ``det g(tau)`` and one standard configuration."""
+
+    def test_the_determinant_matches_fractions_on_every_cover_up_to_mass_four(self):
+        covers = 0
+        for dm, mv in cover_moves(1, 4):
+            family = witness._family_vectors(dm, mv)
+            det = witness._family_det(family)
+            # len(det) + 1 = deg + 2 points, when the top coefficient is not 0.
+            for tau in (Fraction(k, 2) - 1 for k in range(len(det) + 1)):
+                assert det_by_fractions(family, tau) == sum(c * tau**p for p, c in enumerate(det))
+            covers += 1
+        assert covers == 4317
+
+    def test_only_the_limit_is_sampled_on_every_cover_up_to_mass_four(self, monkeypatch):
+        taus = []
+        family_at = witness._family_at
+
+        def counted(family, tau, *rest):
+            taus.append(tau)
+            return family_at(family, tau, *rest)
+
+        monkeypatch.setattr(witness, "_family_at", counted)
+        covers = 0
+        for dm, mv in cover_moves(1, 4):
+            assert verify_move_degeneration(dm, mv).passed
+            covers += 1
+        assert covers == 4317
+        assert taus == [0] * covers
+
+    def test_census_at_full_flags_four(self):
+        """Kind V alone has determinants that are not monomials, and
+        kind V alone puts the line on positions other than the target
+        decoration."""
+        poset = build_poset((1,) * 4, (1,) * 4, check_reduction=False)
+        not_monomial, not_delta = Counter(), Counter()
+        for (a, _), mv in zip(poset.covers, poset.cover_moves):
+            family = witness._family_vectors(poset.elements[a], mv)
+            not_monomial[mv.kind] += sum(map(bool, witness._family_det(family))) > 1
+            not_delta[mv.kind] += set(family.a_set) != set(family.target.delta)
+        assert len(poset.covers) == 763
+        assert +not_monomial == {"V": 18}
+        assert +not_delta == {"V": 37}
+
+    def test_a_family_with_its_line_moved_fails_alike(self, monkeypatch):
+        """A line on the first position of ``a_set`` alone takes the
+        values at nonzero ``tau`` out of the target orbit on some covers,
+        which the standard configuration's tables show."""
+
+        def moved(dm, move):
+            family = family_vectors(dm, move)
+            (i, j) = family.a_set[0]
+            return family._replace(line=family.vectors[(i, j, 1)], a_set=((i, j),))
+
+        family_vectors = witness._family_vectors
+        monkeypatch.setattr(witness, "_family_vectors", moved)
+        outcomes = []
+        for dm, mv in cover_moves(2, 3):
+            got = outcome(verify_move_degeneration, dm, mv)
+            assert got == outcome(verify_move_degeneration_by_identification, dm, mv)
+            outcomes.append(got)
+        assert {bool(got) for got in outcomes} == {True, False}
+
+    @pytest.mark.parametrize(
+        "slot, factor, root", [(0, (-5, 1), "5"), (-1, (1, 1), "-1")], ids=["tau-5", "1+tau"]
+    )
+    def test_a_singular_value_between_the_samples_is_found(self, monkeypatch, slot, factor, root):
+        """A slot vector scaled by ``tau - 5`` or ``1 + tau`` leaves the
+        samples and the limit in their orbits, so the sampled check by
+        identification passes; only the determinant finds the root."""
+
+        def sabotaged(dm, move):
+            family = family_vectors(dm, move)
+            s = family.by_row[slot]
+            vec = family.vectors[s]
+            low, high = (witness._v_scale(vec, c) for c in factor)
+            scaled = witness._v_sum([low, witness._v_shift(high, 1)])
+            return family._replace(vectors={**family.vectors, s: scaled})
+
+        family_vectors = witness._family_vectors
+        monkeypatch.setattr(witness, "_family_vectors", sabotaged)
+        covers = 0
+        for dm, mv in cover_moves(2, 3):
+            got = outcome(verify_move_degeneration, dm, mv)
+            assert got == ("FlagError", f"family is singular at tau={root}")
+            assert verify_move_degeneration_by_identification(dm, mv).passed
+            covers += 1
+        assert covers == 198
 
 
 class TestConfigurationSerialization:
