@@ -24,12 +24,12 @@ from .flagcore import (
     Position,
     TransportMatrix,
     ValidationError,
+    _delta_code,
     _is_int,
     _require_positions,
     from_permutation,
     sort_key,
     to_permutation,
-    validate,
 )
 from .twoflags import (
     RankTable,
@@ -191,7 +191,7 @@ def enumerate_decorations(tm: TransportMatrix) -> list[tuple[Position, ...]]:
     Each staircase is a nonempty antichain, returned sorted by row; the
     list is in lexicographic order of the sorted staircases.
     """
-    pts = sorted(tm.positive_positions(), key=lambda p: (p[0], -p[1]))
+    pts = tm.positive_positions()
     out: list[tuple[Position, ...]] = []
     prefix: list[Position] = []
 
@@ -239,7 +239,7 @@ def decorated_from_tables(
     if not all(map(_is_int, chain(*rv, *dv))):
         raise NotAnOrbitInvariant("table entries")
     if len(rv) < 2 or len(rv[0]) < 2 or len(dv) != len(rv) or any(
-        len(a) != len(b) for a, b in zip(dv, rv)
+        len(a) != len(b) or len(b) != len(rv[0]) for a, b in zip(dv, rv)
     ):
         raise NotAnOrbitInvariant("table shapes")
     try:
@@ -258,13 +258,13 @@ def decorated_from_tables(
     if not corners:
         raise NotAnOrbitInvariant("delta table has no zero")
     delta = tuple(reversed(corners))
-    code = validate(tm, delta)
+    code = _delta_code(tm.m, tm.q, tm.r, delta)
     if code is not None:
         raise NotAnOrbitInvariant(code)
-    dm = DecoratedMatrix(tm, delta)
-    if rank_table(tm).values != rv or delta_table(dm) != dv:
+    # Summing the second differences gives the rank table back iff its border is 0.
+    if any(rv[0]) or any(row[0] for row in rv) or _threshold_table(delta, tm.q, tm.r) != dv:
         raise NotAnOrbitInvariant("tables do not round-trip")
-    return dm
+    return DecoratedMatrix(tm, delta)
 
 
 def dimension_full_flags(w: Iterable[int], delta_cols: Iterable[int]) -> int:

@@ -29,6 +29,8 @@ rows and undominated cells of each corner pair; it keeps each far
 corner list, clause and flip it computes.  The orbit part,
 :class:`_Orbit`, adds the decoration and the threshold table that
 answers whether a cell lies northwest of the decoration.
+``_Orbit.of`` keeps the last view it built, matrix part and all, so a
+caller that lists an orbit's moves and applies each validates it once.
 ``_move_edges`` gives the orbits of one matrix one matrix part, and
 takes each orbit's order key from the same threshold table.
 ``find_chain`` checks each candidate only on the rows its move built,
@@ -166,20 +168,31 @@ class _Orbit:
     threshold table, as :func:`delta_table` reads it.
     """
 
+    _kept: tuple = (object(), None)  # the last orbit ``of`` viewed, and its view
+
     def __init__(self, mat: _Matrix, delta: tuple[Position, ...], free):
         self.mat, self.delta, self.free = mat, delta, free
         self.tm, self.m, self.q, self.r = mat.tm, mat.m, mat.q, mat.r
 
     @classmethod
     def of(cls, dm: DecoratedMatrix) -> _Orbit:
-        """The view of ``dm`` on a new matrix part.  An invalid ``dm``, or
-        a decoration that is not a tuple of int pairs, raises
+        """The view of ``dm`` on a new matrix part, or the last view built
+        if ``dm`` is that very object, made of tuples alone.  An invalid
+        ``dm``, or a decoration that is not a tuple of int pairs, raises
         :class:`ValidationError`, so the checkers take the orbit for a
         valid one and every decorated cell for a tuple."""
+        kept, view = cls._kept
+        if dm is kept:
+            return view
         raise_if_invalid(dm.matrix, dm.delta)
         if not _int_pairs(dm.delta):
             raise ValidationError("BadShape")
-        return cls(_Matrix(dm.matrix), dm.delta, _threshold_table(dm.delta, dm.q, dm.r))
+        view = cls(_Matrix(dm.matrix), dm.delta, _threshold_table(dm.delta, dm.q, dm.r))
+        if type(dm) is DecoratedMatrix and type(dm.matrix) is TransportMatrix and all(
+            type(x) is tuple for x in (*dm.matrix, *dm.matrix.m)
+        ):
+            cls._kept = (dm, view)
+        return view
 
 
 def _in_grid(v: _Orbit, anchors: tuple[Position, ...]) -> bool:

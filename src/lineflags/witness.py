@@ -397,7 +397,7 @@ def uncircling_check(tm: TransportMatrix, positions: Iterable[Position]) -> bool
 def apply_basis_change(
     config: Configuration, g: Sequence[Sequence[Fraction | int]]
 ) -> Configuration:
-    """Transform every generator by the invertible matrix ``g`` (vectors
+    """Transform each generator once by the invertible matrix ``g`` (vectors
     are rows; the new vector is ``vec @ g``).  An entry that is not an
     ``int`` or ``Fraction``, or is a ``bool``, raises ``NotARational(g)``."""
     n = config.n
@@ -410,19 +410,21 @@ def apply_basis_change(
     if not all(_is_rational(x) for row in rows for x in row):
         raise ValidationError("NotARational(g)")
     probe = IntEchelon()
-    if sum(map(probe.add, rows)) != n:
+    if sum(probe._insert(probe._coordinates(_integral(row))[1]) for row in rows) != n:
         raise FlagError("basis change matrix is singular")
     cols = list(zip(*rows))
+    images: dict[int, tuple] = {}  # by id: cumulative levels repeat each generator
 
     def act(vec: tuple[Fraction | int, ...]) -> tuple[Fraction | int, ...]:
-        return tuple(sum(map(mul, vec, col)) for col in cols)
+        if id(vec) not in images:
+            images[id(vec)] = tuple(sum(map(mul, vec, col)) for col in cols)
+        return images[id(vec)]
 
-    return Configuration(
-        n,
-        tuple(act(v) for v in config.a),
-        tuple(tuple(act(v) for v in level) for level in config.b_levels),
-        tuple(tuple(act(v) for v in level) for level in config.c_levels),
+    b_levels, c_levels = (
+        tuple(tuple(map(act, level)) for level in levels)
+        for levels in (config.b_levels, config.c_levels)
     )
+    return Configuration(n, tuple(map(act, config.a)), b_levels, c_levels)
 
 
 def random_int_invertible(n: int, rng) -> tuple[tuple[int, ...], ...]:

@@ -416,7 +416,7 @@ def decorated_from_tables_by_zero_set(rank_values, delta_values):
     if not all(_is_int(x) for row in rv + dv for x in row):
         raise NotAnOrbitInvariant("table entries")
     if len(rv) < 2 or len(rv[0]) < 2 or len(dv) != len(rv) or any(
-        len(a) != len(b) for a, b in zip(dv, rv)
+        len(row) != len(rv[0]) for row in rv + dv
     ):
         raise NotAnOrbitInvariant("table shapes")
     try:
@@ -439,6 +439,22 @@ def decorated_from_tables_by_zero_set(rank_values, delta_values):
     if rank_table(tm).values != rv or delta_table(dm) != dv:
         raise NotAnOrbitInvariant("tables do not round-trip")
     return dm
+
+
+def basis_change_by_vector(config, g):
+    """``apply_basis_change`` on checked input that transforms every
+    occurrence of a generator on its own, level by level."""
+    from lineflags import Configuration
+
+    def act(vec):
+        return tuple(sum(x * g[k][col] for k, x in enumerate(vec)) for col in range(config.n))
+
+    return Configuration(
+        config.n,
+        tuple(act(v) for v in config.a),
+        tuple(tuple(act(v) for v in level) for level in config.b_levels),
+        tuple(tuple(act(v) for v in level) for level in config.c_levels),
+    )
 
 
 def verify_move_degeneration_by_identification(dm, move):

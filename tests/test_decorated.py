@@ -24,6 +24,7 @@ from lineflags import (
     rk_compare_witness,
     rk_first_difference,
     rk_leq_dec,
+    sort_key,
 )
 from helpers import (
     GOLDEN_N3_LABELS,
@@ -216,6 +217,28 @@ class TestEnumeration:
                 expected = set(brute_force_staircases(tm.positive_positions()))
                 assert got == expected
 
+    def test_decorations_come_in_lexicographic_order(self):
+        lists = 0
+        for b, c in margin_pairs(1, 5):
+            for tm in enumerate_transport_matrices(b, c):
+                got = enumerate_decorations(tm)
+                assert got == sorted(got)
+                lists += 1
+        assert lists == 3281
+
+    def test_orbits_come_sorted_once_each(self):
+        """``enumerate_orbits`` sorts, so the order of the decorations it
+        reads does not reach its output."""
+        for b, c in margin_pairs(1, 4):
+            orbits = enumerate_orbits(b, c)
+            keys = [sort_key(dm) for dm in orbits]
+            assert keys == sorted(set(keys))
+            assert set(orbits) == {
+                DecoratedMatrix(tm, delta)
+                for tm in enumerate_transport_matrices(b, c)
+                for delta in brute_force_staircases(tm.positive_positions())
+            }
+
     def test_orbit_counts(self):
         assert len(enumerate_orbits((1, 1), (1, 1))) == 5
         assert len(enumerate_orbits((1, 1, 1), (1, 1, 1))) == 28
@@ -298,14 +321,38 @@ class TestTableRoundTrip:
         with pytest.raises(NotAnOrbitInvariant):
             decorated_from_tables(rt, bad_dt)
 
+    def test_rejects_a_rank_table_with_a_nonzero_border(self):
+        """Adding 1 everywhere keeps every second difference, so only the
+        border tells the table from the orbit's own."""
+        dm = from_permutation((2, 3, 1), (1, 3))
+        rt = tuple(tuple(x + 1 for x in row) for row in rank_table(dm.matrix).values)
+        for fn in (decorated_from_tables, decorated_from_tables_by_zero_set):
+            assert fn(rank_table(dm.matrix).values, delta_table(dm)) == dm
+            with pytest.raises(NotAnOrbitInvariant, match="tables do not round-trip"):
+                fn(rt, delta_table(dm))
+
     @pytest.mark.parametrize(
         "rank_values, delta_values",
-        [(5, 6), ([1, 2], [3, 4]), (((0, 0), (0, 1)), None)],
-        ids=["numbers", "rows-of-numbers", "delta-none"],
+        [
+            (5, 6),
+            ([1, 2], [3, 4]),
+            (((0, 0), (0, 1)), None),
+            (((0, 0, 0), (0, 1)), ((1, 1, 1), (1, 1))),
+            (((0, 0, 0), (0, 1, 1), (0, 1)), ((0, 1, 1), (1, 1, 1), (1, 1))),
+        ],
+        ids=["numbers", "rows-of-numbers", "delta-none", "ragged", "short-last-row"],
     )
     def test_rejects_tables_that_are_not_nested(self, rank_values, delta_values):
         with pytest.raises(NotAnOrbitInvariant, match="table shapes"):
             decorated_from_tables(rank_values, delta_values)
+
+    def test_the_zero_set_oracle_rejects_ragged_tables(self):
+        for rank_values, delta_values in (
+            (((0, 0, 0), (0, 1)), ((1, 1, 1), (1, 1))),
+            (((0, 0, 0), (0, 1, 1), (0, 1)), ((0, 1, 1), (1, 1, 1), (1, 1))),
+        ):
+            with pytest.raises(NotAnOrbitInvariant, match="table shapes"):
+                decorated_from_tables_by_zero_set(rank_values, delta_values)
 
     @pytest.mark.parametrize(
         "table, cell, value",

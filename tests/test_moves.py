@@ -11,6 +11,7 @@ import pytest
 
 import lineflags
 import lineflags.moves
+import lineflags.witness
 from lineflags import (
     KIND_ORDER,
     DecoratedMatrix,
@@ -36,6 +37,7 @@ from lineflags import (
     rk_leq_dec,
     validate,
     verify_equivalence,
+    verify_move_degeneration,
 )
 from helpers import (
     GOLDEN_N3_COVERS,
@@ -300,6 +302,62 @@ class TestOrbitView:
                 assert lineflags.twoflags._se_corners(m, i0, j0) == se_corners_by_definition(
                     m, i0, j0
                 )
+
+    def test_the_last_view_serves_only_that_object(self):
+        dm = from_permutation((2, 3, 1), (1, 3))
+        view = lineflags.moves._Orbit.of(dm)
+        assert lineflags.moves._Orbit.of(dm) is view
+        copy = DecoratedMatrix(TransportMatrix(*dm.matrix), dm.delta)
+        assert copy == dm and lineflags.moves._Orbit.of(copy) is not view
+
+    def test_an_orbit_holding_lists_is_checked_on_every_call(self):
+        """A valid orbit with list rows, listed and then made invalid in
+        place, is not applied from the view the listing built."""
+        base = from_permutation((1, 2), (1,))
+        rows = [list(row) for row in base.matrix.m]
+        dm = DecoratedMatrix(TransportMatrix(tuple(rows), base.matrix.b, base.matrix.c), base.delta)
+        moves = applicable_moves(dm)
+        assert [invariant(apply_move(dm, mv)) for mv in moves] == [
+            invariant(apply_move(base, mv)) for mv in moves
+        ]
+        rows[1][0] = 1
+        for mv in moves:
+            with pytest.raises(ValidationError) as info:
+                apply_move(dm, mv)
+            assert info.value.code == "BadRowSum(2)"
+
+    def test_an_equal_orbit_of_other_types_is_checked(self):
+        x = from_permutation((1, 2), (1,))
+        moves = applicable_moves(x)
+        y = DecoratedMatrix(TransportMatrix(((True, 0), (0, True)), (1, 1), (1, 1)), x.delta)
+        assert y == x
+        for call in [lambda: applicable_moves(y)] + [lambda mv=mv: apply_move(y, mv) for mv in moves]:
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert info.value.code == "NegativeEntry(1,1)"
+
+    def test_each_cover_validates_its_source_once(self, poset4, monkeypatch):
+        """Listing the moves of a source, applying each and proving the
+        cover's degeneration validate the source once, on every full-flag
+        n=4 cover."""
+        calls = []
+        real = lineflags.moves.raise_if_invalid
+
+        def counted(matrix, delta=None):
+            calls.append(matrix)
+            return real(matrix, delta)
+
+        monkeypatch.setattr(lineflags.moves, "raise_if_invalid", counted)
+        monkeypatch.setattr(lineflags.witness, "raise_if_invalid", counted)
+        els = poset4.elements
+        for a, t in poset4.covers:
+            source = DecoratedMatrix(TransportMatrix(*els[a].matrix), els[a].delta)
+            calls.clear()
+            moves = applicable_moves(source)
+            (move,) = [mv for mv in moves if apply_move(source, mv) == els[t]]
+            assert verify_move_degeneration(source, move).passed
+            assert len(calls) == 1 and calls[0] is source.matrix
+        assert len(poset4.covers) == 763
 
     @pytest.mark.parametrize("delta", [((1.0, 1),), ((True, 1),), (("1", 1),), ((1, 1, 1),)])
     def test_a_decoration_that_is_not_int_pairs_raises(self, delta):

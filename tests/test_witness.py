@@ -47,6 +47,7 @@ from lineflags import (
 from lineflags import witness
 from lineflags.witness import _integral, _saturate_limit
 from helpers import (
+    basis_change_by_vector,
     det_by_fractions,
     exact_determinant,
     fraction_dependency,
@@ -625,8 +626,9 @@ class TestBasisInvariance:
     def test_rejects_singular_matrices(self):
         dm = from_permutation((1, 2), (1,))
         config = standard_configuration(dm.matrix, dm.delta)
-        with pytest.raises(FlagError, match="singular"):
-            apply_basis_change(config, ((1, 1), (1, 1)))
+        for g in (((1, 1), (1, 1)), ((Fraction(1, 2), 1), (1, 2))):
+            with pytest.raises(FlagError, match="singular"):
+                apply_basis_change(config, g)
 
     @pytest.mark.parametrize(
         "g",
@@ -670,6 +672,27 @@ class TestBasisInvariance:
             (81, -232, 32, 176),
             (35, -101, 15, 87),
         )
+
+    def test_matches_the_change_of_every_occurrence(self):
+        """Each generator is transformed once, however many levels repeat
+        it: the result, entry types included, is the one of transforming
+        every occurrence on its own."""
+        rng = random.Random(24)
+        orbits = 0
+        for b, c in margin_pairs(1, 4):
+            for dm in enumerate_orbits(b, c):
+                config = standard_configuration(dm.matrix, dm.delta)
+                g = random_int_invertible(dm.n, rng)
+                assert repr(apply_basis_change(config, g)) == repr(basis_change_by_vector(config, g))
+                orbits += 1
+        assert orbits == 1694
+        dm = from_permutation((3, 1, 2), (1, 2))
+        g = ((Fraction(1, 2), 0, Fraction(-2, 3)), (1, Fraction(3, 5), 0), (0, 1, 7))
+        config = basis_change_by_vector(standard_configuration(dm.matrix, dm.delta), g)
+        assert any(type(x) is Fraction for level in config.b_levels for v in level for x in v)
+        changed = apply_basis_change(config, g)
+        assert repr(changed) == repr(basis_change_by_vector(config, g))
+        assert identify_orbit(changed) == dm
 
     def test_accepts_fraction_entries(self):
         dm = from_permutation((2, 1), (1,))
