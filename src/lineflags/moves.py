@@ -17,7 +17,8 @@ There are five families:
   run of decorated cells, shifting each circle one step along the run.
 
 Swapping the two flags transposes the matrix and takes ``IIIa`` and
-``IVb`` to ``IIIb`` and ``IVc``; each kind is checked in the orbit's own
+``IVb`` to ``IIIb`` and ``IVc``.  Each mirror pair shares one checker,
+which takes the orientation as a flag and reads the orbit in its own
 coordinates.  ``apply_move`` checks every stated condition and raises
 :class:`PreconditionFailed` naming the first violated clause; the
 pipeline checks each candidate move once.
@@ -318,59 +319,38 @@ def _try_IVa(v: _Orbit, anchors: tuple[Position, ...]):
     )
 
 
-def _try_IVb(v: _Orbit, anchors: tuple[Position, ...]):
+def _try_IVbc(v: _Orbit, anchors: tuple[Position, ...], west: bool):
+    """Kinds IVb (``west``) and IVc: the flip of a rectangle past a
+    decorated bare unit on its west edge ``(i2,j0)`` or its north edge
+    ``(i0,j2)``, keeping the decoration."""
+    third, edge, order, off = (
+        ("(i2,j0)", "column j0", "i0 < i2 < i1 and j0 < j1", "(i0,j1)")
+        if west
+        else ("(i0,j2)", "row i0", "j0 < j2 < j1 and i0 < i1", "(i1,j0)")
+    )
     if len(anchors) != 3:
-        return "expected anchors ((i0,j0), (i1,j1), (i2,j0))"
-    (i0, j0), (i1, j1), (i2, j0b) = anchors
+        return f"expected anchors ((i0,j0), (i1,j1), {third})"
+    (i0, j0), (i1, j1), unit = anchors
     tm, delta = v.tm, v.delta
     if not _in_grid(v, anchors):
         return "anchor outside the grid"
-    if j0b != j0:
-        return "third anchor must sit in column j0"
-    if not (i0 < i2 < i1 and j0 < j1):
-        return "anchors must satisfy i0 < i2 < i1 and j0 < j1"
-    if (i2, j0) not in delta:
-        return "(i2,j0) must be decorated"
-    if tm.entry(i2, j0) != 1:
-        return "entry at (i2,j0) must be exactly 1"
+    # IVc is IVb with rows and columns trading roles.
+    (a0, b0), (a1, b1), (a2, b2) = anchors if west else ((j0, i0), (j1, i1), unit[::-1])
+    if b2 != b0:
+        return "third anchor must sit in " + edge
+    if not (a0 < a2 < a1 and b0 < b1):
+        return "anchors must satisfy " + order
+    if unit not in delta:
+        return third + " must be decorated"
+    if tm.entry(*unit) != 1:
+        return f"entry at {third} must be exactly 1"
     if tm.entry(i0, j0) <= 0:
         return "entry at (i0,j0) must be positive"
     if tm.entry(i1, j1) <= 0:
         return "entry at (i1,j1) must be positive"
-    if not v.free[i0 - 1][j1 - 1]:
-        return "(i0,j1) must not lie weakly northwest of a decorated cell"
-    bad = _nonzero_in_rect(
-        tm.m, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0), (i2, j0)})
-    )
-    if bad is not None:
-        return f"nonzero entry at {bad} strictly between the corners"
-    return (v.mat.flip[i0, j0, i1, j1], delta)
-
-
-def _try_IVc(v: _Orbit, anchors: tuple[Position, ...]):
-    if len(anchors) != 3:
-        return "expected anchors ((i0,j0), (i1,j1), (i0,j2))"
-    (i0, j0), (i1, j1), (i0b, j2) = anchors
-    tm, delta = v.tm, v.delta
-    if not _in_grid(v, anchors):
-        return "anchor outside the grid"
-    if i0b != i0:
-        return "third anchor must sit in row i0"
-    if not (j0 < j2 < j1 and i0 < i1):
-        return "anchors must satisfy j0 < j2 < j1 and i0 < i1"
-    if (i0, j2) not in delta:
-        return "(i0,j2) must be decorated"
-    if tm.entry(i0, j2) != 1:
-        return "entry at (i0,j2) must be exactly 1"
-    if tm.entry(i0, j0) <= 0:
-        return "entry at (i0,j0) must be positive"
-    if tm.entry(i1, j1) <= 0:
-        return "entry at (i1,j1) must be positive"
-    if not v.free[i1 - 1][j0 - 1]:
-        return "(i1,j0) must not lie weakly northwest of a decorated cell"
-    bad = _nonzero_in_rect(
-        tm.m, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0), (i0, j2)})
-    )
+    if not (v.free[i0 - 1][j1 - 1] if west else v.free[i1 - 1][j0 - 1]):
+        return off + " must not lie weakly northwest of a decorated cell"
+    bad = _nonzero_in_rect(tm.m, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0), unit}))
     if bad is not None:
         return f"nonzero entry at {bad} strictly between the corners"
     return (v.mat.flip[i0, j0, i1, j1], delta)
@@ -431,8 +411,8 @@ _TRY = {
     "IIIa": partial(_try_III, to_ne=True),
     "IIIb": partial(_try_III, to_ne=False),
     "IVa": _try_IVa,
-    "IVb": _try_IVb,
-    "IVc": _try_IVc,
+    "IVb": partial(_try_IVbc, west=True),
+    "IVc": partial(_try_IVbc, west=False),
     "V": _try_V,
 }
 

@@ -222,8 +222,13 @@ def simple_moves(tm: TransportMatrix) -> list[Rectangle]:
 
 
 def apply_simple_move(tm: TransportMatrix, rect: Rectangle) -> TransportMatrix:
-    """Apply the corner flip after re-checking the conditions; corners
-    that are not ints raise :class:`PreconditionFailed`."""
+    """Apply the corner flip after re-checking the conditions.  An invalid
+    ``tm`` raises :class:`ValidationError`, as does a ``rect`` that is not
+    a :class:`Rectangle` (``BadShape``); corners that are not ints raise
+    :class:`PreconditionFailed`."""
+    raise_if_invalid(tm)
+    if not isinstance(rect, Rectangle):
+        raise ValidationError("BadShape")
     if not _int_pairs(((rect.i0, rect.j0), (rect.i1, rect.j1))):
         raise PreconditionFailed("simple", "anchors must be (i, j) pairs of integers")
     clause = _rectangle_clause(tm, rect.i0, rect.j0, rect.i1, rect.j1)

@@ -13,11 +13,12 @@ polynomial rows — lands in the more special one.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import accumulate, chain, product, zip_longest
 from math import gcd, lcm
 from operator import add, mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .flagcore import (
     DecoratedMatrix,
@@ -482,18 +483,6 @@ def _v_eval(u: _PolyVec, x: Fraction | int) -> tuple[Fraction | int, ...]:
     return out
 
 
-def _v_sample(u: _PolyVec, x: Fraction | int) -> tuple[int, ...]:
-    """``d**deg * u(p/d)`` for ``x = p/d`` in lowest terms: a nonzero
-    multiple of the value at ``x`` with integer entries, by Horner's rule
-    on the homogeneous form of ``u``."""
-    p, d = x.numerator, x.denominator
-    out, scale = u[-1], 1
-    for row in reversed(u[:-1]):
-        scale *= d
-        out = tuple(a * p + b * scale for a, b in zip(out, row))
-    return out
-
-
 def _v_order(u: _PolyVec) -> int | None:
     """The largest ``k`` with ``tau**k`` dividing ``u``: its first nonzero
     row, or None when ``u`` vanishes."""
@@ -677,7 +666,7 @@ def _family_vectors(dm: DecoratedMatrix, move: Move) -> _Family:
     slots = _source_slots(tgt)
     vmap = {slot: specials[slot] if slot in specials else e(*slot) for slot in slots}
     a_vec = _v_sum([vmap[(i, j, 1)] for (i, j) in a_set])
-    # The samples are built unchecked (see ``_family_at``), so the rows
+    # The values are built unchecked (see ``_family_at``), so the rows
     # are checked here, once for every ``tau``.
     rows = [row for vec in (*vmap.values(), a_vec) for row in vec]
     if any(len(row) != n for row in rows):
@@ -687,17 +676,16 @@ def _family_vectors(dm: DecoratedMatrix, move: Move) -> _Family:
     return _Family(target, vmap, a_vec, slots, _column_major(slots), a_set)
 
 
-def _family_at(family: _Family, tau: Fraction | int, value: Callable = _v_sample) -> Configuration:
-    """The family's configuration at ``tau``, or its exact limit at ``tau
-    = 0``, built without the checks that :func:`_family_vectors` made
-    once.  A nonzero ``tau`` gives each vector as ``value(vector, tau)``:
-    by default the integer multiple :func:`_v_sample`, which spans the
-    same flags.  Whether a nonzero ``tau`` gives a basis is not checked."""
+def _family_at(family: _Family, tau: Fraction | int) -> Configuration:
+    """The family's configuration at ``tau``, its vectors' exact values
+    there, or its exact limit at ``tau = 0``, built without the checks
+    that :func:`_family_vectors` made once.  Whether a nonzero ``tau``
+    gives a basis is not checked."""
     orders = (family.by_row, family.by_column)
     if tau != 0:
-        numeric = {slot: value(vec, tau) for slot, vec in family.vectors.items()}
+        numeric = {slot: _v_eval(vec, tau) for slot, vec in family.vectors.items()}
         levels = [[numeric[s] for s in slots] for slots in orders]
-        a_row = value(family.line, tau)
+        a_row = _v_eval(family.line, tau)
     else:
         levels = [_saturate_limit([family.vectors[s] for s in slots]) for slots in orders]
         content = _v_order(family.line)
@@ -730,7 +718,7 @@ def degeneration_family(
     """
     if not _is_rational(tau):
         raise ValidationError("NotARational(tau)")
-    config = _family_at(_family_vectors(dm, move), tau, _v_eval)
+    config = _family_at(_family_vectors(dm, move), tau)
     _require_basis(config, tau)
     return config
 
@@ -763,7 +751,8 @@ def verify_move_degeneration(dm: DecoratedMatrix, move: Move) -> MoveDegeneratio
     the line on ``a_set``.  So when that configuration has the target's
     tables and ``det g(tau)`` has no nonzero rational root, only the
     limit is compared with its orbit by the two tables.  Otherwise the
-    family is compared at ``tau in {1, 2, 1/3}`` too, and a root that
+    family's exact values at ``tau in {1, 2, 1/3}``, those
+    :func:`degeneration_family` gives, are compared too, and a root that
     those miss raises :class:`FlagError`.  Only a value that fails is
     identified (or found singular), to name the orbit it lies in.
     """
@@ -799,6 +788,8 @@ def verify_move_degeneration(dm: DecoratedMatrix, move: Move) -> MoveDegeneratio
 # ---------------------------------------------------------------------------
 # Serialization
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def configuration_to_obj(config: Configuration) -> dict:
     """JSON-ready dict with rational entries rendered as strings."""
@@ -812,26 +803,26 @@ def configuration_to_obj(config: Configuration) -> dict:
 
 
 def configuration_from_obj(obj: object) -> Configuration:
-    """Parse the ``{"n", "A", "B", "C"}`` form; entries may be integers
-    or strings like ``"2/3"``.  Floats, bools, an ``n`` that is not a
-    non-negative integer and a vector of another length raise
-    ``ValidationError("BadShape")``."""
+    """Parse the ``{"n", "A", "B", "C"}`` form: ``A`` a list of vectors,
+    ``B`` and ``C`` lists of levels, each a list of vectors, and each
+    vector a list of entries.  An entry is an integer or a string of
+    ASCII digits like ``"-2/3"``.  Anything else, such as a string in
+    place of a list, a float, a bool, a string like ``"0.5"``, a zero
+    denominator, an ``n`` that is not a non-negative integer or a vector
+    of another length, raises ``ValidationError("BadShape")``."""
     if not isinstance(obj, dict) or not all(k in obj for k in ("n", "A", "B", "C")):
         raise ValidationError("BadShape")
 
-    def num(x) -> Fraction:
-        if isinstance(x, str) or _is_int(x):
+    def parse(x, depth: int):
+        """``x``, lists nested ``depth`` deep around entries, as tuples."""
+        if depth and isinstance(x, list):
+            return tuple(parse(y, depth - 1) for y in x)
+        if not depth and (_is_int(x) or isinstance(x, str) and _RATIONAL.fullmatch(x)):
             return Fraction(x)
         raise ValidationError("BadShape")
 
     try:
-        a = tuple(tuple(num(x) for x in vec) for vec in obj["A"])
-        b_levels = tuple(
-            tuple(tuple(num(x) for x in vec) for vec in level) for level in obj["B"]
-        )
-        c_levels = tuple(
-            tuple(tuple(num(x) for x in vec) for vec in level) for level in obj["C"]
-        )
-    except (TypeError, ValueError, ZeroDivisionError):
+        a, b_levels, c_levels = (parse(obj[k], d) for k, d in (("A", 2), ("B", 3), ("C", 3)))
+    except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
         raise ValidationError("BadShape") from None
     return Configuration(obj["n"], a, b_levels, c_levels)

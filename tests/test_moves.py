@@ -649,6 +649,21 @@ MIRROR_REJECTIONS = [
      "nonzero entry at (2, 2) strictly between the corners"),
     (((1, 1), (1, 1)), ((1, 2),), "IVc", ((1, 1), (2, 2)),
      "expected anchors ((i0,j0), (i1,j1), (i0,j2))"),
+    # The transposes of the IVc rows, with the IVb clauses.
+    (((1, 1),), ((1, 1),), "IVb", ((1, 1), (1, 1), (1, 2)),
+     "third anchor must sit in column j0"),
+    (((2,),), ((1, 1),), "IVb", ((1, 1), (1, 1), (1, 1)),
+     "anchors must satisfy i0 < i2 < i1 and j0 < j1"),
+    (((0, 1), (0, 1), (1, 0)), ((3, 1),), "IVb", ((1, 1), (3, 2), (2, 1)),
+     "(i2,j0) must be decorated"),
+    (((0, 1), (2, 0), (0, 1)), ((2, 1),), "IVb", ((1, 1), (3, 2), (2, 1)),
+     "entry at (i2,j0) must be exactly 1"),
+    (((1, 1), (1, 0), (0, 1)), ((2, 1), (1, 2)), "IVb", ((1, 1), (3, 2), (2, 1)),
+     "(i0,j1) must not lie weakly northwest of a decorated cell"),
+    (((1, 0), (1, 1), (0, 1)), ((2, 1),), "IVb", ((1, 1), (3, 2), (2, 1)),
+     "nonzero entry at (2, 2) strictly between the corners"),
+    (((1, 1), (1, 1)), ((2, 1),), "IVb", ((1, 1), (2, 2)),
+     "expected anchors ((i0,j0), (i1,j1), (i2,j0))"),
     # Several cells break the clause; the first in row-major order is named.
     (((1, 0, 0), (0, 1, 0), (1, 0, 1)), ((1, 1),), "IIIb", ((1, 1), (3, 3)),
      "nonzero entry at (2, 2) strictly between the corners"),

@@ -118,3 +118,12 @@ def test_the_degeneration_proof_calls_no_validating_helper():
     assert {node.name for node in functions} == proof
     validating = ("raise_if_invalid", "rank_table", "standard_configuration")
     assert [call for node in functions for call in _calls(node, validating)] == []
+
+
+def test_each_mirror_pair_of_kinds_shares_one_checker():
+    """Swapping the flags takes IIIa to IIIb and IVb to IVc; each pair is
+    one checker bound to its two orientations, so neither can fork."""
+    from lineflags.moves import _TRY
+
+    assert _TRY["IIIa"].func is _TRY["IIIb"].func
+    assert _TRY["IVb"].func is _TRY["IVc"].func

@@ -130,6 +130,20 @@ class TestSimpleMoves:
         assert info.value.kind == "simple"
         assert info.value.clause == "anchors must be (i, j) pairs of integers"
 
+    def test_an_invalid_matrix_is_rejected(self):
+        """The flip of this matrix, whose margins agree, would be the
+        valid ``((1, 0), (0, 1))``."""
+        bad = TransportMatrix(((2, -1), (-1, 2)), (1, 1), (1, 1))
+        with pytest.raises(ValidationError) as info:
+            apply_simple_move(bad, Rectangle(1, 1, 2, 2))
+        assert info.value.code == "NegativeEntry(1,2)"
+
+    @pytest.mark.parametrize("rect", [(1, 1, 2, 2), None], ids=["tuple", "none"])
+    def test_a_rect_that_is_not_a_rectangle_is_rejected(self, rect):
+        with pytest.raises(ValidationError) as info:
+            apply_simple_move(perm_matrix((1, 2)), rect)
+        assert info.value.code == "BadShape"
+
     def test_progress_move_walks_to_the_target(self):
         mats = enumerate_transport_matrices((1, 1, 1), (1, 1, 1))
         for x in mats:

@@ -510,7 +510,7 @@ class TestGeometricTables:
         assert len(configs) == 210
 
     def test_match_the_definition_on_family_samples(self):
-        """The integer samples that :func:`verify_move_degeneration` checks,
+        """The exact values that :func:`verify_move_degeneration` checks,
         at each of its parameters, on sampled covers of full flags and
         of partial margins of mass 4."""
         rng = random.Random(17)
@@ -522,8 +522,6 @@ class TestGeometricTables:
             family = witness._family_vectors(dm, mv)
             for tau in (1, 2, Fraction(1, 3), 0):
                 config = witness._family_at(family, tau)
-                entries = chain(config.a, *config.b_levels, *config.c_levels)
-                assert all(type(x) is int for vec in entries for x in vec)
                 rank, rbar = geometric_rank_tables(config)
                 assert (rank.values, rbar.delta_values) == rank_tables_by_definition(config)
                 samples += 1
@@ -1046,6 +1044,46 @@ class TestConfigurationSerialization:
         obj = {"n": 1, "A": [["1/0"]], "B": [[[1]]], "C": [[[1]]]}
         with pytest.raises(ValidationError, match="BadShape"):
             configuration_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 2, "A": ["12"], "B": [], "C": []},
+            {"n": 1, "A": "12", "B": [], "C": []},
+            {"n": 1, "A": [{"1": 0}], "B": [], "C": []},
+            {"n": 1, "A": {"1": 0}, "B": [], "C": []},
+            {"n": 1, "A": [[1]], "B": ["1"], "C": []},
+            {"n": 1, "A": [[1]], "B": [[[1]]], "C": {"1": 0}},
+            {"n": 1, "A": ((1,),), "B": [], "C": []},
+            {"n": 1, "A": [[1]], "B": [([1],)], "C": []},
+        ],
+    )
+    def test_rejects_containers_that_are_not_lists(self, obj):
+        with pytest.raises(ValidationError, match="BadShape"):
+            configuration_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "entry", [" 1 ", "1_0", "1e2", "0.5", "١", "+1", "1/-2", "1 / 2", "", "1\n"]
+    )
+    def test_rejects_entry_strings_that_are_not_ascii_rationals(self, entry):
+        obj = {"n": 1, "A": [[entry]], "B": [[[1]]], "C": [[[1]]]}
+        with pytest.raises(ValidationError, match="BadShape"):
+            configuration_from_obj(obj)
+
+    def test_output_round_trips(self):
+        """What ``configuration_to_obj`` writes parses back, for standard,
+        basis-changed and family configurations with fractional and
+        negative entries."""
+        rng = random.Random(8)
+        dm = from_permutation((3, 1, 2), (2,))
+        config = standard_configuration(dm.matrix, dm.delta)
+        configs = [config, apply_basis_change(config, random_int_invertible(3, rng))]
+        poset = build_poset((1,) * 3, (1,) * 3, check_reduction=False)
+        for (a, _), mv in zip(poset.covers, poset.cover_moves):
+            configs.append(degeneration_family(poset.elements[a], mv, Fraction(-2, 3)))
+        assert any(type(x) is Fraction for cfg in configs for vec in cfg.a for x in vec)
+        for config in configs:
+            assert configuration_from_obj(configuration_to_obj(config)) == config
 
 
 class TestFullFlagsFive:
