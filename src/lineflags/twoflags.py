@@ -210,8 +210,15 @@ def simple_moves(tm: TransportMatrix) -> list[Rectangle]:
     rectangle, apart from the four corners, zero.  Each move lowers
     exactly the ranks strictly inside the rectangle's NW quadrant span,
     producing a cover of the degeneration order.  The far corners are
-    drawn from :func:`_se_corners`, as for the kind-II moves.
+    drawn from :func:`_se_corners`, as for the kind-II moves.  An
+    invalid ``tm`` raises :class:`ValidationError`.
     """
+    raise_if_invalid(tm)
+    return _simple_moves(tm)
+
+
+def _simple_moves(tm: TransportMatrix) -> list[Rectangle]:
+    """:func:`simple_moves` of a matrix known to be valid."""
     m = tm.m
     return [
         Rectangle(i0, j0, i1, j1)
@@ -255,7 +262,7 @@ def progress_move(x: TransportMatrix, y: TransportMatrix) -> Rectangle:
         raise NotStrictlyLess("elements are equal")
     if not all(map(ge, rx, goal)):
         raise NotStrictlyLess("source is not below target")
-    for rect in simple_moves(x):
+    for rect in _simple_moves(x):
         if all(map(ge, _ranks(_corner_flip(x, rect).m, x.r), goal)):
             return rect
     raise OrderCheckFailed(f"no simple move from {x.m} stays below the target")
@@ -331,7 +338,7 @@ def verify_two_flag_theorem(b: tuple[int, ...], c: tuple[int, ...]) -> TwoFlagRe
     index = {tm.m: k for k, tm in enumerate(elements)}
     count = len(elements)
     edges = [
-        sorted({index[_corner_flip(tm, rect).m] for rect in simple_moves(tm)})
+        sorted({index[_corner_flip(tm, rect).m] for rect in _simple_moves(tm)})
         for tm in elements
     ]
     leq = dominance_masks([_ranks(tm.m, tm.r) for tm in elements])

@@ -483,12 +483,6 @@ def _v_eval(u: _PolyVec, x: Fraction | int) -> tuple[Fraction | int, ...]:
     return out
 
 
-def _v_order(u: _PolyVec) -> int | None:
-    """The largest ``k`` with ``tau**k`` dividing ``u``: its first nonzero
-    row, or None when ``u`` vanishes."""
-    return next((k for k, row in enumerate(u) if any(row)), None)
-
-
 def _saturate_limit(rows: Sequence[_PolyVec]) -> list[tuple[int, ...]]:
     """Exact limit of the row flag as the parameter goes to 0.
 
@@ -545,12 +539,10 @@ def _p_det(columns: list[list[tuple[int, Sequence[int]]]]) -> list[int]:
 
 
 def _rational_root(p: Sequence[int]) -> Fraction | None:
-    """A nonzero rational root of ``p``, or None (and 1 for ``p = 0``).
+    """A nonzero rational root of the nonzero polynomial ``p``, or None.
     Once ``tau**k`` is divided out, every root is ``±a/b`` with ``a``
     dividing the constant coefficient and ``b`` the leading one."""
     support = [k for k, x in enumerate(p) if x]
-    if not support:
-        return Fraction(1)
     p = p[support[0] : support[-1] + 1]
     d = len(p) - 1
     if not d:
@@ -569,13 +561,12 @@ def _rational_root(p: Sequence[int]) -> Fraction | None:
 
 class _Family(NamedTuple):
     """A move's symbolic family: the target orbit, the polynomial vector
-    (in source coordinates) at each target slot, the line generator, the
-    target's slots in row-major and in column-major order, and the
-    positions whose ``k = 1`` slot vectors sum to the line."""
+    (in source coordinates) at each target slot, the target's slots in
+    row-major and in column-major order, and the positions whose ``k = 1``
+    slot vectors sum to the line."""
 
     target: DecoratedMatrix
     vectors: dict[tuple[int, int, int], _PolyVec]
-    line: _PolyVec
     by_row: list[tuple[int, int, int]]
     by_column: list[tuple[int, int, int]]
     a_set: tuple[Position, ...]
@@ -665,43 +656,37 @@ def _family_vectors(dm: DecoratedMatrix, move: Move) -> _Family:
         a_set = tuple(rest) + ((i0, j_first), (i_last, j0))
     slots = _source_slots(tgt)
     vmap = {slot: specials[slot] if slot in specials else e(*slot) for slot in slots}
-    a_vec = _v_sum([vmap[(i, j, 1)] for (i, j) in a_set])
     # The values are built unchecked (see ``_family_at``), so the rows
     # are checked here, once for every ``tau``.
-    rows = [row for vec in (*vmap.values(), a_vec) for row in vec]
+    rows = [row for vec in vmap.values() for row in vec]
     if any(len(row) != n for row in rows):
         raise ValidationError("BadShape")
     if any(type(x) is not int for row in rows for x in row):
         raise ValidationError("NotARational(config)")
-    return _Family(target, vmap, a_vec, slots, _column_major(slots), a_set)
+    return _Family(target, vmap, slots, _column_major(slots), a_set)
 
 
 def _family_at(family: _Family, tau: Fraction | int) -> Configuration:
     """The family's configuration at ``tau``, its vectors' exact values
     there, or its exact limit at ``tau = 0``, built without the checks
-    that :func:`_family_vectors` made once.  Whether a nonzero ``tau``
-    gives a basis is not checked."""
+    that :func:`_family_vectors` made once.  The line is the sum of the
+    ``k = 1`` slot vectors over ``a_set``; at ``tau = 0`` it is that
+    sum's first nonzero coefficient row.  Whether a nonzero ``tau`` gives
+    a basis is not checked; slot vectors that are dependent for every
+    ``tau`` raise :class:`FlagError` at ``tau = 0``, before the line,
+    which cannot vanish otherwise, is read."""
     orders = (family.by_row, family.by_column)
+    line = _v_sum([family.vectors[(i, j, 1)] for (i, j) in family.a_set])
     if tau != 0:
         numeric = {slot: _v_eval(vec, tau) for slot, vec in family.vectors.items()}
         levels = [[numeric[s] for s in slots] for slots in orders]
-        a_row = _v_eval(family.line, tau)
+        a_row = _v_eval(line, tau)
     else:
         levels = [_saturate_limit([family.vectors[s] for s in slots]) for slots in orders]
-        content = _v_order(family.line)
-        if content is None:
-            raise FlagError("family line vanishes identically")
-        a_row = family.line[content]
+        a_row = next(row for row in line if any(row))
     tgt = family.target.matrix
     b_levels, c_levels = _flag_levels(tgt, *levels)
     return tuple.__new__(Configuration, (tgt.n, (a_row,), b_levels, c_levels))
-
-
-def _require_basis(config: Configuration, tau: Fraction | int) -> None:
-    """Raise :class:`FlagError` unless the family's ``B_q`` spans ``Q^n``."""
-    probe = IntEchelon()
-    if sum(map(probe.add, config.b_levels[-1])) != config.n:
-        raise FlagError(f"family is singular at tau={tau}")
 
 
 def degeneration_family(
@@ -719,7 +704,9 @@ def degeneration_family(
     if not _is_rational(tau):
         raise ValidationError("NotARational(tau)")
     config = _family_at(_family_vectors(dm, move), tau)
-    _require_basis(config, tau)
+    probe = IntEchelon()
+    if sum(map(probe.add, config.b_levels[-1])) != config.n:
+        raise FlagError(f"family is singular at tau={tau}")
     return config
 
 
@@ -745,43 +732,33 @@ def verify_move_degeneration(dm: DecoratedMatrix, move: Move) -> MoveDegeneratio
     """Check that the move's family lies in the target orbit at every
     nonzero ``tau`` and its limit at ``tau = 0`` in the orbit of ``dm``.
 
-    The family is built once.  If its line is the sum of its ``k = 1``
-    slot vectors over ``a_set``, it is ``g(tau)``, the matrix of its slot
-    vectors, applied to the standard configuration of the target with
-    the line on ``a_set``.  So when that configuration has the target's
-    tables and ``det g(tau)`` has no nonzero rational root, only the
-    limit is compared with its orbit by the two tables.  Otherwise the
-    family's exact values at ``tau in {1, 2, 1/3}``, those
-    :func:`degeneration_family` gives, are compared too, and a root that
-    those miss raises :class:`FlagError`.  Only a value that fails is
-    identified (or found singular), to name the orbit it lies in.
+    The family is built once.  Its line is the sum of its ``k = 1`` slot
+    vectors over ``a_set``, so at each ``tau`` the family is ``g(tau)``,
+    the matrix of its slot vectors, applied to the standard configuration
+    of the target with the line on ``a_set``.  It therefore lies in the
+    target orbit for every nonzero ``tau`` exactly when ``det g(tau)`` has
+    no nonzero rational root and that configuration has the target's
+    tables.  The limit is computed first, so slot vectors that are
+    dependent for every ``tau`` raise :class:`FlagError`; it is compared
+    with the orbit of ``dm`` by the two tables.  Each unmet premise is
+    one failure, and a configuration is identified only when it fails,
+    to name the orbit it lies in.
     """
     family = _family_vectors(dm, move)
-    target, vectors, line, by_row, by_column, a_set = family
-    checks = []
-    for orbit in (dm, target):
-        rank = _rank_table(orbit.matrix.m, orbit.r).values
-        checks.append((orbit, (rank, _threshold_table(orbit.delta, orbit.q, orbit.r))))
-    root = _rational_root(_family_det(family))
-    proved = (
-        root is None
-        and line == _v_sum([vectors[(i, j, 1)] for (i, j) in a_set])
-        and _tables_of(_standard(target.matrix, by_row, by_column, a_set)) == checks[1][1]
-    )
+    target, _, by_row, by_column, a_set = family
+    limit = _family_at(family, 0)
     failures: list[str] = []
-    for tau in (0,) if proved else (1, 2, Fraction(1, 3), 0):
-        orbit, want = checks[tau != 0]
-        sample = "family" if tau else "limit"
-        config = _family_at(family, tau)
+    root = _rational_root(_family_det(family))
+    if root is not None:
+        failures.append(f"family is singular at tau={root}")
+    standard = _standard(target.matrix, by_row, by_column, a_set)
+    for orbit, config, sample in ((target, standard, "family"), (dm, limit, "tau=0: limit")):
         got = _tables_of(config)
-        if got != want:
-            _require_basis(config, tau)
-            got = decorated_from_tables(*got)
+        rank = _rank_table(orbit.matrix.m, orbit.r).values
+        if got != (rank, _threshold_table(orbit.delta, orbit.q, orbit.r)):
             failures.append(
-                f"tau={tau}: {sample} lies in [{render(got)}], not [{render(orbit)}]"
+                f"{sample} lies in [{render(decorated_from_tables(*got))}], not [{render(orbit)}]"
             )
-    if root is not None and not failures:
-        raise FlagError(f"family is singular at tau={root}")
     return MoveDegenerationReport(move=move, failures=tuple(failures))
 
 

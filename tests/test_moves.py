@@ -1105,6 +1105,16 @@ class TestEquivalenceReport:
             assert report.passed, report.counterexamples
             assert report.counterexamples == ()
 
+    def test_the_moves_generate_the_order_on_every_margin_pair_of_mass_five(self):
+        """The move/rank theorem one size above the mass <= 4 sweep."""
+        pairs = covers = 0
+        for b, c in margin_pairs(5, 5):
+            report = verify_equivalence(b, c)
+            assert report.passed, (b, c, report.counterexamples)
+            pairs += 1
+            covers += report.cover_count
+        assert (pairs, covers) == (256, 92775)
+
     def test_report_counts_match_poset(self, poset2):
         report = verify_equivalence((1, 1), (1, 1))
         assert report.element_count == len(poset2.elements)

@@ -123,6 +123,20 @@ class TestSimpleMoves:
         assert out.m == ((0, 1), (1, 0))
         assert (rect.i0, rect.j0, rect.i1, rect.j1) == (1, 1, 2, 2)
 
+    @pytest.mark.parametrize(
+        "m, c, code",
+        [
+            (((2, -1), (-1, 2)), (1, 1), "NegativeEntry(1,2)"),
+            (((1, 0), (0, 1)), (2, 2), "BadShape"),
+        ],
+        ids=["negative", "column-sums"],
+    )
+    def test_simple_moves_rejects_an_invalid_matrix(self, m, c, code):
+        """Both matrices hold a rectangle that the scan alone accepts."""
+        with pytest.raises(ValidationError) as info:
+            simple_moves(TransportMatrix(m, (1, 1), c))
+        assert info.value.code == code
+
     @pytest.mark.parametrize("corner", [True, 1.0, "1"], ids=["bool", "float", "string"])
     def test_corners_that_are_not_ints_are_rejected(self, corner):
         with pytest.raises(PreconditionFailed) as info:
@@ -223,7 +237,7 @@ class TestProgressMove:
                 assert info.value.code == code
 
     def test_no_qualifying_simple_move_fails_the_order_check(self, monkeypatch):
-        monkeypatch.setattr(lineflags.twoflags, "simple_moves", lambda tm: [])
+        monkeypatch.setattr(lineflags.twoflags, "_simple_moves", lambda tm: [])
         with pytest.raises(OrderCheckFailed, match="no simple move"):
             progress_move(perm_matrix((1, 2)), perm_matrix((2, 1)))
 
@@ -261,11 +275,11 @@ class TestTwoFlagTheorem:
 
 class TestSabotagedSimpleMoves:
     def test_withheld_move_breaks_the_closure(self, monkeypatch):
-        real = simple_moves
+        real = lineflags.twoflags._simple_moves
         identity = perm_matrix((1, 2))
         monkeypatch.setattr(
             lineflags.twoflags,
-            "simple_moves",
+            "_simple_moves",
             lambda tm: [] if tm == identity else real(tm),
         )
         report = verify_two_flag_theorem((1, 1), (1, 1))
@@ -275,11 +289,11 @@ class TestSabotagedSimpleMoves:
         assert report.counterexamples == ("element 1: moves-only 0b0, rank-only 0b1",)
 
     def test_non_cover_edge_names_the_lowest_element_between(self, monkeypatch):
-        real = simple_moves
+        real = lineflags.twoflags._simple_moves
         identity, reversal = perm_matrix((1, 2, 3)), perm_matrix((3, 2, 1))
         monkeypatch.setattr(
             lineflags.twoflags,
-            "simple_moves",
+            "_simple_moves",
             lambda tm: real(tm) + ([Rectangle(1, 1, 3, 3)] if tm == identity else []),
         )
         report = verify_two_flag_theorem((1, 1, 1), (1, 1, 1))
@@ -297,7 +311,7 @@ class TestSabotagedSimpleMoves:
 
     def test_down_move_fails_the_closure_check_only(self, monkeypatch):
         identity, reversal = perm_matrix((1, 2)), perm_matrix((2, 1))
-        monkeypatch.setattr(lineflags.twoflags, "simple_moves", lambda tm: [Rectangle(1, 1, 2, 2)])
+        monkeypatch.setattr(lineflags.twoflags, "_simple_moves", lambda tm: [Rectangle(1, 1, 2, 2)])
         monkeypatch.setattr(
             lineflags.twoflags,
             "_corner_flip",

@@ -769,7 +769,8 @@ class TestDegenerationFamilies:
                     objs.append(configuration_to_obj(config))
                     if not tau:
                         continue
-                    assert config.a == (exact(family.line, tau),)
+                    line = [exact(family.vectors[(i, j, 1)], tau) for (i, j) in family.a_set]
+                    assert config.a == (tuple(map(sum, zip(*line))),)
                     for levels, slots in (
                         (config.b_levels, family.by_row),
                         (config.c_levels, family.by_column),
@@ -840,6 +841,12 @@ class TestMoveDegenerationByTables:
 
     @pytest.mark.parametrize("sabotage", ["swap", "repeat"])
     def test_a_sabotaged_family_fails_alike(self, monkeypatch, sabotage):
+        """Swapping the first and last slot vectors fails exactly the
+        covers that the sampled check by identification fails.  Repeating
+        the first in the last slot makes the vectors dependent for every
+        ``tau``: the limit raises, where the oracle finds ``tau = 1``
+        singular."""
+
         def sabotaged(dm, move):
             family = family_vectors(dm, move)
             first, last = family.by_row[0], family.by_row[-1]
@@ -851,17 +858,17 @@ class TestMoveDegenerationByTables:
 
         family_vectors = witness._family_vectors
         monkeypatch.setattr(witness, "_family_vectors", sabotaged)
-        outcomes = []
+        outcomes = Counter()
         for dm, mv in cover_moves(2, 3):
+            oracle = outcome(verify_move_degeneration_by_identification, dm, mv)
             got = outcome(verify_move_degeneration, dm, mv)
-            assert got == outcome(verify_move_degeneration_by_identification, dm, mv)
-            outcomes.append(got)
-        assert len(outcomes) == 198
+            assert bool(got) == bool(oracle), (str(mv), got, oracle)
+            outcomes[len(got) if sabotage == "swap" else (got, oracle)] += 1
         if sabotage == "swap":
-            assert {bool(got) for got in outcomes} == {True, False}
-            assert {len(got) for got in outcomes} == {0, 1, 3, 4}
+            assert outcomes == {0: 61, 1: 137}
         else:
-            assert set(outcomes) == {("FlagError", "family is singular at tau=1")}
+            raised = ("FlagError", "family rows are dependent for all parameter values")
+            assert outcomes == {(raised, ("FlagError", "family is singular at tau=1")): 198}
 
     def test_builds_the_family_once(self, monkeypatch):
         calls = dict.fromkeys(("apply_move", "_family_vectors", "decorated_from_tables"), 0)
@@ -947,29 +954,33 @@ class TestDeterminantProof:
     def test_a_family_with_its_line_moved_fails_alike(self, monkeypatch):
         """A line on the first position of ``a_set`` alone takes the
         values at nonzero ``tau`` out of the target orbit on some covers,
-        which the standard configuration's tables show."""
+        which the standard configuration's tables show; most of these
+        also take the limit out of the source orbit.  The proof fails
+        exactly the covers that the sampled check by identification
+        fails."""
 
         def moved(dm, move):
             family = family_vectors(dm, move)
-            (i, j) = family.a_set[0]
-            return family._replace(line=family.vectors[(i, j, 1)], a_set=((i, j),))
+            return family._replace(a_set=(family.a_set[0],))
 
         family_vectors = witness._family_vectors
         monkeypatch.setattr(witness, "_family_vectors", moved)
-        outcomes = []
+        failed = Counter()
         for dm, mv in cover_moves(2, 3):
-            got = outcome(verify_move_degeneration, dm, mv)
-            assert got == outcome(verify_move_degeneration_by_identification, dm, mv)
-            outcomes.append(got)
-        assert {bool(got) for got in outcomes} == {True, False}
+            got = verify_move_degeneration(dm, mv).failures
+            assert bool(got) == bool(verify_move_degeneration_by_identification(dm, mv).failures)
+            failed[tuple(f.split(" lies in ")[0] for f in got)] += 1
+        assert failed == {(): 105, ("family",): 23, ("family", "tau=0: limit"): 70}
 
     @pytest.mark.parametrize(
         "slot, factor, root", [(0, (-5, 1), "5"), (-1, (1, 1), "-1")], ids=["tau-5", "1+tau"]
     )
     def test_a_singular_value_between_the_samples_is_found(self, monkeypatch, slot, factor, root):
-        """A slot vector scaled by ``tau - 5`` or ``1 + tau`` leaves the
-        samples and the limit in their orbits, so the sampled check by
-        identification passes; only the determinant finds the root."""
+        """A slot vector scaled by ``tau - 5`` or ``1 + tau`` is singular
+        at the root, which every report names first.  Where the scaled
+        vector also moves the line, the oracle fails too; elsewhere the
+        samples and the limit stay in their orbits, the sampled check by
+        identification passes, and only the determinant finds the root."""
 
         def sabotaged(dm, move):
             family = family_vectors(dm, move)
@@ -981,13 +992,18 @@ class TestDeterminantProof:
 
         family_vectors = witness._family_vectors
         monkeypatch.setattr(witness, "_family_vectors", sabotaged)
-        covers = 0
+        covers = Counter()
         for dm, mv in cover_moves(2, 3):
-            got = outcome(verify_move_degeneration, dm, mv)
-            assert got == ("FlagError", f"family is singular at tau={root}")
-            assert verify_move_degeneration_by_identification(dm, mv).passed
-            covers += 1
-        assert covers == 198
+            got = verify_move_degeneration(dm, mv).failures
+            assert got[0] == f"family is singular at tau={root}"
+            if verify_move_degeneration_by_identification(dm, mv).passed:
+                assert len(got) == 1
+                covers["only the root"] += 1
+            else:
+                covers["oracle fails"] += 1
+        assert covers == (
+            {"only the root": 176, "oracle fails": 22} if root == "5" else {"only the root": 198}
+        )
 
 
 class TestConfigurationSerialization:
