@@ -30,13 +30,14 @@ from .flagcore import (
     from_permutation,
     sort_key,
     to_permutation,
+    validate,
 )
 from .twoflags import (
     RankTable,
     _check_same_shape,
     _ranks,
+    _second_differences,
     enumerate_transport_matrices,
-    matrix_from_rank_table,
     rank_table,
 )
 
@@ -242,10 +243,25 @@ def decorated_from_tables(
         len(a) != len(b) or len(b) != len(rv[0]) for a, b in zip(dv, rv)
     ):
         raise NotAnOrbitInvariant("table shapes")
-    try:
-        tm = matrix_from_rank_table(RankTable(rv))
-    except FlagError as exc:
-        raise NotAnOrbitInvariant(f"rank table: {exc}") from exc
+    dm = _orbit_of(_second_differences(rv), dv)
+    # Summing the second differences gives the rank table back iff its border is 0.
+    if any(rv[0]) or any(row[0] for row in rv):
+        raise NotAnOrbitInvariant("tables do not round-trip")
+    return dm
+
+
+def _orbit_of(
+    counts: tuple[tuple[int, ...], ...], dv: tuple[tuple[int, ...], ...]
+) -> DecoratedMatrix:
+    """The orbit whose matrix has the ``int`` rows ``counts``, with the
+    margins they sum to, and whose bordered threshold table is ``dv``.
+    The matrix is validated once.  Raises :class:`NotAnOrbitInvariant`
+    with the code of the first rule the matrix breaks, or when ``dv`` is
+    not the threshold table of a valid decoration of it."""
+    tm = TransportMatrix(counts, tuple(map(sum, counts)), tuple(map(sum, zip(*counts))))
+    code = validate(tm)
+    if code is not None:
+        raise NotAnOrbitInvariant(f"rank table: {code}")
     # The decoration is the set of maximal zeros, each moved one step
     # southeast.  Only a row's last zero can be maximal, and it is when it
     # lies east of every zero in the rows below.
@@ -261,8 +277,7 @@ def decorated_from_tables(
     code = _delta_code(tm.m, tm.q, tm.r, delta)
     if code is not None:
         raise NotAnOrbitInvariant(code)
-    # Summing the second differences gives the rank table back iff its border is 0.
-    if any(rv[0]) or any(row[0] for row in rv) or _threshold_table(delta, tm.q, tm.r) != dv:
+    if _threshold_table(delta, tm.q, tm.r) != dv:
         raise NotAnOrbitInvariant("tables do not round-trip")
     return DecoratedMatrix(tm, delta)
 

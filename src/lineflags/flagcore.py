@@ -297,9 +297,12 @@ def validate(matrix: TransportMatrix, delta: Iterable[Position] | None = None) -
     Decoration codes: ``BadShape`` (not iterable), ``EmptyDecoration``,
     ``BadPosition(k)`` (not a tuple or list ``(i, j)``, outside the grid,
     or a coordinate that is not an int), ``NotStaircase(k)``,
-    ``ZeroEntryDecorated(i,j)``.  Each rule is tested in one bulk pass;
-    the offending index is located only when the rule fails.
+    ``ZeroEntryDecorated(i,j)``.  A ``matrix`` that is not a
+    :class:`TransportMatrix` gives ``BadShape``.  Each rule is tested in
+    one bulk pass; the offending index is located only when the rule fails.
     """
+    if not isinstance(matrix, TransportMatrix):
+        return "BadShape"
     m, b, c = matrix.m, matrix.b, matrix.c
     code = validate_composition(b) or validate_composition(c)
     if code is not None:

@@ -99,19 +99,24 @@ def _rank_table(m: Sequence[Sequence[int]], r: int) -> RankTable:
 
 
 def rank_table(tm: TransportMatrix) -> RankTable:
-    """Running northwest sums of the matrix, with a zero border."""
+    """Running northwest sums of the matrix, with a zero border.  An
+    invalid ``tm`` raises :class:`ValidationError`."""
+    raise_if_invalid(tm)
     return _rank_table(tm.m, tm.r)
+
+
+def _second_differences(v: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The rows whose running northwest sums are the bordered table ``v``,
+    when its border is zero."""
+    return tuple(
+        tuple(v[i][j] - v[i - 1][j] - v[i][j - 1] + v[i - 1][j - 1] for j in range(1, len(v[0])))
+        for i in range(1, len(v))
+    )
 
 
 def matrix_from_rank_table(rt: RankTable) -> TransportMatrix:
     """Recover the matrix by second differences; validates the result."""
-    q, r = rt.q, rt.r
-    v = rt.values
-    rows = [
-        [v[i][j] - v[i - 1][j] - v[i][j - 1] + v[i - 1][j - 1] for j in range(1, r + 1)]
-        for i in range(1, q + 1)
-    ]
-    return TransportMatrix.from_rows(rows)
+    return TransportMatrix.from_rows(_second_differences(rt.values))
 
 
 def _check_same_shape(x: TransportMatrix, y: TransportMatrix) -> None:

@@ -34,12 +34,7 @@ from .flagcore import (
     render,
 )
 from .twoflags import RankTable, _rank_table
-from .decorated import (
-    NotAnOrbitInvariant,
-    RBarTable,
-    _threshold_table,
-    decorated_from_tables,
-)
+from .decorated import NotAnOrbitInvariant, RBarTable, _orbit_of, _threshold_table
 from .moves import Move, apply_move
 
 __all__ = [
@@ -281,8 +276,22 @@ def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
 
     ``r[i][j] = dim(B_i ∩ C_j)`` and the 0/1 increment ``delta[i][j] =
     dim(A ∩ (B_i + C_j))``, i.e. whether the line lies in ``B_i + C_j``.
-    Both are read from one basis adapted to both flags, as in the proof
-    that orbits are decorated matrices:
+    ``r[i][j]`` counts the slots of :func:`_tables_of` northwest of
+    ``(i, j)``, and ``delta`` is its threshold table.
+    """
+    counts, d_values = _tables_of(config)
+    rank = _rank_table(counts, len(config.c_levels))
+    rbar_values = tuple(tuple(map(add, row, d_row)) for row, d_row in zip(rank.values, d_values))
+    return rank, RBarTable(rbar_values, d_values)
+
+
+def _tables_of(config: Configuration) -> tuple[tuple, tuple]:
+    """The configuration's slot counts and its bordered table ``delta``.
+
+    ``counts[i - 1][j - 1]`` is the number of vectors at the slot ``(i,
+    j)`` of one basis adapted to both flags, as in the proof that orbits
+    are decorated matrices; for a configuration in an orbit they are the
+    orbit's matrix.  ``delta[i][j] = dim(A ∩ (B_i + C_j))``.
 
     * The generators of ``B`` are reduced forward, level by level, into
       triangular rows.  With unit vectors at the positions that are no
@@ -296,12 +305,11 @@ def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
       ``C`` and in the level of ``B`` of its pivot.  With unit vectors at
       the other positions (level ``r + 1`` of ``C``) they form the
       adapted basis, each vector at a slot ``(B-level, C-level)``.
-    * ``r[i][j]`` counts the slots northwest of ``(i, j)``, and
-      ``delta[i][j]`` is ``dim(A)`` minus the rank of the line's
-      coordinates on the other slots.  A line with one generator has
-      that rank 1 exactly when a slot of its support lies strictly
-      southeast of ``(i, j)``, so its ``delta`` is read from per-row
-      thresholds, as :func:`delta_table` reads a decoration.
+    * ``delta[i][j]`` is ``dim(A)`` minus the rank of the line's
+      coordinates on the slots outside ``B_i + C_j``.  A line with one
+      generator has that rank 1 exactly when a slot of its support lies
+      strictly southeast of ``(i, j)``, so its ``delta`` is read from
+      per-row thresholds, as :func:`delta_table` reads a decoration.
 
     Each generator is made integral once, on entry.  A level that starts
     with the one before it is read from where they differ, so cumulative
@@ -351,31 +359,29 @@ def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
         d_values = _threshold_table([slot for slot, _ in support], q, r)
     else:
         dim_a = outside_rank(0, 0)
-        d_values = [[dim_a - outside_rank(i, j) for j in range(r + 1)] for i in range(q + 1)]
-
-    # The ranks count the vectors at the slots inside the grid.
+        d_values = tuple(
+            tuple(dim_a - outside_rank(i, j) for j in range(r + 1)) for i in range(q + 1)
+        )
+    # The counts are of the vectors at the slots inside the grid.
     counts = [[0] * r for _ in range(q)]
     for bi, cj in slots:
         if bi <= q and cj <= r:
             counts[bi - 1][cj - 1] += 1
-    rank = _rank_table(counts, r)
-    rbar_values = tuple(tuple(map(add, row, d_row)) for row, d_row in zip(rank.values, d_values))
-    return rank, RBarTable(rbar_values, tuple(tuple(row) for row in d_values))
-
-
-def _tables_of(config: Configuration) -> tuple:
-    rank, rbar = geometric_rank_tables(config)
-    return rank.values, rbar.delta_values
+    return tuple(map(tuple, counts)), d_values
 
 
 def identify_orbit(config: Configuration) -> DecoratedMatrix:
     """The decorated matrix whose invariants match the configuration.
 
-    Raises :class:`NotAnOrbitInvariant` when the computed tables do not
-    come from any decorated matrix (e.g. the input is not a genuine
-    flag pair with a line in general position over the grid).
+    Its matrix is the slot counts, validated once.  Raises
+    :class:`NotAnOrbitInvariant` when the computed tables do not come
+    from any decorated matrix (e.g. the input is not a genuine flag pair
+    with a line in general position over the grid).
     """
-    return decorated_from_tables(*_tables_of(config))
+    counts, d_values = _tables_of(config)
+    if not counts or not counts[0]:
+        raise NotAnOrbitInvariant("table shapes")
+    return _orbit_of(counts, d_values)
 
 
 def uncircling_check(tm: TransportMatrix, positions: Iterable[Position]) -> bool:
@@ -399,8 +405,13 @@ def apply_basis_change(
     config: Configuration, g: Sequence[Sequence[Fraction | int]]
 ) -> Configuration:
     """Transform each generator once by the invertible matrix ``g`` (vectors
-    are rows; the new vector is ``vec @ g``).  An entry that is not an
-    ``int`` or ``Fraction``, or is a ``bool``, raises ``NotARational(g)``."""
+    are rows; the new vector is ``vec @ g``).  A ``config`` that is not a
+    :class:`Configuration` raises ``BadShape``, and an entry of ``g``
+    that is not an ``int`` or ``Fraction``, or is a ``bool``,
+    ``NotARational(g)``.  The result is built unchecked: ``config`` was
+    checked when it was built, and so is ``g`` here."""
+    if not isinstance(config, Configuration):
+        raise ValidationError("BadShape")
     n = config.n
     try:
         rows = [tuple(row) for row in g]
@@ -425,7 +436,7 @@ def apply_basis_change(
         tuple(tuple(map(act, level)) for level in levels)
         for levels in (config.b_levels, config.c_levels)
     )
-    return Configuration(n, tuple(map(act, config.a)), b_levels, c_levels)
+    return tuple.__new__(Configuration, (n, tuple(map(act, config.a)), b_levels, c_levels))
 
 
 def random_int_invertible(n: int, rng) -> tuple[tuple[int, ...], ...]:
@@ -524,18 +535,36 @@ def _p_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
 def _p_det(columns: list[list[tuple[int, Sequence[int]]]]) -> list[int]:
     """Determinant of a square polynomial matrix given by its columns, as
     ``(row, entry)`` lists of the nonzero entries with rows counted from
-    0: Laplace expansion along the sparsest column, so a column with one
-    entry peels off as a factor and only a dense minor branches."""
-    if not columns:
-        return [1]
-    c = min(range(len(columns)), key=lambda k: len(columns[k]))
-    rest = columns[:c] + columns[c + 1 :]
-    det: list[int] = []
-    for r, entry in columns[c]:
-        term = _p_mul(entry, _p_det([[(s - (s > r), p) for s, p in col if s != r] for col in rest]))
-        sign = -1 if (r + c) % 2 else 1
-        det = [a + sign * b for a, b in zip_longest(det, term, fillvalue=0)]
-    return det
+    0.  Each pass over the columns peels off as a factor every column
+    left with one entry in the rows not yet taken, and that column takes
+    the row; rows keep their numbers, and the sign is that of the
+    permutation the peeled columns form.  A column with more entries left
+    is the sum of its entries, and the determinant is linear in it, so
+    only such a dense column branches."""
+    n = len(columns)
+    perm: list[int | None] = [None] * n  # the row each peeled column takes
+    factor, peeled = [1], True
+    while peeled:
+        peeled, dense = False, []
+        for c in range(n):
+            if perm[c] is None:
+                live = [e for e in columns[c] if e[0] not in perm]
+                if len(live) == 1:
+                    perm[c], entry = live[0]
+                    factor = _p_mul(factor, entry)
+                    peeled = True
+                else:
+                    dense.append((len(live), c))
+    if dense:
+        c = min(dense)[1]
+        det: list[int] = []
+        for e in columns[c]:
+            if e[0] not in perm:
+                term = _p_det(columns[:c] + [[e]] + columns[c + 1 :])
+                det = [a + b for a, b in zip_longest(det, term, fillvalue=0)]
+        return det
+    inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+    return [-x for x in factor] if inversions % 2 else factor
 
 
 def _rational_root(p: Sequence[int]) -> Fraction | None:
@@ -739,8 +768,9 @@ def verify_move_degeneration(dm: DecoratedMatrix, move: Move) -> MoveDegeneratio
     target orbit for every nonzero ``tau`` exactly when ``det g(tau)`` has
     no nonzero rational root and that configuration has the target's
     tables.  The limit is computed first, so slot vectors that are
-    dependent for every ``tau`` raise :class:`FlagError`; it is compared
-    with the orbit of ``dm`` by the two tables.  Each unmet premise is
+    dependent for every ``tau`` raise :class:`FlagError`.  Each
+    configuration is compared with its orbit by the slot counts and the
+    threshold table, which fix the two tables.  Each unmet premise is
     one failure, and a configuration is identified only when it fails,
     to name the orbit it lies in.
     """
@@ -753,12 +783,10 @@ def verify_move_degeneration(dm: DecoratedMatrix, move: Move) -> MoveDegeneratio
         failures.append(f"family is singular at tau={root}")
     standard = _standard(target.matrix, by_row, by_column, a_set)
     for orbit, config, sample in ((target, standard, "family"), (dm, limit, "tau=0: limit")):
-        got = _tables_of(config)
-        rank = _rank_table(orbit.matrix.m, orbit.r).values
-        if got != (rank, _threshold_table(orbit.delta, orbit.q, orbit.r)):
-            failures.append(
-                f"{sample} lies in [{render(decorated_from_tables(*got))}], not [{render(orbit)}]"
-            )
+        rows = tuple(map(tuple, orbit.matrix.m))
+        if _tables_of(config) != (rows, _threshold_table(orbit.delta, orbit.q, orbit.r)):
+            lies_in = render(identify_orbit(config))
+            failures.append(f"{sample} lies in [{lies_in}], not [{render(orbit)}]")
     return MoveDegenerationReport(move=move, failures=tuple(failures))
 
 

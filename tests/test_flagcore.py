@@ -17,8 +17,12 @@ from lineflags import (
     normalize_decoration,
     pos_leq,
     pos_lt,
+    progress_move,
+    rank_table,
     render,
+    rk_leq,
     set_leq,
+    simple_moves,
     sort_key,
     to_permutation,
     validate,
@@ -152,6 +156,25 @@ class TestValidate:
         with pytest.raises(ValidationError) as info:
             raise_if_invalid(tm, delta)
         assert info.value.code == code
+
+    def test_a_matrix_that_is_not_a_transport_matrix_is_a_bad_shape(self):
+        assert validate(None) == "BadShape"
+        assert validate(((1, 0), (0, 1)), ((1, 1),)) == "BadShape"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            raise_if_invalid,
+            simple_moves,
+            rank_table,
+            lambda x: rk_leq(x, x),
+            lambda x: progress_move(x, x),
+        ],
+        ids=["raise_if_invalid", "simple_moves", "rank_table", "rk_leq", "progress_move"],
+    )
+    def test_public_entries_reject_a_matrix_that_is_not_one(self, entry):
+        with pytest.raises(ValidationError, match="BadShape"):
+            entry(None)
 
     def test_raise_if_invalid_accepts_every_small_orbit(self):
         for dm in enumerate_orbits((2, 1, 1), (1, 2, 1)):

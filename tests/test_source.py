@@ -120,6 +120,45 @@ def test_the_degeneration_proof_calls_no_validating_helper():
     assert [call for node in functions for call in _calls(node, validating)] == []
 
 
+def _reached(trees, start):
+    """The names of the calls reachable from the library function
+    ``start``, following every call by name through the library's
+    function and class definitions, nested ones too."""
+    defs = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+    seen, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += [call.split()[1] for node in defs.get(name, ()) for call in _calls(node, defs)]
+    return seen
+
+
+def test_the_oracle_reads_orbits_from_slot_counts():
+    """Identification and the degeneration proof compare and invert the
+    slot counts of ``_tables_of``; neither builds a rank table nor
+    inverts one, at any depth of calls.  Inverting the two tables shares
+    the reading of an orbit from its counts, ``_orbit_of``."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    tables = {
+        "decorated_from_tables",
+        "matrix_from_rank_table",
+        "geometric_rank_tables",
+        "_rank_table",
+    }
+    assert "_tables_of" in _reached(trees, "identify_orbit")
+    assert "_tables_of" in _reached(trees, "verify_move_degeneration")
+    assert _reached(trees, "identify_orbit") & tables == set()
+    assert _reached(trees, "verify_move_degeneration") & tables == set()
+    shared = _reached(trees, "identify_orbit") & _reached(trees, "decorated_from_tables")
+    assert "_orbit_of" in shared
+    assert "_rank_table" in _reached(trees, "geometric_rank_tables")
+
+
 def test_each_mirror_pair_of_kinds_shares_one_checker():
     """Swapping the flags takes IIIa to IIIb and IVb to IVc; each pair is
     one checker bound to its two orientations, so neither can fork."""

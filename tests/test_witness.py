@@ -17,6 +17,7 @@ import pytest
 import lineflags
 from lineflags import (
     Configuration,
+    DecoratedMatrix,
     FlagError,
     IntEchelon,
     Move,
@@ -30,6 +31,7 @@ from lineflags import (
     build_poset,
     configuration_from_obj,
     configuration_to_obj,
+    decorated_from_tables,
     degeneration_family,
     delta_table,
     enumerate_orbits,
@@ -639,6 +641,12 @@ class TestBasisInvariance:
         with pytest.raises(ValidationError, match="BadShape"):
             apply_basis_change(config, g)
 
+    def test_rejects_a_configuration_that_is_not_one(self):
+        dm = from_permutation((1, 2), (1,))
+        config = standard_configuration(dm.matrix, dm.delta)
+        with pytest.raises(ValidationError, match="BadShape"):
+            apply_basis_change(tuple(config), ((1, 0), (0, 1)))
+
     @pytest.mark.parametrize(
         "g",
         [
@@ -871,7 +879,7 @@ class TestMoveDegenerationByTables:
             assert outcomes == {(raised, ("FlagError", "family is singular at tau=1")): 198}
 
     def test_builds_the_family_once(self, monkeypatch):
-        calls = dict.fromkeys(("apply_move", "_family_vectors", "decorated_from_tables"), 0)
+        calls = dict.fromkeys(("apply_move", "_family_vectors", "identify_orbit"), 0)
 
         def counted(name):
             fn = getattr(witness, name)
@@ -889,7 +897,79 @@ class TestMoveDegenerationByTables:
         assert calls == {
             "apply_move": len(reports),
             "_family_vectors": len(reports),
-            "decorated_from_tables": 0,
+            "identify_orbit": 0,
+        }
+
+    def test_passes_when_the_source_rows_are_lists(self):
+        """The limit's slot counts are compared with the source's rows as
+        tuples, so a source whose rows are lists passes as its twin does."""
+        covers = 0
+        for n in (3, 4):
+            poset = build_poset((1,) * n, (1,) * n, check_reduction=False)
+            for (a, _), mv in zip(poset.covers, poset.cover_moves):
+                dm = poset.elements[a]
+                rows = [list(row) for row in dm.matrix.m]
+                listed = DecoratedMatrix(dm.matrix._replace(m=rows), dm.delta)
+                report = verify_move_degeneration(listed, mv)
+                assert report.passed, (str(mv), report.failures)
+                covers += 1
+        assert covers == 72 + 763
+
+
+def identified(identify, config):
+    """The orbit ``identify`` finds for ``config``, or the message of the
+    :class:`NotAnOrbitInvariant` it raises."""
+    try:
+        return identify(config)
+    except NotAnOrbitInvariant as exc:
+        return str(exc)
+
+
+def identified_by_tables(config):
+    rank, rbar = geometric_rank_tables(config)
+    return decorated_from_tables(rank.values, rbar.delta_values)
+
+
+class TestIdentificationParity:
+    """``identify_orbit`` reads the orbit off the slot counts; inverting
+    the two tables with ``decorated_from_tables`` is its oracle."""
+
+    def test_on_every_orbit_and_cover_up_to_mass_four(self):
+        rng = random.Random(27)
+        configs = []
+        for b, c in margin_pairs(1, 4):
+            for dm in enumerate_orbits(b, c):
+                config = standard_configuration(dm.matrix, dm.delta)
+                configs += [config, apply_basis_change(config, random_int_invertible(dm.n, rng))]
+        for dm, mv in cover_moves(1, 4):
+            family = witness._family_vectors(dm, mv)
+            configs += [witness._family_at(family, 1), witness._family_at(family, 0)]
+        for config in configs:
+            assert identified(identify_orbit, config) == identified(identified_by_tables, config)
+        assert len(configs) == 2 * 1694 + 2 * 4317
+
+    def test_on_configurations_in_no_orbit(self):
+        dm = from_permutation((2, 3, 1), (1, 3))
+        base = standard_configuration(dm.matrix, dm.delta)
+        pair = standard_configuration(TransportMatrix.from_rows([[1, 0], [0, 1]]), [(1, 1)])
+        b_levels = base.b_levels
+        configs = {
+            "plane": pair._replace(a=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))),
+            "zero line": base._replace(a=((0, 0, 0),)),
+            "B does not span": base._replace(b_levels=b_levels[:-1] + b_levels[-2:-1]),
+            "repeated level": base._replace(b_levels=b_levels[:1] + b_levels),
+            "q=0": base._replace(b_levels=()),
+            "r=0": base._replace(c_levels=()),
+        }
+        got = {name: identified(identify_orbit, config) for name, config in configs.items()}
+        assert got == {name: identified(identified_by_tables, c) for name, c in configs.items()}
+        assert got == {
+            "plane": "tables do not round-trip",
+            "zero line": "BadPosition(1)",
+            "B does not span": "rank table: BadPart(3)",
+            "repeated level": "rank table: BadPart(2)",
+            "q=0": "table shapes",
+            "r=0": "table shapes",
         }
 
 
@@ -920,6 +1000,33 @@ class TestDeterminantProof:
                 assert det_by_fractions(family, tau) == sum(c * tau**p for p, c in enumerate(det))
             covers += 1
         assert covers == 4317
+
+    def test_the_determinant_matches_fractions_on_random_sparse_matrices(self):
+        """Peeling and the dense branch, on matrices with unit columns,
+        dense columns, repeated columns and empty columns."""
+        rng = random.Random(11)
+        singular = 0
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            columns = []
+            for _ in range(n):
+                roll = rng.random()
+                if columns and roll < 0.08:
+                    columns.append(list(rng.choice(columns)))
+                    continue
+                size = 0 if roll < 0.12 else 1 if roll < 0.6 else rng.randint(1, n)
+                entries = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(size)]
+                rows = sorted(rng.sample(range(n), size))
+                columns.append([(s, p) for s, p in zip(rows, entries) if any(p)])
+            det = witness._p_det(columns)
+            for tau in (Fraction(k, 2) - 1 for k in range(3 * n + 2)):
+                matrix = [[0] * n for _ in range(n)]
+                for c, col in enumerate(columns):
+                    for s, p in col:
+                        matrix[s][c] = sum(x * tau**k for k, x in enumerate(p))
+                assert exact_determinant(matrix) == sum(x * tau**k for k, x in enumerate(det))
+            singular += not any(det)
+        assert 100 < singular < 300
 
     def test_only_the_limit_is_sampled_on_every_cover_up_to_mass_four(self, monkeypatch):
         taus = []
