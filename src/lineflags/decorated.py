@@ -28,7 +28,6 @@ from .flagcore import (
     _is_int,
     _require_positions,
     from_permutation,
-    sort_key,
     to_permutation,
     validate,
 )
@@ -211,14 +210,13 @@ def enumerate_decorations(tm: TransportMatrix) -> list[tuple[Position, ...]]:
 
 
 def enumerate_orbits(b: tuple[int, ...], c: tuple[int, ...]) -> list[DecoratedMatrix]:
-    """All decorated matrices with margins ``(b, c)``, sorted canonically."""
-    out = [
+    """All decorated matrices with margins ``(b, c)``, in canonical order:
+    the matrices come in that order, and the decorations of each too."""
+    return [
         DecoratedMatrix(tm, delta)
         for tm in enumerate_transport_matrices(b, c)
         for delta in enumerate_decorations(tm)
     ]
-    out.sort(key=sort_key)
-    return out
 
 
 def decorated_from_tables(

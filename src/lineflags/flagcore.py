@@ -316,20 +316,26 @@ def validate(matrix: TransportMatrix, delta: Iterable[Position] | None = None) -
     return _delta_code(m, q, r, delta)
 
 
+def _changed_rows(old: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]) -> list[int]:
+    """The 0-based indices where ``rows`` holds another object than ``old``."""
+    return [] if rows is old else [i for i, (x, y) in enumerate(zip(rows, old)) if x is not y]
+
+
 def _step_code(
     old: Sequence[Sequence[int]], rows: Sequence[Sequence[int]], b: tuple[int, ...],
-    delta: Iterable[Position],
+    delta: Iterable[Position], old_delta: Iterable[Position],
 ) -> str | None:
     """The code ``validate(TransportMatrix(rows, b, c), delta)`` gives,
-    where ``old`` are the rows of a valid matrix with margins ``(b, c)``
-    and a row of ``rows`` that is the same object as ``old``'s row at its
-    index is unchanged.  Only the other rows are read: for their shape,
-    entries and row sums, then for the column sums of the same rows of
-    ``old``."""
+    where ``old`` and ``old_delta`` are the rows and decoration of a valid
+    orbit with margins ``(b, c)`` and a row of ``rows`` that is the same
+    object as ``old``'s row at its index is unchanged.  Only the other
+    rows are read: for their shape, entries and row sums, then for the
+    column sums of the same rows of ``old``.  A ``delta`` that is
+    ``old_delta`` itself can break no rule but ``ZeroEntryDecorated``."""
     q, r = len(old), len(old[0])
     if len(rows) != q:
         return "BadShape"
-    at = [] if rows is old else [i for i in range(q) if rows[i] is not old[i]]
+    at = _changed_rows(old, rows)
     if at:
         new = [rows[i] for i in at]
         code = _rows_code(new, at, [b[i] for i in at], r) or _col_code(
@@ -337,7 +343,10 @@ def _step_code(
         )
         if code is not None:
             return code
-    return _delta_code(rows, q, r, delta)
+    if delta is not old_delta:
+        return _delta_code(rows, q, r, delta)
+    zeros = (f"ZeroEntryDecorated({i},{j})" for i, j in sorted(delta) if rows[i - 1][j - 1] <= 0)
+    return next(zeros, None)
 
 
 def _rows_code(

@@ -34,10 +34,11 @@ answers whether a cell lies northwest of the decoration.
 caller that lists an orbit's moves and applies each validates it once.
 ``_move_edges`` gives the orbits of one matrix one matrix part, and
 takes each orbit's order key from the same threshold table.
-``find_chain`` checks each candidate only on the rows its move built,
-compares the candidate's ranks with the target's before it reads the
-decoration, and carries the tables and, after a kind-I step, the matrix
-part of the move it takes into the next step.
+``find_chain`` runs the checker only on the candidates whose move leaves
+the tables above the target's at the one entry it lowers, validates each
+result only on the rows its move built and compares only the ranks those
+rows can change, and carries the tables and, after a kind-I step, the
+matrix part of the move it takes into the next step.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .flagcore import (
     PreconditionFailed,
     TransportMatrix,
     ValidationError,
+    _changed_rows,
     _int_pairs,
     _staircase,
     _step_code,
@@ -420,8 +422,8 @@ _TRY = {
 def _result(dm: DecoratedMatrix, rows, delta) -> DecoratedMatrix:
     """The orbit a checker built from the valid ``dm``, validated against
     it; only the rows the move built are read."""
-    (m, b, c), _ = dm
-    code = _step_code(m, rows, b, delta)
+    (m, b, c), old_delta = dm
+    code = _step_code(m, rows, b, delta, old_delta)
     if code is not None:
         raise ValidationError(code)
     return DecoratedMatrix(TransportMatrix(rows, b, c), delta)
@@ -493,15 +495,17 @@ def _candidates(v: _Orbit) -> Iterator[tuple[str, tuple[Position, ...]]]:
 
 
 def _checked_moves(
-    dm: DecoratedMatrix, view: _Orbit | None = None
+    dm: DecoratedMatrix, view: _Orbit | None = None, room=None
 ) -> Iterator[tuple[Move, tuple]]:
     """Each applicable move with its raw result ``(rows, delta)``, checked
     once, in canonical order; ``_result(dm, *raw)`` is the orbit
     :func:`apply_move` returns.  One :class:`_Orbit` serves every check:
     ``view``, the view of ``dm`` on a shared matrix part, or by default a
-    new one."""
+    new one.  With ``room``, only the candidates ``(kind, anchors)`` it
+    holds true are checked."""
     v = _Orbit.of(dm) if view is None else view
-    for kind, anchors in _candidates(v):
+    candidates = _candidates(v) if room is None else filter(room, _candidates(v))
+    for kind, anchors in candidates:
         result = _TRY[kind](v, anchors)
         if not isinstance(result, str):
             yield Move(kind, anchors), result
@@ -645,45 +649,68 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
     fails, and otherwise a list of moves whose successive application
     transforms ``x`` into ``y``.  Deterministic: each step takes the
     canonically first applicable move whose result stays below ``y``.
-    Invalid ``x`` or ``y`` raise :class:`ValidationError`.  Every result
-    looked at is validated against its source, which is valid: only the
-    rows the move built are read, and a result that is not an orbit raises
-    with the code :func:`validate` gives it.  Its ranks are compared with
-    those of ``y`` first, and its augmented ranks only when the ranks pass;
-    the orbit is built only for the move taken.  The moves generate the
-    order, so such a move exists; if none does, the order and the moves
-    disagree and :class:`OrderCheckFailed` is raised.
+    Invalid ``x`` or ``y`` raise :class:`ValidationError`.  A candidate is
+    checked only where ``y`` leaves it room: a move of kind ``I`` lowers
+    ``rbar`` by one at the cell northwest of its anchor, any other move
+    ``r`` at its first anchor.  Every result looked at is validated against
+    its source, which is valid: only the rows the move built are read, and
+    a result that is not an orbit raises with the code :func:`validate`
+    gives it.  Those rows keep their column sums, so only the ranks between
+    them are compared with ``y``'s, then the augmented ranks, between the
+    same rows if the decoration is kept.  The orbit is built only for the
+    move taken.  The moves generate the order, so such a move exists; if
+    none does, the order and the moves disagree and
+    :class:`OrderCheckFailed` is raised.
     """
     view = _Orbit.of(x)
     raise_if_invalid(y.matrix, y.delta)
     _check_same_shape(x.matrix, y.matrix)
     q, r = x.q, x.r
+    w = r + 1
     goal_ranks, goal_rbar = _tables(y)
     ranks, free = view.mat.ranks, view.free
     rbar = _rbar(ranks, free)
     if not (all(map(ge, ranks, goal_ranks)) and all(map(ge, rbar, goal_rbar))):
         return None
+
+    def room(candidate) -> bool:
+        kind, anchors = candidate
+        i, j = anchors[0]
+        if kind == "I":
+            k = (i - 1) * w + j - 1
+            return rbar[k] > goal_rbar[k]
+        k = i * w + j
+        return ranks[k] > goal_ranks[k]
+
     chain: list[Move] = []
     z = x
     while ranks != goal_ranks or rbar != goal_rbar:
         (m, b, c), source_delta = z
-        # A kind-I result keeps the rows, and so the ranks, of its source;
-        # a result that keeps the decoration keeps its threshold table.
-        for mv, (rows, delta) in _checked_moves(z, view):
-            code = _step_code(m, rows, b, delta)
+        for mv, (rows, delta) in _checked_moves(z, view, room):
+            code = _step_code(m, rows, b, delta, source_delta)
             if code is not None:
                 raise ValidationError(code)
-            step_ranks = ranks if rows is m else _ranks(rows, r)
-            if all(map(ge, step_ranks, goal_ranks)):
-                step_free = free if delta == source_delta else _threshold_table(delta, q, r)
-                step_rbar = _rbar(step_ranks, step_free)
-                if all(map(ge, step_rbar, goal_rbar)):
-                    break
+            # The changed rows keep their column sums, so only the rank rows
+            # from the first one's to the last one's can change; a kind-I
+            # result changes no row.
+            at = _changed_rows(m, rows) or [0]
+            lo, hi = at[0], at[-1]
+            rank_band = _ranks(rows[lo:hi], r, ranks[lo * w : lo * w + w])
+            if not all(map(ge, rank_band, goal_ranks[lo * w : hi * w + w])):
+                continue
+            step_ranks = ranks[: lo * w] + rank_band + ranks[hi * w + w :]
+            step_free = free
+            if delta is not source_delta:  # any augmented rank may change
+                step_free, lo, hi = _threshold_table(delta, q, r), 0, q
+            s, e = lo * w, hi * w + w
+            rbar_band = _rbar(step_ranks[s:e], step_free[lo : hi + 1])
+            if all(map(ge, rbar_band, goal_rbar[s:e])):
+                break
         else:
             raise OrderCheckFailed(f"no progressing move below the target from {z}")
         chain.append(mv)
         z = DecoratedMatrix(TransportMatrix(rows, b, c), delta)
-        ranks, free, rbar = step_ranks, step_free, step_rbar
+        ranks, free, rbar = step_ranks, step_free, rbar[:s] + rbar_band + rbar[e:]
         # The checkers build each decoration as a tuple of int pairs; a
         # kind-I step keeps the rows, and so the matrix part.
         view = _Orbit(view.mat if rows is m else _Matrix(z.matrix), delta, free)

@@ -37,7 +37,6 @@ from .flagcore import (
     ValidationError,
     _int_pairs,
     raise_if_invalid,
-    sort_key,
     validate_composition,
 )
 from .order import bits, dominance_masks, generated
@@ -81,11 +80,12 @@ class RankTable(NamedTuple):
         return self.values[i][j]
 
 
-def _ranks(m: Sequence[Sequence[int]], r: int) -> list[int]:
+def _ranks(m: Sequence[Sequence[int]], r: int, top: list[int] | None = None) -> list[int]:
     """The running northwest sums of the ``r``-column rows ``m``, with a
-    zero border, as one flat row-major list of ``len(m) + 1`` rows."""
-    ranks = [0] * (r + 1)
-    flat = ranks[:]
+    zero border, as one flat row-major list of ``len(m) + 1`` rows; with
+    ``top``, the sums go on from that rank row, which leads the list."""
+    ranks = [0] * (r + 1) if top is None else top
+    flat = list(ranks)
     for row in m:
         ranks = list(map(add, ranks, accumulate(row, initial=0)))
         flat += ranks
@@ -276,7 +276,8 @@ def progress_move(x: TransportMatrix, y: TransportMatrix) -> Rectangle:
 def enumerate_transport_matrices(
     b: tuple[int, ...], c: tuple[int, ...]
 ) -> list[TransportMatrix]:
-    """All matrices with the given margins, sorted canonically."""
+    """All matrices with the given margins, in canonical order: each row
+    is filled with its candidates in lexicographic order."""
     b, c = tuple(b), tuple(c)
     for parts in (b, c):
         code = validate_composition(parts)
@@ -300,7 +301,6 @@ def enumerate_transport_matrices(
             rows.pop()
 
     fill(0, c)
-    out.sort(key=sort_key)
     return out
 
 

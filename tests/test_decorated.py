@@ -226,9 +226,20 @@ class TestEnumeration:
                 lists += 1
         assert lists == 3281
 
+    def test_enumerations_come_in_canonical_order(self):
+        """Neither enumerator sorts: the matrices are filled in the order
+        of ``sort_key``, and the decorations of each in lexicographic
+        order."""
+        pairs = matrices = orbits = 0
+        for b, c in margin_pairs(1, 5):
+            tms = enumerate_transport_matrices(b, c)
+            assert tms == sorted(tms, key=sort_key)
+            dms = enumerate_orbits(b, c)
+            assert dms == sorted(dms, key=sort_key)
+            pairs, matrices, orbits = pairs + 1, matrices + len(tms), orbits + len(dms)
+        assert (pairs, matrices, orbits) == (341, 3281, 26643)
+
     def test_orbits_come_sorted_once_each(self):
-        """``enumerate_orbits`` sorts, so the order of the decorations it
-        reads does not reach its output."""
         for b, c in margin_pairs(1, 4):
             orbits = enumerate_orbits(b, c)
             keys = [sort_key(dm) for dm in orbits]

@@ -337,12 +337,30 @@ class TestStepCheck:
             for rows in _step_results(rng, m):
                 for d in _step_decorations(rng, m, delta):
                     tm = TransportMatrix(rows, b, c)
-                    got = _step_code(m, rows, b, d)
+                    got = _step_code(m, rows, b, d, delta)
                     assert got == validate(tm, d) == validate_by_rule(tm, d), (dm, rows, d)
                     codes.add(got and got.split("(")[0])
         assert codes == {
             None, "BadShape", "NegativeEntry", "BadRowSum", "BadColSum",
             "EmptyDecoration", "BadPosition", "NotStaircase", "ZeroEntryDecorated",
+        }
+
+    def test_a_kept_decoration_gives_the_code_of_validate(self):
+        """Given the source's own decoration object, ``_step_code`` reads
+        only the entries at its cells; the code is still the one
+        ``validate`` gives, for a decorated cell that a changed row leaves
+        at 0 too."""
+        rng = random.Random(23)
+        codes = set()
+        for dm in self.orbits:
+            (m, b, c), delta = dm
+            for rows in _step_results(rng, m):
+                tm = TransportMatrix(rows, b, c)
+                got = _step_code(m, rows, b, delta, delta)
+                assert got == validate(tm, delta) == validate_by_rule(tm, delta), (dm, rows)
+                codes.add(got and got.split("(")[0])
+        assert codes == {
+            None, "BadShape", "NegativeEntry", "BadRowSum", "BadColSum", "ZeroEntryDecorated",
         }
 
 

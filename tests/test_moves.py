@@ -34,6 +34,8 @@ from lineflags import (
     invariant,
     iter_moves,
     normalize_decoration,
+    rank_table,
+    rbar_table,
     rk_leq_dec,
     validate,
     verify_equivalence,
@@ -832,7 +834,9 @@ class TestFindChain:
             assert info.value.code == code
 
     def test_no_progressing_move_fails_the_order_check(self, monkeypatch):
-        monkeypatch.setattr(lineflags.moves, "_checked_moves", lambda dm, view=None: iter(()))
+        monkeypatch.setattr(
+            lineflags.moves, "_checked_moves", lambda dm, view=None, room=None: iter(())
+        )
         with pytest.raises(OrderCheckFailed, match="no progressing move"):
             find_chain(from_permutation((1, 2), (1,)), from_permutation((2, 1), (1, 2)))
 
@@ -862,6 +866,43 @@ class TestFindChain:
                 continue
             assert find_chain(x, y) == greedy_chain_by_public_api(x, y)
             pairs += 1
+
+    def test_each_move_lowers_one_table_at_its_anchor_by_one(self, checked_to_mass_five):
+        """What find_chain skips candidates by: a move of kind I keeps the
+        ranks and lowers ``rbar`` by one at the cell northwest of its
+        anchor, and a move of any other kind lowers ``r`` by one at its
+        first anchor.  Checked on every orbit of mass <= 4 and of full
+        flags n=5."""
+        full5 = ((1,) * 5, (1,) * 5)
+        moves = 0
+        for dm, checked in checked_to_mass_five.items():
+            if dm.n == 5 and dm.matrix[1:] != full5:
+                continue
+            ranks, rbar = rank_table(dm.matrix).values, rbar_table(dm).values
+            for mv, z in checked:
+                i, j = mv.anchors[0]
+                if mv.kind == "I":
+                    assert rank_table(z.matrix).values == ranks
+                    assert rbar_table(z).values[i - 1][j - 1] == rbar[i - 1][j - 1] - 1
+                else:
+                    assert rank_table(z.matrix).values[i][j] == ranks[i][j] - 1
+                moves += 1
+        assert moves == 12646
+
+    def test_chains_match_the_public_api_greedy_walk_at_n6(self):
+        orbits = enumerate_orbits((1,) * 6, (1,) * 6)
+        rng = random.Random(6)
+        pairs = steps = 0
+        while pairs < 60:
+            x, y = rng.sample(orbits, 2)
+            if rk_leq_dec(y, x):
+                x, y = y, x
+            elif not rk_leq_dec(x, y):
+                continue
+            chain = find_chain(x, y)
+            assert chain == greedy_chain_by_public_api(x, y)
+            pairs, steps = pairs + 1, steps + len(chain)
+        assert steps == 407
 
     def test_every_result_looked_at_is_validated(self, monkeypatch):
         """The first move from LOW is of kind I, and the greedy walk to
@@ -900,10 +941,10 @@ class TestFindChain:
         real = lineflags.moves._checked_moves
         seen = []
 
-        def checked(dm, view=None):
+        def checked(dm, view=None, room=None):
             assert view.mat.tm == dm.matrix
             seen.append(view.mat)
-            return real(dm, view)
+            return real(dm, view, room)
 
         monkeypatch.setattr(lineflags.moves, "_checked_moves", checked)
         kept = {True: 0, False: 0}
