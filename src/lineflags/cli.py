@@ -49,13 +49,18 @@ def _margins(text: str) -> tuple[int, ...]:
 
 
 def _load_element(arg: str) -> DecoratedMatrix:
-    if arg == "-":
-        text = sys.stdin.read()
-    elif arg.lstrip().startswith("{"):
-        text = arg
-    else:
-        text = Path(arg).read_text()
-    element = element_from_obj(json.loads(text))
+    try:
+        if arg == "-":
+            text = sys.stdin.read()
+        elif arg.lstrip().startswith("{"):
+            text = arg
+        else:
+            text = Path(arg).read_text()
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # Not UTF-8, not JSON, an integer too long to convert or too deep.
+        raise FlagError(str(exc)) from None
+    element = element_from_obj(obj)
     if isinstance(element, TransportMatrix):
         raise ValidationError("EmptyDecoration")
     return element
@@ -205,7 +210,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         code, text = args.func(args)
-    except (FlagError, json.JSONDecodeError, OSError) as exc:
+    except (FlagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if text:

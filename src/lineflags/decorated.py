@@ -26,9 +26,9 @@ from .flagcore import (
     ValidationError,
     _delta_code,
     _is_int,
+    _require_orbit,
     _require_positions,
-    from_permutation,
-    to_permutation,
+    raise_if_invalid,
     validate,
 )
 from .twoflags import (
@@ -52,7 +52,6 @@ __all__ = [
     "enumerate_decorations",
     "enumerate_orbits",
     "decorated_from_tables",
-    "dimension_full_flags",
     "dimension_of",
 ]
 
@@ -98,6 +97,7 @@ def delta_table(dm: DecoratedMatrix) -> tuple[tuple[int, ...], ...]:
     decorated cell in the rows below ``i``.  The ``k``-th decorated cell
     outside the grid raises ``ValidationError("BadPosition(k)")``.
     """
+    _require_orbit(dm)
     q, r = dm.q, dm.r
     for k, (i, j) in enumerate(_require_positions("delta", dm.delta), start=1):
         if not (1 <= i <= q and 1 <= j <= r):
@@ -133,6 +133,7 @@ def invariant(dm: DecoratedMatrix) -> tuple[int, ...]:
     Orbits with the same margins are equal iff their invariants are, and
     ``x <= y`` iff ``invariant(x)`` is entrywise ``>=`` ``invariant(y)``.
     """
+    _require_orbit(dm)
     return _key(_ranks(dm.matrix.m, dm.r), _threshold_table(dm.delta, dm.q, dm.r))
 
 
@@ -151,6 +152,7 @@ def _first(x: DecoratedMatrix, y: DecoratedMatrix, differs) -> tuple | None:
     """``(table, (i, j), xval, yval)`` at the first entry of the invariants
     where ``differs(xval, yval)``, read off the flat tables: the first rank
     that differs, unless an ``rbar`` entry before it differs."""
+    _require_orbit(x, y)
     _check_same_shape(x.matrix, y.matrix)
     (rx, bx), (ry, by) = _tables(x), _tables(y)
     k = next(compress(count(), map(differs, rx, ry)), len(rx))
@@ -189,8 +191,15 @@ def enumerate_decorations(tm: TransportMatrix) -> list[tuple[Position, ...]]:
     """All NE-to-SW staircases on the positive entries of ``tm``.
 
     Each staircase is a nonempty antichain, returned sorted by row; the
-    list is in lexicographic order of the sorted staircases.
+    list is in lexicographic order of the sorted staircases.  An invalid
+    ``tm`` raises :class:`ValidationError`.
     """
+    raise_if_invalid(tm)
+    return _enumerate_decorations(tm)
+
+
+def _enumerate_decorations(tm: TransportMatrix) -> list[tuple[Position, ...]]:
+    """:func:`enumerate_decorations` of a valid ``tm``, unchecked."""
     pts = tm.positive_positions()
     out: list[tuple[Position, ...]] = []
     prefix: list[Position] = []
@@ -215,7 +224,7 @@ def enumerate_orbits(b: tuple[int, ...], c: tuple[int, ...]) -> list[DecoratedMa
     return [
         DecoratedMatrix(tm, delta)
         for tm in enumerate_transport_matrices(b, c)
-        for delta in enumerate_decorations(tm)
+        for delta in _enumerate_decorations(tm)
     ]
 
 
@@ -280,29 +289,18 @@ def _orbit_of(
     return DecoratedMatrix(tm, delta)
 
 
-def dimension_full_flags(w: Iterable[int], delta_cols: Iterable[int]) -> int:
-    """Orbit dimension in the full-flag case ``b = c = (1, ..., 1)``.
-
-    For a permutation ``w`` and descending index set ``K`` this is
-    ``C(n,2) + (n-1) + inv(w) - #{j : every k in K has k < j or w(k) < w(j)}``,
-    where ``inv`` counts inversions.  The minimum over a fixed ``n`` is
-    ``C(n,2)`` and the maximum ``(n-1) + 2*C(n,2)``.
-    """
-    dm = from_permutation(w, delta_cols)
-    wt, cols = to_permutation(dm)
-    n = len(wt)
-    inversions = sum(
-        1 for a in range(n) for bidx in range(a + 1, n) if wt[a] > wt[bidx]
-    )
-    free = sum(
-        1
-        for j in range(1, n + 1)
-        if all(k < j or wt[k - 1] < wt[j - 1] for k in cols)
-    )
-    return n * (n - 1) // 2 + (n - 1) + inversions - free
-
-
 def dimension_of(dm: DecoratedMatrix) -> int:
-    """Dimension of a full-flag orbit given as a decorated matrix."""
-    w, cols = to_permutation(dm)
-    return dimension_full_flags(w, cols)
+    """Dimension of the orbit, for any margins: ``Σ_{i<i'} b_i b_i' +
+    Σ_{j<j'} c_j c_j' − Σ_{i<i', j<j'} m_ij m_i'j' + mass(↓δ) − 1``, where
+    ``↓δ`` holds the cells weakly northwest of a decorated cell.  The first
+    three terms are the dimension of the two-flag orbit, the last two that
+    of the line's orbit under the pair's stabilizer.  An invalid ``dm``
+    raises :class:`ValidationError`."""
+    _require_orbit(dm)
+    raise_if_invalid(dm.matrix, dm.delta)
+    (m, b, c), n, w = dm.matrix, dm.n, dm.r + 1
+    # Mass r[i-1][j-1] lies strictly northwest of the cell (i, j), which is in
+    # ↓δ iff delta[i-1][j-1] = 0: the last three terms are n − 1 − Σ m_ij rbar[i-1][j-1].
+    rbar = _tables(dm)[1]
+    dim = (2 * n * n - sum(x * x for x in b + c)) // 2 + n - 1
+    return dim - sum(x * rbar[i * w + j] for i, row in enumerate(m) for j, x in enumerate(row))

@@ -416,6 +416,13 @@ def raise_if_invalid(matrix: TransportMatrix, delta: Iterable[Position] | None =
         raise ValidationError(code)
 
 
+def _require_orbit(*dms: object) -> None:
+    """Raise ``ValidationError("BadShape")`` unless each argument is a
+    :class:`DecoratedMatrix`."""
+    if not all(isinstance(dm, DecoratedMatrix) for dm in dms):
+        raise ValidationError("BadShape")
+
+
 # ---------------------------------------------------------------------------
 # Permutation dictionary (full flags)
 
@@ -450,23 +457,20 @@ def from_permutation(w: Iterable[int], delta_cols: Iterable[int]) -> DecoratedMa
     for a, b in zip(cols, cols[1:]):
         if wt[a - 1] <= wt[b - 1]:
             raise ValidationError("NotDescending")
-    rows = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        rows[k - 1][wt[k - 1] - 1] = 1
-    matrix = TransportMatrix.from_rows(rows)
+    rows = [[int(j == v) for j in range(1, n + 1)] for v in wt]
     delta = tuple((k, wt[k - 1]) for k in cols)
-    return DecoratedMatrix.make(matrix, delta)
+    return DecoratedMatrix.make(TransportMatrix.from_rows(rows), delta)
 
 
 def to_permutation(dm: DecoratedMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Inverse of :func:`from_permutation`; requires b = c = (1, ..., 1)."""
-    tm = dm.matrix
-    n = tm.n
+    """Inverse of :func:`from_permutation`; requires a valid ``dm`` with
+    b = c = (1, ..., 1)."""
+    _require_orbit(dm)
+    raise_if_invalid(dm.matrix, dm.delta)
+    tm, n = dm.matrix, dm.n
     if tm.b != (1,) * n or tm.c != (1,) * n:
         raise NotFullFlag(f"margins {tm.b} x {tm.c}")
-    w = tuple(row.index(1) + 1 for row in tm.m)
-    cols = tuple(i for (i, _) in dm.delta)
-    return w, cols
+    return tuple(row.index(1) + 1 for row in tm.m), tuple(i for (i, _) in dm.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +526,10 @@ def render(x: TransportMatrix | DecoratedMatrix) -> str:
         tm, marked = x.matrix, set(x.delta)
     else:
         tm, marked = x, set()
-    rows = []
-    for i in range(1, tm.q + 1):
-        cells = []
-        for j in range(1, tm.r + 1):
-            v = tm.entry(i, j)
-            cell = f"({v})" if (i, j) in marked else ("." if v == 0 else str(v))
-            cells.append(cell)
-        rows.append(" ".join(cells))
-    return " / ".join(rows)
+    return " / ".join(
+        " ".join(f"({v})" if (i, j) in marked else str(v or ".") for j, v in enumerate(row, 1))
+        for i, row in enumerate(tm.m, 1)
+    )
 
 
 def sort_key(x: TransportMatrix | DecoratedMatrix):

@@ -56,6 +56,7 @@ from .flagcore import (
     ValidationError,
     _changed_rows,
     _int_pairs,
+    _require_orbit,
     _staircase,
     _step_code,
     raise_if_invalid,
@@ -187,6 +188,7 @@ class _Orbit:
         kept, view = cls._kept
         if dm is kept:
             return view
+        _require_orbit(dm)
         raise_if_invalid(dm.matrix, dm.delta)
         if not _int_pairs(dm.delta):
             raise ValidationError("BadShape")
@@ -634,8 +636,8 @@ def build_poset(
     poset = _poset(elements, moves_of, targets_of)
     if check_reduction:
         leq = dominance_masks(keys)
-        reach, _, not_covers, _ = generated(leq, targets_of)
-        if reach != leq:
+        disagree, _, not_covers, _ = generated(leq, targets_of)
+        if disagree:
             raise OrderCheckFailed("move closure differs from the rank order")
         if not_covers:
             raise OrderCheckFailed("edge %d->%d is not a cover" % not_covers[0])
@@ -663,6 +665,7 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
     :class:`OrderCheckFailed` is raised.
     """
     view = _Orbit.of(x)
+    _require_orbit(y)
     raise_if_invalid(y.matrix, y.delta)
     _check_same_shape(x.matrix, y.matrix)
     q, r = x.q, x.r
@@ -764,10 +767,8 @@ def _verified_poset(b: tuple[int, ...], c: tuple[int, ...]) -> tuple[Equivalence
 def _report(b, c, targets_of, keys) -> EquivalenceReport:
     """The checks of :func:`verify_equivalence` on a computed move graph
     whose elements have the order keys ``keys``."""
-    count = len(keys)
     leq = dominance_masks(keys)
-    reach, cover_masks, not_covers, not_moves = generated(leq, targets_of)
-    disagree = [a for a in range(count) if reach[a] != leq[a]]
+    disagree, cover_count, not_covers, not_moves = generated(leq, targets_of)
     counterexamples = [f"element {a}: move closure and rank order disagree" for a in disagree]
     counterexamples += [f"move edge {a}->{t} is not a cover" for a, t in not_covers]
     counterexamples += [f"cover {a}->{t} is not realized by a move" for a, t in not_moves]
@@ -790,8 +791,8 @@ def _report(b, c, targets_of, keys) -> EquivalenceReport:
     return EquivalenceReport(
         b=tuple(b),
         c=tuple(c),
-        element_count=count,
-        cover_count=sum(mask.bit_count() for mask in cover_masks),
+        element_count=len(keys),
+        cover_count=cover_count,
         order_equivalent=not disagree,
         moves_are_covers=not not_covers,
         covers_are_moves=not not_moves,

@@ -52,16 +52,17 @@ def dominance_masks(keys: Sequence[Sequence[int]]) -> list[int]:
 
 def generated(
     leq: Sequence[int], targets: Sequence[Iterable[int]]
-) -> tuple[list[int], list[int], list[tuple[int, int]], list[tuple[int, int]]]:
+) -> tuple[dict[int, int], int, list[tuple[int, int]], list[tuple[int, int]]]:
     """Check the graph ``a -> t`` for ``t`` in ``targets[a]`` against ``leq``.
 
-    Returns ``(reach, covers, not_covers, not_edges)``: the right-hand
-    sides of the identity, the cover masks of ``leq``, and the sorted
-    edges ``(a, t)`` that are not covers (self-loops included) and covers
-    that are not edges.
+    Returns ``(disagree, cover_count, not_covers, not_edges)``: each
+    element where the identity fails, in increasing order, mapped to its
+    right-hand side; the number of covers of ``leq``; and the sorted edges
+    ``(a, t)`` that are not covers (self-loops included) and covers that
+    are not edges.
     """
     up = [mask & ~(1 << a) for a, mask in enumerate(leq)]
-    reach, cover_masks, not_covers, not_edges = [], [], [], []
+    disagree, cover_count, not_covers, not_edges = {}, 0, [], []
     for a, ts in enumerate(targets):
         mask, edges, above = 1 << a, 0, 0
         for t in ts:
@@ -73,12 +74,12 @@ def generated(
             cover = edges & ~(1 << a) & ~above
         else:
             # The targets do not generate the up-set: read the covers off it.
+            disagree[a] = mask
             above = 0
             for z in bits(up[a]):
                 above |= up[z]
             cover = up[a] & ~above
-        reach.append(mask)
-        cover_masks.append(cover)
+        cover_count += cover.bit_count()
         not_covers += [(a, t) for t in bits(edges & ~cover)]
         not_edges += [(a, t) for t in bits(cover & ~edges)]
-    return reach, cover_masks, not_covers, not_edges
+    return disagree, cover_count, not_covers, not_edges

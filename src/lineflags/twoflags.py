@@ -279,10 +279,9 @@ def enumerate_transport_matrices(
     """All matrices with the given margins, in canonical order: each row
     is filled with its candidates in lexicographic order."""
     b, c = tuple(b), tuple(c)
-    for parts in (b, c):
-        code = validate_composition(parts)
-        if code is not None:
-            raise ValidationError(code)
+    code = validate_composition(b) or validate_composition(c)
+    if code is not None:
+        raise ValidationError(code)
     if sum(b) != sum(c):
         raise ValidationError("BadShape")
     q, r = len(b), len(c)
@@ -341,18 +340,15 @@ def verify_two_flag_theorem(b: tuple[int, ...], c: tuple[int, ...]) -> TwoFlagRe
     """
     elements = enumerate_transport_matrices(b, c)
     index = {tm.m: k for k, tm in enumerate(elements)}
-    count = len(elements)
     edges = [
         sorted({index[_corner_flip(tm, rect).m] for rect in _simple_moves(tm)})
         for tm in elements
     ]
     leq = dominance_masks([_ranks(tm.m, tm.r) for tm in elements])
-    reach, cover_masks, not_covers, _ = generated(leq, edges)
+    disagree, cover_count, not_covers, _ = generated(leq, edges)
     counterexamples = [
-        f"element {a}: moves-only {bin(reach[a] & ~leq[a])},"
-        f" rank-only {bin(leq[a] & ~reach[a])}"
-        for a in range(count)
-        if reach[a] != leq[a]
+        f"element {a}: moves-only {bin(reach & ~leq[a])}, rank-only {bin(leq[a] & ~reach)}"
+        for a, reach in disagree.items()
     ]
     # A move that does not go up fails the closure check, not this one.
     not_cover_moves = []
@@ -363,9 +359,9 @@ def verify_two_flag_theorem(b: tuple[int, ...], c: tuple[int, ...]) -> TwoFlagRe
     return TwoFlagReport(
         b=tuple(b),
         c=tuple(c),
-        element_count=count,
-        cover_count=sum(mask.bit_count() for mask in cover_masks),
-        order_equivalent=reach == leq,
+        element_count=len(elements),
+        cover_count=cover_count,
+        order_equivalent=not disagree,
         moves_are_covers=not not_cover_moves,
         counterexamples=tuple(counterexamples + not_cover_moves),
     )

@@ -260,6 +260,54 @@ def inversions(w):
     return sum(1 for a, b in combinations(range(len(w)), 2) if w[a] > w[b])
 
 
+def dimension_full_flags(w, delta_cols):
+    """Orbit dimension in the full-flag case ``b = c = (1, ..., 1)``.
+
+    For a permutation ``w`` and descending index set ``K`` this is
+    ``C(n,2) + (n-1) + inv(w) - #{j : every k in K has k < j or w(k) < w(j)}``.
+    The minimum over a fixed ``n`` is ``C(n,2)`` and the maximum
+    ``(n-1) + 2*C(n,2)``.
+    """
+    n = len(w)
+    free = sum(
+        1 for j in range(1, n + 1) if all(k < j or w[k - 1] < w[j - 1] for k in delta_cols)
+    )
+    return n * (n - 1) // 2 + (n - 1) + inversions(w) - free
+
+
+def dimension_by_stabilizer(config):
+    """``n² − dim{X : X B_i ⊆ B_i, X C_j ⊆ C_j, X a ∈ span a}``: the
+    dimension of a configuration's orbit, as that of GL_n less that of
+    the Lie algebra of its stabilizer.
+
+    Each level of ``config`` and its line must list independent
+    generators of the whole subspace, as the levels of a standard
+    configuration, basis-changed or not, do.  For a subspace with such
+    generators ``u_1..u_d``, ``X U ⊆ U`` says ``X u_k = Σ_t λ_kt u_t`` for
+    some ``λ``, which ``X`` fixes.  So the stabilizer is the solution
+    space of one linear system in ``X`` and every ``λ``, and the orbit's
+    dimension is the system's rank less the number of ``λ``.  A subspace
+    of dimension ``n`` is skipped: it constrains nothing.
+    """
+    from lineflags import IntEchelon
+
+    n = config.n
+    spaces = [U for U in (*config.b_levels, *config.c_levels, config.a) if len(U) < n]
+    width = n * n + sum(len(U) ** 2 for U in spaces)
+    system, offset = IntEchelon(), n * n
+    for U in spaces:
+        d = len(U)
+        for k, u in enumerate(U):
+            for p in range(n):  # coordinate p of X u_k − Σ_t λ_kt u_t
+                row = [0] * width
+                row[p * n : p * n + n] = u
+                for t, v in enumerate(U):
+                    row[offset + k * d + t] = -v[p]
+                system.add(row)
+        offset += d * d
+    return system.rank - (width - n * n)
+
+
 def bruhat_covers(n):
     """Covers of the strong order on permutations of ``1..n``.
 

@@ -248,6 +248,35 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert "NotAnInteger(m)" in err
 
+    def test_element_file_that_is_not_utf8_exit_2(self, tmp_path):
+        path = tmp_path / "element.json"
+        path.write_bytes(b"\xff" + MAX2.encode())
+        code, out, err = run_cli(["compare", str(path), MAX2])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "can't decode byte 0xff" in err
+        assert err.count("\n") == 1
+
+    def test_stdin_that_is_not_utf8_exit_2(self, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff" + MAX2.encode()), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_cli(["compare", "-", MAX2])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "lhs, message",
+        [
+            ('{"m": [[' + "9" * 5000 + "]]}", "Exceeds the limit (4300 digits)"),
+            ('{"m": ' + "[" * 100000 + "]" * 100000 + "}", "maximum recursion depth exceeded"),
+        ],
+        ids=["long-integer", "deep-nesting"],
+    )
+    def test_json_that_cannot_be_decoded_exit_2(self, lhs, message):
+        code, out, err = run_cli(["compare", lhs, MAX2])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message) and err.count("\n") == 1
+
     def test_undecorated_element_exit_2(self):
         code, _, err = run_cli(["compare", '{"m": [[1, 0], [0, 1]]}', MAX2])
         assert code == 2

@@ -2,29 +2,40 @@
 
 import operator
 import random
+from collections import Counter
 
 import pytest
 
 from lineflags import (
     DecoratedMatrix,
+    Move,
     NotAnOrbitInvariant,
     TransportMatrix,
     ValidationError,
+    applicable_moves,
+    apply_basis_change,
+    apply_move,
+    build_poset,
     decorated_from_tables,
     delta_table,
-    dimension_full_flags,
     dimension_of,
     enumerate_decorations,
     enumerate_orbits,
     enumerate_transport_matrices,
+    find_chain,
     from_permutation,
     invariant,
+    iter_moves,
+    random_int_invertible,
     rank_table,
     rbar_table,
     rk_compare_witness,
     rk_first_difference,
     rk_leq_dec,
     sort_key,
+    standard_configuration,
+    to_permutation,
+    verify_move_degeneration,
 )
 from helpers import (
     GOLDEN_N3_LABELS,
@@ -32,6 +43,8 @@ from helpers import (
     compositions,
     decorated_from_tables_by_zero_set,
     delta_by_definition,
+    dimension_by_stabilizer,
+    dimension_full_flags,
     first_by_invariant,
     first_entry,
     margin_pairs,
@@ -288,6 +301,54 @@ class TestDimensions:
         assert dimension_of(from_permutation((3, 2, 1), (1, 2, 3))) == 8
         assert dimension_of(from_permutation((1, 2, 3), (2,))) == 4
 
+    def test_matches_the_inversion_count_on_full_flags(self):
+        orbits = 0
+        for n in range(1, 6):
+            for dm in enumerate_orbits((1,) * n, (1,) * n):
+                assert dimension_of(dm) == dimension_full_flags(*to_permutation(dm)), dm
+                orbits += 1
+        assert orbits == 1 + 5 + 28 + 185 + 1426
+
+    def test_matches_the_stabilizer_on_every_orbit_of_mass_four(self):
+        """On a basis-changed standard configuration, so the oracle reads
+        neither the slots nor the decoration."""
+        rng = random.Random(2002)
+        orbits = 0
+        for b, c in margin_pairs(1, 4):
+            for dm in enumerate_orbits(b, c):
+                config = standard_configuration(dm.matrix, dm.delta)
+                config = apply_basis_change(config, random_int_invertible(dm.n, rng))
+                assert dimension_of(dm) == dimension_by_stabilizer(config), dm
+                orbits += 1
+        assert orbits == 1694
+
+
+class TestCoverCodimensions:
+    """How far each cover of the order climbs in dimension."""
+
+    @staticmethod
+    def codimensions(b, c):
+        poset = build_poset(b, c)
+        dims = [dimension_of(el) for el in poset.elements]
+        return dims, poset.covers, Counter(dims[t] - dims[a] for a, t in poset.covers)
+
+    def test_every_margin_pair_up_to_mass_four(self):
+        census = Counter()
+        for b, c in margin_pairs(1, 4):
+            census += self.codimensions(b, c)[2]
+        assert census == {1: 4098, 2: 211, 3: 8}
+
+    @pytest.mark.parametrize("n, covers", [(2, 6), (3, 72), (4, 763), (5, 8329)])
+    def test_full_flags_are_graded(self, n, covers):
+        assert self.codimensions((1,) * n, (1,) * n)[2] == {1: covers}
+
+    def test_three_points_in_the_plane(self):
+        """``b = c = (1, 2)``: "all equal" is covered by each "two equal"
+        orbit, two dimensions up."""
+        dims, covers, _ = self.codimensions((1, 2), (1, 2))
+        (low,) = [a for a, d in enumerate(dims) if d == 2]
+        assert sorted(dims[t] for a, t in covers if a == low) == [4, 4, 4]
+
 
 class TestTableRoundTrip:
     def test_every_orbit_reconstructs(self):
@@ -387,3 +448,44 @@ def test_make_sorts_and_validates():
     tm = TransportMatrix.from_rows([[0, 1], [1, 0]])
     dm = DecoratedMatrix.make(tm, [(2, 1), (1, 2)])
     assert dm.delta == ((1, 2), (2, 1))
+
+
+ORBIT = from_permutation((1, 2), (1,))
+MATRIX = ORBIT.matrix
+FIRST = Move("I", ((1, 1),))
+CALLS = {
+    "apply_move": lambda dm: apply_move(dm, FIRST),
+    "iter_moves": iter_moves,
+    "applicable_moves": applicable_moves,
+    "find_chain(x)": lambda dm: find_chain(dm, ORBIT),
+    "find_chain(y)": lambda dm: find_chain(ORBIT, dm),
+    "verify_move_degeneration": lambda dm: verify_move_degeneration(dm, FIRST),
+    "rk_leq_dec": lambda dm: rk_leq_dec(dm, ORBIT),
+    "rk_compare_witness": lambda dm: rk_compare_witness(ORBIT, dm),
+    "rk_first_difference": lambda dm: rk_first_difference(dm, ORBIT),
+    "invariant": invariant,
+    "delta_table": delta_table,
+    "rbar_table": rbar_table,
+    "dimension_of": dimension_of,
+    "to_permutation": to_permutation,
+}
+
+
+@pytest.mark.parametrize(
+    "name, arg, code",
+    [(name, arg, "BadShape") for name in CALLS for arg in (None, MATRIX)]
+    + [
+        ("to_permutation", DecoratedMatrix(MATRIX, ((1, 1), (2, 2))), "NotStaircase(2)"),
+        ("dimension_of", DecoratedMatrix(MATRIX, ((1, 1), (2, 2))), "NotStaircase(2)"),
+        ("enumerate_decorations", None, "BadShape"),
+        ("enumerate_decorations", TransportMatrix(((2, -1), (-1, 2)), (1, 1), (1, 1)),
+         "NegativeEntry(1,2)"),
+    ],
+)
+def test_entry_points_reject_what_is_no_valid_orbit(name, arg, code):
+    """``None`` and a bare matrix raised ``AttributeError``; a decoration
+    that is no staircase, or a negative entry, was read as it stood."""
+    call = CALLS.get(name, enumerate_decorations)
+    with pytest.raises(ValidationError) as info:
+        call(arg)
+    assert info.value.code == code

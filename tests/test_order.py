@@ -62,6 +62,17 @@ def cover_pairs(masks):
     return [(a, t) for a, mask in enumerate(masks) for t in bits(mask)]
 
 
+def covers_of(leq):
+    """The kernel's covers of ``leq``: with no edges every cover is a
+    cover that is not an edge."""
+    return generated(leq, [[]] * len(leq))[3]
+
+
+def reach_of(leq, disagree):
+    """The right-hand sides of the identity, rebuilt from where it fails."""
+    return [disagree.get(a, leq[a]) for a in range(len(leq))]
+
+
 MARGINS = margin_pairs(1, 4)
 
 
@@ -74,8 +85,12 @@ def test_masks_and_covers_match_the_oracles(keys_of):
         expected = reduction_of(leq)
         # With no edges the covers are read off the up-sets; with the
         # order as its own graph, off the targets.
-        assert cover_pairs(generated(leq, [[]] * len(leq))[1]) == expected, (b, c)
-        assert cover_pairs(generated(leq, [list(bits(m)) for m in leq])[1]) == expected
+        assert covers_of(leq) == expected, (b, c)
+        disagree, cover_count, not_covers, not_edges = generated(
+            leq, [list(bits(m)) for m in leq]
+        )
+        assert (disagree, cover_count, not_edges) == ({}, len(expected), []), (b, c)
+        assert sorted(set(cover_pairs(leq)) - set(not_covers)) == expected, (b, c)
 
 
 def random_order(rng, count):
@@ -135,7 +150,9 @@ def test_generated_matches_graph_search_on_perturbed_orders(how):
         for _ in range(20):
             leq, targets = random_order(rng, count)
             generates = perturb(rng, leq, targets, how)
-            reach, cover_masks, not_covers, not_edges = generated(leq, targets)
+            disagree, cover_count, not_covers, not_edges = generated(leq, targets)
+            reach = reach_of(leq, disagree)
+            assert list(disagree) == [a for a in range(count) if reach[a] != leq[a]]
             searched = [reachable(targets, a) for a in range(count)]
             assert (searched == leq) == generates
             assert (reach == leq) == generates
@@ -149,7 +166,8 @@ def test_generated_matches_graph_search_on_perturbed_orders(how):
                 )
                 assert (reach[a] == leq[a]) == local
                 branches.add(local)
-            assert cover_pairs(cover_masks) == covers
+            assert covers_of(leq) == covers
+            assert cover_count == len(covers)
             edges = {(a, t) for a, ts in enumerate(targets) for t in ts}
             assert not_covers == sorted(edges - set(covers))
             assert not_edges == sorted(set(covers) - edges)
@@ -163,18 +181,20 @@ def test_covers_from_the_move_edges_match_the_oracle():
         elements = tuple(enumerate_orbits(b, c))
         targets = _move_edges(elements)[1]
         leq = dominance_masks([invariant(el) for el in elements])
-        reach, cover_masks, not_covers, not_edges = generated(leq, targets)
-        assert reach == leq, (b, c)
-        assert cover_pairs(cover_masks) == reduction_of(leq), (b, c)
+        disagree, cover_count, not_covers, not_edges = generated(leq, targets)
+        assert disagree == {}, (b, c)
+        covers = sorted({(a, t) for a, ts in enumerate(targets) for t in ts})
+        assert covers == reduction_of(leq), (b, c)
+        assert cover_count == len(covers), (b, c)
         assert not_covers == not_edges == [], (b, c)
 
 
 def test_closure_of_a_cover_graph_is_the_order():
     for b, c in MARGINS:
         leq = dominance_masks(decorated_keys(b, c))
-        cover_masks = generated(leq, [[]] * len(leq))[1]
-        targets = [list(bits(mask)) for mask in cover_masks]
-        assert generated(leq, targets) == (leq, cover_masks, [], []), (b, c)
+        covers = covers_of(leq)
+        targets = [[t for s, t in covers if s == a] for a in range(len(leq))]
+        assert generated(leq, targets) == ({}, len(covers), [], []), (b, c)
 
 
 def test_bits_lists_set_bits_in_order():
@@ -186,6 +206,6 @@ def test_bits_lists_set_bits_in_order():
 def test_degenerate_inputs():
     assert dominance_masks([]) == []
     assert dominance_masks([(), ()]) == [0b11, 0b11]
-    assert generated([], []) == ([], [], [], [])
-    assert generated([0b1], [[0]]) == ([0b1], [0], [(0, 0)], [])
-    assert generated([0b11, 0b10], [[], []]) == ([0b01, 0b10], [0b10, 0], [], [(0, 1)])
+    assert generated([], []) == ({}, 0, [], [])
+    assert generated([0b1], [[0]]) == ({}, 0, [(0, 0)], [])
+    assert generated([0b11, 0b10], [[], []]) == ({0: 0b01}, 1, [], [(0, 1)])
