@@ -70,7 +70,8 @@ def _is_rational(x: object) -> bool:
 
 def _integral(vec: Sequence[Fraction | int]) -> list[int]:
     """``vec`` times the lcm of its denominators: an integer vector."""
-    if all(type(x) is int for x in vec):
+    # A sum of ints is an int, and one Fraction entry makes it a Fraction.
+    if type(sum(vec)) is int:
         return list(vec)
     den = lcm(*(x.denominator for x in vec))
     return [x.numerator * (den // x.denominator) for x in vec]
@@ -260,15 +261,14 @@ def _standard(tm: TransportMatrix, by_row: list, by_column: list, positions) -> 
     return tuple.__new__(Configuration, (n, (a_vec,), b_levels, c_levels))
 
 
-def _fresh(levels: Sequence[tuple]) -> list[tuple]:
+def _fresh(levels: Sequence[tuple]) -> Iterable[tuple]:
     """Per level, the generators that do not repeat the previous level:
-    cumulative levels start with it, and it spans nothing new."""
-    out, previous = [], ()
+    cumulative levels start with it, and it spans nothing new.  Lazy, so
+    a reader can stop at the first level it rejects."""
+    previous = ()
     for level in levels:
-        start = len(previous) if level[: len(previous)] == previous else 0
-        out.append(level[start:])
+        yield level[len(previous) :] if level[: len(previous)] == previous else level
         previous = level
-    return out
 
 
 def geometric_rank_tables(config: Configuration) -> tuple[RankTable, RBarTable]:
@@ -293,6 +293,69 @@ def _tables_of(config: Configuration) -> tuple[tuple, tuple]:
     are decorated matrices; for a configuration in an orbit they are the
     orbit's matrix.  ``delta[i][j] = dim(A ∩ (B_i + C_j))``.
 
+    The basis and the line's coordinates in it come from
+    :func:`_unit_slots` when every flag generator lies on an axis, as in
+    standard configurations and degeneration limits, and from
+    :func:`_adapted_slots` otherwise.  ``delta[i][j]`` is then
+    ``dim(A)`` minus the rank of the line's coordinates on the slots
+    outside ``B_i + C_j``.  A line with one generator has that rank 1
+    exactly when a slot of its support lies strictly southeast of ``(i,
+    j)``, so its ``delta`` is read from per-row thresholds, as
+    :func:`delta_table` reads a decoration.
+    """
+    q, r = len(config.b_levels), len(config.c_levels)
+    slots, line = _unit_slots(config) or _adapted_slots(config)
+    support = [(slot, column) for slot, *column in zip(slots, *line) if any(column)]
+
+    def outside_rank(i: int, j: int) -> int:
+        """Rank of the line's coordinates on the slots outside ``B_i + C_j``,
+        taken over its columns there (one per slot of its support)."""
+        columns = [column for (bi, cj), column in support if bi > i and cj > j]
+        probe = IntEchelon()
+        return sum(probe._insert(probe._coordinates(column)[1]) for column in columns)
+
+    if len(line) == 1 and support:
+        d_values = _threshold_table([slot for slot, _ in support], q, r)
+    else:
+        dim_a = outside_rank(0, 0)
+        d_values = tuple(
+            tuple(dim_a - outside_rank(i, j) for j in range(r + 1)) for i in range(q + 1)
+        )
+    # The counts are of the vectors at the slots inside the grid.
+    counts = [[0] * r for _ in range(q)]
+    for bi, cj in slots:
+        if bi <= q and cj <= r:
+            counts[bi - 1][cj - 1] += 1
+    return tuple(map(tuple, counts)), d_values
+
+
+def _unit_slots(config: Configuration) -> tuple[list, list] | None:
+    """The slots of the unit vectors and the line's integral generators
+    when every flag generator has exactly one nonzero entry, else None
+    from the first generator that has none or several.  Every level is
+    then spanned by axes, so the unit vectors are a basis adapted to both
+    flags: axis ``p`` sits at the first level of ``B`` with a generator
+    on it (``q + 1`` if none), and likewise in ``C``.
+    """
+    n = config.n
+    axes = []
+    for levels in (config.b_levels, config.c_levels):
+        first = [len(levels) + 1] * n
+        for j, level in enumerate(_fresh(levels), 1):
+            for g in level:
+                if g.count(0) != n - 1:
+                    return None
+                p = g.index(next(filter(None, g)))
+                if j < first[p]:
+                    first[p] = j
+        axes.append(first)
+    return list(zip(*axes)), [_integral(g) for g in config.a]
+
+
+def _adapted_slots(config: Configuration) -> tuple[list, list]:
+    """The slots of a basis adapted to both flags, found by elimination,
+    and the line's coordinates in it.
+
     * The generators of ``B`` are reduced forward, level by level, into
       triangular rows.  With unit vectors at the positions that are no
       row's pivot (level ``q + 1``) they form a basis adapted to ``B``.
@@ -305,11 +368,6 @@ def _tables_of(config: Configuration) -> tuple[tuple, tuple]:
       ``C`` and in the level of ``B`` of its pivot.  With unit vectors at
       the other positions (level ``r + 1`` of ``C``) they form the
       adapted basis, each vector at a slot ``(B-level, C-level)``.
-    * ``delta[i][j]`` is ``dim(A)`` minus the rank of the line's
-      coordinates on the slots outside ``B_i + C_j``.  A line with one
-      generator has that rank 1 exactly when a slot of its support lies
-      strictly southeast of ``(i, j)``, so its ``delta`` is read from
-      per-row thresholds, as :func:`delta_table` reads a decoration.
 
     Each generator is made integral once, on entry.  A level that starts
     with the one before it is read from where they differ, so cumulative
@@ -346,28 +404,7 @@ def _tables_of(config: Configuration) -> tuple[tuple, tuple]:
     for g in config.a:
         y, residual = c._coordinates(coordinates(_integral(g)))
         line.append(y + [residual[p] for p in c_units])
-    support = [(slot, column) for slot, *column in zip(slots, *line) if any(column)]
-
-    def outside_rank(i: int, j: int) -> int:
-        """Rank of the line's coordinates on the slots outside ``B_i + C_j``,
-        taken over its columns there (one per slot of its support)."""
-        columns = [column for (bi, cj), column in support if bi > i and cj > j]
-        probe = IntEchelon()
-        return sum(probe._insert(probe._coordinates(column)[1]) for column in columns)
-
-    if len(line) == 1 and support:
-        d_values = _threshold_table([slot for slot, _ in support], q, r)
-    else:
-        dim_a = outside_rank(0, 0)
-        d_values = tuple(
-            tuple(dim_a - outside_rank(i, j) for j in range(r + 1)) for i in range(q + 1)
-        )
-    # The counts are of the vectors at the slots inside the grid.
-    counts = [[0] * r for _ in range(q)]
-    for bi, cj in slots:
-        if bi <= q and cj <= r:
-            counts[bi - 1][cj - 1] += 1
-    return tuple(map(tuple, counts)), d_values
+    return slots, line
 
 
 def identify_orbit(config: Configuration) -> DecoratedMatrix:

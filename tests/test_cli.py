@@ -66,6 +66,19 @@ PASS
 """
 
 
+VERIFY4_WITNESS_TEXT = """\
+elements: 185
+covers: 763
+move closure equals rank order: ok
+moves are covers: ok
+covers are moves: ok
+greedy chains reach every target: ok
+orbit identification: 185/185 ok
+degenerations: 763/763 edges ok
+PASS
+"""
+
+
 def run_cli(args, stdin_text=None):
     out, err = io.StringIO(), io.StringIO()
     old_stdin = sys.stdin
@@ -178,6 +191,11 @@ class TestVerify:
         code, out, err = run_cli(["verify", "--witness", "--b", "1,1,1", "--c", "1,1,1"])
         assert (code, err) == (0, "")
         assert out == VERIFY3_WITNESS_TEXT
+
+    def test_witness_golden_on_full_flags_four(self):
+        code, out, err = run_cli(["verify", "--witness", "--b", "1,1,1,1", "--c", "1,1,1,1"])
+        assert (code, err) == (0, "")
+        assert out == VERIFY4_WITNESS_TEXT
 
     def test_witness_generates_each_orbits_moves_once(self, monkeypatch):
         seen = []

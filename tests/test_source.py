@@ -109,6 +109,8 @@ def test_the_degeneration_proof_calls_no_validating_helper():
         "_rational_root",
         "_standard",
         "_tables_of",
+        "_unit_slots",
+        "_adapted_slots",
     }
     functions = [
         node

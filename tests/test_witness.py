@@ -464,6 +464,57 @@ def random_flags_configuration(rng, n):
     return Configuration(n, a, b_levels, c_levels)
 
 
+def count_passes(monkeypatch):
+    """Counts, by echelon, the forward passes ``_coordinates`` makes."""
+    passes = Counter()
+    coordinates = IntEchelon._coordinates
+
+    def counted(self, x):
+        passes[self] += 1
+        return coordinates(self, x)
+
+    monkeypatch.setattr(IntEchelon, "_coordinates", counted)
+    return passes
+
+
+def random_coordinate_configuration(rng):
+    """A configuration whose flag generators each have one nonzero entry,
+    a negative ``int`` or a ``Fraction`` as often as not, with zeros
+    that are ``0`` or ``Fraction(0)``.  Levels are cumulative or not, a
+    level may repeat or be empty, a flag may have no level or not span,
+    and the line has 0, 1 or 2 generators, any of them zero."""
+    n = rng.randint(1, 5)
+
+    def entry():
+        if rng.random() < 0.5:
+            return rng.choice((-3, -2, -1, 1, 2, 3))
+        return Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(2, 4))
+
+    def zero():
+        return rng.choice((0, Fraction(0)))
+
+    def on_axis():
+        p = rng.randrange(n)
+        return tuple(entry() if k == p else zero() for k in range(n))
+
+    def flag():
+        levels = [[on_axis() for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(0, 3))]
+        if levels and rng.random() < 0.3:
+            k = rng.randrange(len(levels))
+            levels.insert(k, levels[k])
+        if rng.random() < 0.5:
+            levels = [list(chain(*levels[: k + 1])) for k in range(len(levels))]
+        return tuple(tuple(level) for level in levels)
+
+    def line_vector():
+        if rng.random() < 0.15:
+            return (0,) * n
+        return tuple(entry() if rng.random() < 0.6 else zero() for _ in range(n))
+
+    a = tuple(line_vector() for _ in range(rng.randint(0, 2)))
+    return Configuration(n, a, flag(), flag())
+
+
 class TestGeometricTables:
     def test_match_the_definition_on_random_configurations(self):
         rng = random.Random(20261018)
@@ -529,6 +580,53 @@ class TestGeometricTables:
                 samples += 1
         assert samples == 200
 
+    def test_match_the_definition_on_coordinate_configurations(self):
+        """The reading by axes, on every standard configuration of mass at
+        most 3, every marked set of criterion 9 and random configurations
+        on the axes."""
+        configs = [
+            standard_configuration(dm.matrix, dm.delta)
+            for b, c in margin_pairs(1, 3)
+            for dm in enumerate_orbits(b, c)
+        ]
+        for b, c in margin_pairs(2, 3):
+            for tm in enumerate_transport_matrices(b, c):
+                cells = tm.positive_positions()
+                for mask in range(1, 1 << len(cells)):
+                    marks = [p for k, p in enumerate(cells) if mask >> k & 1]
+                    configs.append(standard_configuration(tm, marks))
+        rng = random.Random(20261020)
+        randoms = [random_coordinate_configuration(rng) for _ in range(400)]
+        for config in configs + randoms:
+            assert witness._unit_slots(config) is not None
+            rank, rbar = geometric_rank_tables(config)
+            assert (rank.values, rbar.delta_values) == rank_tables_by_definition(config)
+        assert len(configs) == 126 + 206
+
+        seen = Counter()
+        for config in randoms:
+            b_spans, c_spans = (
+                fraction_rank([v for level in levels for v in level]) == config.n
+                for levels in (config.b_levels, config.c_levels)
+            )
+            entries = list(chain(*config.b_levels, *config.c_levels))
+            seen["line", len(config.a)] += 1
+            seen["zero line"] += any(not any(v) for v in config.a)
+            seen["q=0"] += not config.b_levels
+            seen["r=0"] += not config.c_levels
+            seen["spans"] += b_spans and c_spans
+            seen["does not span"] += not b_spans
+            seen["fraction"] += any(isinstance(x, Fraction) and x for v in entries for x in v)
+            seen["negative"] += any(x < 0 for v in entries for x in v)
+            seen["repeated level"] += any(
+                x == y for levels in (config.b_levels, config.c_levels)
+                for x, y in zip(levels, levels[1:])
+            )
+        assert all(seen[key] >= 10 for key in (
+            ("line", 0), ("line", 1), ("line", 2), "zero line", "q=0", "r=0", "spans",
+            "does not span", "fraction", "negative", "repeated level",
+        )), seen
+
     def test_each_generator_is_eliminated_once(self, monkeypatch):
         """One forward pass per generator over the basis adapted to ``B``
         (the generators of ``B`` are reduced, those of ``C`` and of the
@@ -537,20 +635,46 @@ class TestGeometricTables:
         inverse of the basis of ``B``, and no probe for a line with one
         generator."""
         dm = from_permutation((4, 3, 2, 1), (1,))
-        config = standard_configuration(dm.matrix, dm.delta)
-        passes = Counter()
-        coordinates = IntEchelon._coordinates
-
-        def counted(self, x):
-            passes[self] += 1
-            return coordinates(self, x)
-
-        monkeypatch.setattr(IntEchelon, "_coordinates", counted)
+        g = random_int_invertible(4, random.Random(30))
+        config = apply_basis_change(standard_configuration(dm.matrix, dm.delta), g)
+        assert witness._unit_slots(config) is None
+        passes = count_passes(monkeypatch)
         geometric_rank_tables(config)
         assert len(passes) == 2
         over_b, over_c = passes.values()
         assert over_b <= 4 + 4 + 1
         assert over_c <= 4 + 1
+
+    def test_coordinate_configurations_are_read_without_elimination(self, monkeypatch):
+        """A standard configuration and a degeneration limit have their
+        flags on the axes, so their tables take no elimination pass."""
+        dm = from_permutation((1, 2, 3, 4), (2,))
+        (mv,) = [m for m in applicable_moves(dm) if m.kind == "V"]
+        configs = [
+            standard_configuration(dm.matrix, dm.delta),
+            witness._family_at(witness._family_vectors(dm, mv), 0),
+        ]
+        passes = count_passes(monkeypatch)
+        assert [identify_orbit(config) for config in configs] == [dm, dm]
+        for config in configs:
+            geometric_rank_tables(config)
+        assert passes == {}
+
+    def test_the_axis_reading_stops_at_the_first_generator_off_an_axis(self):
+        """Whether a generator lies on an axis is asked of the first
+        generator that does not, and of none after it."""
+        asked = []
+
+        class Watched(tuple):
+            def count(self, x):
+                asked.append(self)
+                return super().count(x)
+
+        on_axis, off_axis = Watched((0, 2, 0)), Watched((1, 0, 1))
+        b_levels = ((on_axis,), (on_axis, off_axis), (on_axis, off_axis, Watched((0, 0, 1))))
+        config = Configuration(3, ((1, 1, 1),), b_levels, ((on_axis,),))
+        assert witness._unit_slots(config) is None
+        assert asked == [on_axis, off_axis]
 
     def test_match_combinatorial_tables(self):
         for b, c in (((1, 1, 1), (1, 1, 1)), ((2, 1), (1, 2)), ((1, 2), (2, 1))):
@@ -948,7 +1072,36 @@ class TestIdentificationParity:
             assert identified(identify_orbit, config) == identified(identified_by_tables, config)
         assert len(configs) == 2 * 1694 + 2 * 4317
 
-    def test_on_configurations_in_no_orbit(self):
+    @pytest.mark.parametrize(
+        "margins, count",
+        [(margin_pairs(1, 4), 1694 + 4317), ([((1,) * 5, (1,) * 5)], 1426 + 8329)],
+        ids=["mass-1-to-4", "full-flags-5"],
+    )
+    def test_elimination_agrees_with_the_axes(self, monkeypatch, margins, count):
+        """Every standard configuration and every degeneration limit is
+        read by its axes; forced to eliminate instead, the oracle finds
+        the same tables and the same orbit."""
+        configs = []
+        for b, c in margins:
+            poset = build_poset(b, c, check_reduction=False)
+            configs += [standard_configuration(dm.matrix, dm.delta) for dm in poset.elements]
+            for (a, _), mv in zip(poset.covers, poset.cover_moves):
+                family = witness._family_vectors(poset.elements[a], mv)
+                configs.append(witness._family_at(family, 0))
+        assert len(configs) == count
+        assert all(witness._unit_slots(config) is not None for config in configs)
+
+        def read():
+            return [
+                (geometric_rank_tables(config), identified(identify_orbit, config))
+                for config in configs
+            ]
+
+        by_axes = read()
+        monkeypatch.setattr(witness, "_unit_slots", lambda config: None)
+        assert read() == by_axes
+
+    def test_on_configurations_in_no_orbit(self, monkeypatch):
         dm = from_permutation((2, 3, 1), (1, 3))
         base = standard_configuration(dm.matrix, dm.delta)
         pair = standard_configuration(TransportMatrix.from_rows([[1, 0], [0, 1]]), [(1, 1)])
@@ -971,6 +1124,10 @@ class TestIdentificationParity:
             "q=0": "table shapes",
             "r=0": "table shapes",
         }
+        # Each flag generator lies on an axis; elimination reads them alike.
+        assert all(witness._unit_slots(config) is not None for config in configs.values())
+        monkeypatch.setattr(witness, "_unit_slots", lambda config: None)
+        assert got == {name: identified(identify_orbit, c) for name, c in configs.items()}
 
 
 @pytest.mark.parametrize(
