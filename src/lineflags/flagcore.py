@@ -1,4 +1,4 @@
-"""Core domain types: transport matrices, decorations, and the position order.
+"""Core domain types: transport matrices and their decorations.
 
 A configuration of one line and two partial flags in an n-dimensional
 space is encoded, up to change of basis, by a *decorated transport
@@ -28,10 +28,6 @@ __all__ = [
     "NotFullFlag",
     "PreconditionFailed",
     "OrderCheckFailed",
-    "pos_leq",
-    "pos_lt",
-    "dominated",
-    "set_leq",
     "normalize_decoration",
     "validate_composition",
     "TransportMatrix",
@@ -43,7 +39,6 @@ __all__ = [
     "element_to_obj",
     "element_from_obj",
     "render",
-    "sort_key",
 ]
 
 
@@ -89,38 +84,7 @@ class OrderCheckFailed(FlagError):
 
 
 # ---------------------------------------------------------------------------
-# The position order and decoration normalization
-
-
-def pos_leq(p: Position, p2: Position) -> bool:
-    """Componentwise order on positions: northwest is small."""
-    return p[0] <= p2[0] and p[1] <= p2[1]
-
-
-def pos_lt(p: Position, p2: Position) -> bool:
-    """Strict componentwise order: ``pos_leq`` and not equal."""
-    return pos_leq(p, p2) and p != p2
-
-
-def dominated(p: Position, positions: Iterable[Position]) -> bool:
-    """True iff ``p <= d`` for some ``d`` in ``positions``.  Positions
-    that are not pairs of ints raise ``ValidationError``, as in
-    :func:`set_leq`."""
-    (p,) = _require_positions("positions", (p,))
-    return any(pos_leq(p, d) for d in _require_positions("positions", positions))
-
-
-def set_leq(delta: Iterable[Position], delta2: Iterable[Position]) -> bool:
-    """Domination order on position sets.
-
-    True iff every element of ``delta`` lies under some element of
-    ``delta2``.  Reflexive and transitive; antisymmetric on antichains.
-    Positions that are not pairs of ints raise ``ValidationError``.
-    """
-    targets = _require_positions("positions", delta2)
-    return all(
-        any(pos_leq(p, d) for d in targets) for p in _require_positions("positions", delta)
-    )
+# Decoration normalization
 
 
 def normalize_decoration(positions: Iterable[Position]) -> tuple[Position, ...]:
@@ -530,10 +494,3 @@ def render(x: TransportMatrix | DecoratedMatrix) -> str:
         " ".join(f"({v})" if (i, j) in marked else str(v or ".") for j, v in enumerate(row, 1))
         for i, row in enumerate(tm.m, 1)
     )
-
-
-def sort_key(x: TransportMatrix | DecoratedMatrix):
-    """Canonical total order: flattened matrix entries, then the decoration."""
-    if isinstance(x, DecoratedMatrix):
-        return (tuple(v for row in x.matrix.m for v in row), x.delta)
-    return (tuple(v for row in x.m for v in row), ())

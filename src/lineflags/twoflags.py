@@ -16,9 +16,7 @@ row-major list of one kernel, :func:`_ranks`.  This module also provides
 the simple moves on transport matrices (southwest corner flips across a
 rectangle empty in between), which generate exactly the cover relations
 of the order; :func:`_rectangle_clause` states their conditions, which
-are the first clauses of the kind-II move as well.  For a strict
-comparison, :func:`progress_move` takes the first simple move that stays
-below the larger element, the greedy step of ``moves.find_chain``.
+are the first clauses of the kind-II move.
 """
 
 from __future__ import annotations
@@ -28,37 +26,25 @@ from operator import add, ge
 from typing import Iterator, NamedTuple, Sequence
 
 from .flagcore import (
-    FlagError,
-    OrderCheckFailed,
     Position,
-    PreconditionFailed,
     ShapeMismatch,
     TransportMatrix,
     ValidationError,
-    _int_pairs,
     raise_if_invalid,
     validate_composition,
 )
 from .order import bits, dominance_masks, generated
 
 __all__ = [
-    "NotStrictlyLess",
     "RankTable",
     "rank_table",
-    "matrix_from_rank_table",
     "rk_leq",
     "Rectangle",
     "simple_moves",
-    "apply_simple_move",
-    "progress_move",
     "enumerate_transport_matrices",
     "TwoFlagReport",
     "verify_two_flag_theorem",
 ]
-
-
-class NotStrictlyLess(FlagError):
-    """progress_move requires source < target strictly."""
 
 
 class RankTable(NamedTuple):
@@ -112,11 +98,6 @@ def _second_differences(v: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ..
         tuple(v[i][j] - v[i - 1][j] - v[i][j - 1] + v[i - 1][j - 1] for j in range(1, len(v[0])))
         for i in range(1, len(v))
     )
-
-
-def matrix_from_rank_table(rt: RankTable) -> TransportMatrix:
-    """Recover the matrix by second differences; validates the result."""
-    return TransportMatrix.from_rows(_second_differences(rt.values))
 
 
 def _check_same_shape(x: TransportMatrix, y: TransportMatrix) -> None:
@@ -231,46 +212,6 @@ def _simple_moves(tm: TransportMatrix) -> list[Rectangle]:
         for (i1, j1) in _se_corners(m, i0, j0)
         if _nonzero_in_rect(m, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0)})) is None
     ]
-
-
-def apply_simple_move(tm: TransportMatrix, rect: Rectangle) -> TransportMatrix:
-    """Apply the corner flip after re-checking the conditions.  An invalid
-    ``tm`` raises :class:`ValidationError`, as does a ``rect`` that is not
-    a :class:`Rectangle` (``BadShape``); corners that are not ints raise
-    :class:`PreconditionFailed`."""
-    raise_if_invalid(tm)
-    if not isinstance(rect, Rectangle):
-        raise ValidationError("BadShape")
-    if not _int_pairs(((rect.i0, rect.j0), (rect.i1, rect.j1))):
-        raise PreconditionFailed("simple", "anchors must be (i, j) pairs of integers")
-    clause = _rectangle_clause(tm, rect.i0, rect.j0, rect.i1, rect.j1)
-    if clause is not None:
-        raise PreconditionFailed("simple", clause)
-    return _corner_flip(tm, rect)
-
-
-def progress_move(x: TransportMatrix, y: TransportMatrix) -> Rectangle:
-    """A simple move from ``x`` strictly toward ``y``, given ``x < y``.
-
-    Deterministic: the first rectangle of :func:`simple_moves` whose flip
-    still satisfies ``result <= y``, the greedy step of
-    ``moves.find_chain``.  The simple moves are the covers of the order,
-    so such a rectangle exists; if none does, the order and the moves
-    disagree and :class:`OrderCheckFailed` is raised.  Invalid ``x`` or
-    ``y`` raise :class:`ValidationError`.
-    """
-    raise_if_invalid(x)
-    raise_if_invalid(y)
-    _check_same_shape(x, y)
-    rx, goal = _ranks(x.m, x.r), _ranks(y.m, y.r)
-    if rx == goal:
-        raise NotStrictlyLess("elements are equal")
-    if not all(map(ge, rx, goal)):
-        raise NotStrictlyLess("source is not below target")
-    for rect in _simple_moves(x):
-        if all(map(ge, _ranks(_corner_flip(x, rect).m, x.r), goal)):
-            return rect
-    raise OrderCheckFailed(f"no simple move from {x.m} stays below the target")
 
 
 def enumerate_transport_matrices(

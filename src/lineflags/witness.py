@@ -13,7 +13,6 @@ polynomial rows — lands in the more special one.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import accumulate, chain, product, zip_longest
 from math import gcd, lcm
@@ -29,7 +28,6 @@ from .flagcore import (
     _is_int,
     _require_positions,
     normalize_decoration,
-    pos_lt,
     raise_if_invalid,
     render,
 )
@@ -50,8 +48,6 @@ __all__ = [
     "degeneration_family",
     "MoveDegenerationReport",
     "verify_move_degeneration",
-    "configuration_to_obj",
-    "configuration_from_obj",
 ]
 
 
@@ -653,7 +649,7 @@ def _family_vectors(dm: DecoratedMatrix, move: Move) -> _Family:
     def below(i: int, j: int) -> list[_PolyVec]:
         """The ``k = 1`` unit vectors of the decorated cells strictly
         northwest of ``(i, j)``."""
-        return [e(d[0], d[1], 1) for d in delta if pos_lt(d, (i, j))]
+        return [e(d[0], d[1], 1) for d in delta if d[0] <= i and d[1] <= j and d != (i, j)]
 
     specials: dict[tuple[int, int, int], _PolyVec] = {}
     kind, anchors = move.kind, move.anchors
@@ -825,46 +821,3 @@ def verify_move_degeneration(dm: DecoratedMatrix, move: Move) -> MoveDegeneratio
             lies_in = render(identify_orbit(config))
             failures.append(f"{sample} lies in [{lies_in}], not [{render(orbit)}]")
     return MoveDegenerationReport(move=move, failures=tuple(failures))
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def configuration_to_obj(config: Configuration) -> dict:
-    """JSON-ready dict with rational entries rendered as strings."""
-
-    return {
-        "n": config.n,
-        "A": [[str(x) for x in vec] for vec in config.a],
-        "B": [[[str(x) for x in vec] for vec in level] for level in config.b_levels],
-        "C": [[[str(x) for x in vec] for vec in level] for level in config.c_levels],
-    }
-
-
-def configuration_from_obj(obj: object) -> Configuration:
-    """Parse the ``{"n", "A", "B", "C"}`` form: ``A`` a list of vectors,
-    ``B`` and ``C`` lists of levels, each a list of vectors, and each
-    vector a list of entries.  An entry is an integer or a string of
-    ASCII digits like ``"-2/3"``.  Anything else, such as a string in
-    place of a list, a float, a bool, a string like ``"0.5"``, a zero
-    denominator, an ``n`` that is not a non-negative integer or a vector
-    of another length, raises ``ValidationError("BadShape")``."""
-    if not isinstance(obj, dict) or not all(k in obj for k in ("n", "A", "B", "C")):
-        raise ValidationError("BadShape")
-
-    def parse(x, depth: int):
-        """``x``, lists nested ``depth`` deep around entries, as tuples."""
-        if depth and isinstance(x, list):
-            return tuple(parse(y, depth - 1) for y in x)
-        if not depth and (_is_int(x) or isinstance(x, str) and _RATIONAL.fullmatch(x)):
-            return Fraction(x)
-        raise ValidationError("BadShape")
-
-    try:
-        a, b_levels, c_levels = (parse(obj[k], d) for k, d in (("A", 2), ("B", 3), ("C", 3)))
-    except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
-        raise ValidationError("BadShape") from None
-    return Configuration(obj["n"], a, b_levels, c_levels)

@@ -87,6 +87,18 @@ def maximal_positions(points):
     )
 
 
+def dominated(p, positions):
+    """True iff ``p`` lies weakly northwest of some position."""
+    return any(p[0] <= d[0] and p[1] <= d[1] for d in positions)
+
+
+def sort_key(x):
+    """The canonical order of the enumerations: the matrix entries row
+    by row, then the decoration (none for a plain matrix)."""
+    tm, delta = (x.matrix, x.delta) if hasattr(x, "delta") else (x, ())
+    return (tuple(v for row in tm.m for v in row), delta)
+
+
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -201,6 +213,14 @@ def prefix_rank_table(m, q, r):
             for j in range(r + 1)
         ]
         for i in range(q + 1)
+    ]
+
+
+def second_differences(v):
+    """The rows whose bordered northwest prefix sums are the table ``v``."""
+    return [
+        [v[i][j] - v[i - 1][j] - v[i][j - 1] + v[i - 1][j - 1] for j in range(1, len(v[0]))]
+        for i in range(1, len(v))
     ]
 
 
@@ -451,9 +471,8 @@ def decorated_from_tables_by_zero_set(rank_values, delta_values):
         DecoratedMatrix,
         FlagError,
         NotAnOrbitInvariant,
-        RankTable,
+        TransportMatrix,
         delta_table,
-        matrix_from_rank_table,
         normalize_decoration,
         rank_table,
         validate,
@@ -468,7 +487,7 @@ def decorated_from_tables_by_zero_set(rank_values, delta_values):
     ):
         raise NotAnOrbitInvariant("table shapes")
     try:
-        tm = matrix_from_rank_table(RankTable(rv))
+        tm = TransportMatrix.from_rows(second_differences(rv))
     except FlagError as exc:
         raise NotAnOrbitInvariant(f"rank table: {exc}") from exc
     candidates = {

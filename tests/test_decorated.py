@@ -32,7 +32,6 @@ from lineflags import (
     rk_compare_witness,
     rk_first_difference,
     rk_leq_dec,
-    sort_key,
     standard_configuration,
     to_permutation,
     verify_move_degeneration,
@@ -48,6 +47,7 @@ from helpers import (
     first_by_invariant,
     first_entry,
     margin_pairs,
+    sort_key,
     prefix_rank_table,
 )
 
@@ -387,6 +387,8 @@ class TestTableRoundTrip:
             decorated_from_tables(((0,),), ((0,),))
         with pytest.raises(NotAnOrbitInvariant):
             decorated_from_tables(((0, 0), (0, 1)), ((1, 1), (1, 1)))
+        with pytest.raises(NotAnOrbitInvariant, match="^rank table: "):
+            decorated_from_tables(((0, 0), (0, -1)), ((1, 1), (1, 1)))
         dm = from_permutation((1, 2), (1,))
         rt = rank_table(dm.matrix).values
         bad_dt = tuple(tuple(0 for _ in row) for row in delta_table(dm))

@@ -9,26 +9,20 @@ from lineflags import (
     NotFullFlag,
     TransportMatrix,
     ValidationError,
-    dominated,
     element_from_obj,
     element_to_obj,
     enumerate_orbits,
     from_permutation,
     normalize_decoration,
-    pos_leq,
-    pos_lt,
-    progress_move,
     rank_table,
     render,
     rk_leq,
-    set_leq,
     simple_moves,
-    sort_key,
     to_permutation,
     validate,
 )
 from lineflags.flagcore import _step_code, raise_if_invalid
-from helpers import GOLDEN_N3_LABELS, margin_pairs, maximal_positions, validate_by_rule
+from helpers import GOLDEN_N3_LABELS, margin_pairs, maximal_positions, sort_key, validate_by_rule
 
 
 class TestTransportMatrix:
@@ -168,9 +162,8 @@ class TestValidate:
             simple_moves,
             rank_table,
             lambda x: rk_leq(x, x),
-            lambda x: progress_move(x, x),
         ],
-        ids=["raise_if_invalid", "simple_moves", "rank_table", "rk_leq", "progress_move"],
+        ids=["raise_if_invalid", "simple_moves", "rank_table", "rk_leq"],
     )
     def test_public_entries_reject_a_matrix_that_is_not_one(self, entry):
         with pytest.raises(ValidationError, match="BadShape"):
@@ -365,22 +358,6 @@ class TestStepCheck:
 
 
 class TestPositionOrder:
-    def test_pos_leq_is_componentwise(self):
-        assert pos_leq((1, 2), (1, 2))
-        assert pos_leq((1, 2), (3, 2))
-        assert not pos_leq((2, 1), (1, 2))
-        assert pos_lt((1, 1), (1, 2))
-        assert not pos_lt((1, 2), (1, 2))
-
-    def test_dominated(self):
-        assert dominated((1, 1), [(2, 3)])
-        assert not dominated((3, 1), [(2, 3)])
-
-    def test_set_leq(self):
-        assert set_leq([(1, 1)], [(1, 2), (2, 1)])
-        assert set_leq([(1, 2), (2, 1)], [(2, 2)])
-        assert not set_leq([(2, 2)], [(1, 2), (2, 1)])
-
     def test_normalize_decoration_keeps_maximal_sorted_by_row(self):
         pts = [(2, 2), (1, 1), (1, 3), (3, 1)]
         assert normalize_decoration(pts) == ((1, 3), (2, 2), (3, 1))
@@ -402,10 +379,6 @@ class TestPositionOrder:
             lambda: normalize_decoration([("a", "b")]),
             lambda: normalize_decoration([(1.5, 2), (1, 1)]),
             lambda: normalize_decoration([(1, 1), (2, True)]),
-            lambda: set_leq([(1, 1)], [(True, 2.5)]),
-            lambda: set_leq([(1.0, 1)], [(2, 2)]),
-            lambda: dominated((1, 1), [(True, 2.5)]),
-            lambda: dominated((1.0, 1), [(2, 2)]),
         ],
     )
     def test_non_integer_positions_are_rejected(self, call):
@@ -421,20 +394,6 @@ class TestPositionOrder:
     def test_normalize_decoration_rejects_positions_that_are_not_pairs(self, positions):
         with pytest.raises(ValidationError) as info:
             normalize_decoration(positions)
-        assert info.value.code == "BadShape"
-
-    @pytest.mark.parametrize(
-        "delta, delta2", [([5], [(1, 1)]), ([(1, 1)], [5]), ([(1,)], [(1, 1)])]
-    )
-    def test_set_leq_rejects_positions_that_are_not_pairs(self, delta, delta2):
-        with pytest.raises(ValidationError) as info:
-            set_leq(delta, delta2)
-        assert info.value.code == "BadShape"
-
-    @pytest.mark.parametrize("p, positions", [((1, 1), [5]), (5, [(1, 1)]), ((1, 1), [(2,)])])
-    def test_dominated_rejects_positions_that_are_not_pairs(self, p, positions):
-        with pytest.raises(ValidationError) as info:
-            dominated(p, positions)
         assert info.value.code == "BadShape"
 
 

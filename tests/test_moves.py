@@ -18,16 +18,13 @@ from lineflags import (
     Move,
     OrderCheckFailed,
     PreconditionFailed,
-    Rectangle,
     ShapeMismatch,
     TransportMatrix,
     ValidationError,
     applicable_moves,
     apply_move,
-    apply_simple_move,
     build_poset,
     delta_table,
-    dominated,
     enumerate_orbits,
     find_chain,
     from_permutation,
@@ -45,6 +42,7 @@ from helpers import (
     GOLDEN_N3_COVERS,
     GOLDEN_N3_LABELS,
     compositions,
+    dominated,
     greedy_chain_by_public_api,
     margin_pairs,
     raw_iva_target,
@@ -266,10 +264,10 @@ class TestOrbitView:
     def test_kind_II_corner_test_matches_the_scan(self):
         """``_ii_factors_through_corner`` reads two cells of the free
         table.  On every orbit of mass <= 4 and every corner pair in the
-        grid it agrees with the scan by :func:`dominated`: ``(i1, j1)`` is
-        free, every other cell with mass northwest of it is dominated, and
-        so is every cell northwest of it in rows ``<= i0`` or columns
-        ``<= j0``."""
+        grid it agrees with the scan by the ``dominated`` oracle:
+        ``(i1, j1)`` is free, every other cell with mass northwest of it is
+        dominated, and so is every cell northwest of it in rows ``<= i0``
+        or columns ``<= j0``."""
         outcomes = {True: 0, False: 0}
         for b, c in margin_pairs(1, 4):
             for dm in enumerate_orbits(b, c):
@@ -424,10 +422,10 @@ class TestSharedMatrixPart:
 
 
 class TestPreconditions:
-    def test_two_flag_flip_and_kind_II_fail_the_same_rectangle_clause(self):
+    def test_kind_II_fails_the_shared_rectangle_clause(self):
         """On every orbit of mass <= 3 and every corner pair in the grid
-        or one step outside it, a rectangle the shared clauses reject is
-        rejected by the simple move and by kind II with the same clause."""
+        or one step outside it, a rectangle the shared clauses of
+        ``twoflags`` reject is rejected by kind II with the same clause."""
         seen = set()
         for b, c in margin_pairs(1, 3):
             for dm in enumerate_orbits(b, c):
@@ -437,11 +435,9 @@ class TestPreconditions:
                         clause = lineflags.twoflags._rectangle_clause(tm, i0, j0, i1, j1)
                         if clause is None:
                             continue
-                        with pytest.raises(PreconditionFailed) as simple:
-                            apply_simple_move(tm, Rectangle(i0, j0, i1, j1))
                         with pytest.raises(PreconditionFailed) as kind_ii:
                             apply_move(dm, Move("II", ((i0, j0), (i1, j1))))
-                        assert simple.value.clause == kind_ii.value.clause == clause
+                        assert kind_ii.value.clause == clause
                         seen.add(clause.split(" at (")[0] if clause[0] == "n" else clause)
         assert seen == {
             "anchor outside the grid",
@@ -739,6 +735,15 @@ class TestMirrorKinds:
         assert seen["IIIb"] > 0 and seen["IVc"] > 0
 
 
+# Every margin pair of mass <= 4, and full flags n = 5.
+UNCHECKED_MARGINS = [*margin_pairs(1, 4), ((1,) * 5, (1,) * 5)]
+
+
+def margin_id(margin):
+    """A margin as its test id part, such as ``2,1``."""
+    return ",".join(map(str, margin))
+
+
 class TestPoset:
     def test_counts(self, poset2, poset3):
         assert (len(poset2.elements), len(poset2.covers)) == (5, 6)
@@ -793,6 +798,24 @@ class TestPoset:
     def test_unit_margin_counts_scale(self):
         poset = build_poset((1,) * 5, (1,) * 5, check_reduction=False)
         assert (len(poset.elements), len(poset.covers)) == (1426, 8329)
+
+    @pytest.mark.parametrize("b, c", UNCHECKED_MARGINS, ids=margin_id)
+    def test_unchecked_posets_equal_the_checked_one(self, b, c):
+        """``build_poset(check_reduction=False)`` and the poset that
+        ``verify --witness`` takes from ``_verified_poset`` skip the order
+        check; on every margin pair of mass <= 4 and on full flags n = 5
+        they hold the checked poset's elements, covers and moves, and the
+        report counts the checked poset's elements and covers."""
+        checked = build_poset(b, c)
+        unchecked = build_poset(b, c, check_reduction=False)
+        report, verified = lineflags.moves._verified_poset(b, c)
+        assert report.passed
+        assert (report.element_count, report.cover_count) == (
+            len(checked.elements), len(checked.covers)
+        )
+        for name in ("elements", "covers", "cover_kinds", "cover_moves"):
+            want = getattr(checked, name)
+            assert getattr(unchecked, name) == want == getattr(verified, name), name
 
 
 class TestFindChain:

@@ -21,6 +21,16 @@ def test_no_assert_in_the_library():
     assert found == []
 
 
+def _exports(tree):
+    """The names a module lists in ``__all__``, or None without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
 def _unused_imports(tree):
     """Names the module imports but neither uses nor lists in ``__all__``."""
     imported = {}
@@ -32,11 +42,7 @@ def _unused_imports(tree):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= set(ast.literal_eval(node.value))
+    used |= set(_exports(tree) or ())
     return [(line, name) for name, line in imported.items() if name not in used]
 
 
@@ -47,6 +53,37 @@ def test_every_import_is_used_or_exported():
         for line, name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
+
+
+def _defined(tree):
+    """The names a module binds at its top level by a definition or an
+    assignment, not by an import."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_every_exported_name_is_defined_where_it_is_exported():
+    """Each submodule defines every name of its ``__all__``, and the
+    package re-exports only names that some submodule exports, so a
+    deleted function cannot leave a stale entry behind."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    package = set(_exports(trees.pop("__init__.py")))
+    exported = set()
+    for name, tree in trees.items():
+        names = _exports(tree)
+        if names is None:
+            continue
+        assert len(names) == len(set(names)), name
+        assert set(names) - _defined(tree) == set(), name
+        exported |= set(names)
+    assert package - exported == set()
+    assert package == set(lineflags.__all__)
 
 
 def _references(tree):
@@ -89,11 +126,11 @@ def _calls(tree, names):
 
 
 def test_the_move_kernel_calls_no_validating_helper():
-    """``dominated`` and ``normalize_decoration`` check their input, so
-    the per-orbit view of ``moves`` answers their questions instead."""
+    """``normalize_decoration`` checks its input, so the per-orbit view
+    of ``moves`` answers its question instead."""
     path = Path(lineflags.__file__).parent / "moves.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert _calls(tree, ("dominated", "normalize_decoration")) == []
+    assert _calls(tree, ("normalize_decoration",)) == []
 
 
 def test_the_degeneration_proof_calls_no_validating_helper():
@@ -148,7 +185,6 @@ def test_the_oracle_reads_orbits_from_slot_counts():
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
     tables = {
         "decorated_from_tables",
-        "matrix_from_rank_table",
         "geometric_rank_tables",
         "_rank_table",
     }
