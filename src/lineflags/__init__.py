@@ -3,137 +3,17 @@
 The package models GL(V)-orbits of triples (line, partial flag, partial
 flag) as decorated transport matrices, orders them by rank tables,
 generates the order by five families of local moves, and validates the
-combinatorics against an exact rational linear-algebra oracle.
+combinatorics against an exact rational linear-algebra oracle.  Its
+public names are those its modules export.
 """
 
-from .flagcore import (
-    DecoratedMatrix,
-    FlagError,
-    NotFullFlag,
-    OrderCheckFailed,
-    Position,
-    PreconditionFailed,
-    ShapeMismatch,
-    TransportMatrix,
-    ValidationError,
-    element_from_obj,
-    element_to_obj,
-    from_permutation,
-    normalize_decoration,
-    render,
-    to_permutation,
-    validate,
-)
-from .twoflags import (
-    RankTable,
-    Rectangle,
-    TwoFlagReport,
-    enumerate_transport_matrices,
-    rank_table,
-    rk_leq,
-    simple_moves,
-    verify_two_flag_theorem,
-)
-from .decorated import (
-    NotAnOrbitInvariant,
-    RBarTable,
-    decorated_from_tables,
-    delta_table,
-    dimension_of,
-    enumerate_decorations,
-    enumerate_orbits,
-    invariant,
-    rbar_table,
-    rk_compare_witness,
-    rk_first_difference,
-    rk_leq_dec,
-)
-from .moves import (
-    KIND_ORDER,
-    EquivalenceReport,
-    Move,
-    Poset,
-    applicable_moves,
-    apply_move,
-    build_poset,
-    find_chain,
-    iter_moves,
-    verify_equivalence,
-)
-from .witness import (
-    Configuration,
-    IntEchelon,
-    MoveDegenerationReport,
-    ZeroEntryPosition,
-    apply_basis_change,
-    degeneration_family,
-    geometric_rank_tables,
-    identify_orbit,
-    random_int_invertible,
-    standard_configuration,
-    uncircling_check,
-    verify_move_degeneration,
-)
+from . import decorated, flagcore, moves, twoflags, witness
+from .decorated import *
+from .flagcore import *
+from .moves import *
+from .twoflags import *
+from .witness import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Configuration",
-    "DecoratedMatrix",
-    "EquivalenceReport",
-    "FlagError",
-    "IntEchelon",
-    "KIND_ORDER",
-    "Move",
-    "MoveDegenerationReport",
-    "NotAnOrbitInvariant",
-    "NotFullFlag",
-    "OrderCheckFailed",
-    "Poset",
-    "Position",
-    "PreconditionFailed",
-    "RBarTable",
-    "RankTable",
-    "Rectangle",
-    "ShapeMismatch",
-    "TransportMatrix",
-    "TwoFlagReport",
-    "ValidationError",
-    "ZeroEntryPosition",
-    "applicable_moves",
-    "apply_basis_change",
-    "apply_move",
-    "build_poset",
-    "decorated_from_tables",
-    "degeneration_family",
-    "delta_table",
-    "dimension_of",
-    "element_from_obj",
-    "element_to_obj",
-    "enumerate_decorations",
-    "enumerate_orbits",
-    "enumerate_transport_matrices",
-    "find_chain",
-    "from_permutation",
-    "geometric_rank_tables",
-    "identify_orbit",
-    "invariant",
-    "iter_moves",
-    "normalize_decoration",
-    "random_int_invertible",
-    "rank_table",
-    "rbar_table",
-    "render",
-    "rk_compare_witness",
-    "rk_first_difference",
-    "rk_leq",
-    "rk_leq_dec",
-    "simple_moves",
-    "standard_configuration",
-    "to_permutation",
-    "uncircling_check",
-    "validate",
-    "verify_equivalence",
-    "verify_move_degeneration",
-    "verify_two_flag_theorem",
-]
+__all__ = flagcore.__all__ + twoflags.__all__ + decorated.__all__ + moves.__all__ + witness.__all__

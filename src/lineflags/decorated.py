@@ -132,8 +132,10 @@ def invariant(dm: DecoratedMatrix) -> tuple[int, ...]:
 
     Orbits with the same margins are equal iff their invariants are, and
     ``x <= y`` iff ``invariant(x)`` is entrywise ``>=`` ``invariant(y)``.
+    An invalid ``dm`` raises :class:`ValidationError`.
     """
     _require_orbit(dm)
+    raise_if_invalid(dm.matrix, dm.delta)
     return _key(_ranks(dm.matrix.m, dm.r), _threshold_table(dm.delta, dm.q, dm.r))
 
 

@@ -29,11 +29,9 @@ __all__ = [
     "PreconditionFailed",
     "OrderCheckFailed",
     "normalize_decoration",
-    "validate_composition",
     "TransportMatrix",
     "DecoratedMatrix",
     "validate",
-    "raise_if_invalid",
     "from_permutation",
     "to_permutation",
     "element_to_obj",

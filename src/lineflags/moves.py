@@ -20,8 +20,10 @@ Swapping the two flags transposes the matrix and takes ``IIIa`` and
 ``IVb`` to ``IIIb`` and ``IVc``.  Each mirror pair shares one checker,
 which takes the orientation as a flag and reads the orbit in its own
 coordinates.  ``apply_move`` checks every stated condition and raises
-:class:`PreconditionFailed` naming the first violated clause; the
-pipeline checks each candidate move once.
+:class:`PreconditionFailed` naming the first violated clause: the
+number of anchors and their place in the grid for every kind alike,
+then the kind's own conditions in its checker.  The pipeline checks
+each candidate move once.
 
 The checkers read an orbit in two parts.  The matrix part,
 :class:`_Matrix`, answers what depends on the transport matrix alone:
@@ -44,6 +46,7 @@ matrix part of the move it takes into the next step.
 from __future__ import annotations
 
 from functools import cached_property, partial
+from math import inf
 from operator import ge
 from typing import Iterator, NamedTuple, Sequence
 
@@ -200,26 +203,16 @@ class _Orbit:
         return view
 
 
-def _in_grid(v: _Orbit, anchors: tuple[Position, ...]) -> bool:
-    for (i, j) in anchors:
-        if not (1 <= i <= v.q and 1 <= j <= v.r):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Per-kind condition checks.  Each reads an orbit's :class:`_Orbit` and
 # returns (new_rows, new_delta) on success and the first violated clause
-# as a string on failure.
+# as a string on failure.  The anchors lie in the grid and are as many as
+# the kind takes: ``apply_move`` checks both from ``_SHAPE``, and
+# ``_candidates`` yields no others.
 
 def _try_I(v: _Orbit, anchors: tuple[Position, ...]):
-    if len(anchors) != 1:
-        return "expected a single anchor (i1,j1)"
-    (p,) = anchors
+    ((i1, j1),) = anchors
     tm = v.tm
-    if not _in_grid(v, anchors):
-        return "anchor outside the grid"
-    i1, j1 = p
     if tm.entry(i1, j1) <= 0:
         return "entry at (i1,j1) must be positive"
     if not v.free[i1 - 1][j1 - 1]:
@@ -227,12 +220,10 @@ def _try_I(v: _Orbit, anchors: tuple[Position, ...]):
     bad = v.mat.undominated(v.free, 1, 1, i1, j1, anchors)
     if bad is not None:
         return "nonzero undominated entry at (%d,%d) northwest of (i1,j1)" % bad
-    return (tm.m, _staircase(v.delta + (p,)))
+    return (tm.m, _staircase(v.delta + anchors))
 
 
 def _try_II(v: _Orbit, anchors: tuple[Position, ...]):
-    if len(anchors) != 2:
-        return "expected anchors ((i0,j0), (i1,j1))"
     (i0, j0), (i1, j1) = anchors
     tm, delta = v.tm, v.delta
     clause = v.mat.clause[i0, j0, i1, j1]
@@ -270,12 +261,8 @@ def _try_III(v: _Orbit, anchors: tuple[Position, ...], to_ne: bool):
     """Kinds IIIa (``to_ne``) and IIIb: the decoration at ``(i0,j0)``
     slides to the NE corner ``(i0,j1)`` or the SW corner ``(i1,j0)``, and
     the other off corner may carry mass."""
-    if len(anchors) != 2:
-        return "expected anchors ((i0,j0), (i1,j1))"
     (i0, j0), (i1, j1) = anchors
     tm, delta = v.tm, v.delta
-    if not _in_grid(v, anchors):
-        return "anchor outside the grid"
     if not (i0 < i1 and j0 < j1):
         return "corners must satisfy i0 < i1 and j0 < j1"
     if (i0, j0) not in delta:
@@ -296,12 +283,8 @@ def _try_III(v: _Orbit, anchors: tuple[Position, ...], to_ne: bool):
 
 
 def _try_IVa(v: _Orbit, anchors: tuple[Position, ...]):
-    if len(anchors) != 3:
-        return "expected anchors ((i0,j0), (i1,j1), (i2,j2))"
     (i0, j0), (i1, j1), (i2, j2) = anchors
     tm, delta = v.tm, v.delta
-    if not _in_grid(v, anchors):
-        return "anchor outside the grid"
     if not (i0 < i2 < i1 and j2 < j0 < j1):
         return "anchors must satisfy i0 < i2 < i1 and j2 < j0 < j1"
     if (i0, j0) not in delta:
@@ -332,12 +315,8 @@ def _try_IVbc(v: _Orbit, anchors: tuple[Position, ...], west: bool):
         if west
         else ("(i0,j2)", "row i0", "j0 < j2 < j1 and i0 < i1", "(i1,j0)")
     )
-    if len(anchors) != 3:
-        return f"expected anchors ((i0,j0), (i1,j1), {third})"
     (i0, j0), (i1, j1), unit = anchors
     tm, delta = v.tm, v.delta
-    if not _in_grid(v, anchors):
-        return "anchor outside the grid"
     # IVc is IVb with rows and columns trading roles.
     (a0, b0), (a1, b1), (a2, b2) = anchors if west else ((j0, i0), (j1, i1), unit[::-1])
     if b2 != b0:
@@ -361,12 +340,8 @@ def _try_IVbc(v: _Orbit, anchors: tuple[Position, ...], west: bool):
 
 
 def _try_V(v: _Orbit, anchors: tuple[Position, ...]):
-    if len(anchors) < 2:
-        return "expected a pivot followed by a nonempty chain"
     pivot, chain = anchors[0], anchors[1:]
     tm, delta = v.tm, v.delta
-    if not _in_grid(v, anchors):
-        return "anchor outside the grid"
     if chain[0] not in delta:
         return "chain must consist of decorated positions"
     start = delta.index(chain[0])
@@ -420,6 +395,19 @@ _TRY = {
     "V": _try_V,
 }
 
+# The least and the most anchors each kind takes, and the clause that
+# rejects any other number.
+_SHAPE = {
+    "I": (1, 1, "expected a single anchor (i1,j1)"),
+    "II": (2, 2, "expected anchors ((i0,j0), (i1,j1))"),
+    "IIIa": (2, 2, "expected anchors ((i0,j0), (i1,j1))"),
+    "IIIb": (2, 2, "expected anchors ((i0,j0), (i1,j1))"),
+    "IVa": (3, 3, "expected anchors ((i0,j0), (i1,j1), (i2,j2))"),
+    "IVb": (3, 3, "expected anchors ((i0,j0), (i1,j1), (i2,j0))"),
+    "IVc": (3, 3, "expected anchors ((i0,j0), (i1,j1), (i0,j2))"),
+    "V": (2, inf, "expected a pivot followed by a nonempty chain"),
+}
+
 
 def _result(dm: DecoratedMatrix, rows, delta) -> DecoratedMatrix:
     """The orbit a checker built from the valid ``dm``, validated against
@@ -433,9 +421,10 @@ def _result(dm: DecoratedMatrix, rows, delta) -> DecoratedMatrix:
 
 def apply_move(dm: DecoratedMatrix, move: Move) -> DecoratedMatrix:
     """Apply ``move`` to ``dm``; raise :class:`PreconditionFailed` if the
-    anchors are not a tuple of ``(i, j)`` pairs of ints or a stated
-    condition fails.  A ``move`` that is not a :class:`Move`, or whose
-    kind cannot be hashed, raises ``BadShape``."""
+    anchors are not a tuple of ``(i, j)`` pairs of ints, are not as many
+    as the kind takes, leave the grid, or a stated condition fails.  A
+    ``move`` that is not a :class:`Move`, or whose kind cannot be hashed,
+    raises ``BadShape``."""
     if not isinstance(move, Move):
         raise ValidationError("BadShape")
     try:
@@ -446,7 +435,13 @@ def apply_move(dm: DecoratedMatrix, move: Move) -> DecoratedMatrix:
         raise PreconditionFailed(move.kind, "unknown move kind")
     if not _int_pairs(move.anchors):
         raise PreconditionFailed(move.kind, "anchors must be (i, j) pairs of integers")
-    result = try_fn(_Orbit.of(dm), move.anchors)
+    anchors, v = move.anchors, _Orbit.of(dm)
+    least, most, clause = _SHAPE[move.kind]
+    if not least <= len(anchors) <= most:
+        raise PreconditionFailed(move.kind, clause)
+    if not all(1 <= i <= v.q and 1 <= j <= v.r for (i, j) in anchors):
+        raise PreconditionFailed(move.kind, "anchor outside the grid")
+    result = try_fn(v, anchors)
     if isinstance(result, str):
         raise PreconditionFailed(move.kind, result)
     return _result(dm, *result)

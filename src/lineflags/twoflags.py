@@ -137,10 +137,6 @@ def _flip(
     return tuple(rows)
 
 
-def _corner_flip(tm: TransportMatrix, rect: Rectangle) -> TransportMatrix:
-    return TransportMatrix(_flip(tm.m, rect.i0, rect.j0, rect.i1, rect.j1), tm.b, tm.c)
-
-
 def _nonzero_in_rect(
     m: Sequence[Sequence[int]], i0: int, j0: int, i1: int, j1: int, exempt: frozenset[Position]
 ) -> Position | None:
@@ -170,11 +166,9 @@ def _se_corners(m: Sequence[Sequence[int]], i0: int, j0: int) -> list[Position]:
 
 
 def _rectangle_clause(tm: TransportMatrix, i0: int, j0: int, i1: int, j1: int) -> str | None:
-    """First violated condition of the corner flip from ``(i0, j0)`` and
-    ``(i1, j1)``, if any: the simple move's conditions, and the first
-    clauses of the kind-II move."""
-    if not (1 <= i0 <= tm.q and 1 <= i1 <= tm.q and 1 <= j0 <= tm.r and 1 <= j1 <= tm.r):
-        return "anchor outside the grid"
+    """First violated condition of the corner flip from the grid cells
+    ``(i0, j0)`` and ``(i1, j1)``, if any: the simple move's conditions,
+    and the first clauses of the kind-II move."""
     if not (i0 < i1 and j0 < j1):
         return "corners must satisfy i0 < i1 and j0 < j1"
     if tm.entry(i0, j0) <= 0:
@@ -282,7 +276,7 @@ def verify_two_flag_theorem(b: tuple[int, ...], c: tuple[int, ...]) -> TwoFlagRe
     elements = enumerate_transport_matrices(b, c)
     index = {tm.m: k for k, tm in enumerate(elements)}
     edges = [
-        sorted({index[_corner_flip(tm, rect).m] for rect in _simple_moves(tm)})
+        sorted({index[_flip(tm.m, *rect)] for rect in _simple_moves(tm)})
         for tm in elements
     ]
     leq = dominance_masks([_ranks(tm.m, tm.r) for tm in elements])

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import lineflags.moves
-from lineflags import build_poset, element_to_obj, enumerate_orbits
+from lineflags import build_poset, element_to_obj, enumerate_orbits, from_permutation
 from lineflags.cli import main
 
 MIN2 = '{"b": [1, 1], "c": [1, 1], "m": [[1, 0], [0, 1]], "delta": [[1, 1]]}'
@@ -50,6 +50,20 @@ moves are covers: ok
 covers are moves: ok
 greedy chains reach every target: ok
 PASS
+"""
+
+# ``verify`` on (1,1) x (1,1) with the moves of ``. (1) / 1 .`` withheld.
+VERIFY2_WITHHELD_TEXT = """\
+elements: 5
+covers: 6
+move closure equals rank order: FAIL
+moves are covers: ok
+covers are moves: FAIL
+greedy chains reach every target: FAIL
+counterexample: element 0: move closure and rank order disagree
+counterexample: cover 0->1 is not realized by a move
+counterexample: no greedy chain from 0 to 1
+FAIL
 """
 
 
@@ -196,6 +210,18 @@ class TestVerify:
         code, out, err = run_cli(["verify", "--witness", "--b", "1,1,1,1", "--c", "1,1,1,1"])
         assert (code, err) == (0, "")
         assert out == VERIFY4_WITNESS_TEXT
+
+    def test_a_failed_check_prints_its_counterexamples_and_exits_1(self, monkeypatch):
+        withheld = from_permutation((2, 1), (1,))
+        real = lineflags.moves._checked_moves
+        monkeypatch.setattr(
+            lineflags.moves,
+            "_checked_moves",
+            lambda dm, *rest: iter(()) if dm == withheld else real(dm, *rest),
+        )
+        code, out, err = run_cli(["verify", "--b", "1,1", "--c", "1,1"])
+        assert (code, err) == (1, "")
+        assert out == VERIFY2_WITHHELD_TEXT
 
     def test_witness_generates_each_orbits_moves_once(self, monkeypatch):
         seen = []

@@ -482,6 +482,12 @@ CALLS = {
         ("enumerate_decorations", None, "BadShape"),
         ("enumerate_decorations", TransportMatrix(((2, -1), (-1, 2)), (1, 1), (1, 1)),
          "NegativeEntry(1,2)"),
+        ("invariant", DecoratedMatrix(MATRIX, ((1, 1), (2, 2))), "NotStaircase(2)"),
+        (
+            "invariant",
+            DecoratedMatrix(TransportMatrix(((2, -1), (-1, 2)), (1, 1), (1, 1)), ((1, 1),)),
+            "NegativeEntry(1,2)",
+        ),
     ],
 )
 def test_entry_points_reject_what_is_no_valid_orbit(name, arg, code):

@@ -416,6 +416,8 @@ class TestPermutationDictionary:
             from_permutation((1, 2), ())
         with pytest.raises(ValidationError, match="NotDescending"):
             from_permutation((1, 2, 3), (1, 2))
+        with pytest.raises(ValidationError, match=r"BadPosition\(2\)"):
+            from_permutation((2, 1), (1, 3))
 
     @pytest.mark.parametrize(
         "w, cols, field",
@@ -459,6 +461,8 @@ class TestSerialization:
             element_from_obj({"m": "bogus"})
         with pytest.raises(ValidationError):
             element_from_obj([1, 2, 3])
+        with pytest.raises(ValidationError, match="BadShape"):
+            element_from_obj({"m": 5})
         with pytest.raises(ValidationError):
             element_from_obj({"m": [[1, 0], [0, 1]], "delta": [[1, 2]]})
 

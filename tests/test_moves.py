@@ -359,13 +359,20 @@ class TestOrbitView:
             assert len(calls) == 1 and calls[0] is source.matrix
         assert len(poset4.covers) == 763
 
-    @pytest.mark.parametrize("delta", [((1.0, 1),), ((True, 1),), (("1", 1),), ((1, 1, 1),)])
+    @pytest.mark.parametrize(
+        "delta", [((1.0, 1),), ((True, 1),), (("1", 1),), ((1, 1, 1),), ([1, 1],)]
+    )
     def test_a_decoration_that_is_not_int_pairs_raises(self, delta):
+        """With ``validate``'s code, or ``BadShape`` for a pair that is a
+        list, which ``validate`` accepts."""
         dm = DecoratedMatrix(from_permutation((1, 2), (1,)).matrix, delta)
-        with pytest.raises(ValidationError):
+        code = validate(dm.matrix, delta) or "BadShape"
+        with pytest.raises(ValidationError) as info:
             applicable_moves(dm)
-        with pytest.raises(ValidationError):
+        assert info.value.code == code
+        with pytest.raises(ValidationError) as info:
             apply_move(dm, Move("I", ((2, 2),)))
+        assert info.value.code == code
 
 
 class TestSharedMatrixPart:
@@ -421,17 +428,40 @@ class TestSharedMatrixPart:
         assert calls == [False, True]
 
 
+# Anchor tuples of each kind on a 2 x 2 orbit that have the wrong count
+# or leave the grid, and the clause each gets.
+SHAPE_REJECTIONS = [
+    ("I", (), "expected a single anchor (i1,j1)"),
+    ("I", ((3, 3), (1, 1)), "expected a single anchor (i1,j1)"),
+    ("II", ((1, 1),), "expected anchors ((i0,j0), (i1,j1))"),
+    ("IIIa", ((1, 1), (2, 2), (2, 2)), "expected anchors ((i0,j0), (i1,j1))"),
+    ("IIIb", ((1, 1),), "expected anchors ((i0,j0), (i1,j1))"),
+    ("IVa", ((1, 1), (2, 2)), "expected anchors ((i0,j0), (i1,j1), (i2,j2))"),
+    ("IVb", ((1, 1), (2, 2)), "expected anchors ((i0,j0), (i1,j1), (i2,j0))"),
+    ("IVc", ((1, 1),), "expected anchors ((i0,j0), (i1,j1), (i0,j2))"),
+    ("V", ((0, 0),), "expected a pivot followed by a nonempty chain"),
+    ("I", ((3, 1),), "anchor outside the grid"),
+    ("II", ((1, 1), (3, 3)), "anchor outside the grid"),
+    ("IIIa", ((1, 1), (2, 3)), "anchor outside the grid"),
+    ("IIIb", ((0, 1), (2, 2)), "anchor outside the grid"),
+    ("IVa", ((1, 1), (2, 2), (1, 0)), "anchor outside the grid"),
+    ("IVb", ((1, 1), (3, 2), (2, 1)), "anchor outside the grid"),
+    ("IVc", ((1, 1), (2, 3), (1, 2)), "anchor outside the grid"),
+    ("V", ((1, 1), (2, 2), (3, 3)), "anchor outside the grid"),
+]
+
+
 class TestPreconditions:
     def test_kind_II_fails_the_shared_rectangle_clause(self):
-        """On every orbit of mass <= 3 and every corner pair in the grid
-        or one step outside it, a rectangle the shared clauses of
-        ``twoflags`` reject is rejected by kind II with the same clause."""
+        """On every orbit of mass <= 3 and every corner pair in the grid, a
+        rectangle the shared clauses of ``twoflags`` reject is rejected by
+        kind II with the same clause."""
         seen = set()
         for b, c in margin_pairs(1, 3):
             for dm in enumerate_orbits(b, c):
                 tm = dm.matrix
-                for i0, i1 in product(range(tm.q + 2), repeat=2):
-                    for j0, j1 in product(range(tm.r + 2), repeat=2):
+                for i0, i1 in product(range(1, tm.q + 1), repeat=2):
+                    for j0, j1 in product(range(1, tm.r + 1), repeat=2):
                         clause = lineflags.twoflags._rectangle_clause(tm, i0, j0, i1, j1)
                         if clause is None:
                             continue
@@ -440,12 +470,38 @@ class TestPreconditions:
                         assert kind_ii.value.clause == clause
                         seen.add(clause.split(" at (")[0] if clause[0] == "n" else clause)
         assert seen == {
-            "anchor outside the grid",
             "corners must satisfy i0 < i1 and j0 < j1",
             "entry at (i0,j0) must be positive",
             "entry at (i1,j1) must be positive",
             "nonzero entry",
         }
+
+    @pytest.mark.parametrize("kind, anchors, clause", SHAPE_REJECTIONS)
+    def test_each_kind_rejects_a_wrong_anchor_count_or_grid(self, kind, anchors, clause):
+        """On the 2 x 2 orbit ``(1) . / . 1``: the count before the grid,
+        and both before the kind's own conditions."""
+        with pytest.raises(PreconditionFailed) as info:
+            apply_move(from_permutation((1, 2), (1,)), Move(kind, anchors))
+        assert (info.value.kind, info.value.clause) == (kind, clause)
+
+    @pytest.mark.parametrize(
+        "dm, move, clause",
+        [
+            (from_permutation((1, 2, 3), (1,)), Move("IVa", ((1, 1), (3, 3), (2, 2))),
+             "anchors must satisfy i0 < i2 < i1 and j2 < j0 < j1"),
+            (from_permutation((2, 1, 3), (2,)), Move("IVa", ((1, 2), (3, 3), (2, 1))),
+             "(i0,j0) must be decorated"),
+            (from_permutation((2, 1, 3), (1,)), Move("IVa", ((1, 2), (3, 3), (2, 1))),
+             "(i2,j2) must be decorated"),
+            (from_permutation((1, 2), (1,)), Move("V", ((1, 1), (2, 2))),
+             "chain must consist of decorated positions"),
+        ],
+        ids=["IVa-order", "IVa-first-decorated", "IVa-second-decorated", "V-chain-decorated"],
+    )
+    def test_kind_conditions_name_their_clause(self, dm, move, clause):
+        with pytest.raises(PreconditionFailed) as info:
+            apply_move(dm, move)
+        assert info.value.clause == clause
 
     def test_unknown_kind(self):
         dm = from_permutation((1, 2), (1,))
@@ -1042,6 +1098,19 @@ class TestSabotagedMoves:
         assert report.covers_are_moves
         assert report.chains_ok
         assert report.counterexamples == ("move edge 3->1 is not a cover",)
+
+    def test_a_target_above_a_failing_element_reaches_what_lies_above_it(self, monkeypatch):
+        """A fake move down from MID breaks the closure at MID, but MID's
+        real move reaches everything above it, so every greedy chain
+        arrives."""
+        sabotage(monkeypatch, extra=(MID, LOW))
+        report = verify_equivalence((1, 1), (1, 1))
+        assert not report.order_equivalent
+        assert report.chains_ok
+        assert report.counterexamples == (
+            "element 0: move closure and rank order disagree",
+            "move edge 0->3 is not a cover",
+        )
 
     def test_build_poset_raises(self, monkeypatch):
         sabotage(monkeypatch, drop=(MID,))

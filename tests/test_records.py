@@ -16,6 +16,7 @@ from lineflags import (
     ValidationError,
     applicable_moves,
     build_poset,
+    geometric_rank_tables,
     rank_table,
     rbar_table,
     simple_moves,
@@ -101,6 +102,23 @@ def test_reprs_are_those_of_the_field_values():
         " order_equivalent=True, moves_are_covers=True, covers_are_moves=True,"
         " chains_ok=True, counterexamples=())"
     )
+
+
+def test_tables_are_indexed_by_cell():
+    """``t[i, j]``, ``q`` and ``r`` read the bordered table by row and
+    column, on every function that builds a ``RankTable`` or an
+    ``RBarTable``."""
+    tm = TransportMatrix.from_rows([[1, 0, 1], [0, 2, 0]])
+    dm = DecoratedMatrix.make(tm, [(1, 3), (2, 2)])
+    rank, rbar = rank_table(tm), rbar_table(dm)
+    geometric = geometric_rank_tables(standard_configuration(tm, dm.delta))
+    assert geometric == (rank, rbar)
+    for table in (rank, rbar, *geometric):
+        assert (table.q, table.r) == (2, 3)
+        cells = [[table[i, j] for j in range(4)] for i in range(3)]
+        assert cells == [list(row) for row in table.values]
+    assert (rank[1, 3], rank[2, 2], rank[2, 3]) == (2, 3, 4)
+    assert (rbar[0, 3], rbar[1, 2], rbar[2, 0]) == (1, 2, 1)
 
 
 class TestConfigurationConstruction:

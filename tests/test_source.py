@@ -1,12 +1,14 @@
 """Properties of the library source itself."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
 import lineflags
 
-SOURCES = sorted(Path(lineflags.__file__).parent.rglob("*.py"))
+PACKAGE = Path(lineflags.__file__).parent
+SOURCES = sorted(PACKAGE.rglob("*.py"))
 
 
 def test_no_assert_in_the_library():
@@ -21,18 +23,22 @@ def test_no_assert_in_the_library():
     assert found == []
 
 
-def _exports(tree):
-    """The names a module lists in ``__all__``, or None without one."""
+def _exports(path, tree):
+    """The names the module at ``path`` lists in ``__all__``, or () without
+    one: a submodule's literal list, and the list the package builds."""
+    if path.name == "__init__.py":
+        return lineflags.__all__
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    return None
+    return ()
 
 
-def _unused_imports(tree):
-    """Names the module imports but neither uses nor lists in ``__all__``."""
+def _unused_imports(path, tree):
+    """Names the module imports but neither uses nor lists in ``__all__``;
+    ``from .m import *`` imports the names ``m`` exports."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -40,9 +46,14 @@ def _unused_imports(tree):
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+                if alias.name == "*":
+                    star = PACKAGE / f"{node.module}.py"
+                    names = _exports(star, ast.parse(star.read_text(), filename=str(star)))
+                else:
+                    names = [alias.asname or alias.name]
+                imported.update(dict.fromkeys(names, node.lineno))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used |= set(_exports(tree) or ())
+    used |= set(_exports(path, tree))
     return [(line, name) for name, line in imported.items() if name not in used]
 
 
@@ -50,7 +61,7 @@ def test_every_import_is_used_or_exported():
     found = [
         f"{path.name}:{line} {name}"
         for path in SOURCES
-        for line, name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+        for line, name in _unused_imports(path, ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
 
@@ -70,20 +81,25 @@ def _defined(tree):
 
 def test_every_exported_name_is_defined_where_it_is_exported():
     """Each submodule defines every name of its ``__all__``, and the
-    package re-exports only names that some submodule exports, so a
-    deleted function cannot leave a stale entry behind."""
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
-    package = set(_exports(trees.pop("__init__.py")))
-    exported = set()
-    for name, tree in trees.items():
-        names = _exports(tree)
-        if names is None:
-            continue
-        assert len(names) == len(set(names)), name
-        assert set(names) - _defined(tree) == set(), name
-        exported |= set(names)
-    assert package - exported == set()
-    assert package == set(lineflags.__all__)
+    package re-exports whole lists by ``from .m import *`` without
+    spelling a public name, so a deleted function cannot leave a stale
+    entry behind and a public name is listed once."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    package = trees.pop(PACKAGE / "__init__.py")
+    owner = {}
+    for path, tree in trees.items():
+        names = _exports(path, tree)
+        assert len(names) == len(set(names)), path.name
+        assert set(names) - _defined(tree) == set(), path.name
+        owner.update(dict.fromkeys(names, path.stem))
+    assert len(lineflags.__all__) == len(set(lineflags.__all__))
+    for name in lineflags.__all__:
+        module = importlib.import_module(f"lineflags.{owner[name]}")
+        assert getattr(lineflags, name) is getattr(module, name), name
+    imports = [a for n in ast.walk(package) if isinstance(n, ast.ImportFrom) for a in n.names]
+    spelled = {node.value for node in ast.walk(package) if isinstance(node, ast.Constant)}
+    spelled |= set(_references(package)) | {a.asname or a.name for a in imports}
+    assert spelled & set(lineflags.__all__) == set()
 
 
 def _references(tree):
@@ -204,3 +220,27 @@ def test_each_mirror_pair_of_kinds_shares_one_checker():
 
     assert _TRY["IIIa"].func is _TRY["IIIb"].func
     assert _TRY["IVb"].func is _TRY["IVc"].func
+
+
+def test_only_apply_move_checks_the_anchor_shape():
+    """``apply_move`` checks the number of anchors and their place in the
+    grid for every kind, from one table; no checker states either clause
+    again, nor does the rectangle clause that kind II shares."""
+    from lineflags.moves import _SHAPE, _TRY
+
+    clauses = {clause for _, _, clause in _SHAPE.values()} | {"anchor outside the grid"}
+    checkers = {getattr(fn, "func", fn).__name__ for fn in _TRY.values()} | {"_rectangle_clause"}
+    seen, stated = set(), []
+    for name in ("moves.py", "twoflags.py"):
+        path = PACKAGE / name
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef) and node.name in checkers:
+                seen.add(node.name)
+                stated += [
+                    f"{node.name}:{text.lineno} {text.value}"
+                    for text in ast.walk(node)
+                    if isinstance(text, ast.Constant) and isinstance(text.value, str)
+                    and (text.value in clauses or text.value.startswith("expected "))
+                ]
+    assert seen == checkers
+    assert stated == []

@@ -67,6 +67,11 @@ class TestEnumeration:
             with pytest.raises(ValidationError, match=r"BadPart\(1\)"):
                 enumerate_transport_matrices(b, (1, 1))
 
+    def test_rejects_margins_of_different_mass(self):
+        with pytest.raises(ValidationError) as info:
+            enumerate_transport_matrices((1,), (2,))
+        assert info.value.code == "BadShape"
+
     def test_full_flag_count_is_factorial(self):
         assert len(enumerate_transport_matrices((1, 1, 1), (1, 1, 1))) == 6
         assert len(enumerate_transport_matrices((1,) * 4, (1,) * 4)) == 24
@@ -231,8 +236,8 @@ class TestSabotagedSimpleMoves:
         monkeypatch.setattr(lineflags.twoflags, "_simple_moves", lambda tm: [Rectangle(1, 1, 2, 2)])
         monkeypatch.setattr(
             lineflags.twoflags,
-            "_corner_flip",
-            lambda tm, rect: reversal if tm == identity else identity,
+            "_flip",
+            lambda m, *rect: reversal.m if m == identity.m else identity.m,
         )
         report = verify_two_flag_theorem((1, 1), (1, 1))
         assert (report.element_count, report.cover_count) == (2, 1)

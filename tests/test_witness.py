@@ -287,6 +287,13 @@ class TestStandardConfiguration:
         with pytest.raises(ZeroEntryPosition, match=r"\(1,2\)"):
             standard_configuration(tm, [(1, 2)])
 
+    @pytest.mark.parametrize("marks, k", [([(3, 1)], 1), ([(1, 1), (2, 3)], 2), ([(0, 1)], 1)])
+    def test_rejects_marks_outside_the_grid(self, marks, k):
+        tm = TransportMatrix.from_rows([[1, 0], [0, 1]])
+        with pytest.raises(ValidationError) as info:
+            standard_configuration(tm, marks)
+        assert info.value.code == f"BadPosition({k})"
+
     def test_rejects_empty_marks(self):
         tm = TransportMatrix.from_rows([[1]])
         with pytest.raises(ValidationError, match="EmptyInput"):
