@@ -14,6 +14,7 @@ entrywise order, now on the pair of tables ``(r, rbar)`` jointly.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain, compress, count
 from operator import add, itemgetter, lt, ne
 from typing import Iterable, NamedTuple, Sequence
@@ -25,6 +26,7 @@ from .flagcore import (
     TransportMatrix,
     ValidationError,
     _delta_code,
+    _int_pairs,
     _is_int,
     _require_orbit,
     _require_positions,
@@ -118,12 +120,60 @@ def _rbar(ranks: list[int], free: Iterable[Iterable[int]]) -> list[int]:
     return list(map(add, ranks, chain.from_iterable(free)))
 
 
-def _key(ranks: list[int], free: Iterable[Iterable[int]]) -> tuple[int, ...]:
-    """:func:`invariant` from the flat ranks and the threshold table."""
+def _key(ranks: list[int], rbar: list[int]) -> tuple[int, ...]:
+    """:func:`invariant` from the flat ranks and augmented ranks."""
     key = [0] * (2 * len(ranks))
     key[::2] = ranks
-    key[1::2] = _rbar(ranks, free)
+    key[1::2] = rbar
     return tuple(key)
+
+
+class _Tables:
+    """A valid orbit's threshold table, flat ranks and flat augmented
+    ranks, each built on first use, and the view :mod:`moves` reads the
+    orbit by, once it is built."""
+
+    # The last two orbits ``of`` looked up that are made of tuples alone,
+    # the latest first, each with its tables.
+    _kept: list = []
+
+    def __init__(self, dm: DecoratedMatrix):
+        self.m, self.r, self.view = dm.matrix.m, dm.r, None
+        self.free = _threshold_table(dm.delta, dm.q, dm.r)
+
+    @cached_property
+    def ranks(self) -> list[int]:
+        return _ranks(self.m, self.r)
+
+    @cached_property
+    def rbar(self) -> list[int]:
+        return _rbar(self.ranks, self.free)
+
+    @classmethod
+    def of(cls, dm: DecoratedMatrix) -> _Tables:
+        """The tables of ``dm``, which is validated unless it is one of the
+        two orbits kept.  An orbit made of tuples alone cannot change, so
+        it is kept by identity, and the one looked up least recently of
+        the two kept before it is dropped.  An invalid ``dm`` raises
+        :class:`ValidationError`."""
+        kept = cls._kept
+        for k, (orbit, tables) in enumerate(kept):
+            if orbit is dm:
+                if k:
+                    kept.reverse()
+                return tables
+        _require_orbit(dm)
+        raise_if_invalid(dm.matrix, dm.delta)
+        tables = cls(dm)
+        (m, b, c), delta = dm
+        if (
+            type(dm) is DecoratedMatrix
+            and type(dm.matrix) is TransportMatrix
+            and all(type(x) is tuple for x in (m, b, c, *m))
+            and _int_pairs(delta)
+        ):
+            kept[:] = [(dm, tables), *kept[:1]]
+        return tables
 
 
 def invariant(dm: DecoratedMatrix) -> tuple[int, ...]:
@@ -134,29 +184,24 @@ def invariant(dm: DecoratedMatrix) -> tuple[int, ...]:
     ``x <= y`` iff ``invariant(x)`` is entrywise ``>=`` ``invariant(y)``.
     An invalid ``dm`` raises :class:`ValidationError`.
     """
-    _require_orbit(dm)
-    raise_if_invalid(dm.matrix, dm.delta)
-    return _key(_ranks(dm.matrix.m, dm.r), _threshold_table(dm.delta, dm.q, dm.r))
-
-
-def _tables(dm: DecoratedMatrix) -> tuple[list[int], list[int]]:
-    """The flat ranks and augmented ranks that :func:`invariant` interleaves."""
-    ranks = _ranks(dm.matrix.m, dm.r)
-    return ranks, _rbar(ranks, _threshold_table(dm.delta, dm.q, dm.r))
+    tables = _Tables.of(dm)
+    return _key(tables.ranks, tables.rbar)
 
 
 def rk_leq_dec(x: DecoratedMatrix, y: DecoratedMatrix) -> bool:
-    """Degeneration order: both tables of ``x`` >= those of ``y`` entrywise."""
+    """Degeneration order: both tables of ``x`` >= those of ``y`` entrywise.
+    Invalid ``x`` or ``y`` raise :class:`ValidationError`."""
     return rk_compare_witness(x, y) is None
 
 
 def _first(x: DecoratedMatrix, y: DecoratedMatrix, differs) -> tuple | None:
     """``(table, (i, j), xval, yval)`` at the first entry of the invariants
-    where ``differs(xval, yval)``, read off the flat tables: the first rank
-    that differs, unless an ``rbar`` entry before it differs."""
-    _require_orbit(x, y)
+    where ``differs(xval, yval)``, read off the flat tables of
+    :class:`_Tables`: the first rank that differs, unless an ``rbar``
+    entry before it differs."""
+    tx, ty = _Tables.of(x), _Tables.of(y)
     _check_same_shape(x.matrix, y.matrix)
-    (rx, bx), (ry, by) = _tables(x), _tables(y)
+    (rx, bx), (ry, by) = (tx.ranks, tx.rbar), (ty.ranks, ty.rbar)
     k = next(compress(count(), map(differs, rx, ry)), len(rx))
     kb = next(compress(count(), map(differs, bx[:k], by)), None)
     if kb is not None:
@@ -174,6 +219,7 @@ def rk_compare_witness(
     Scans the bordered grid in row-major order, checking ``r`` before
     ``rbar`` at each position; returns ``(table, (i, j), xval, yval)``
     with ``table`` one of ``"r"``, ``"rbar"`` where ``xval < yval``.
+    Invalid ``x`` or ``y`` raise :class:`ValidationError`.
     """
     return _first(x, y, lt)
 
@@ -184,7 +230,8 @@ def rk_first_difference(
     """First position where the invariants of ``x`` and ``y`` differ.
 
     Same scan order as :func:`rk_compare_witness`; None iff ``x`` and
-    ``y`` have identical tables (hence are the same orbit).
+    ``y`` have identical tables (hence are the same orbit).  Invalid
+    ``x`` or ``y`` raise :class:`ValidationError`.
     """
     return _first(x, y, ne)
 
@@ -298,11 +345,9 @@ def dimension_of(dm: DecoratedMatrix) -> int:
     three terms are the dimension of the two-flag orbit, the last two that
     of the line's orbit under the pair's stabilizer.  An invalid ``dm``
     raises :class:`ValidationError`."""
-    _require_orbit(dm)
-    raise_if_invalid(dm.matrix, dm.delta)
+    rbar = _Tables.of(dm).rbar
     (m, b, c), n, w = dm.matrix, dm.n, dm.r + 1
     # Mass r[i-1][j-1] lies strictly northwest of the cell (i, j), which is in
     # ↓δ iff delta[i-1][j-1] = 0: the last three terms are n − 1 − Σ m_ij rbar[i-1][j-1].
-    rbar = _tables(dm)[1]
     dim = (2 * n * n - sum(x * x for x in b + c)) // 2 + n - 1
     return dim - sum(x * rbar[i * w + j] for i, row in enumerate(m) for j, x in enumerate(row))

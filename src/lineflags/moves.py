@@ -32,15 +32,20 @@ rows and undominated cells of each corner pair; it keeps each far
 corner list, clause and flip it computes.  The orbit part,
 :class:`_Orbit`, adds the decoration and the threshold table that
 answers whether a cell lies northwest of the decoration.
-``_Orbit.of`` keeps the last view it built, matrix part and all, so a
-caller that lists an orbit's moves and applies each validates it once.
+``_Orbit.of`` reads the orbit through :class:`_Tables`, which keeps the
+last two orbits made of tuples, validated, with their tables; the view
+is built once and kept with them.  So a caller that lists an orbit's
+moves and applies each, or compares two orbits and then walks from one
+to the other, validates and tables each orbit once.
 ``_move_edges`` gives the orbits of one matrix one matrix part, and
 takes each orbit's order key from the same threshold table.
 ``find_chain`` runs the checker only on the candidates whose move leaves
-the tables above the target's at the one entry it lowers, validates each
-result only on the rows its move built and compares only the ranks those
-rows can change, and carries the tables and, after a kind-I step, the
-matrix part of the move it takes into the next step.
+the tables at or above the target's on the whole region it lowers.  It
+validates each result only on the rows its move built, compares only
+the ranks those rows can change and the augmented ranks on those rows
+and on the threshold rows that change, and carries the tables and,
+after a kind-I step, the matrix part of the move it takes into the next
+step.
 """
 
 from __future__ import annotations
@@ -59,12 +64,10 @@ from .flagcore import (
     ValidationError,
     _changed_rows,
     _int_pairs,
-    _require_orbit,
     _staircase,
     _step_code,
-    raise_if_invalid,
 )
-from .decorated import _key, _rbar, _tables, _threshold_table, enumerate_orbits
+from .decorated import _key, _rbar, _Tables, _threshold_table, enumerate_orbits
 from .order import bits, dominance_masks, generated
 from .twoflags import (
     _check_same_shape,
@@ -132,10 +135,10 @@ class _Memo(dict):
 
 class _Matrix:
     """One transport matrix as the checkers of its orbits read it.  Built
-    on first use: its cells with mass and its flat ranks.  Kept as they
-    are looked up, by cell or by corner pair: the far corners of flips
-    from a cell (``far[i, j]``), and the clause and flipped rows of a
-    corner pair (``clause[i0, j0, i1, j1]``, ``flip[i0, j0, i1, j1]``)."""
+    on first use: its cells with mass.  Kept as they are looked up, by
+    cell or by corner pair: the far corners of flips from a cell
+    (``far[i, j]``), and the clause and flipped rows of a corner pair
+    (``clause[i0, j0, i1, j1]``, ``flip[i0, j0, i1, j1]``)."""
 
     def __init__(self, tm: TransportMatrix):
         self.tm, self.m, self.q, self.r = tm, tm.m, tm.q, tm.r
@@ -147,11 +150,6 @@ class _Matrix:
     def support(self) -> list[Position]:
         """The cells whose entry is not 0, in row-major order."""
         return [(i, j) for i, row in enumerate(self.m, 1) for j, x in enumerate(row, 1) if x]
-
-    @cached_property
-    def ranks(self) -> list[int]:
-        """The flat ranks of :func:`_ranks`, which the orbits' keys share."""
-        return _ranks(self.m, self.r)
 
     def undominated(self, free, i0: int, j0: int, i1: int, j1: int, skip) -> Position | None:
         """First cell of rows ``i0..i1`` and columns ``j0..j1`` outside
@@ -175,32 +173,23 @@ class _Orbit:
     threshold table, as :func:`delta_table` reads it.
     """
 
-    _kept: tuple = (object(), None)  # the last orbit ``of`` viewed, and its view
-
     def __init__(self, mat: _Matrix, delta: tuple[Position, ...], free):
         self.mat, self.delta, self.free = mat, delta, free
         self.tm, self.m, self.q, self.r = mat.tm, mat.m, mat.q, mat.r
 
     @classmethod
     def of(cls, dm: DecoratedMatrix) -> _Orbit:
-        """The view of ``dm`` on a new matrix part, or the last view built
-        if ``dm`` is that very object, made of tuples alone.  An invalid
+        """The view of ``dm`` on a new matrix part, built once for an orbit
+        that :class:`_Tables` keeps and kept with its tables.  An invalid
         ``dm``, or a decoration that is not a tuple of int pairs, raises
         :class:`ValidationError`, so the checkers take the orbit for a
         valid one and every decorated cell for a tuple."""
-        kept, view = cls._kept
-        if dm is kept:
-            return view
-        _require_orbit(dm)
-        raise_if_invalid(dm.matrix, dm.delta)
-        if not _int_pairs(dm.delta):
-            raise ValidationError("BadShape")
-        view = cls(_Matrix(dm.matrix), dm.delta, _threshold_table(dm.delta, dm.q, dm.r))
-        if type(dm) is DecoratedMatrix and type(dm.matrix) is TransportMatrix and all(
-            type(x) is tuple for x in (*dm.matrix, *dm.matrix.m)
-        ):
-            cls._kept = (dm, view)
-        return view
+        tables = _Tables.of(dm)
+        if tables.view is None:
+            if not _int_pairs(dm.delta):
+                raise ValidationError("BadShape")
+            tables.view = cls(_Matrix(dm.matrix), dm.delta, tables.free)
+        return tables.view
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +442,9 @@ def _candidates(v: _Orbit) -> Iterator[tuple[str, tuple[Position, ...]]]:
     decorated anchors from the decoration, and far corners of rectangles
     that must be empty inside from ``_Matrix.far``.  Kind ``I`` is
     tried only at the undominated cells with mass with no other such
-    cell weakly northwest of them."""
+    cell weakly northwest of them.  Kind ``II`` skips a corner pair whose
+    far corner is decorated, or whose near corner is decorated and holds
+    a single unit."""
     delta, support = v.delta, v.mat.support
     limit = v.r + 1
     for (i, j) in support:
@@ -461,9 +452,12 @@ def _candidates(v: _Orbit) -> Iterator[tuple[str, tuple[Position, ...]]]:
             yield "I", ((i, j),)
             limit = j
     far = v.mat.far
-    for p in support:
-        for s in far[p]:
-            yield "II", (p, s)
+    for (i, j) in support:
+        if (i, j) in delta and v.m[i - 1][j - 1] == 1:
+            continue
+        for s in far[i, j]:
+            if s not in delta:
+                yield "II", ((i, j), s)
     for kind in ("IIIa", "IIIb"):
         for p in delta:
             for s in far[p]:
@@ -584,10 +578,11 @@ def _move_edges(
     for a, el in enumerate(elements):
         if mat is None or mat.tm != el.matrix:
             mat = _Matrix(el.matrix)
+            ranks = _ranks(mat.m, mat.r)
         free = free_of.get(el.delta)
         if free is None:
             free = free_of[el.delta] = _threshold_table(el.delta, el.q, el.r)
-        keys.append(_key(mat.ranks, free))
+        keys.append(_key(ranks, _rbar(ranks, free)))
         checked = list(_checked_moves(el, _Orbit(mat, el.delta, free)))
         if moves_of is not None:
             moves_of.append([mv for mv, _ in checked])
@@ -646,39 +641,47 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
     fails, and otherwise a list of moves whose successive application
     transforms ``x`` into ``y``.  Deterministic: each step takes the
     canonically first applicable move whose result stays below ``y``.
-    Invalid ``x`` or ``y`` raise :class:`ValidationError`.  A candidate is
-    checked only where ``y`` leaves it room: a move of kind ``I`` lowers
-    ``rbar`` by one at the cell northwest of its anchor, any other move
-    ``r`` at its first anchor.  Every result looked at is validated against
-    its source, which is valid: only the rows the move built are read, and
-    a result that is not an orbit raises with the code :func:`validate`
-    gives it.  Those rows keep their column sums, so only the ranks between
-    them are compared with ``y``'s, then the augmented ranks, between the
-    same rows if the decoration is kept.  The orbit is built only for the
-    move taken.  The moves generate the order, so such a move exists; if
-    none does, the order and the moves disagree and
-    :class:`OrderCheckFailed` is raised.
+    Invalid ``x`` or ``y`` raise :class:`ValidationError`; the tables of
+    both are read from :class:`_Tables`.  A candidate is checked only
+    where ``y`` leaves it room.  A move of kind ``I`` keeps ``r`` and
+    lowers ``rbar`` by one at every free position strictly northwest of
+    its anchor, to ``r`` there; so it is checked only if ``r`` is at least
+    ``y``'s ``rbar`` on those positions, and then its result lies below
+    ``y``.  Any other move lowers each rank of the block between its first
+    two anchors, so it is checked only if ``r`` exceeds ``y``'s there.
+    Every result looked at is validated against its source, which is
+    valid: only the rows the move built are read, and a result that is
+    not an orbit raises with the code :func:`validate` gives it.  Those
+    rows keep their column sums, so only the ranks between them are
+    compared with ``y``'s, then the augmented ranks on the same rows and
+    on the rows of the threshold table that a new decoration changes.
+    The orbit is built only for the move taken.  The moves generate the
+    order, so such a move exists; if none does, the order and the moves
+    disagree and :class:`OrderCheckFailed` is raised.
     """
     view = _Orbit.of(x)
-    _require_orbit(y)
-    raise_if_invalid(y.matrix, y.delta)
+    source, goal = _Tables.of(x), _Tables.of(y)
     _check_same_shape(x.matrix, y.matrix)
     q, r = x.q, x.r
     w = r + 1
-    goal_ranks, goal_rbar = _tables(y)
-    ranks, free = view.mat.ranks, view.free
-    rbar = _rbar(ranks, free)
+    ranks, free, rbar = source.ranks, source.free, source.rbar
+    goal_ranks, goal_rbar = goal.ranks, goal.rbar
     if not (all(map(ge, ranks, goal_ranks)) and all(map(ge, rbar, goal_rbar))):
         return None
+    above_goal = [g + 1 for g in goal_ranks]
 
     def room(candidate) -> bool:
+        """Whether ``r`` is at least ``want`` on the region the move lowers."""
         kind, anchors = candidate
-        i, j = anchors[0]
         if kind == "I":
-            k = (i - 1) * w + j - 1
-            return rbar[k] > goal_rbar[k]
-        k = i * w + j
-        return ranks[k] > goal_ranks[k]
+            (i0, j0), (i1, j1), want = (0, 0), anchors[0], goal_rbar
+        else:
+            (i0, j0), (i1, j1), want = anchors[0], anchors[1], above_goal
+        width = j1 - j0
+        for k in range(i0 * w + j0, i1 * w, w):
+            if not all(map(ge, ranks[k : k + width], want[k : k + width])):
+                return False
+        return True
 
     chain: list[Move] = []
     z = x
@@ -698,8 +701,11 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
                 continue
             step_ranks = ranks[: lo * w] + rank_band + ranks[hi * w + w :]
             step_free = free
-            if delta is not source_delta:  # any augmented rank may change
-                step_free, lo, hi = _threshold_table(delta, q, r), 0, q
+            if delta is not source_delta:  # the threshold rows that change join the band
+                step_free = _threshold_table(delta, q, r)
+                moved = [i for i, (new, old) in enumerate(zip(step_free, free)) if new != old]
+                if moved:
+                    lo, hi = min(lo, moved[0]), max(hi, moved[-1])
             s, e = lo * w, hi * w + w
             rbar_band = _rbar(step_ranks[s:e], step_free[lo : hi + 1])
             if all(map(ge, rbar_band, goal_rbar[s:e])):

@@ -488,6 +488,17 @@ CALLS = {
             DecoratedMatrix(TransportMatrix(((2, -1), (-1, 2)), (1, 1), (1, 1)), ((1, 1),)),
             "NegativeEntry(1,2)",
         ),
+    ]
+    + [
+        (name, arg, code)
+        for name in ("rk_leq_dec", "rk_compare_witness", "rk_first_difference")
+        for arg, code in (
+            (DecoratedMatrix(MATRIX, ((1, 1), (2, 2))), "NotStaircase(2)"),
+            (
+                DecoratedMatrix(TransportMatrix(((2, -1), (-1, 2)), (1, 1), (1, 1)), ((1, 1),)),
+                "NegativeEntry(1,2)",
+            ),
+        )
     ],
 )
 def test_entry_points_reject_what_is_no_valid_orbit(name, arg, code):
@@ -497,3 +508,24 @@ def test_entry_points_reject_what_is_no_valid_orbit(name, arg, code):
     with pytest.raises(ValidationError) as info:
         call(arg)
     assert info.value.code == code
+
+
+def test_an_orbit_with_list_rows_is_never_kept():
+    """The comparisons keep the tables of the last two orbits made of
+    tuples alone.  An orbit with list rows is read again on each call, so
+    a change made in place between two calls is seen."""
+    rows = [[2, 0], [0, 1]]
+    dm = DecoratedMatrix(TransportMatrix(tuple(rows), (2, 1), (2, 1)), ((1, 1),))
+    other = DecoratedMatrix(TransportMatrix(((1, 1), (1, 0)), (2, 1), (2, 1)), ((1, 1),))
+    assert rk_leq_dec(dm, other) and not rk_leq_dec(other, dm)
+    rows[0][:] = [1, 1]
+    rows[1][:] = [1, 0]
+    assert rk_leq_dec(other, dm) and rk_first_difference(dm, other) is None
+    assert invariant(dm) == invariant(other)
+    rows[0][1] = -1
+    for name, call in CALLS.items():
+        if name == "delta_table":  # reads the decoration alone
+            continue
+        with pytest.raises(ValidationError) as info:
+            call(dm)
+        assert info.value.code == "NegativeEntry(1,2)"

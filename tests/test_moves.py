@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -341,13 +342,13 @@ class TestOrbitView:
         cover's degeneration validate the source once, on every full-flag
         n=4 cover."""
         calls = []
-        real = lineflags.moves.raise_if_invalid
+        real = lineflags.decorated.raise_if_invalid
 
         def counted(matrix, delta=None):
             calls.append(matrix)
             return real(matrix, delta)
 
-        monkeypatch.setattr(lineflags.moves, "raise_if_invalid", counted)
+        monkeypatch.setattr(lineflags.decorated, "raise_if_invalid", counted)
         monkeypatch.setattr(lineflags.witness, "raise_if_invalid", counted)
         els = poset4.elements
         for a, t in poset4.covers:
@@ -947,26 +948,70 @@ class TestFindChain:
             pairs += 1
 
     def test_each_move_lowers_one_table_at_its_anchor_by_one(self, checked_to_mass_five):
-        """What find_chain skips candidates by: a move of kind I keeps the
-        ranks and lowers ``rbar`` by one at the cell northwest of its
-        anchor, and a move of any other kind lowers ``r`` by one at its
-        first anchor.  Checked on every orbit of mass <= 4 and of full
-        flags n=5."""
+        """What find_chain skips candidates by.  A move of kind I keeps the
+        ranks and lowers ``rbar`` by exactly one at the free positions
+        strictly northwest of its anchor, and nowhere else.  Call the
+        positions ``(a, b)`` with ``i0 <= a < i1`` and ``j0 <= b < j1`` the
+        first block of a move whose first two anchors are ``(i0, j0)`` and
+        ``(i1, j1)``.  A move of kind II, IIIa, IIIb, IVb or IVc lowers
+        ``r`` by exactly one on its first block and nowhere else; one of
+        kind IVa or V lowers ``r`` by at least one there and raises no
+        rank.  Checked on every orbit of mass <= 4 and of full flags n=5."""
         full5 = ((1,) * 5, (1,) * 5)
         moves = 0
         for dm, checked in checked_to_mass_five.items():
             if dm.n == 5 and dm.matrix[1:] != full5:
                 continue
-            ranks, rbar = rank_table(dm.matrix).values, rbar_table(dm).values
+            ranks, rbar, free = rank_table(dm.matrix).values, rbar_table(dm).values, delta_table(dm)
+            grid = list(product(range(dm.q + 1), range(dm.r + 1)))
             for mv, z in checked:
-                i, j = mv.anchors[0]
+                z_ranks = rank_table(z.matrix).values
+                lowered = {(a, b): ranks[a][b] - z_ranks[a][b] for a, b in grid}
                 if mv.kind == "I":
-                    assert rank_table(z.matrix).values == ranks
-                    assert rbar_table(z).values[i - 1][j - 1] == rbar[i - 1][j - 1] - 1
+                    ((i1, j1),) = mv.anchors
+                    z_rbar = rbar_table(z).values
+                    assert set(lowered.values()) == {0}
+                    assert {(a, b): rbar[a][b] - z_rbar[a][b] for a, b in grid} == {
+                        (a, b): int(a < i1 and b < j1 and free[a][b] == 1) for a, b in grid
+                    }
                 else:
-                    assert rank_table(z.matrix).values[i][j] == ranks[i][j] - 1
+                    (i0, j0), (i1, j1) = mv.anchors[:2]
+                    block = {(a, b): i0 <= a < i1 and j0 <= b < j1 for a, b in grid}
+                    if mv.kind in ("IVa", "V"):
+                        assert all(d >= block[p] for p, d in lowered.items())
+                    else:
+                        assert lowered == {p: int(inside) for p, inside in block.items()}
                 moves += 1
         assert moves == 12646
+
+    def test_the_room_rejects_no_move_below_the_target(self, monkeypatch):
+        """The room find_chain gives a candidate is a necessary condition:
+        on every pair of orbits of mass <= 3, no candidate it rejects is an
+        applicable move whose result lies below the target."""
+        real = lineflags.moves._checked_moves
+        target, rejected = [], []
+
+        def checked(dm, view=None, room=None):
+            for kind, anchors in lineflags.moves._candidates(view):
+                if not room((kind, anchors)):
+                    try:
+                        z = apply_move(dm, Move(kind, anchors))
+                    except PreconditionFailed:
+                        continue
+                    assert not rk_leq_dec(z, target[-1])
+                    rejected.append(kind)
+            return real(dm, view, room)
+
+        monkeypatch.setattr(lineflags.moves, "_checked_moves", checked)
+        for b, c in margin_pairs(1, 3):
+            orbits = enumerate_orbits(b, c)
+            for x in orbits:
+                for y in orbits:
+                    target.append(y)
+                    find_chain(x, y)
+        assert Counter(rejected) == {
+            "I": 315, "II": 55, "IIIa": 99, "IIIb": 99, "IVa": 12, "IVb": 8, "IVc": 8, "V": 67
+        }
 
     def test_chains_match_the_public_api_greedy_walk_at_n6(self):
         orbits = enumerate_orbits((1,) * 6, (1,) * 6)
@@ -985,17 +1030,16 @@ class TestFindChain:
 
     def test_every_result_looked_at_is_validated(self, monkeypatch):
         """The first move from LOW is of kind I, and the greedy walk to
-        MID looks at its result but does not take it.  With a kind-I
-        checker whose results leave the margins, the walk raises; so it
-        does, with the code ``validate`` gives, when the results have a
-        negative entry, a unit moved to another column or a decorated
-        zero."""
+        TOP takes it.  With a kind-I checker whose results leave the
+        margins, the walk raises; so it does, with the code ``validate``
+        gives, when the results have a negative entry, a unit moved to
+        another column or a decorated zero."""
         first = applicable_moves(LOW)[0]
         assert first.kind == "I"
-        assert find_chain(LOW, MID)[0].kind != "I"
+        assert find_chain(LOW, TOP)[0] == first
         off_margins(monkeypatch)
         with pytest.raises(ValidationError) as info:
-            find_chain(LOW, MID)
+            find_chain(LOW, TOP)
         assert info.value.code == "BadRowSum(1)"
         monkeypatch.undo()
         seen = apply_move(LOW, first)
@@ -1009,7 +1053,7 @@ class TestFindChain:
             with monkeypatch.context() as patch:
                 broken_kind_i(patch, change)
                 with pytest.raises(ValidationError) as info:
-                    find_chain(LOW, MID)
+                    find_chain(LOW, TOP)
             assert info.value.code == code
 
     def test_a_kind_i_step_keeps_its_matrix_part(self, monkeypatch):
@@ -1191,8 +1235,8 @@ class TestResultsThatAreNotOrbits:
             """
             import lineflags.moves as moves
             from lineflags import (
-                OrderCheckFailed, ValidationError, build_poset, find_chain, from_permutation,
-                verify_equivalence,
+                DecoratedMatrix, OrderCheckFailed, TransportMatrix, ValidationError, build_poset,
+                find_chain, from_permutation, rk_leq_dec, verify_equivalence,
             )
 
             real = moves._TRY["I"]
@@ -1212,9 +1256,14 @@ class TestResultsThatAreNotOrbits:
                 except OrderCheckFailed as exc:
                     print("raised", exc)
             try:
-                find_chain(from_permutation((1, 2), (1,)), from_permutation((2, 1), (1,)))
+                find_chain(from_permutation((1, 2), (1,)), from_permutation((2, 1), (1, 2)))
             except ValidationError as exc:
                 print("find_chain raised", exc.code)
+            bad = DecoratedMatrix(TransportMatrix(((2, -1), (-1, 2)), (1, 1), (1, 1)), ((1, 1),))
+            try:
+                rk_leq_dec(bad, from_permutation((1, 2), (1,)))
+            except ValidationError as exc:
+                print("rk_leq_dec raised", exc.code)
             """
         )
         src = os.path.dirname(os.path.dirname(lineflags.__file__))
@@ -1228,6 +1277,7 @@ class TestResultsThatAreNotOrbits:
             "raised move I (2,1) of element 0 gives no orbit: BadRowSum(1)",
             "raised move I (2,1) of element 0 gives no orbit: BadRowSum(1)",
             "find_chain raised BadRowSum(1)",
+            "rk_leq_dec raised NegativeEntry(1,2)",
         ]
 
 
