@@ -14,12 +14,13 @@ Subcommands:
 Elements are JSON objects ``{"b", "c", "m", "delta"}`` passed as a file
 path, ``-`` for stdin, or an inline JSON string.  Exit codes: 0 success,
 1 verification failure, 2 usage or input error, 3 not comparable.
+``json`` is imported only where JSON is read or written, so the
+commands that do neither start without it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .flagcore import (
     element_to_obj,
     render,
 )
-from .decorated import rk_compare_witness, rk_first_difference
+from .decorated import enumerate_orbits, rk_compare_witness, rk_first_difference
 from .moves import _verified_poset, build_poset, find_chain, verify_equivalence
 from .witness import identify_orbit, standard_configuration, verify_move_degeneration
 
@@ -49,6 +50,8 @@ def _margins(text: str) -> tuple[int, ...]:
 
 
 def _load_element(arg: str) -> DecoratedMatrix:
+    import json
+
     try:
         if arg == "-":
             text = sys.stdin.read()
@@ -67,10 +70,10 @@ def _load_element(arg: str) -> DecoratedMatrix:
 
 
 def _cmd_enum(args) -> tuple[int, str]:
-    from .decorated import enumerate_orbits
-
     elements = enumerate_orbits(args.b, args.c)
     if args.format == "json":
+        import json
+
         return 0, json.dumps([element_to_obj(el) for el in elements], indent=2)
     return 0, "\n".join(render(el) for el in elements)
 
@@ -83,6 +86,8 @@ def _cmd_hasse(args) -> tuple[int, str]:
             "covers": [[a, t] for (a, t) in poset.covers],
             "cover_kinds": [list(kinds) for kinds in poset.cover_kinds],
         }
+        import json
+
         return 0, json.dumps(obj, indent=2)
     lines = ["digraph degeneration {", "  rankdir=BT;"]
     for k, el in enumerate(poset.elements):

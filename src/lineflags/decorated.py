@@ -24,7 +24,6 @@ from .flagcore import (
     FlagError,
     Position,
     TransportMatrix,
-    ValidationError,
     _delta_code,
     _int_pairs,
     _is_int,
@@ -39,7 +38,6 @@ from .twoflags import (
     _ranks,
     _second_differences,
     enumerate_transport_matrices,
-    rank_table,
 )
 
 __all__ = [
@@ -96,22 +94,30 @@ def delta_table(dm: DecoratedMatrix) -> tuple[tuple[int, ...], ...]:
 
     ``delta[i][j] = 1`` iff every decorated ``(a, b)`` has ``a <= i`` or
     ``b <= j`` — equivalently, iff ``j`` reaches the largest column of a
-    decorated cell in the rows below ``i``.  The ``k``-th decorated cell
-    outside the grid raises ``ValidationError("BadPosition(k)")``.
+    decorated cell in the rows below ``i``.  A decorated cell that is not
+    a tuple or list of two raises ``ValidationError("BadShape")``, one with
+    a coordinate that is not an int ``NotAnInteger(delta)``, and any other
+    invalid ``dm`` the code :func:`validate` gives it: the ``k``-th
+    decorated cell outside the grid ``BadPosition(k)``.
     """
-    _require_orbit(dm)
-    q, r = dm.q, dm.r
-    for k, (i, j) in enumerate(_require_positions("delta", dm.delta), start=1):
-        if not (1 <= i <= q and 1 <= j <= r):
-            raise ValidationError(f"BadPosition({k})")
-    return _threshold_table(dm.delta, q, r)
+    return _valid_tables(dm).free
 
 
 def rbar_table(dm: DecoratedMatrix) -> RBarTable:
-    """Augmented rank table ``r + delta`` of a decorated matrix."""
-    dt = delta_table(dm)
-    rows = zip(rank_table(dm.matrix).values, dt)
-    return RBarTable(tuple(tuple(map(add, row, drow)) for row, drow in rows), dt)
+    """Augmented rank table ``r + delta`` of a decorated matrix, which is
+    checked as :func:`delta_table` checks it."""
+    tables = _valid_tables(dm)
+    rbar, w = tables.rbar, dm.r + 1
+    rows = tuple(tuple(rbar[k : k + w]) for k in range(0, len(rbar), w))
+    return RBarTable(rows, tables.free)
+
+
+def _valid_tables(dm: DecoratedMatrix) -> _Tables:
+    """:meth:`_Tables.of` after the decoration is checked to be made of
+    int pairs."""
+    _require_orbit(dm)
+    _require_positions("delta", dm.delta)
+    return _Tables.of(dm)
 
 
 def _rbar(ranks: list[int], free: Iterable[Iterable[int]]) -> list[int]:

@@ -178,13 +178,15 @@ class _Orbit:
         self.tm, self.m, self.q, self.r = mat.tm, mat.m, mat.q, mat.r
 
     @classmethod
-    def of(cls, dm: DecoratedMatrix) -> _Orbit:
+    def of(cls, dm: DecoratedMatrix, tables: _Tables | None = None) -> _Orbit:
         """The view of ``dm`` on a new matrix part, built once for an orbit
         that :class:`_Tables` keeps and kept with its tables.  An invalid
         ``dm``, or a decoration that is not a tuple of int pairs, raises
         :class:`ValidationError`, so the checkers take the orbit for a
-        valid one and every decorated cell for a tuple."""
-        tables = _Tables.of(dm)
+        valid one and every decorated cell for a tuple.  ``tables``, when
+        given, are those :meth:`_Tables.of` returned for ``dm``."""
+        if tables is None:
+            tables = _Tables.of(dm)
         if tables.view is None:
             if not _int_pairs(dm.delta):
                 raise ValidationError("BadShape")
@@ -659,8 +661,8 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
     order, so such a move exists; if none does, the order and the moves
     disagree and :class:`OrderCheckFailed` is raised.
     """
-    view = _Orbit.of(x)
-    source, goal = _Tables.of(x), _Tables.of(y)
+    source = _Tables.of(x)
+    view, goal = _Orbit.of(x, source), _Tables.of(y)
     _check_same_shape(x.matrix, y.matrix)
     q, r = x.q, x.r
     w = r + 1

@@ -13,11 +13,10 @@ polynomial rows — lands in the more special one.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, chain, product, zip_longest
 from math import gcd, lcm
 from operator import add, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .flagcore import (
     DecoratedMatrix,
@@ -34,6 +33,9 @@ from .flagcore import (
 from .twoflags import RankTable, _rank_table
 from .decorated import NotAnOrbitInvariant, RBarTable, _orbit_of, _threshold_table
 from .moves import Move, apply_move
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ZeroEntryPosition",
@@ -56,8 +58,13 @@ class ZeroEntryPosition(FlagError):
 
 
 def _is_rational(x: object) -> bool:
-    """True for ``int`` (other than ``bool``) and ``Fraction`` values."""
-    return _is_int(x) or isinstance(x, Fraction)
+    """True for ``int`` (other than ``bool``) and ``Fraction`` values.
+    :mod:`fractions` is imported only for a value that is no ``int``."""
+    if _is_int(x):
+        return True
+    from fractions import Fraction
+
+    return isinstance(x, Fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +191,11 @@ class Configuration(_ConfigurationFields):
         if not all(isinstance(x, tuple) for x in parts) or set(map(len, vectors)) - {n}:
             raise ValidationError("BadShape")
         kinds = set(map(type, chain.from_iterable(vectors)))
-        if any(t is bool or not issubclass(t, (int, Fraction)) for t in kinds):
-            raise ValidationError("NotARational(config)")
+        if kinds - {int}:
+            from fractions import Fraction
+
+            if any(t is bool or not issubclass(t, (int, Fraction)) for t in kinds):
+                raise ValidationError("NotARational(config)")
         return super().__new__(cls, n, a, b_levels, c_levels)
 
     @classmethod
@@ -613,6 +623,8 @@ def _rational_root(p: Sequence[int]) -> Fraction | None:
     for a, b in product(*divisors):
         for x in (a, -a):
             if not sum(c * x**i * b ** (d - i) for i, c in enumerate(p)):
+                from fractions import Fraction
+
                 return Fraction(x, b)
     return None
 

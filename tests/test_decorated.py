@@ -499,11 +499,24 @@ CALLS = {
                 "NegativeEntry(1,2)",
             ),
         )
+    ]
+    + [
+        (name, arg, code)
+        for name in ("delta_table", "rbar_table")
+        for arg, code in (
+            (DecoratedMatrix(MATRIX, ((1, 1), (2, 2))), "NotStaircase(2)"),
+            (DecoratedMatrix(MATRIX, ((1, 2),)), "ZeroEntryDecorated(1,2)"),
+            (
+                DecoratedMatrix(TransportMatrix(((2, -1), (-1, 2)), (1, 1), (1, 1)), ((1, 1),)),
+                "NegativeEntry(1,2)",
+            ),
+        )
     ],
 )
 def test_entry_points_reject_what_is_no_valid_orbit(name, arg, code):
     """``None`` and a bare matrix raised ``AttributeError``; a decoration
-    that is no staircase, or a negative entry, was read as it stood."""
+    that is no staircase or marks a zero entry, or a negative entry, was
+    read as it stood."""
     call = CALLS.get(name, enumerate_decorations)
     with pytest.raises(ValidationError) as info:
         call(arg)
@@ -524,8 +537,6 @@ def test_an_orbit_with_list_rows_is_never_kept():
     assert invariant(dm) == invariant(other)
     rows[0][1] = -1
     for name, call in CALLS.items():
-        if name == "delta_table":  # reads the decoration alone
-            continue
         with pytest.raises(ValidationError) as info:
             call(dm)
         assert info.value.code == "NegativeEntry(1,2)"

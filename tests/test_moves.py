@@ -1082,6 +1082,25 @@ class TestFindChain:
                     kept[after is mat] += 1
         assert kept[True] > 0 and kept[False] > 0
 
+    def test_a_walk_validates_each_orbit_once(self, monkeypatch):
+        """An ``x`` with list rows is not kept, so its tables are read once
+        and its view built from them: a walk validates ``x`` and ``y``
+        once each, and the orbits it passes through not at all."""
+        calls = []
+        real = lineflags.decorated.raise_if_invalid
+
+        def counted(matrix, delta=None):
+            calls.append(matrix)
+            return real(matrix, delta)
+
+        monkeypatch.setattr(lineflags.decorated, "raise_if_invalid", counted)
+        (m, b, c), delta = from_permutation((1, 2, 3), (1,))
+        x = DecoratedMatrix(TransportMatrix(tuple(map(list, m)), b, c), delta)
+        y = from_permutation((3, 2, 1), (1, 2, 3))
+        chain = find_chain(x, y)
+        assert len(chain) > 1
+        assert calls == [x.matrix, y.matrix]
+
     def test_every_comparable_pair_gets_a_valid_chain(self, poset3):
         els = poset3.elements
         for x in els:

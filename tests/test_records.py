@@ -1,5 +1,5 @@
 """The record types: read-only named tuples, and a package that loads
-without ``dataclasses``."""
+without ``dataclasses``, and without ``fractions`` or ``json`` until used."""
 
 import pickle
 import subprocess
@@ -56,18 +56,85 @@ def test_every_record_type_is_covered():
     )
 
 
+def fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh ``python -I -S`` that imports this package."""
+    src = str(Path(lineflags.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-I", "-S", "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+
+
 def test_the_cli_imports_without_dataclasses():
     """The records cost no ``dataclasses`` (and so no ``inspect``, ``ast``
-    or ``dis``) at start-up."""
-    src = str(Path(lineflags.__file__).resolve().parent.parent)
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import lineflags.cli;"
-        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
-    )
+    or ``dis``) at start-up, and the CLI loads ``fractions`` (with
+    ``decimal`` and ``numbers``) and ``json`` only where it uses them."""
+    lazy = {"dataclasses", "inspect", "fractions", "decimal", "numbers", "json"}
+    out = fresh(f"import lineflags.cli; print(sorted({lazy!r} & set(sys.modules)))")
     assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, module, loaded",
+    [
+        (["verify", "--witness", "--b", "1,1,1", "--c", "1,1,1"], "fractions", False),
+        (["enum", "--b", "1,1,1", "--c", "1,1,1"], "json", False),
+        (["enum", "--b", "1,1,1", "--c", "1,1,1", "--format", "json"], "json", True),
+    ],
+)
+def test_a_command_loads_a_deferred_module_only_if_it_uses_it(argv, module, loaded):
+    out = fresh(
+        "from lineflags.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"print(code, {module!r} in sys.modules, file=sys.stderr)"
+    )
+    assert out.stderr == f"0 {loaded}\n"
+
+
+def test_fraction_entries_are_read_when_fractions_is_imported_later():
+    """Loaded after the package, ``Fraction`` entries are still accepted,
+    and ``bool``, ``float`` and ``Decimal`` ones rejected with their
+    codes, by every entry point that reads rational entries."""
+    out = fresh(
+        """
+import lineflags
+print("fractions" in sys.modules)
+from decimal import Decimal
+from fractions import Fraction
+from lineflags import (
+    Configuration, IntEchelon, ValidationError, apply_basis_change, applicable_moves,
+    degeneration_family, from_permutation,
+)
+dm = from_permutation((1, 2), (1,))
+move = applicable_moves(dm)[0]
+one = Configuration(1, ((1,),), (((1,),),), (((1,),),))
+calls = {
+    "Configuration": lambda x: Configuration(1, ((x,),), (((1,),),), (((1,),),)),
+    "IntEchelon.add": lambda x: IntEchelon().add((x, 1)),
+    "apply_basis_change": lambda x: apply_basis_change(one, ((x,),)),
+    "degeneration_family": lambda x: degeneration_family(dm, move, x),
+}
+for name, call in calls.items():
+    for x in (Fraction(1, 2), True, 0.5, Decimal("0.5")):
+        try:
+            call(x)
+            print(name, "ok")
+        except ValidationError as exc:
+            print(name, exc.code)
+"""
+    )
+    codes = {
+        "Configuration": "NotARational(config)",
+        "IntEchelon.add": "NotARational(vec)",
+        "apply_basis_change": "NotARational(g)",
+        "degeneration_family": "NotARational(tau)",
+    }
+    want = ["False"] + [
+        f"{name} {got}" for name, code in codes.items() for got in ("ok", code, code, code)
+    ]
+    assert out.stdout.splitlines() == want
 
 
 @pytest.mark.parametrize("name", NAMES)

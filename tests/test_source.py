@@ -244,3 +244,25 @@ def test_only_apply_move_checks_the_anchor_shape():
                 ]
     assert seen == checkers
     assert stated == []
+
+
+def test_only_fractions_and_json_are_imported_below_module_level():
+    """A module imported inside a function is loaded on first use, not at
+    start-up.  Only ``fractions``, for ``Fraction`` input, and ``json``,
+    where JSON is read or written, are deferred so; any other import
+    belongs at the top of its module."""
+    deferred = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        kinds = (ast.Import, ast.ImportFrom)
+        imports = {n for fn in functions for n in ast.walk(fn) if isinstance(n, kinds)}
+        for node in sorted(imports, key=lambda n: n.lineno):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = ["." * node.level + (node.module or "")]
+            deferred += [(f"{path.name}:{node.lineno}", name) for name in names]
+    allowed = {"fractions", "json"}
+    assert [f"{at} {name}" for at, name in deferred if name not in allowed] == []
+    assert {name for _, name in deferred} == allowed
