@@ -67,12 +67,12 @@ from .flagcore import (
     _staircase,
     _step_code,
 )
-from .decorated import _key, _rbar, _Tables, _threshold_table, enumerate_orbits
+from .decorated import _rbar, _Tables, _threshold_table, enumerate_orbits
 from .order import bits, dominance_masks, generated
 from .twoflags import (
     _check_same_shape,
     _flip,
-    _nonzero_in_rect,
+    _interior_clause,
     _ranks,
     _rectangle_clause,
     _se_corners,
@@ -133,18 +133,35 @@ class _Memo(dict):
         return value
 
 
+def _block_clause(m, i0: int, j0: int, i1: int, j1: int) -> str | None:
+    """The kind-V clause that the first cell with mass of rows ``i0..i1 - 1``
+    and columns ``j0..j1 - 1`` other than the pivot ``(i0, j0)``, in
+    row-major order, violates; None if there is none."""
+    for i in range(i0, i1):
+        row = m[i - 1]
+        for j in range(j0, j1):
+            if row[j - 1] and (i, j) != (i0, j0):
+                return f"nonzero entry at ({i},{j}) between the pivot and the chain"
+    return None
+
+
 class _Matrix:
     """One transport matrix as the checkers of its orbits read it.  Built
     on first use: its cells with mass.  Kept as they are looked up, by
     cell or by corner pair: the far corners of flips from a cell
-    (``far[i, j]``), and the clause and flipped rows of a corner pair
-    (``clause[i0, j0, i1, j1]``, ``flip[i0, j0, i1, j1]``)."""
+    (``far[i, j]``); the clause and flipped rows of a corner pair
+    (``clause[i0, j0, i1, j1]``, ``flip[i0, j0, i1, j1]``); the clause
+    of its rectangle's interior outside some cells (``interior[i0, j0,
+    i1, j1, *exempt]``); and the kind-V clause of the block between a
+    pivot and a chain cell (``block[i0, j0, i, j]``)."""
 
     def __init__(self, tm: TransportMatrix):
         self.tm, self.m, self.q, self.r = tm, tm.m, tm.q, tm.r
         self.far = _Memo(_se_corners, tm.m)
         self.clause = _Memo(_rectangle_clause, tm)
         self.flip = _Memo(_flip, tm.m)
+        self.interior = _Memo(_interior_clause, tm.m)
+        self.block = _Memo(_block_clause, tm.m)
 
     @cached_property
     def support(self) -> list[Position]:
@@ -263,9 +280,9 @@ def _try_III(v: _Orbit, anchors: tuple[Position, ...], to_ne: bool):
     if tm.entry(i1, j1) <= 0:
         return "entry at (i1,j1) must be positive"
     to, other = ((i0, j1), (i1, j0)) if to_ne else ((i1, j0), (i0, j1))
-    bad = _nonzero_in_rect(tm.m, i0, j0, i1, j1, frozenset({other}))
-    if bad is not None:
-        return f"nonzero entry at {bad} strictly between the corners"
+    clause = v.mat.interior[i0, j0, i1, j1, other]
+    if clause is not None:
+        return clause
     bad = v.mat.undominated(v.free, 1, 1, *to, ((i0, j0),))
     if bad is not None:
         corner = "(i0,j1)" if to_ne else "(i1,j0)"
@@ -324,9 +341,9 @@ def _try_IVbc(v: _Orbit, anchors: tuple[Position, ...], west: bool):
         return "entry at (i1,j1) must be positive"
     if not (v.free[i0 - 1][j1 - 1] if west else v.free[i1 - 1][j0 - 1]):
         return off + " must not lie weakly northwest of a decorated cell"
-    bad = _nonzero_in_rect(tm.m, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0), unit}))
-    if bad is not None:
-        return f"nonzero entry at {bad} strictly between the corners"
+    clause = v.mat.interior[i0, j0, i1, j1, (i0, j1), (i1, j0), unit]
+    if clause is not None:
+        return clause
     return (v.mat.flip[i0, j0, i1, j1], delta)
 
 
@@ -343,11 +360,10 @@ def _try_V(v: _Orbit, anchors: tuple[Position, ...]):
         return "pivot must satisfy i0 < i_1 and j0 < j_t"
     if tm.entry(i0, j0) <= 0:
         return "entry at (i0,j0) must be positive"
-    for (cs_i, cs_j) in chain:
-        for i in range(i0, cs_i):
-            for j in range(j0, cs_j):
-                if (i, j) != pivot and tm.entry(i, j) != 0:
-                    return f"nonzero entry at ({i},{j}) between the pivot and the chain"
+    for cell in chain:
+        clause = v.mat.block[pivot + cell]
+        if clause is not None:
+            return clause
     others = set(delta) - set(chain)
     head_i, head_j = chain[0]
     a = next(
@@ -446,45 +462,62 @@ def _candidates(v: _Orbit) -> Iterator[tuple[str, tuple[Position, ...]]]:
     tried only at the undominated cells with mass with no other such
     cell weakly northwest of them.  Kind ``II`` skips a corner pair whose
     far corner is decorated, or whose near corner is decorated and holds
-    a single unit."""
-    delta, support = v.delta, v.mat.support
+    a single unit.
+
+    The decoration is a staircase: its rows increase and its columns
+    decrease.  So the decorated cells southwest of one are those after
+    it, a row or a column holds at most one, and those southeast of a
+    cell are one run, which starts after the cells in rows up to the
+    cell's and stops at the first one in a column up to the cell's."""
+    delta, support, far = v.delta, v.mat.support, v.mat.far
     limit = v.r + 1
     for (i, j) in support:
         if j < limit and v.free[i - 1][j - 1]:
             yield "I", ((i, j),)
             limit = j
-    far = v.mat.far
     for (i, j) in support:
         if (i, j) in delta and v.m[i - 1][j - 1] == 1:
             continue
         for s in far[i, j]:
             if s not in delta:
                 yield "II", ((i, j), s)
+    if not delta:  # every later kind has a decorated anchor
+        return
     for kind in ("IIIa", "IIIb"):
         for p in delta:
             for s in far[p]:
                 yield kind, (p, s)
-    for (i0, j0) in delta:
+    for k, (i0, j0) in enumerate(delta):
         for (i1, j1) in support:
             if i1 > i0 + 1 and j1 > j0:
-                for (i2, j2) in delta:
-                    if i0 < i2 < i1 and j2 < j0:
-                        yield "IVa", ((i0, j0), (i1, j1), (i2, j2))
+                for (i2, j2) in delta[k + 1 :]:
+                    if i2 >= i1:
+                        break
+                    yield "IVa", ((i0, j0), (i1, j1), (i2, j2))
+    row_in = {j: i for (i, j) in delta}
     for (i0, j0) in support:
-        for (i1, j1) in far[(i0, j0)]:
-            for (i2, j2) in delta:
-                if j2 == j0 and i0 < i2 < i1:
+        i2 = row_in.get(j0, 0)
+        if i2 > i0:
+            for (i1, j1) in far[i0, j0]:
+                if i1 > i2:
                     yield "IVb", ((i0, j0), (i1, j1), (i2, j0))
+    column_in = dict(delta)
     for (i0, j0) in support:
-        for (i1, j1) in far[(i0, j0)]:
-            for (i2, j2) in delta:
-                if i2 == i0 and j0 < j2 < j1:
+        j2 = column_in.get(i0, 0)
+        if j2 > j0:
+            for (i1, j1) in far[i0, j0]:
+                if j1 > j2:
                     yield "IVc", ((i0, j0), (i1, j1), (i0, j2))
-    for (i0, j0) in support:
-        run = [k for k, (i, j) in enumerate(delta) if i > i0 and j > j0]
-        for start in run:
-            for stop in range(start + 1, run[-1] + 2):
-                yield "V", ((i0, j0),) + delta[start:stop]
+    start, n = 0, len(delta)
+    for (i0, j0) in support:  # by row, so the run's start only moves on
+        while start < n and delta[start][0] <= i0:
+            start += 1
+        stop = start
+        while stop < n and delta[stop][1] > j0:
+            stop += 1
+        for first in range(start, stop):
+            for end in range(first + 1, stop + 1):
+                yield "V", ((i0, j0),) + delta[first:end]
 
 
 def _checked_moves(
@@ -563,13 +596,19 @@ def _move_edges(
     elements: Sequence[DecoratedMatrix], with_moves: bool = True
 ) -> tuple[list[list[Move]] | None, list[list[int]], list[tuple[int, ...]]]:
     """The canonical move lists (None unless ``with_moves``), their target
-    indices and the :func:`invariant` of each element; a raw result that
-    is no enumerated orbit raises :class:`OrderCheckFailed`.
+    indices and the order key of each element; a raw result that is no
+    enumerated orbit raises :class:`OrderCheckFailed`.
+
+    The key is ``r + rbar`` at every bordered position, row-major: ``2r``
+    plus the free table.  As ``rbar - r`` is 0 or 1, ``r_x >= r_y`` and
+    ``rbar_x >= rbar_y`` hold together iff ``r_x + rbar_x >= r_y +
+    rbar_y``, so ``x <= y`` iff ``x``'s key is entrywise ``>=`` ``y``'s,
+    as for :func:`invariant`, with one column per position instead of two.
 
     The orbits of one transport matrix, which :func:`enumerate_orbits`
-    lists together, share one :class:`_Matrix`, and the orbits of one
-    decoration one free table, which serves their checkers and their
-    keys.
+    lists together, share one :class:`_Matrix` and ``2r``, and the orbits
+    of one decoration one free table, which serves their checkers and
+    their keys.  Each result is looked up as it is checked.
     """
     index = {(el.matrix.m, el.delta): k for k, el in enumerate(elements)}
     moves_of: list[list[Move]] | None = [] if with_moves else None
@@ -580,23 +619,25 @@ def _move_edges(
     for a, el in enumerate(elements):
         if mat is None or mat.tm != el.matrix:
             mat = _Matrix(el.matrix)
-            ranks = _ranks(mat.m, mat.r)
+            twice = [2 * x for x in _ranks(mat.m, mat.r)]
         free = free_of.get(el.delta)
         if free is None:
             free = free_of[el.delta] = _threshold_table(el.delta, el.q, el.r)
-        keys.append(_key(ranks, _rbar(ranks, free)))
-        checked = list(_checked_moves(el, _Orbit(mat, el.delta, free)))
+        keys.append(tuple(_rbar(twice, free)))
+        moves, targets = [], []
+        for mv, raw in _checked_moves(el, _Orbit(mat, el.delta, free)):
+            t = index.get(raw)
+            if t is None:
+                try:
+                    _result(el, *raw)
+                except ValidationError as exc:
+                    msg = f"move {mv} of element {a} gives no orbit: {exc.code}"
+                    raise OrderCheckFailed(msg) from exc
+                raise OrderCheckFailed(f"move {mv} of element {a} gives no enumerated orbit")
+            moves.append(mv)
+            targets.append(t)
         if moves_of is not None:
-            moves_of.append([mv for mv, _ in checked])
-        targets = [index.get(raw) for _, raw in checked]
-        if None in targets:
-            mv, raw = checked[targets.index(None)]
-            try:
-                _result(el, *raw)
-            except ValidationError as exc:
-                msg = f"move {mv} of element {a} gives no orbit: {exc.code}"
-                raise OrderCheckFailed(msg) from exc
-            raise OrderCheckFailed(f"move {mv} of element {a} gives no enumerated orbit")
+            moves_of.append(moves)
         targets_of.append(targets)
     return moves_of, targets_of, keys
 

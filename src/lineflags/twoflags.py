@@ -22,8 +22,8 @@ are the first clauses of the kind-II move.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import add, ge
-from typing import Iterator, NamedTuple, Sequence
+from operator import add, ge, le, sub
+from typing import NamedTuple, Sequence
 
 from .flagcore import (
     Position,
@@ -151,6 +151,15 @@ def _nonzero_in_rect(
     return None
 
 
+def _interior_clause(
+    m: Sequence[Sequence[int]], i0: int, j0: int, i1: int, j1: int, *exempt: Position
+) -> str | None:
+    """The clause that the first cell :func:`_nonzero_in_rect` finds with
+    the cells ``exempt`` violates; None if there is none."""
+    bad = _nonzero_in_rect(m, i0, j0, i1, j1, frozenset(exempt))
+    return None if bad is None else f"nonzero entry at {bad} strictly between the corners"
+
+
 def _se_corners(m: Sequence[Sequence[int]], i0: int, j0: int) -> list[Position]:
     """The positive cells strictly southeast of ``(i0, j0)`` whose rectangle
     with it holds no other such cell, by row: the far corners of flips."""
@@ -175,10 +184,7 @@ def _rectangle_clause(tm: TransportMatrix, i0: int, j0: int, i1: int, j1: int) -
         return "entry at (i0,j0) must be positive"
     if tm.entry(i1, j1) <= 0:
         return "entry at (i1,j1) must be positive"
-    bad = _nonzero_in_rect(tm.m, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0)}))
-    if bad is not None:
-        return f"nonzero entry at {bad} strictly between the corners"
-    return None
+    return _interior_clause(tm.m, i0, j0, i1, j1, (i0, j1), (i1, j0))
 
 
 def simple_moves(tm: TransportMatrix) -> list[Rectangle]:
@@ -212,41 +218,32 @@ def enumerate_transport_matrices(
     b: tuple[int, ...], c: tuple[int, ...]
 ) -> list[TransportMatrix]:
     """All matrices with the given margins, in canonical order: each row
-    is filled with its candidates in lexicographic order."""
+    is filled with its candidates in lexicographic order.
+
+    The rows summing to each part of ``b`` with entries bounded by ``c``
+    are listed once, in lexicographic order; the matrices grow a row at a
+    time from those the column sums left over allow.  Every partial
+    matrix can be completed, so none is built in vain.
+    """
     b, c = tuple(b), tuple(c)
     code = validate_composition(b) or validate_composition(c)
     if code is not None:
         raise ValidationError(code)
     if sum(b) != sum(c):
         raise ValidationError("BadShape")
-    q, r = len(b), len(c)
-    out: list[TransportMatrix] = []
-    rows: list[tuple[int, ...]] = []
-
-    def fill(i: int, remaining_cols: tuple[int, ...]) -> None:
-        if i == q:
-            if all(x == 0 for x in remaining_cols):
-                m = tuple(rows)
-                out.append(TransportMatrix(m, b, c))
-            return
-        for row in _compositions_bounded(b[i], remaining_cols):
-            rows.append(row)
-            fill(i + 1, tuple(x - y for x, y in zip(remaining_cols, row)))
-            rows.pop()
-
-    fill(0, c)
-    return out
-
-
-def _compositions_bounded(total: int, bounds: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer rows summing to ``total`` with entrywise bounds."""
-    if len(bounds) == 1:
-        if 0 <= total <= bounds[0]:
-            yield (total,)
-        return
-    for first in range(min(total, bounds[0]) + 1):
-        for rest in _compositions_bounded(total - first, bounds[1:]):
-            yield (first,) + rest
+    after = list(accumulate(reversed(c), initial=0))[-2::-1]  # sum(c[j + 1:]) at j
+    rows_of = {}
+    for t in set(b):
+        rows = [((), t)]  # each prefix with the mass it still has to place
+        for cj, rest in zip(c, after):
+            rows = [(row + (x,), left - x) for row, left in rows
+                    for x in range(max(0, left - rest), min(cj, left) + 1)]
+        rows_of[t] = [row for row, _ in rows]
+    matrices = [((), c)]
+    for t in b:
+        matrices = [(m + (row,), tuple(map(sub, left, row))) for m, left in matrices
+                    for row in rows_of[t] if all(map(le, row, left))]
+    return [TransportMatrix(m, b, c) for m, _ in matrices]
 
 
 class TwoFlagReport(NamedTuple):

@@ -8,7 +8,7 @@ versions of replaced fast paths use only the package's public functions.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 
 def compositions(n):
@@ -56,6 +56,15 @@ def brute_force_matrices(b, c):
 
     rows_from([], list(c))
     return out
+
+
+def transport_matrices_by_product(b, c):
+    """The matrices with row sums ``b`` and column sums ``c``, in the
+    lexicographic order of their rows: each row is drawn from the product
+    of the ranges its row sum allows, and kept if its sum is right; each
+    matrix from the product of the rows, and kept if its column sums are."""
+    rows = [[row for row in product(range(t + 1), repeat=len(c)) if sum(row) == t] for t in b]
+    return [m for m in product(*rows) if tuple(map(sum, zip(*m))) == tuple(c)]
 
 
 def brute_force_staircases(points):
@@ -203,6 +212,51 @@ def se_corners_by_definition(m, i0, j0):
         for (i, j) in below
         if not any((a, b) != (i, j) and a <= i and b <= j for (a, b) in below)
     ]
+
+
+def candidates_by_scan(view):
+    """The candidate anchor tuples of ``view``, an orbit's view in
+    :mod:`lineflags.moves`, in canonical order, each found by scanning the
+    decoration or the cells with mass for every anchor, without reading
+    the order of the staircase.  Far corners come from
+    :func:`se_corners_by_definition`."""
+    m, delta, free = view.m, view.delta, view.free
+    support = [(i, j) for i, row in enumerate(m, 1) for j, x in enumerate(row, 1) if x]
+    far = {p: se_corners_by_definition(m, *p) for p in support + list(delta)}
+    out = []
+    limit = view.r + 1
+    for (i, j) in support:
+        if j < limit and free[i - 1][j - 1]:
+            out.append(("I", ((i, j),)))
+            limit = j
+    for (i, j) in support:
+        if (i, j) in delta and m[i - 1][j - 1] == 1:
+            continue
+        out += [("II", ((i, j), s)) for s in far[i, j] if s not in delta]
+    for kind in ("IIIa", "IIIb"):
+        out += [(kind, (p, s)) for p in delta for s in far[p]]
+    for (i0, j0) in delta:
+        for (i1, j1) in support:
+            if i1 > i0 + 1 and j1 > j0:
+                for (i2, j2) in delta:
+                    if i0 < i2 < i1 and j2 < j0:
+                        out.append(("IVa", ((i0, j0), (i1, j1), (i2, j2))))
+    for (i0, j0) in support:
+        for (i1, j1) in far[i0, j0]:
+            for (i2, j2) in delta:
+                if j2 == j0 and i0 < i2 < i1:
+                    out.append(("IVb", ((i0, j0), (i1, j1), (i2, j0))))
+    for (i0, j0) in support:
+        for (i1, j1) in far[i0, j0]:
+            for (i2, j2) in delta:
+                if i2 == i0 and j0 < j2 < j1:
+                    out.append(("IVc", ((i0, j0), (i1, j1), (i0, j2))))
+    for (i0, j0) in support:
+        run = [k for k, (i, j) in enumerate(delta) if i > i0 and j > j0]
+        for start in run:
+            for stop in range(start + 1, run[-1] + 2):
+                out.append(("V", ((i0, j0),) + delta[start:stop]))
+    return out
 
 
 def prefix_rank_table(m, q, r):

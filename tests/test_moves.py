@@ -7,6 +7,7 @@ import sys
 import textwrap
 from collections import Counter
 from itertools import product
+from operator import add, sub
 
 import pytest
 
@@ -27,6 +28,7 @@ from lineflags import (
     build_poset,
     delta_table,
     enumerate_orbits,
+    enumerate_transport_matrices,
     find_chain,
     from_permutation,
     invariant,
@@ -39,9 +41,11 @@ from lineflags import (
     verify_equivalence,
     verify_move_degeneration,
 )
+from lineflags.order import dominance_masks
 from helpers import (
     GOLDEN_N3_COVERS,
     GOLDEN_N3_LABELS,
+    candidates_by_scan,
     compositions,
     dominated,
     greedy_chain_by_public_api,
@@ -238,7 +242,7 @@ class TestOrbitView:
     def test_view_matches_the_definitions(self):
         """The free table and the far corners of the view of every orbit of
         mass <= 4; a new matrix part builds nothing and keeps nothing in
-        its three tables before it is asked."""
+        its five tables before it is asked."""
         views = 0
         for b, c in margin_pairs(1, 4):
             for dm in enumerate_orbits(b, c):
@@ -247,8 +251,10 @@ class TestOrbitView:
                 mat = orbit.mat
                 assert type(mat) is lineflags.moves._Matrix and mat.tm is dm.matrix
                 assert vars(orbit).keys() == {"mat", "delta", "free", "tm", "m", "q", "r"}
-                assert vars(mat).keys() == {"tm", "m", "q", "r", "far", "clause", "flip"}
-                assert mat.far == mat.clause == mat.flip == {}
+                assert vars(mat).keys() == {
+                    "tm", "m", "q", "r", "far", "clause", "flip", "interior", "block"
+                }
+                assert mat.far == mat.clause == mat.flip == mat.interior == mat.block == {}
                 for i in range(1, dm.q + 1):
                     for j in range(1, dm.r + 1):
                         assert (not orbit.free[i - 1][j - 1]) == dominated((i, j), delta)
@@ -381,8 +387,8 @@ class TestSharedMatrixPart:
         """``_move_edges`` shares one matrix part among the orbits of a
         matrix.  Its moves, targets and keys are those of the per-orbit
         view on every margin pair of mass <= 4, on (2,2,1)x(1,2,2) and on
-        full flags n=5; without the moves it returns the same targets and
-        keys."""
+        full flags n=5, and its key is ``r + rbar`` at each position; without
+        the moves it returns the same targets and keys."""
         pairs = margin_pairs(1, 4) + [((2, 2, 1), (1, 2, 2)), ((1,) * 5, (1,) * 5)]
         for b, c in pairs:
             elements = tuple(enumerate_orbits(b, c))
@@ -395,7 +401,8 @@ class TestSharedMatrixPart:
                 checked = checked_to_mass_five[el]
                 assert moves == [mv for mv, _ in checked]
                 assert targets == [index[res] for _, res in checked]
-                assert key == invariant(el)
+                inv = invariant(el)
+                assert key == tuple(map(add, inv[::2], inv[1::2]))
 
     def test_checkers_on_a_shared_matrix_part_match_a_new_one(self):
         """Every anchor tuple of every kind, on every orbit of mass <= 4,
@@ -427,6 +434,87 @@ class TestSharedMatrixPart:
         assert verify_equivalence((1, 1, 1), (1, 1, 1)).passed
         build_poset((1, 1, 1), (1, 1, 1))
         assert calls == [False, True]
+
+    def test_candidates_match_the_scan(self):
+        """``_candidates`` reads the order of the staircase; a scan of the
+        decoration for every decorated anchor gives the same list in the
+        same order on every orbit of mass <= 4, on full flags n=5 and on a
+        seeded sample of the orbits of mass 5."""
+        orbits = [dm for b, c in margin_pairs(1, 4) for dm in enumerate_orbits(b, c)]
+        orbits += enumerate_orbits((1,) * 5, (1,) * 5)
+        mass_five = [dm for b, c in margin_pairs(5, 5) for dm in enumerate_orbits(b, c)]
+        orbits += random.Random(35).sample(mass_five, 3000)
+        kinds = Counter()
+        for dm in orbits:
+            view = lineflags.moves._Orbit.of(dm)
+            got = list(lineflags.moves._candidates(view))
+            assert got == candidates_by_scan(view), dm
+            kinds.update(kind for kind, _ in got)
+        assert set(kinds) == set(KIND_ORDER)
+
+    def test_matrix_tables_match_the_scans(self):
+        """On every matrix of mass <= 5, the interior clause of every corner
+        pair, with the off corner kind III exempts or with both off corners
+        and a cell of the west or north edge as kinds IVb and IVc exempt,
+        is that of ``_nonzero_in_rect``; the block clause of every pivot
+        and chain cell southeast of it is that of a cell-by-cell scan."""
+
+        def block_by_scan(m, i0, j0, cs_i, cs_j):
+            for i in range(i0, cs_i):
+                for j in range(j0, cs_j):
+                    if (i, j) != (i0, j0) and m[i - 1][j - 1] != 0:
+                        return f"nonzero entry at ({i},{j}) between the pivot and the chain"
+            return None
+
+        matrices, clauses = 0, Counter()
+        for b, c in margin_pairs(1, 5):
+            for tm in enumerate_transport_matrices(b, c):
+                mat, m = lineflags.moves._Matrix(tm), tm.m
+                grid = list(product(range(1, tm.q + 1), range(1, tm.r + 1)))
+                for (i0, j0), (i1, j1) in product(grid, repeat=2):
+                    if not (i0 < i1 and j0 < j1):
+                        continue
+                    block = mat.block[i0, j0, i1, j1]
+                    assert block == block_by_scan(m, i0, j0, i1, j1)
+                    edges = [(i, j0) for i in range(i0 + 1, i1)] + [(i0, j) for j in range(j0 + 1, j1)]
+                    exempts = [((i0, j1),), ((i1, j0),)] + [((i0, j1), (i1, j0), u) for u in edges]
+                    for exempt in exempts:
+                        bad = lineflags.twoflags._nonzero_in_rect(m, i0, j0, i1, j1, frozenset(exempt))
+                        want = None if bad is None else (
+                            f"nonzero entry at {bad} strictly between the corners"
+                        )
+                        assert mat.interior[(i0, j0, i1, j1) + exempt] == want
+                        clauses[want is None] += 1
+                    clauses[block is None] += 1
+                matrices += 1
+        assert matrices == 3281
+        assert clauses[True] > 0 and clauses[False] > 0
+
+
+class TestOrderKey:
+    """``_move_edges`` orders the orbits by ``r + rbar``, one column per
+    position; the invariant has two, ``r`` and ``rbar``."""
+
+    def test_rbar_exceeds_r_by_at_most_one(self):
+        """The premise of the key, at every bordered position of every
+        orbit of mass <= 5: a line raises a dimension by at most one."""
+        orbits = 0
+        for b, c in margin_pairs(1, 5):
+            for dm in enumerate_orbits(b, c):
+                inv = invariant(dm)
+                assert set(map(sub, inv[1::2], inv[::2])) <= {0, 1}, dm
+                orbits += 1
+        assert orbits == 26643
+
+    def test_masks_on_the_summed_keys_are_those_on_the_invariants(self):
+        """On all 341 margin pairs of mass <= 5 and on full flags n=5."""
+        pairs = margin_pairs(1, 5) + [((1,) * 5, (1,) * 5)]
+        assert len(pairs) == 342
+        for b, c in pairs:
+            elements = tuple(enumerate_orbits(b, c))
+            keys = lineflags.moves._move_edges(elements, with_moves=False)[2]
+            want = dominance_masks([invariant(el) for el in elements])
+            assert dominance_masks(keys) == want, (b, c)
 
 
 # Anchor tuples of each kind on a 2 x 2 orbit that have the wrong count

@@ -7,6 +7,7 @@ from lineflags import (
     Rectangle,
     TransportMatrix,
     ValidationError,
+    enumerate_orbits,
     enumerate_transport_matrices,
     rank_table,
     rk_leq,
@@ -20,6 +21,7 @@ from helpers import (
     margin_pairs,
     prefix_rank_table,
     transitive_reduction,
+    transport_matrices_by_product,
 )
 
 
@@ -71,6 +73,19 @@ class TestEnumeration:
         with pytest.raises(ValidationError) as info:
             enumerate_transport_matrices((1,), (2,))
         assert info.value.code == "BadShape"
+
+    def test_matches_the_product_oracle_in_order(self):
+        """As an ordered list, on all 341 margin pairs of mass <= 5."""
+        pairs = margin_pairs(1, 5)
+        assert len(pairs) == 341
+        for b, c in pairs:
+            got = [tm.m for tm in enumerate_transport_matrices(b, c)]
+            assert got == transport_matrices_by_product(b, c), (b, c)
+
+    def test_full_flags_n6(self):
+        full = (1,) * 6
+        assert len(enumerate_transport_matrices(full, full)) == 720
+        assert len(enumerate_orbits(full, full)) == 12607
 
     def test_full_flag_count_is_factorial(self):
         assert len(enumerate_transport_matrices((1, 1, 1), (1, 1, 1))) == 6
