@@ -26,12 +26,13 @@ then the kind's own conditions in its checker.  The pipeline checks
 each candidate move once.
 
 The checkers read an orbit in two parts.  The matrix part,
-:class:`_Matrix`, answers what depends on the transport matrix alone:
-its cells with mass, ranks and far corners, and the clause, flipped
-rows and undominated cells of each corner pair; it keeps each far
-corner list, clause and flip it computes.  The orbit part,
-:class:`_Orbit`, adds the decoration and the threshold table that
-answers whether a cell lies northwest of the decoration.
+:class:`_Matrix`, holds the rows, which the checkers index directly,
+and its cells with mass; it answers what depends on the transport
+matrix alone: far corners, and the clause and flipped rows of each
+corner pair, each kept once computed.  The orbit part, :class:`_Orbit`,
+adds the decoration, read in its staircase order, and the threshold
+table that answers whether a cell lies northwest of the decoration.  A
+checker that decorates a new cell inserts it into the staircase.
 ``_Orbit.of`` reads the orbit through :class:`_Tables`, which keeps the
 last two orbits made of tuples, validated, with their tables; the view
 is built once and kept with them.  So a caller that lists an orbit's
@@ -50,7 +51,7 @@ step.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import partial
 from math import inf
 from operator import ge
 from typing import Iterator, NamedTuple, Sequence
@@ -64,7 +65,6 @@ from .flagcore import (
     ValidationError,
     _changed_rows,
     _int_pairs,
-    _staircase,
     _step_code,
 )
 from .decorated import _rbar, _Tables, _threshold_table, enumerate_orbits
@@ -146,39 +146,25 @@ def _block_clause(m, i0: int, j0: int, i1: int, j1: int) -> str | None:
 
 
 class _Matrix:
-    """One transport matrix as the checkers of its orbits read it.  Built
-    on first use: its cells with mass.  Kept as they are looked up, by
-    cell or by corner pair: the far corners of flips from a cell
-    (``far[i, j]``); the clause and flipped rows of a corner pair
-    (``clause[i0, j0, i1, j1]``, ``flip[i0, j0, i1, j1]``); the clause
-    of its rectangle's interior outside some cells (``interior[i0, j0,
-    i1, j1, *exempt]``); and the kind-V clause of the block between a
-    pivot and a chain cell (``block[i0, j0, i, j]``)."""
+    """One transport matrix as the checkers of its orbits read it: its
+    rows ``m`` and its cells with mass in row-major order (``support``).
+    Kept as they are looked up, by cell or by corner pair: the far corners
+    of flips from a cell (``far[i, j]``); the clause and flipped rows of a
+    corner pair (``clause[i0, j0, i1, j1]``, ``flip[i0, j0, i1, j1]``);
+    the clause of its rectangle's interior outside some cells
+    (``interior[i0, j0, i1, j1, *exempt]``); and the kind-V clause of the
+    block between a pivot and a chain cell (``block[i0, j0, i, j]``)."""
+
+    __slots__ = ("tm", "m", "q", "r", "support", "far", "clause", "flip", "interior", "block")
 
     def __init__(self, tm: TransportMatrix):
         self.tm, self.m, self.q, self.r = tm, tm.m, tm.q, tm.r
+        self.support = [(i, j) for i, row in enumerate(tm.m, 1) for j, x in enumerate(row, 1) if x]
         self.far = _Memo(_se_corners, tm.m)
         self.clause = _Memo(_rectangle_clause, tm)
         self.flip = _Memo(_flip, tm.m)
         self.interior = _Memo(_interior_clause, tm.m)
         self.block = _Memo(_block_clause, tm.m)
-
-    @cached_property
-    def support(self) -> list[Position]:
-        """The cells whose entry is not 0, in row-major order."""
-        return [(i, j) for i, row in enumerate(self.m, 1) for j, x in enumerate(row, 1) if x]
-
-    def undominated(self, free, i0: int, j0: int, i1: int, j1: int, skip) -> Position | None:
-        """First cell of rows ``i0..i1`` and columns ``j0..j1`` outside
-        ``skip``, in row-major order, that carries mass and lies weakly
-        northwest of no decorated cell of an orbit with the free table
-        ``free``; None if there is none."""
-        for (i, j) in self.support:
-            if i > i1:
-                break
-            if i >= i0 and j0 <= j <= j1 and free[i - 1][j - 1] and (i, j) not in skip:
-                return (i, j)
-        return None
 
 
 class _Orbit:
@@ -189,6 +175,8 @@ class _Orbit:
     weakly northwest of a decorated cell: ``free`` is the orbit's
     threshold table, as :func:`delta_table` reads it.
     """
+
+    __slots__ = ("mat", "delta", "free", "tm", "m", "q", "r")
 
     def __init__(self, mat: _Matrix, delta: tuple[Position, ...], free):
         self.mat, self.delta, self.free = mat, delta, free
@@ -218,30 +206,62 @@ class _Orbit:
 # the kind takes: ``apply_move`` checks both from ``_SHAPE``, and
 # ``_candidates`` yields no others.
 
+def _insert(delta: tuple[Position, ...], cell: Position) -> tuple[Position, ...]:
+    """The staircase of the cells of the staircase ``delta`` and ``cell``:
+    ``delta`` if ``cell`` lies weakly northwest of a decorated cell, and
+    otherwise ``delta`` with ``cell`` in its place by row and the run of
+    cells weakly northwest of it dropped."""
+    (a, b), n, k = cell, len(delta), 0
+    while k < n and delta[k][1] > b:  # the cells east of ``cell``
+        k += 1
+    if k and delta[k - 1][0] >= a:
+        return delta
+    end = k
+    while end < n and delta[end][0] <= a:
+        end += 1
+    if end < n and delta[end][1] == b:
+        return delta
+    return delta[:k] + (cell,) + delta[end:]
+
+
+def _free_mass_northwest(v: _Orbit, corner: Position, skip: Position) -> Position | None:
+    """The first cell with mass weakly northwest of ``corner`` other than
+    ``skip``, in row-major order, that lies weakly northwest of no
+    decorated cell; None if there is none."""
+    (i1, j1), free = corner, v.free
+    for cell in v.mat.support:
+        i, j = cell
+        if i > i1:
+            return None
+        if j <= j1 and free[i - 1][j - 1] and cell != skip:
+            return cell
+    return None
+
+
 def _try_I(v: _Orbit, anchors: tuple[Position, ...]):
-    ((i1, j1),) = anchors
-    tm = v.tm
-    if tm.entry(i1, j1) <= 0:
+    cell = anchors[0]
+    i1, j1 = cell
+    if v.m[i1 - 1][j1 - 1] <= 0:
         return "entry at (i1,j1) must be positive"
     if not v.free[i1 - 1][j1 - 1]:
         return "(i1,j1) must not lie weakly northwest of a decorated cell"
-    bad = v.mat.undominated(v.free, 1, 1, i1, j1, anchors)
+    bad = _free_mass_northwest(v, cell, cell)
     if bad is not None:
         return "nonzero undominated entry at (%d,%d) northwest of (i1,j1)" % bad
-    return (tm.m, _staircase(v.delta + anchors))
+    return (v.m, _insert(v.delta, cell))
 
 
 def _try_II(v: _Orbit, anchors: tuple[Position, ...]):
     (i0, j0), (i1, j1) = anchors
-    tm, delta = v.tm, v.delta
     clause = v.mat.clause[i0, j0, i1, j1]
     if clause is not None:
         return clause
-    if (i1, j1) in delta:
+    delta = v.delta
+    if anchors[1] in delta:
         return "(i1,j1) must not be decorated"
     if (i0, j1) in delta and (i1, j0) in delta:
         return "(i0,j1) and (i1,j0) must not both be decorated"
-    if (i0, j0) in delta and tm.entry(i0, j0) < 2:
+    if anchors[0] in delta and v.m[i0 - 1][j0 - 1] < 2:
         return "a decorated (i0,j0) needs at least two units"
     if _ii_factors_through_corner(v, i0, j0, i1, j1):
         return "decorating (i1,j1) first gives a strictly intermediate orbit"
@@ -257,12 +277,12 @@ def _ii_factors_through_corner(v: _Orbit, i0: int, j0: int, i1: int, j1: int) ->
     orbit lies strictly between source and target, so the flip skips a
     level and is rejected.
     """
-    dt = v.free
-    if not dt[i1 - 1][j1 - 1] or v.mat.undominated(dt, 1, 1, i1, j1, ((i1, j1),)):
-        return False
+    free = v.free
     # The table grows weakly southward and eastward, so the positions
     # outside the rectangle peak at (i0 - 1, j1 - 1) and (i1 - 1, j0 - 1).
-    return not (dt[i0 - 1][j1 - 1] or dt[i1 - 1][j0 - 1])
+    if free[i0 - 1][j1 - 1] or free[i1 - 1][j0 - 1] or not free[i1 - 1][j1 - 1]:
+        return False
+    return _free_mass_northwest(v, (i1, j1), (i1, j1)) is None
 
 
 def _try_III(v: _Orbit, anchors: tuple[Position, ...], to_ne: bool):
@@ -270,48 +290,49 @@ def _try_III(v: _Orbit, anchors: tuple[Position, ...], to_ne: bool):
     slides to the NE corner ``(i0,j1)`` or the SW corner ``(i1,j0)``, and
     the other off corner may carry mass."""
     (i0, j0), (i1, j1) = anchors
-    tm, delta = v.tm, v.delta
     if not (i0 < i1 and j0 < j1):
         return "corners must satisfy i0 < i1 and j0 < j1"
-    if (i0, j0) not in delta:
+    if anchors[0] not in v.delta:
         return "(i0,j0) must be decorated"
-    if tm.entry(i0, j0) != 1:
+    m = v.m
+    if m[i0 - 1][j0 - 1] != 1:
         return "entry at (i0,j0) must be exactly 1"
-    if tm.entry(i1, j1) <= 0:
+    if m[i1 - 1][j1 - 1] <= 0:
         return "entry at (i1,j1) must be positive"
     to, other = ((i0, j1), (i1, j0)) if to_ne else ((i1, j0), (i0, j1))
     clause = v.mat.interior[i0, j0, i1, j1, other]
     if clause is not None:
         return clause
-    bad = v.mat.undominated(v.free, 1, 1, *to, ((i0, j0),))
+    bad = _free_mass_northwest(v, to, anchors[0])
     if bad is not None:
         corner = "(i0,j1)" if to_ne else "(i1,j0)"
         return "nonzero undominated entry at (%d,%d) northwest of " % bad + corner
-    return (v.mat.flip[i0, j0, i1, j1], _staircase(delta + (to,)))
+    return (v.mat.flip[i0, j0, i1, j1], _insert(v.delta, to))
 
 
 def _try_IVa(v: _Orbit, anchors: tuple[Position, ...]):
     (i0, j0), (i1, j1), (i2, j2) = anchors
-    tm, delta = v.tm, v.delta
     if not (i0 < i2 < i1 and j2 < j0 < j1):
         return "anchors must satisfy i0 < i2 < i1 and j2 < j0 < j1"
-    if (i0, j0) not in delta:
+    delta, m = v.delta, v.m
+    if anchors[0] not in delta:
         return "(i0,j0) must be decorated"
-    if tm.entry(i0, j0) != 1:
+    if m[i0 - 1][j0 - 1] != 1:
         return "entry at (i0,j0) must be exactly 1"
-    if (i2, j2) not in delta:
+    if anchors[2] not in delta:
         return "(i2,j2) must be decorated"
-    if tm.entry(i2, j2) != 1:
+    if m[i2 - 1][j2 - 1] != 1:
         return "entry at (i2,j2) must be exactly 1"
-    if tm.entry(i1, j1) <= 0:
+    if m[i1 - 1][j1 - 1] <= 0:
         return "entry at (i1,j1) must be positive"
-    bad = v.mat.undominated(v.free, i0, j2, i1, j1, ((i0, j2), (i1, j1), (i0, j1), (i1, j2)))
-    if bad is not None:
-        return "nonzero undominated entry at (%d,%d) inside the frame" % bad
-    return (
-        _flip(v.mat.flip[i0, j0, i1, j1], i2, j2, i1, j0),
-        _staircase(delta + ((i2, j0),)),
-    )
+    free, corners = v.free, ((i0, j2), (i1, j1), (i0, j1), (i1, j2))
+    for cell in v.mat.support:  # the frame's free cells with mass
+        i, j = cell
+        if i > i1:
+            break
+        if i >= i0 and j2 <= j <= j1 and free[i - 1][j - 1] and cell not in corners:
+            return "nonzero undominated entry at (%d,%d) inside the frame" % cell
+    return (_flip(v.mat.flip[i0, j0, i1, j1], i2, j2, i1, j0), _insert(delta, (i2, j0)))
 
 
 def _try_IVbc(v: _Orbit, anchors: tuple[Position, ...], west: bool):
@@ -324,7 +345,7 @@ def _try_IVbc(v: _Orbit, anchors: tuple[Position, ...], west: bool):
         else ("(i0,j2)", "row i0", "j0 < j2 < j1 and i0 < i1", "(i1,j0)")
     )
     (i0, j0), (i1, j1), unit = anchors
-    tm, delta = v.tm, v.delta
+    m, delta = v.m, v.delta
     # IVc is IVb with rows and columns trading roles.
     (a0, b0), (a1, b1), (a2, b2) = anchors if west else ((j0, i0), (j1, i1), unit[::-1])
     if b2 != b0:
@@ -333,11 +354,11 @@ def _try_IVbc(v: _Orbit, anchors: tuple[Position, ...], west: bool):
         return "anchors must satisfy " + order
     if unit not in delta:
         return third + " must be decorated"
-    if tm.entry(*unit) != 1:
+    if m[unit[0] - 1][unit[1] - 1] != 1:
         return f"entry at {third} must be exactly 1"
-    if tm.entry(i0, j0) <= 0:
+    if m[i0 - 1][j0 - 1] <= 0:
         return "entry at (i0,j0) must be positive"
-    if tm.entry(i1, j1) <= 0:
+    if m[i1 - 1][j1 - 1] <= 0:
         return "entry at (i1,j1) must be positive"
     if not (v.free[i0 - 1][j1 - 1] if west else v.free[i1 - 1][j0 - 1]):
         return off + " must not lie weakly northwest of a decorated cell"
@@ -349,46 +370,43 @@ def _try_IVbc(v: _Orbit, anchors: tuple[Position, ...], west: bool):
 
 def _try_V(v: _Orbit, anchors: tuple[Position, ...]):
     pivot, chain = anchors[0], anchors[1:]
-    tm, delta = v.tm, v.delta
-    if chain[0] not in delta:
+    delta, head = v.delta, anchors[1]
+    if head not in delta:
         return "chain must consist of decorated positions"
-    start = delta.index(chain[0])
-    if delta[start : start + len(chain)] != chain:
+    start = delta.index(head)
+    stop = start + len(chain)
+    if delta[start:stop] != chain:
         return "chain must be a consecutive run of the decoration"
     i0, j0 = pivot
-    if not (i0 < chain[0][0] and j0 < chain[-1][1]):
+    (head_i, head_j), (tail_i, tail_j) = head, anchors[-1]
+    if not (i0 < head_i and j0 < tail_j):
         return "pivot must satisfy i0 < i_1 and j0 < j_t"
-    if tm.entry(i0, j0) <= 0:
+    m = v.m
+    if m[i0 - 1][j0 - 1] <= 0:
         return "entry at (i0,j0) must be positive"
     for cell in chain:
         clause = v.mat.block[pivot + cell]
         if clause is not None:
             return clause
-    others = set(delta) - set(chain)
-    head_i, head_j = chain[0]
-    a = next(
-        (i for i in range(i0 + 1, head_i) if tm.entry(i, head_j) > 0), None
-    )
-    if a is not None and any(c >= a and d > head_j for (c, d) in others):
-        return (
-            f"flipping into ({a},{head_j}) first gives a strictly"
-            " intermediate orbit"
-        )
-    tail_i, tail_j = chain[-1]
-    b = next(
-        (j for j in range(j0 + 1, tail_j) if tm.entry(tail_i, j) > 0), None
-    )
-    if b is not None and any(c > tail_i and d >= b for (c, d) in others):
-        return (
-            f"flipping into ({tail_i},{b}) first gives a strictly"
-            " intermediate orbit"
-        )
+    # The decorated cells before the chain lie northeast of its head, those
+    # after it southwest of its tail: only the last before it can block the
+    # head's flip, and only the first after it the tail's.
+    if start:
+        for a in range(i0 + 1, min(head_i, delta[start - 1][0] + 1)):
+            if m[a - 1][head_j - 1] > 0:
+                return f"flipping into ({a},{head_j}) first gives a strictly intermediate orbit"
+    if stop < len(delta):
+        row = m[tail_i - 1]
+        for b in range(j0 + 1, min(tail_j, delta[stop][1] + 1)):
+            if row[b - 1] > 0:
+                return f"flipping into ({tail_i},{b}) first gives a strictly intermediate orbit"
     # The cascade is a cycle of corner flips: the unit each flip leaves
     # at (c_k_i, j0) the next one takes away.
     rows = v.mat.flip[i0, j0, head_i, head_j]
     for (c, _), (i, j) in zip(chain, chain[1:]):
         rows = _flip(rows, c, j0, i, j)
-    return (rows, _staircase((*others, (i0, head_j), (tail_i, j0))))
+    others = delta[:start] + delta[stop:]
+    return (rows, _insert(_insert(others, (i0, head_j)), (tail_i, j0)))
 
 
 _TRY = {
@@ -469,47 +487,52 @@ def _candidates(v: _Orbit) -> Iterator[tuple[str, tuple[Position, ...]]]:
     it, a row or a column holds at most one, and those southeast of a
     cell are one run, which starts after the cells in rows up to the
     cell's and stops at the first one in a column up to the cell's."""
-    delta, support, far = v.delta, v.mat.support, v.mat.far
+    delta, support, far, m, free = v.delta, v.mat.support, v.mat.far, v.m, v.free
     limit = v.r + 1
-    for (i, j) in support:
-        if j < limit and v.free[i - 1][j - 1]:
-            yield "I", ((i, j),)
+    for cell in support:
+        i, j = cell
+        if j < limit and free[i - 1][j - 1]:
+            yield "I", (cell,)
             limit = j
-    for (i, j) in support:
-        if (i, j) in delta and v.m[i - 1][j - 1] == 1:
+    for cell in support:
+        i, j = cell
+        if cell in delta and m[i - 1][j - 1] == 1:
             continue
-        for s in far[i, j]:
+        for s in far[cell]:
             if s not in delta:
-                yield "II", ((i, j), s)
+                yield "II", (cell, s)
     if not delta:  # every later kind has a decorated anchor
         return
     for kind in ("IIIa", "IIIb"):
         for p in delta:
             for s in far[p]:
                 yield kind, (p, s)
-    for k, (i0, j0) in enumerate(delta):
-        for (i1, j1) in support:
+    for k, p in enumerate(delta):
+        i0, j0 = p
+        for s in support:
+            i1, j1 = s
             if i1 > i0 + 1 and j1 > j0:
-                for (i2, j2) in delta[k + 1 :]:
-                    if i2 >= i1:
+                for unit in delta[k + 1 :]:
+                    if unit[0] >= i1:
                         break
-                    yield "IVa", ((i0, j0), (i1, j1), (i2, j2))
-    row_in = {j: i for (i, j) in delta}
-    for (i0, j0) in support:
-        i2 = row_in.get(j0, 0)
-        if i2 > i0:
-            for (i1, j1) in far[i0, j0]:
-                if i1 > i2:
-                    yield "IVb", ((i0, j0), (i1, j1), (i2, j0))
-    column_in = dict(delta)
-    for (i0, j0) in support:
-        j2 = column_in.get(i0, 0)
-        if j2 > j0:
-            for (i1, j1) in far[i0, j0]:
-                if j1 > j2:
-                    yield "IVc", ((i0, j0), (i1, j1), (i0, j2))
+                    yield "IVa", (p, s, unit)
+    row_in = {p[1]: p for p in delta}
+    for p in support:
+        unit = row_in.get(p[1])
+        if unit is not None and unit[0] > p[0]:
+            for s in far[p]:
+                if s[0] > unit[0]:
+                    yield "IVb", (p, s, unit)
+    column_in = {p[0]: p for p in delta}
+    for p in support:
+        unit = column_in.get(p[0])
+        if unit is not None and unit[1] > p[1]:
+            for s in far[p]:
+                if s[1] > unit[1]:
+                    yield "IVc", (p, s, unit)
     start, n = 0, len(delta)
-    for (i0, j0) in support:  # by row, so the run's start only moves on
+    for p in support:  # by row, so the run's start only moves on
+        i0, j0 = p
         while start < n and delta[start][0] <= i0:
             start += 1
         stop = start
@@ -517,24 +540,25 @@ def _candidates(v: _Orbit) -> Iterator[tuple[str, tuple[Position, ...]]]:
             stop += 1
         for first in range(start, stop):
             for end in range(first + 1, stop + 1):
-                yield "V", ((i0, j0),) + delta[first:end]
+                yield "V", (p,) + delta[first:end]
 
 
 def _checked_moves(
     dm: DecoratedMatrix, view: _Orbit | None = None, room=None
-) -> Iterator[tuple[Move, tuple]]:
-    """Each applicable move with its raw result ``(rows, delta)``, checked
-    once, in canonical order; ``_result(dm, *raw)`` is the orbit
-    :func:`apply_move` returns.  One :class:`_Orbit` serves every check:
-    ``view``, the view of ``dm`` on a shared matrix part, or by default a
-    new one.  With ``room``, only the candidates ``(kind, anchors)`` it
-    holds true are checked."""
+) -> Iterator[tuple[str, tuple[Position, ...], tuple]]:
+    """Each applicable move as ``(kind, anchors, raw)``, checked once, in
+    canonical order; ``_result(dm, *raw)`` is the orbit :func:`apply_move`
+    returns for ``Move(kind, anchors)``, which callers build only where
+    they keep it.  One :class:`_Orbit` serves every check: ``view``, the
+    view of ``dm`` on a shared matrix part, or by default a new one.  With
+    ``room``, only the candidates ``(kind, anchors)`` it holds true are
+    checked."""
     v = _Orbit.of(dm) if view is None else view
     candidates = _candidates(v) if room is None else filter(room, _candidates(v))
     for kind, anchors in candidates:
         result = _TRY[kind](v, anchors)
         if not isinstance(result, str):
-            yield Move(kind, anchors), result
+            yield kind, anchors, result
 
 
 def iter_moves(dm: DecoratedMatrix) -> Iterator[Move]:
@@ -546,7 +570,8 @@ def iter_moves(dm: DecoratedMatrix) -> Iterator[Move]:
     the results are not built.  An invalid ``dm`` raises
     :class:`ValidationError` on the call.
     """
-    return (mv for mv, _ in _checked_moves(dm, _Orbit.of(dm)))
+    checked = _checked_moves(dm, _Orbit.of(dm))
+    return (Move(kind, anchors) for kind, anchors, _ in checked)
 
 
 def applicable_moves(dm: DecoratedMatrix) -> list[Move]:
@@ -625,16 +650,18 @@ def _move_edges(
             free = free_of[el.delta] = _threshold_table(el.delta, el.q, el.r)
         keys.append(tuple(_rbar(twice, free)))
         moves, targets = [], []
-        for mv, raw in _checked_moves(el, _Orbit(mat, el.delta, free)):
+        for kind, anchors, raw in _checked_moves(el, _Orbit(mat, el.delta, free)):
             t = index.get(raw)
             if t is None:
+                mv = Move(kind, anchors)
                 try:
                     _result(el, *raw)
                 except ValidationError as exc:
                     msg = f"move {mv} of element {a} gives no orbit: {exc.code}"
                     raise OrderCheckFailed(msg) from exc
                 raise OrderCheckFailed(f"move {mv} of element {a} gives no enumerated orbit")
-            moves.append(mv)
+            if moves_of is not None:
+                moves.append(Move(kind, anchors))
             targets.append(t)
         if moves_of is not None:
             moves_of.append(moves)
@@ -643,14 +670,16 @@ def _move_edges(
 
 
 def _poset(elements: tuple[DecoratedMatrix, ...], moves_of, targets_of) -> Poset:
-    """The poset whose covers are the deduplicated move edges."""
-    edge_moves: dict[tuple[int, int], list[Move]] = {}
+    """The poset whose covers are the deduplicated move edges, by source
+    and then by target."""
+    edges: list[tuple[tuple[int, int], list[Move]]] = []
     for a, (moves, targets) in enumerate(zip(moves_of, targets_of)):
+        moves_to: dict[int, list[Move]] = {}
         for mv, t in zip(moves, targets):
-            edge_moves.setdefault((a, t), []).append(mv)
-    edges = tuple(sorted(edge_moves))
-    cover_kinds = tuple(tuple(dict.fromkeys(mv.kind for mv in edge_moves[e])) for e in edges)
-    return Poset(elements, edges, cover_kinds, tuple(edge_moves[e][0] for e in edges))
+            moves_to.setdefault(t, []).append(mv)
+        edges += [((a, t), moves_to[t]) for t in sorted(moves_to)]
+    cover_kinds = tuple(tuple(dict.fromkeys(mv.kind for mv in mvs)) for _, mvs in edges)
+    return Poset(elements, tuple(e for e, _ in edges), cover_kinds, tuple(m[0] for _, m in edges))
 
 
 def build_poset(
@@ -730,7 +759,7 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
     z = x
     while ranks != goal_ranks or rbar != goal_rbar:
         (m, b, c), source_delta = z
-        for mv, (rows, delta) in _checked_moves(z, view, room):
+        for kind, anchors, (rows, delta) in _checked_moves(z, view, room):
             code = _step_code(m, rows, b, delta, source_delta)
             if code is not None:
                 raise ValidationError(code)
@@ -755,7 +784,7 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
                 break
         else:
             raise OrderCheckFailed(f"no progressing move below the target from {z}")
-        chain.append(mv)
+        chain.append(Move(kind, anchors))
         z = DecoratedMatrix(TransportMatrix(rows, b, c), delta)
         ranks, free, rbar = step_ranks, step_free, rbar[:s] + rbar_band + rbar[e:]
         # The checkers build each decoration as a tuple of int pairs; a

@@ -64,12 +64,12 @@ def generated(
     up = [mask & ~(1 << a) for a, mask in enumerate(leq)]
     disagree, cover_count, not_covers, not_edges = {}, 0, [], []
     for a, ts in enumerate(targets):
-        mask, edges, above = 1 << a, 0, 0
+        edges = above = 0
         for t in ts:
             edges |= 1 << t
             if t != a:
-                mask |= leq[t]
                 above |= up[t]
+        mask = 1 << a | edges | above  # leq[t] is up[t] with bit t
         if mask == leq[a]:
             cover = edges & ~(1 << a) & ~above
         else:

@@ -1,6 +1,6 @@
 import pytest
 
-from lineflags import build_poset, enumerate_orbits
+from lineflags import Move, build_poset, enumerate_orbits
 from lineflags.moves import _checked_moves, _result
 from helpers import margin_pairs
 
@@ -26,7 +26,7 @@ def checked_to_mass_five():
     their validated results from the per-orbit ``_checked_moves(dm)``,
     built once for the sweeps that read them all."""
     return {
-        dm: [(mv, _result(dm, *raw)) for mv, raw in _checked_moves(dm)]
+        dm: [(Move(kind, anchors), _result(dm, *raw)) for kind, anchors, raw in _checked_moves(dm)]
         for b, c in margin_pairs(1, 5)
         for dm in enumerate_orbits(b, c)
     }

@@ -4,7 +4,8 @@ Everything in this file is deliberately independent of the package
 internals: counts come from direct enumeration, order relations from
 their definitions, and reductions from cubic-time closures, so the fast
 implementations are measured against something honest.  The reference
-versions of replaced fast paths use only the package's public functions.
+versions of replaced fast paths use only the package's public functions;
+the reference move checkers also read the orbit view they are given.
 """
 
 from fractions import Fraction
@@ -257,6 +258,196 @@ def candidates_by_scan(view):
             for stop in range(start + 1, run[-1] + 2):
                 out.append(("V", ((i0, j0),) + delta[start:stop]))
     return out
+
+
+def _undominated_by_scan(view, i0, j0, i1, j1, skip):
+    """The first cell of rows ``i0..i1`` and columns ``j0..j1`` outside
+    ``skip``, in row-major order, with mass and free in ``view``; None if
+    there is none."""
+    for i in range(i0, i1 + 1):
+        for j in range(j0, j1 + 1):
+            if view.tm.entry(i, j) and view.free[i - 1][j - 1] and (i, j) not in skip:
+                return (i, j)
+    return None
+
+
+def _flip_rows(rows, i0, j0, i1, j1):
+    """``rows`` with one unit moved from ``(i0, j0)`` and ``(i1, j1)`` to
+    ``(i0, j1)`` and ``(i1, j0)``."""
+    out = [list(row) for row in rows]
+    out[i0 - 1][j0 - 1] -= 1
+    out[i0 - 1][j1 - 1] += 1
+    out[i1 - 1][j1 - 1] -= 1
+    out[i1 - 1][j0 - 1] += 1
+    return tuple(map(tuple, out))
+
+
+def _reference_I(v, anchors):
+    from lineflags import normalize_decoration
+
+    ((i1, j1),) = anchors
+    tm = v.tm
+    if tm.entry(i1, j1) <= 0:
+        return "entry at (i1,j1) must be positive"
+    if not v.free[i1 - 1][j1 - 1]:
+        return "(i1,j1) must not lie weakly northwest of a decorated cell"
+    bad = _undominated_by_scan(v, 1, 1, i1, j1, anchors)
+    if bad is not None:
+        return "nonzero undominated entry at (%d,%d) northwest of (i1,j1)" % bad
+    return (tm.m, normalize_decoration(v.delta + anchors))
+
+
+def _reference_II(v, anchors):
+    (i0, j0), (i1, j1) = anchors
+    tm, delta, dt = v.tm, v.delta, v.free
+    clause = v.mat.clause[i0, j0, i1, j1]
+    if clause is not None:
+        return clause
+    if (i1, j1) in delta:
+        return "(i1,j1) must not be decorated"
+    if (i0, j1) in delta and (i1, j0) in delta:
+        return "(i0,j1) and (i1,j0) must not both be decorated"
+    if (i0, j0) in delta and tm.entry(i0, j0) < 2:
+        return "a decorated (i0,j0) needs at least two units"
+    if (
+        dt[i1 - 1][j1 - 1]
+        and not _undominated_by_scan(v, 1, 1, i1, j1, ((i1, j1),))
+        and not (dt[i0 - 1][j1 - 1] or dt[i1 - 1][j0 - 1])
+    ):
+        return "decorating (i1,j1) first gives a strictly intermediate orbit"
+    return (v.mat.flip[i0, j0, i1, j1], delta)
+
+
+def _reference_III(v, anchors, to_ne):
+    from lineflags import normalize_decoration
+
+    (i0, j0), (i1, j1) = anchors
+    tm, delta = v.tm, v.delta
+    if not (i0 < i1 and j0 < j1):
+        return "corners must satisfy i0 < i1 and j0 < j1"
+    if (i0, j0) not in delta:
+        return "(i0,j0) must be decorated"
+    if tm.entry(i0, j0) != 1:
+        return "entry at (i0,j0) must be exactly 1"
+    if tm.entry(i1, j1) <= 0:
+        return "entry at (i1,j1) must be positive"
+    to, other = ((i0, j1), (i1, j0)) if to_ne else ((i1, j0), (i0, j1))
+    clause = v.mat.interior[i0, j0, i1, j1, other]
+    if clause is not None:
+        return clause
+    bad = _undominated_by_scan(v, 1, 1, *to, ((i0, j0),))
+    if bad is not None:
+        corner = "(i0,j1)" if to_ne else "(i1,j0)"
+        return "nonzero undominated entry at (%d,%d) northwest of " % bad + corner
+    return (v.mat.flip[i0, j0, i1, j1], normalize_decoration(delta + (to,)))
+
+
+def _reference_IVa(v, anchors):
+    from lineflags import normalize_decoration
+
+    (i0, j0), (i1, j1), (i2, j2) = anchors
+    tm, delta = v.tm, v.delta
+    if not (i0 < i2 < i1 and j2 < j0 < j1):
+        return "anchors must satisfy i0 < i2 < i1 and j2 < j0 < j1"
+    if (i0, j0) not in delta:
+        return "(i0,j0) must be decorated"
+    if tm.entry(i0, j0) != 1:
+        return "entry at (i0,j0) must be exactly 1"
+    if (i2, j2) not in delta:
+        return "(i2,j2) must be decorated"
+    if tm.entry(i2, j2) != 1:
+        return "entry at (i2,j2) must be exactly 1"
+    if tm.entry(i1, j1) <= 0:
+        return "entry at (i1,j1) must be positive"
+    frame = ((i0, j2), (i1, j1), (i0, j1), (i1, j2))
+    bad = _undominated_by_scan(v, i0, j2, i1, j1, frame)
+    if bad is not None:
+        return "nonzero undominated entry at (%d,%d) inside the frame" % bad
+    rows = _flip_rows(v.mat.flip[i0, j0, i1, j1], i2, j2, i1, j0)
+    return (rows, normalize_decoration(delta + ((i2, j0),)))
+
+
+def _reference_IVbc(v, anchors, west):
+    third, edge, order, off = (
+        ("(i2,j0)", "column j0", "i0 < i2 < i1 and j0 < j1", "(i0,j1)")
+        if west
+        else ("(i0,j2)", "row i0", "j0 < j2 < j1 and i0 < i1", "(i1,j0)")
+    )
+    (i0, j0), (i1, j1), unit = anchors
+    tm, delta = v.tm, v.delta
+    (a0, b0), (a1, b1), (a2, b2) = anchors if west else ((j0, i0), (j1, i1), unit[::-1])
+    if b2 != b0:
+        return "third anchor must sit in " + edge
+    if not (a0 < a2 < a1 and b0 < b1):
+        return "anchors must satisfy " + order
+    if unit not in delta:
+        return third + " must be decorated"
+    if tm.entry(*unit) != 1:
+        return f"entry at {third} must be exactly 1"
+    if tm.entry(i0, j0) <= 0:
+        return "entry at (i0,j0) must be positive"
+    if tm.entry(i1, j1) <= 0:
+        return "entry at (i1,j1) must be positive"
+    if not (v.free[i0 - 1][j1 - 1] if west else v.free[i1 - 1][j0 - 1]):
+        return off + " must not lie weakly northwest of a decorated cell"
+    clause = v.mat.interior[i0, j0, i1, j1, (i0, j1), (i1, j0), unit]
+    if clause is not None:
+        return clause
+    return (v.mat.flip[i0, j0, i1, j1], delta)
+
+
+def _reference_V(v, anchors):
+    from lineflags import normalize_decoration
+
+    pivot, chain = anchors[0], anchors[1:]
+    tm, delta = v.tm, v.delta
+    if chain[0] not in delta:
+        return "chain must consist of decorated positions"
+    start = delta.index(chain[0])
+    if delta[start : start + len(chain)] != chain:
+        return "chain must be a consecutive run of the decoration"
+    i0, j0 = pivot
+    if not (i0 < chain[0][0] and j0 < chain[-1][1]):
+        return "pivot must satisfy i0 < i_1 and j0 < j_t"
+    if tm.entry(i0, j0) <= 0:
+        return "entry at (i0,j0) must be positive"
+    for cell in chain:
+        clause = v.mat.block[pivot + cell]
+        if clause is not None:
+            return clause
+    others = set(delta) - set(chain)
+    head_i, head_j = chain[0]
+    a = next((i for i in range(i0 + 1, head_i) if tm.entry(i, head_j) > 0), None)
+    if a is not None and any(c >= a and d > head_j for (c, d) in others):
+        return f"flipping into ({a},{head_j}) first gives a strictly intermediate orbit"
+    tail_i, tail_j = chain[-1]
+    b = next((j for j in range(j0 + 1, tail_j) if tm.entry(tail_i, j) > 0), None)
+    if b is not None and any(c > tail_i and d >= b for (c, d) in others):
+        return f"flipping into ({tail_i},{b}) first gives a strictly intermediate orbit"
+    rows = v.mat.flip[i0, j0, head_i, head_j]
+    for (c, _), (i, j) in zip(chain, chain[1:]):
+        rows = _flip_rows(rows, c, j0, i, j)
+    return (rows, normalize_decoration((*others, (i0, head_j), (tail_i, j0))))
+
+
+REFERENCE_CHECKERS = {
+    "I": _reference_I,
+    "II": _reference_II,
+    "IIIa": lambda v, anchors: _reference_III(v, anchors, to_ne=True),
+    "IIIb": lambda v, anchors: _reference_III(v, anchors, to_ne=False),
+    "IVa": _reference_IVa,
+    "IVb": lambda v, anchors: _reference_IVbc(v, anchors, west=True),
+    "IVc": lambda v, anchors: _reference_IVbc(v, anchors, west=False),
+    "V": _reference_V,
+}
+"""Reference move checkers by kind, for those of :mod:`lineflags.moves`.
+Each takes an orbit's view and in-grid anchors as many as the kind
+takes, and returns the same ``(rows, delta)`` or clause: it reads
+entries through ``TransportMatrix.entry``, scans rectangles cell by
+cell, finds the cells that can block a kind-V flip among all other
+decorated cells, and builds a new decoration with
+``normalize_decoration`` from all its cells.  The clauses and flips that
+depend on the matrix alone it reads from the view's tables."""
 
 
 def prefix_rank_table(m, q, r):

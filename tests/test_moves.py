@@ -45,6 +45,8 @@ from lineflags.order import dominance_masks
 from helpers import (
     GOLDEN_N3_COVERS,
     GOLDEN_N3_LABELS,
+    REFERENCE_CHECKERS,
+    brute_force_staircases,
     candidates_by_scan,
     compositions,
     dominated,
@@ -240,9 +242,10 @@ class TestMoveEnumeration:
 
 class TestOrbitView:
     def test_view_matches_the_definitions(self):
-        """The free table and the far corners of the view of every orbit of
-        mass <= 4; a new matrix part builds nothing and keeps nothing in
-        its five tables before it is asked."""
+        """The free table, the cells with mass and the far corners of the
+        view of every orbit of mass <= 4; both parts of a view hold their
+        named slots and nothing else, and a new matrix part keeps nothing
+        in its five tables before it is asked."""
         views = 0
         for b, c in margin_pairs(1, 4):
             for dm in enumerate_orbits(b, c):
@@ -250,10 +253,13 @@ class TestOrbitView:
                 orbit = lineflags.moves._Orbit.of(dm)
                 mat = orbit.mat
                 assert type(mat) is lineflags.moves._Matrix and mat.tm is dm.matrix
-                assert vars(orbit).keys() == {"mat", "delta", "free", "tm", "m", "q", "r"}
-                assert vars(mat).keys() == {
-                    "tm", "m", "q", "r", "far", "clause", "flip", "interior", "block"
-                }
+                for part, names in (
+                    (orbit, {"mat", "delta", "free", "tm", "m", "q", "r"}),
+                    (mat, {"tm", "m", "q", "r", "support", "far", "clause", "flip", "interior",
+                           "block"}),
+                ):
+                    assert set(type(part).__slots__) == names and not hasattr(part, "__dict__")
+                    assert all(hasattr(part, name) for name in names)
                 assert mat.far == mat.clause == mat.flip == mat.interior == mat.block == {}
                 for i in range(1, dm.q + 1):
                     for j in range(1, dm.r + 1):
@@ -380,6 +386,82 @@ class TestOrbitView:
         with pytest.raises(ValidationError) as info:
             apply_move(dm, Move("I", ((2, 2),)))
         assert info.value.code == code
+
+
+class TestCheckersMatchTheReference:
+    def test_inserting_a_cell_gives_the_staircase_of_all_cells(self):
+        """On every staircase of the 4x4 grid, the empty one too, and every
+        cell of it."""
+        grid = list(product(range(1, 5), repeat=2))
+        staircases = [()] + brute_force_staircases(grid)
+        assert len(staircases) == 70
+        for delta in staircases:
+            for cell in grid:
+                want = lineflags.flagcore._staircase(delta + (cell,))
+                assert lineflags.moves._insert(delta, cell) == want, (delta, cell)
+
+    def test_each_checker_gives_the_reference_result_or_clause(self):
+        """Every in-grid anchor tuple of kinds I, II, IIIa and IIIb on each
+        orbit of mass <= 4.  Kinds IVa, IVb and IVc take every in-grid
+        anchor tuple on each orbit of mass <= 3, and on those of mass 4
+        every tuple in the order the kind requires.  Kind V takes every
+        in-grid pivot with every consecutive run of the decoration, with
+        every single cell and with the decoration reversed; and, with the
+        runs alone, the orbits of two margin pairs of mass 5 where a
+        decorated cell outside the chain blocks 26 cascades.  A kind-I
+        result keeps the rows."""
+        outcomes = Counter()
+        more = [((1, 1, 1, 1, 1), (1, 2, 1, 1)), ((1, 2, 1, 1), (1, 1, 1, 1, 1))]
+        for b, c in margin_pairs(1, 4) + more:
+            for dm in enumerate_orbits(b, c):
+                view, delta = lineflags.moves._Orbit.of(dm), dm.delta
+                cells = list(product(range(1, dm.q + 1), range(1, dm.r + 1)))
+                pairs = list(product(cells, repeat=2))
+                runs = [delta[s:e] for s in range(len(delta)) for e in range(s + 1, len(delta) + 1)]
+                if dm.n == 5:
+                    tuples = {"V": [(p,) + run for p in cells for run in runs]}
+                else:
+                    tuples = {"I": [(p,) for p in cells], "II": pairs, "IIIa": pairs, "IIIb": pairs}
+                    tuples.update(three_anchor_tuples(cells, pairs, every=dm.n <= 3))
+                    chains = runs + [(p,) for p in cells if p not in delta]
+                    chains += [delta[::-1]] * (len(delta) > 1)
+                    tuples["V"] = [(p,) + chain for p in cells for chain in chains]
+                for kind, anchor_list in tuples.items():
+                    check, reference = lineflags.moves._TRY[kind], REFERENCE_CHECKERS[kind]
+                    for anchors in anchor_list:
+                        got = check(view, anchors)
+                        assert got == reference(view, anchors), (dm, kind, anchors)
+                        accepted = not isinstance(got, str)
+                        if kind == "I" and accepted:
+                            assert got[0] is view.m
+                        outcomes[kind, accepted] += 1
+                        if dm.n == 5 and not accepted:
+                            outcomes["V blocked at mass 5"] += got.startswith("flipping into")
+        assert outcomes == {
+            ("I", True): 1806, ("I", False): 14258,
+            ("II", True): 744, ("II", False): 172480,
+            ("IIIa", True): 475, ("IIIa", False): 172749,
+            ("IIIb", True): 475, ("IIIb", False): 172749,
+            ("IVa", True): 38, ("IVa", False): 38147,
+            ("IVb", True): 31, ("IVb", False): 43269,
+            ("IVc", True): 31, ("IVc", False): 43269,
+            ("V", True): 1835, ("V", False): 247953,
+            "V blocked at mass 5": 26,
+        }
+
+
+def three_anchor_tuples(cells, pairs, every):
+    """The anchor tuples of kinds IVa, IVb and IVc over ``cells``: all
+    triples if ``every``, else those in the order each kind requires."""
+    if every:
+        triples = list(product(cells, repeat=3))
+        return {"IVa": triples, "IVb": triples, "IVc": triples}
+    corners = [(p, s) for p, s in pairs if p[0] < s[0] and p[1] < s[1]]
+    return {
+        "IVa": [(p, s, u) for p, s in corners for u in cells if p[0] < u[0] < s[0] and u[1] < p[1]],
+        "IVb": [(p, s, (i, p[1])) for p, s in corners for i in range(p[0] + 1, s[0])],
+        "IVc": [(p, s, (p[0], j)) for p, s in corners for j in range(p[1] + 1, s[1])],
+    }
 
 
 class TestSharedMatrixPart:
@@ -869,14 +951,14 @@ class TestMirrorKinds:
         for b, c in margin_pairs(1, 4):
             for dm in enumerate_orbits(b, c):
                 m = dm.matrix.m
-                for mv, (rows, _) in lineflags.moves._checked_moves(dm):
-                    if mv.kind not in seen:
+                for kind, anchors, (rows, _) in lineflags.moves._checked_moves(dm):
+                    if kind not in seen:
                         continue
-                    (i0, _), (i1, _) = mv.anchors[:2]
-                    out = apply_move(dm, mv).matrix.m
+                    (i0, _), (i1, _) = anchors[:2]
+                    out = apply_move(dm, Move(kind, anchors)).matrix.m
                     for i in range(dm.q):
                         assert (rows[i] is m[i] and out[i] is m[i]) == (i + 1 not in (i0, i1))
-                    seen[mv.kind] += 1
+                    seen[kind] += 1
         assert seen["IIIb"] > 0 and seen["IVc"] > 0
 
 
@@ -1208,13 +1290,11 @@ def sabotage(monkeypatch, drop=(), extra=None):
     withheld, ``extra = (source, target)`` adds a fake move between two
     orbits."""
     real = lineflags.moves._checked_moves
-    fake = Move("V", ((0, 0), (0, 0)))
-
     def checked(dm, view=None):
         if dm not in drop:
             yield from real(dm, view)
         if extra and dm == extra[0]:
-            yield fake, (extra[1].matrix.m, extra[1].delta)
+            yield "V", ((0, 0), (0, 0)), (extra[1].matrix.m, extra[1].delta)
 
     monkeypatch.setattr(lineflags.moves, "_checked_moves", checked)
 
