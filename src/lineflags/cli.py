@@ -34,7 +34,7 @@ from .flagcore import (
     render,
 )
 from .decorated import enumerate_orbits, rk_compare_witness, rk_first_difference
-from .moves import _verified_poset, build_poset, find_chain, verify_equivalence
+from .moves import _pipeline, build_poset, find_chain
 from .witness import identify_orbit, standard_configuration, verify_move_degeneration
 
 __all__ = ["main"]
@@ -119,10 +119,7 @@ def _cmd_compare(args) -> tuple[int, str]:
 
 
 def _cmd_verify(args) -> tuple[int, str]:
-    if args.witness:
-        report, poset = _verified_poset(args.b, args.c)
-    else:
-        report = verify_equivalence(args.b, args.c)
+    report, poset = _pipeline(args.b, args.c, with_moves=args.witness, with_report=True)
     lines = [
         f"elements: {report.element_count}",
         f"covers: {report.cover_count}",

@@ -68,11 +68,12 @@ from .flagcore import (
     _step_code,
 )
 from .decorated import _rbar, _Tables, _threshold_table, enumerate_orbits
-from .order import bits, dominance_masks, generated
+from .order import bits, check
 from .twoflags import (
     _check_same_shape,
     _flip,
     _interior_clause,
+    _nonzero_in_rect,
     _ranks,
     _rectangle_clause,
     _se_corners,
@@ -137,12 +138,8 @@ def _block_clause(m, i0: int, j0: int, i1: int, j1: int) -> str | None:
     """The kind-V clause that the first cell with mass of rows ``i0..i1 - 1``
     and columns ``j0..j1 - 1`` other than the pivot ``(i0, j0)``, in
     row-major order, violates; None if there is none."""
-    for i in range(i0, i1):
-        row = m[i - 1]
-        for j in range(j0, j1):
-            if row[j - 1] and (i, j) != (i0, j0):
-                return f"nonzero entry at ({i},{j}) between the pivot and the chain"
-    return None
+    bad = _nonzero_in_rect(m, i0, j0, i1 - 1, j1 - 1, {(i0, j0)})
+    return None if bad is None else "nonzero entry at (%d,%d) between the pivot and the chain" % bad
 
 
 class _Matrix:
@@ -689,20 +686,18 @@ def build_poset(
 
     The covers are the deduplicated move edges.  With
     ``check_reduction`` (the default) the construction additionally
-    checks that the move graph's closure equals the rank order and that
-    every edge is a genuine cover, raising :class:`OrderCheckFailed`
-    otherwise.
+    checks, through the report of :func:`verify_equivalence`, that the
+    move graph's closure equals the rank order and that every edge is a
+    genuine cover, raising :class:`OrderCheckFailed` otherwise.
     """
-    elements = tuple(enumerate_orbits(b, c))
-    moves_of, targets_of, keys = _move_edges(elements)
-    poset = _poset(elements, moves_of, targets_of)
+    report, poset = _pipeline(b, c, with_moves=True, with_report=check_reduction)
     if check_reduction:
-        leq = dominance_masks(keys)
-        disagree, _, not_covers, _ = generated(leq, targets_of)
-        if disagree:
+        if not report.order_equivalent:
             raise OrderCheckFailed("move closure differs from the rank order")
-        if not_covers:
-            raise OrderCheckFailed("edge %d->%d is not a cover" % not_covers[0])
+        if not report.passed:
+            # Where the identity holds, every cover is a move and every
+            # chain arrives: the first counterexample is a non-cover edge.
+            raise OrderCheckFailed(report.counterexamples[0])
     return poset
 
 
@@ -824,39 +819,39 @@ def verify_equivalence(b: tuple[int, ...], c: tuple[int, ...]) -> EquivalenceRep
     every move edge is a cover; every cover arises from a move; and the
     greedy chain construction reaches every comparable target.
     """
-    elements = tuple(enumerate_orbits(b, c))
-    _, targets_of, keys = _move_edges(elements, with_moves=False)
-    return _report(b, c, targets_of, keys)
+    return _pipeline(b, c, with_moves=False, with_report=True)[0]
 
 
-def _verified_poset(b: tuple[int, ...], c: tuple[int, ...]) -> tuple[EquivalenceReport, Poset]:
-    """``verify_equivalence`` and ``build_poset(check_reduction=False)``
+def _pipeline(
+    b: tuple[int, ...], c: tuple[int, ...], with_moves: bool, with_report: bool
+) -> tuple[EquivalenceReport | None, Poset | None]:
+    """The report of :func:`verify_equivalence` (None unless
+    ``with_report``) and the unchecked poset (None unless ``with_moves``),
     from one enumeration of the orbits and their moves."""
     elements = tuple(enumerate_orbits(b, c))
-    moves_of, targets_of, keys = _move_edges(elements)
-    return _report(b, c, targets_of, keys), _poset(elements, moves_of, targets_of)
+    moves_of, targets_of, keys = _move_edges(elements, with_moves)
+    report = _report(b, c, targets_of, keys) if with_report else None
+    return report, _poset(elements, moves_of, targets_of) if with_moves else None
 
 
 def _report(b, c, targets_of, keys) -> EquivalenceReport:
     """The checks of :func:`verify_equivalence` on a computed move graph
     whose elements have the order keys ``keys``."""
-    leq = dominance_masks(keys)
-    disagree, cover_count, not_covers, not_moves = generated(leq, targets_of)
+    up, disagree, cover_count, not_covers, not_moves = check(keys, targets_of)
     counterexamples = [f"element {a}: move closure and rank order disagree" for a in disagree]
     counterexamples += [f"move edge {a}->{t} is not a cover" for a, t in not_covers]
     counterexamples += [f"cover {a}->{t} is not realized by a move" for a, t in not_moves]
     # A greedy walk toward t steps from z to the first move target below t.
     # When every target lies strictly above its source, all walks arrive
     # iff each t > z lies above some target of z that is itself above z;
-    # that holds wherever the moves of z reach exactly leq[z].
+    # that holds wherever the moves of z reach exactly up[z].
     chains_ok = True
     for z in disagree:
-        above = leq[z] & ~(1 << z)
         reached = 0
         for t in targets_of[z]:
-            if (above >> t) & 1:
-                reached |= leq[t]
-        missed = above & ~reached
+            if (up[z] >> t) & 1:
+                reached |= up[t] | 1 << t
+        missed = up[z] & ~reached
         if missed:
             chains_ok = False
             t = next(bits(missed))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import add, ge, le, sub
-from typing import NamedTuple, Sequence
+from typing import Container, NamedTuple, Sequence
 
 from .flagcore import (
     Position,
@@ -33,7 +33,7 @@ from .flagcore import (
     raise_if_invalid,
     validate_composition,
 )
-from .order import bits, dominance_masks, generated
+from .order import bits, check
 
 __all__ = [
     "RankTable",
@@ -138,11 +138,10 @@ def _flip(
 
 
 def _nonzero_in_rect(
-    m: Sequence[Sequence[int]], i0: int, j0: int, i1: int, j1: int, exempt: frozenset[Position]
+    m: Sequence[Sequence[int]], i0: int, j0: int, i1: int, j1: int, skip: Container[Position]
 ) -> Position | None:
-    """First nonzero cell of the closed rectangle outside the diagonal
-    corners and ``exempt``, in row-major order; None if all are zero."""
-    skip = exempt | {(i0, j0), (i1, j1)}
+    """First nonzero cell of the closed rectangle outside ``skip``, in
+    row-major order; None if all are zero."""
     for i in range(i0, i1 + 1):
         row = m[i - 1]
         for j in range(j0, j1 + 1):
@@ -154,9 +153,10 @@ def _nonzero_in_rect(
 def _interior_clause(
     m: Sequence[Sequence[int]], i0: int, j0: int, i1: int, j1: int, *exempt: Position
 ) -> str | None:
-    """The clause that the first cell :func:`_nonzero_in_rect` finds with
-    the cells ``exempt`` violates; None if there is none."""
-    bad = _nonzero_in_rect(m, i0, j0, i1, j1, frozenset(exempt))
+    """The clause that the first nonzero cell of the rectangle outside its
+    diagonal corners and the cells ``exempt`` violates; None if there is
+    none."""
+    bad = _nonzero_in_rect(m, i0, j0, i1, j1, {(i0, j0), (i1, j1), *exempt})
     return None if bad is None else f"nonzero entry at {bad} strictly between the corners"
 
 
@@ -210,7 +210,7 @@ def _simple_moves(tm: TransportMatrix) -> list[Rectangle]:
         Rectangle(i0, j0, i1, j1)
         for (i0, j0) in tm.positive_positions()
         for (i1, j1) in _se_corners(m, i0, j0)
-        if _nonzero_in_rect(m, i0, j0, i1, j1, frozenset({(i0, j1), (i1, j0)})) is None
+        if _nonzero_in_rect(m, i0, j0, i1, j1, {(i0, j0), (i0, j1), (i1, j0), (i1, j1)}) is None
     ]
 
 
@@ -272,21 +272,18 @@ def verify_two_flag_theorem(b: tuple[int, ...], c: tuple[int, ...]) -> TwoFlagRe
     """
     elements = enumerate_transport_matrices(b, c)
     index = {tm.m: k for k, tm in enumerate(elements)}
-    edges = [
-        sorted({index[_flip(tm.m, *rect)] for rect in _simple_moves(tm)})
-        for tm in elements
-    ]
-    leq = dominance_masks([_ranks(tm.m, tm.r) for tm in elements])
-    disagree, cover_count, not_covers, _ = generated(leq, edges)
+    edges = [[index[_flip(tm.m, *rect)] for rect in _simple_moves(tm)] for tm in elements]
+    keys = [_ranks(tm.m, tm.r) for tm in elements]
+    up, disagree, cover_count, not_covers, _ = check(keys, edges)
     counterexamples = [
-        f"element {a}: moves-only {bin(reach & ~leq[a])}, rank-only {bin(leq[a] & ~reach)}"
+        f"element {a}: moves-only {bin(reach & ~up[a])}, rank-only {bin(up[a] & ~reach)}"
         for a, reach in disagree.items()
     ]
     # A move that does not go up fails the closure check, not this one.
     not_cover_moves = []
     for a, t in not_covers:
-        if t != a and (leq[a] >> t) & 1:
-            via = next(z for z in bits(leq[a]) if z not in (a, t) and (leq[z] >> t) & 1)
+        if (up[a] >> t) & 1:
+            via = next(z for z in bits(up[a]) if (up[z] >> t) & 1)
             not_cover_moves.append(f"move {a} -> {t} is not a cover (via {via})")
     return TwoFlagReport(
         b=tuple(b),

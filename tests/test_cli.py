@@ -235,6 +235,22 @@ class TestVerify:
         assert code == 0 and out.endswith("PASS\n")
         assert len(seen) == len(set(seen)) == 28
 
+    @pytest.mark.parametrize("witness", [[], ["--witness"]], ids=["plain", "witness"])
+    def test_verify_enumerates_the_moves_once(self, monkeypatch, witness):
+        """The report and, with ``--witness``, the poset come from one
+        pass over the orbits and their moves."""
+        real = lineflags.moves._move_edges
+        calls = []
+
+        def move_edges(elements, with_moves=True):
+            calls.append(with_moves)
+            return real(elements, with_moves)
+
+        monkeypatch.setattr(lineflags.moves, "_move_edges", move_edges)
+        code, out, _ = run_cli(["verify", "--b", "1,1,1", "--c", "1,1,1", *witness])
+        assert code == 0 and out.endswith("PASS\n")
+        assert calls == [bool(witness)]
+
 
 class TestChain:
     def test_golden(self):

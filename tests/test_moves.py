@@ -41,7 +41,7 @@ from lineflags import (
     verify_equivalence,
     verify_move_degeneration,
 )
-from lineflags.order import dominance_masks
+from lineflags.order import check
 from helpers import (
     GOLDEN_N3_COVERS,
     GOLDEN_N3_LABELS,
@@ -538,8 +538,16 @@ class TestSharedMatrixPart:
         """On every matrix of mass <= 5, the interior clause of every corner
         pair, with the off corner kind III exempts or with both off corners
         and a cell of the west or north edge as kinds IVb and IVc exempt,
-        is that of ``_nonzero_in_rect``; the block clause of every pivot
-        and chain cell southeast of it is that of a cell-by-cell scan."""
+        and the block clause of every pivot and chain cell southeast of it
+        are those of a cell-by-cell scan."""
+
+        def interior_by_scan(m, i0, j0, i1, j1, exempt):
+            skip = {(i0, j0), (i1, j1), *exempt}
+            for i in range(i0, i1 + 1):
+                for j in range(j0, j1 + 1):
+                    if (i, j) not in skip and m[i - 1][j - 1] != 0:
+                        return f"nonzero entry at {(i, j)} strictly between the corners"
+            return None
 
         def block_by_scan(m, i0, j0, cs_i, cs_j):
             for i in range(i0, cs_i):
@@ -561,10 +569,7 @@ class TestSharedMatrixPart:
                     edges = [(i, j0) for i in range(i0 + 1, i1)] + [(i0, j) for j in range(j0 + 1, j1)]
                     exempts = [((i0, j1),), ((i1, j0),)] + [((i0, j1), (i1, j0), u) for u in edges]
                     for exempt in exempts:
-                        bad = lineflags.twoflags._nonzero_in_rect(m, i0, j0, i1, j1, frozenset(exempt))
-                        want = None if bad is None else (
-                            f"nonzero entry at {bad} strictly between the corners"
-                        )
+                        want = interior_by_scan(m, i0, j0, i1, j1, exempt)
                         assert mat.interior[(i0, j0, i1, j1) + exempt] == want
                         clauses[want is None] += 1
                     clauses[block is None] += 1
@@ -595,8 +600,8 @@ class TestOrderKey:
         for b, c in pairs:
             elements = tuple(enumerate_orbits(b, c))
             keys = lineflags.moves._move_edges(elements, with_moves=False)[2]
-            want = dominance_masks([invariant(el) for el in elements])
-            assert dominance_masks(keys) == want, (b, c)
+            want = check([invariant(el) for el in elements], ())[0]
+            assert check(keys, ())[0] == want, (b, c)
 
 
 # Anchor tuples of each kind on a 2 x 2 orbit that have the wrong count
@@ -1029,13 +1034,13 @@ class TestPoset:
     @pytest.mark.parametrize("b, c", UNCHECKED_MARGINS, ids=margin_id)
     def test_unchecked_posets_equal_the_checked_one(self, b, c):
         """``build_poset(check_reduction=False)`` and the poset that
-        ``verify --witness`` takes from ``_verified_poset`` skip the order
+        ``verify --witness`` takes from ``_pipeline`` skip the order
         check; on every margin pair of mass <= 4 and on full flags n = 5
         they hold the checked poset's elements, covers and moves, and the
         report counts the checked poset's elements and covers."""
         checked = build_poset(b, c)
         unchecked = build_poset(b, c, check_reduction=False)
-        report, verified = lineflags.moves._verified_poset(b, c)
+        report, verified = lineflags.moves._pipeline(b, c, with_moves=True, with_report=True)
         assert report.passed
         assert (report.element_count, report.cover_count) == (
             len(checked.elements), len(checked.covers)
@@ -1352,6 +1357,35 @@ class TestSabotagedMoves:
         sabotage(monkeypatch, extra=(LOW, TOP))
         with pytest.raises(OrderCheckFailed, match="edge 3->1 is not a cover"):
             build_poset((1, 1), (1, 1))
+
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            ({}, None),
+            ({"drop": (MID,)}, "move closure differs from the rank order"),
+            ({"extra": (LOW, TOP)}, "move edge 3->1 is not a cover"),
+            ({"extra": (MID, LOW)}, "move closure differs from the rank order"),
+        ],
+        ids=["intact moves", "withheld move", "non-cover upward edge", "downward edge"],
+    )
+    def test_build_poset_raises_iff_the_report_fails(self, monkeypatch, broken, message):
+        """``build_poset`` checks through the report of
+        ``verify_equivalence``: it raises exactly when the report fails,
+        on a failed closure with one message and otherwise with the first
+        counterexample; unchecked, it never raises."""
+        sabotage(monkeypatch, **broken)
+        report = verify_equivalence((1, 1), (1, 1))
+        assert report.passed == (message is None)
+        if not report.passed and report.order_equivalent:
+            assert message == report.counterexamples[0]
+        try:
+            build_poset((1, 1), (1, 1))
+        except OrderCheckFailed as exc:
+            raised = str(exc)
+        else:
+            raised = None
+        assert raised == message
+        build_poset((1, 1), (1, 1), check_reduction=False)
 
     def test_build_poset_raises_under_optimization(self):
         script = textwrap.dedent(

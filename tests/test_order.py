@@ -12,7 +12,7 @@ from lineflags import (
     rbar_table,
 )
 from lineflags.moves import _move_edges
-from lineflags.order import bits, dominance_masks, generated
+from lineflags.order import bits, check
 from helpers import margin_pairs, transitive_reduction
 
 
@@ -43,6 +43,17 @@ def pairwise_masks(keys):
     ]
 
 
+def strict(leq):
+    """The up-sets ``leq`` with each element's own bit cleared."""
+    return [mask & ~(1 << a) for a, mask in enumerate(leq)]
+
+
+def up_set_keys(leq):
+    """Keys of the order ``leq``: each element's up-set as an indicator
+    row, so that ``a <= t`` iff ``key[a] >= key[t]`` entrywise."""
+    return [tuple((mask >> x) & 1 for x in range(len(leq))) for mask in leq]
+
+
 def reachable(targets, k):
     """Every node reachable from ``k``, by a plain graph search."""
     seen, stack = {k}, [k]
@@ -62,15 +73,15 @@ def cover_pairs(masks):
     return [(a, t) for a, mask in enumerate(masks) for t in bits(mask)]
 
 
-def covers_of(leq):
-    """The kernel's covers of ``leq``: with no edges every cover is a
-    cover that is not an edge."""
-    return generated(leq, [[]] * len(leq))[3]
+def covers_of(keys):
+    """The kernel's covers of the order of ``keys``: with no edges every
+    cover is a cover that is not an edge."""
+    return check(keys, [[]] * len(keys))[4]
 
 
-def reach_of(leq, disagree):
+def reach_of(up, disagree):
     """The right-hand sides of the identity, rebuilt from where it fails."""
-    return [disagree.get(a, leq[a]) for a in range(len(leq))]
+    return [disagree.get(a, up[a]) for a in range(len(up))]
 
 
 MARGINS = margin_pairs(1, 4)
@@ -80,15 +91,15 @@ MARGINS = margin_pairs(1, 4)
 def test_masks_and_covers_match_the_oracles(keys_of):
     for b, c in MARGINS:
         keys = keys_of(b, c)
-        leq = dominance_masks(keys)
-        assert leq == pairwise_masks(keys), (b, c)
+        leq = pairwise_masks(keys)
         expected = reduction_of(leq)
         # With no edges the covers are read off the up-sets; with the
         # order as its own graph, off the targets.
-        assert covers_of(leq) == expected, (b, c)
-        disagree, cover_count, not_covers, not_edges = generated(
-            leq, [list(bits(m)) for m in leq]
+        assert covers_of(keys) == expected, (b, c)
+        up, disagree, cover_count, not_covers, not_edges = check(
+            keys, [list(bits(m)) for m in leq]
         )
+        assert up == strict(leq), (b, c)
         assert (disagree, cover_count, not_edges) == ({}, len(expected), []), (b, c)
         assert sorted(set(cover_pairs(leq)) - set(not_covers)) == expected, (b, c)
 
@@ -150,23 +161,24 @@ def test_generated_matches_graph_search_on_perturbed_orders(how):
         for _ in range(20):
             leq, targets = random_order(rng, count)
             generates = perturb(rng, leq, targets, how)
-            disagree, cover_count, not_covers, not_edges = generated(leq, targets)
-            reach = reach_of(leq, disagree)
-            assert list(disagree) == [a for a in range(count) if reach[a] != leq[a]]
+            keys = up_set_keys(leq)
+            up, disagree, cover_count, not_covers, not_edges = check(keys, targets)
+            assert up == strict(leq)
+            reach = reach_of(up, disagree)
+            assert list(disagree) == [a for a in range(count) if reach[a] != up[a]]
             searched = [reachable(targets, a) for a in range(count)]
             assert (searched == leq) == generates
-            assert (reach == leq) == generates
+            assert (reach == up) == generates
             # One element at a time: every other target lies strictly
             # above, and every cover is a target.
             covers = reduction_of(leq)
             for a in range(count):
-                up = leq[a] & ~(1 << a)
-                local = all((up >> t) & 1 for t in targets[a] if t != a) and all(
+                local = all((up[a] >> t) & 1 for t in targets[a] if t != a) and all(
                     t in targets[a] for s, t in covers if s == a
                 )
-                assert (reach[a] == leq[a]) == local
+                assert (reach[a] == up[a]) == local
                 branches.add(local)
-            assert covers_of(leq) == covers
+            assert covers_of(keys) == covers
             assert cover_count == len(covers)
             edges = {(a, t) for a, ts in enumerate(targets) for t in ts}
             assert not_covers == sorted(edges - set(covers))
@@ -180,9 +192,10 @@ def test_covers_from_the_move_edges_match_the_oracle():
     for b, c in MARGINS:
         elements = tuple(enumerate_orbits(b, c))
         targets = _move_edges(elements)[1]
-        leq = dominance_masks([invariant(el) for el in elements])
-        disagree, cover_count, not_covers, not_edges = generated(leq, targets)
-        assert disagree == {}, (b, c)
+        keys = [invariant(el) for el in elements]
+        up, disagree, cover_count, not_covers, not_edges = check(keys, targets)
+        leq = pairwise_masks(keys)
+        assert (up, disagree) == (strict(leq), {}), (b, c)
         covers = sorted({(a, t) for a, ts in enumerate(targets) for t in ts})
         assert covers == reduction_of(leq), (b, c)
         assert cover_count == len(covers), (b, c)
@@ -191,10 +204,10 @@ def test_covers_from_the_move_edges_match_the_oracle():
 
 def test_closure_of_a_cover_graph_is_the_order():
     for b, c in MARGINS:
-        leq = dominance_masks(decorated_keys(b, c))
-        covers = covers_of(leq)
-        targets = [[t for s, t in covers if s == a] for a in range(len(leq))]
-        assert generated(leq, targets) == ({}, len(covers), [], []), (b, c)
+        keys = decorated_keys(b, c)
+        covers = covers_of(keys)
+        targets = [[t for s, t in covers if s == a] for a in range(len(keys))]
+        assert check(keys, targets)[1:] == ({}, len(covers), [], []), (b, c)
 
 
 def test_bits_lists_set_bits_in_order():
@@ -204,8 +217,10 @@ def test_bits_lists_set_bits_in_order():
 
 
 def test_degenerate_inputs():
-    assert dominance_masks([]) == []
-    assert dominance_masks([(), ()]) == [0b11, 0b11]
-    assert generated([], []) == ({}, 0, [], [])
-    assert generated([0b1], [[0]]) == ({}, 0, [(0, 0)], [])
-    assert generated([0b11, 0b10], [[], []]) == ({0: 0b01}, 1, [], [(0, 1)])
+    assert check([], []) == ([], {}, 0, [], [])
+    # Equal keys lie above each other, neither strictly above itself.
+    assert check([(), ()], [[], []])[0] == [0b10, 0b01]
+    assert check([()], [[0]]) == ([0], {}, 0, [(0, 0)], [])
+    # 0 < 1 with no edge: the identity fails at 0, whose right-hand side
+    # is empty, and the cover 0 -> 1 is no edge.
+    assert check([(1,), (0,)], [[], []]) == ([0b10, 0], {0: 0}, 1, [], [(0, 1)])

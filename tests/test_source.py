@@ -6,6 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import lineflags
+from lineflags import order
 
 PACKAGE = Path(lineflags.__file__).parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
@@ -139,6 +140,21 @@ def _calls(tree, names):
         for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
         if name in names
     ]
+
+
+def test_one_order_pipeline():
+    """The orbits' moves are generated in one place, ``_pipeline``, which
+    ``build_poset``, ``verify_equivalence`` and ``verify`` share; the order
+    kernel is one function over one list of strict up-sets."""
+    callers = [
+        (path.name, node.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+        for _ in _calls(node, ("_move_edges",))
+    ]
+    assert callers == [("moves.py", "_pipeline")]
+    assert order.__all__ == ["bits", "check"]
 
 
 def test_the_move_kernel_calls_no_validating_helper():
