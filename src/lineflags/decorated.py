@@ -74,19 +74,26 @@ class RBarTable(NamedTuple):
     q, r, __getitem__ = RankTable.q, RankTable.r, RankTable.__getitem__
 
 
+# For each ``r`` met, the ``r + 2`` rows of width ``r + 1`` a threshold
+# table can have, by their number of leading zeros: tables share them.
+_THRESHOLD_ROWS: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
 def _threshold_table(
     cells: Iterable[Position], q: int, r: int
 ) -> tuple[tuple[int, ...], ...]:
     """The bordered 0/1 table that is 1 at ``(i, j)`` unless some cell
-    ``(a, b)`` has ``a > i`` and ``b > j``.  Cells may lie one step past
-    the grid (``a = q + 1`` or ``b = r + 1``)."""
+    ``(a, b)`` has ``a > i`` and ``b > j``, in shared rows.  Cells lie in
+    the grid or one step past it (``a = q + 1`` or ``b = r + 1``)."""
+    rows = _THRESHOLD_ROWS.get(r)
+    if rows is None:
+        rows = _THRESHOLD_ROWS[r] = tuple((0,) * t + (1,) * (r + 1 - t) for t in range(r + 2))
     # below[i]: the largest column of a cell in a row > i.  Cells come by
-    # increasing column, so a later one overwrites a smaller value.  A cell
-    # above row 1, in a decoration that is not valid, bounds no row.
+    # increasing column, so a later one overwrites a smaller value.
     below = [0] * (q + 1)
     for (a, b) in sorted(cells, key=itemgetter(1)):
-        below[: max(a, 0)] = [b] * a
-    return tuple((0,) * t + (1,) * (r + 1 - t) for t in below)
+        below[:a] = [b] * a
+    return tuple(map(rows.__getitem__, below))
 
 
 def delta_table(dm: DecoratedMatrix) -> tuple[tuple[int, ...], ...]:

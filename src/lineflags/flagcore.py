@@ -285,19 +285,20 @@ def _changed_rows(old: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]) -
 
 def _step_code(
     old: Sequence[Sequence[int]], rows: Sequence[Sequence[int]], b: tuple[int, ...],
-    delta: Iterable[Position], old_delta: Iterable[Position],
+    delta: Iterable[Position], old_delta: Iterable[Position], at: list[int] | None = None,
 ) -> str | None:
     """The code ``validate(TransportMatrix(rows, b, c), delta)`` gives,
     where ``old`` and ``old_delta`` are the rows and decoration of a valid
     orbit with margins ``(b, c)`` and a row of ``rows`` that is the same
     object as ``old``'s row at its index is unchanged.  Only the other
-    rows are read: for their shape, entries and row sums, then for the
-    column sums of the same rows of ``old``.  A ``delta`` that is
-    ``old_delta`` itself can break no rule but ``ZeroEntryDecorated``."""
+    rows, ``at`` (by default ``_changed_rows(old, rows)``), are read: for
+    their shape, entries and row sums, then for the column sums of the
+    same rows of ``old``.  A ``delta`` that is ``old_delta`` itself can
+    break no rule but ``ZeroEntryDecorated``."""
     q, r = len(old), len(old[0])
     if len(rows) != q:
         return "BadShape"
-    at = _changed_rows(old, rows)
+    at = _changed_rows(old, rows) if at is None else at
     if at:
         new = [rows[i] for i in at]
         code = _rows_code(new, at, [b[i] for i in at], r) or _col_code(

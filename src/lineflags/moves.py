@@ -41,19 +41,22 @@ to the other, validates and tables each orbit once.
 ``_move_edges`` gives the orbits of one matrix one matrix part, and
 takes each orbit's order key from the same threshold table.
 ``find_chain`` runs the checker only on the candidates whose move leaves
-the tables at or above the target's on the whole region it lowers.  It
-validates each result only on the rows its move built, compares only
-the ranks those rows can change and the augmented ranks on those rows
-and on the threshold rows that change, and carries the tables and,
-after a kind-I step, the matrix part of the move it takes into the next
-step.
+the tables at or above the target's on the whole region it lowers, and
+drops those of kinds II to V whose first anchor fails that test before
+they are drawn.  It finds the rows each result built once, validates
+the result on them only, and compares only the ranks those rows can
+change and the augmented ranks on them and on the threshold rows that
+change; as threshold tables share their equal rows, those are the rows
+that are other objects.  It carries the tables and, after a kind-I
+step, the matrix part of the move it takes into the next step.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import compress, count
 from math import inf
-from operator import ge
+from operator import ge, is_not
 from typing import Iterator, NamedTuple, Sequence
 
 from .flagcore import (
@@ -469,7 +472,7 @@ def apply_move(dm: DecoratedMatrix, move: Move) -> DecoratedMatrix:
     return _result(dm, *result)
 
 
-def _candidates(v: _Orbit) -> Iterator[tuple[str, tuple[Position, ...]]]:
+def _candidates(v: _Orbit, first=None) -> Iterator[tuple[str, tuple[Position, ...]]]:
     """Anchor tuples in canonical order, a superset of those the checkers
     accept: corners that must carry mass come from the cells with mass,
     decorated anchors from the decoration, and far corners of rectangles
@@ -477,7 +480,8 @@ def _candidates(v: _Orbit) -> Iterator[tuple[str, tuple[Position, ...]]]:
     tried only at the undominated cells with mass with no other such
     cell weakly northwest of them.  Kind ``II`` skips a corner pair whose
     far corner is decorated, or whose near corner is decorated and holds
-    a single unit.
+    a single unit.  With ``first``, a test on cells, kinds ``II`` to ``V``
+    start only at cells it holds true, before their far corners are read.
 
     The decoration is a staircase: its rows increase and its columns
     decrease.  So the decorated cells southwest of one are those after
@@ -491,7 +495,9 @@ def _candidates(v: _Orbit) -> Iterator[tuple[str, tuple[Position, ...]]]:
         if j < limit and free[i - 1][j - 1]:
             yield "I", (cell,)
             limit = j
-    for cell in support:
+    starts = support if first is None else list(filter(first, support))  # kinds II to V
+    heads = delta if first is None else tuple(filter(first, delta))
+    for cell in starts:
         i, j = cell
         if cell in delta and m[i - 1][j - 1] == 1:
             continue
@@ -501,43 +507,43 @@ def _candidates(v: _Orbit) -> Iterator[tuple[str, tuple[Position, ...]]]:
     if not delta:  # every later kind has a decorated anchor
         return
     for kind in ("IIIa", "IIIb"):
-        for p in delta:
+        for p in heads:
             for s in far[p]:
                 yield kind, (p, s)
-    for k, p in enumerate(delta):
+    for p in heads:
         i0, j0 = p
         for s in support:
             i1, j1 = s
             if i1 > i0 + 1 and j1 > j0:
-                for unit in delta[k + 1 :]:
+                for unit in delta[delta.index(p) + 1 :]:
                     if unit[0] >= i1:
                         break
                     yield "IVa", (p, s, unit)
     row_in = {p[1]: p for p in delta}
-    for p in support:
+    for p in starts:
         unit = row_in.get(p[1])
         if unit is not None and unit[0] > p[0]:
             for s in far[p]:
                 if s[0] > unit[0]:
                     yield "IVb", (p, s, unit)
     column_in = {p[0]: p for p in delta}
-    for p in support:
+    for p in starts:
         unit = column_in.get(p[0])
         if unit is not None and unit[1] > p[1]:
             for s in far[p]:
                 if s[1] > unit[1]:
                     yield "IVc", (p, s, unit)
     start, n = 0, len(delta)
-    for p in support:  # by row, so the run's start only moves on
+    for p in starts:  # by row, so the run's start only moves on
         i0, j0 = p
         while start < n and delta[start][0] <= i0:
             start += 1
         stop = start
         while stop < n and delta[stop][1] > j0:
             stop += 1
-        for first in range(start, stop):
-            for end in range(first + 1, stop + 1):
-                yield "V", (p,) + delta[first:end]
+        for head in range(start, stop):
+            for end in range(head + 1, stop + 1):
+                yield "V", (p,) + delta[head:end]
 
 
 def _checked_moves(
@@ -549,10 +555,11 @@ def _checked_moves(
     they keep it.  One :class:`_Orbit` serves every check: ``view``, the
     view of ``dm`` on a shared matrix part, or by default a new one.  With
     ``room``, only the candidates ``(kind, anchors)`` it holds true are
-    checked."""
+    checked, and its test ``room.first``, if it has one, goes to
+    :func:`_candidates`: it may drop only candidates ``room`` refuses."""
     v = _Orbit.of(dm) if view is None else view
-    candidates = _candidates(v) if room is None else filter(room, _candidates(v))
-    for kind, anchors in candidates:
+    candidates = _candidates(v, getattr(room, "first", None))
+    for kind, anchors in candidates if room is None else filter(room, candidates):
         result = _TRY[kind](v, anchors)
         if not isinstance(result, str):
             yield kind, anchors, result
@@ -715,16 +722,17 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
     its anchor, to ``r`` there; so it is checked only if ``r`` is at least
     ``y``'s ``rbar`` on those positions, and then its result lies below
     ``y``.  Any other move lowers each rank of the block between its first
-    two anchors, so it is checked only if ``r`` exceeds ``y``'s there.
-    Every result looked at is validated against its source, which is
-    valid: only the rows the move built are read, and a result that is
-    not an orbit raises with the code :func:`validate` gives it.  Those
-    rows keep their column sums, so only the ranks between them are
-    compared with ``y``'s, then the augmented ranks on the same rows and
-    on the rows of the threshold table that a new decoration changes.
-    The orbit is built only for the move taken.  The moves generate the
-    order, so such a move exists; if none does, the order and the moves
-    disagree and :class:`OrderCheckFailed` is raised.
+    two anchors, so it is checked only if ``r`` exceeds ``y``'s there, and
+    not drawn unless it does at the first anchor.  Every result looked at
+    is validated against its source, which is valid: only the rows the
+    move built are read, and a result that is not an orbit raises with
+    the code :func:`validate` gives it.  Those rows keep their column
+    sums, so only the ranks between them are compared with ``y``'s, then
+    the augmented ranks on the same rows and on the threshold rows that a
+    new decoration changes.  The orbit is built only for the move taken.
+    The moves generate the order, so such a move exists; if none does,
+    the order and the moves disagree and :class:`OrderCheckFailed` is
+    raised.
     """
     source = _Tables.of(x)
     view, goal = _Orbit.of(x, source), _Tables.of(y)
@@ -750,27 +758,29 @@ def find_chain(x: DecoratedMatrix, y: DecoratedMatrix) -> list[Move] | None:
                 return False
         return True
 
+    # Kinds II to V: ``room`` first reads ``r`` at the first anchor, NW of the block.
+    room.first = lambda p: ranks[p[0] * w + p[1]] > goal_ranks[p[0] * w + p[1]]
     chain: list[Move] = []
     z = x
     while ranks != goal_ranks or rbar != goal_rbar:
         (m, b, c), source_delta = z
         for kind, anchors, (rows, delta) in _checked_moves(z, view, room):
-            code = _step_code(m, rows, b, delta, source_delta)
+            at = _changed_rows(m, rows)
+            code = _step_code(m, rows, b, delta, source_delta, at)
             if code is not None:
                 raise ValidationError(code)
             # The changed rows keep their column sums, so only the rank rows
             # from the first one's to the last one's can change; a kind-I
             # result changes no row.
-            at = _changed_rows(m, rows) or [0]
-            lo, hi = at[0], at[-1]
+            lo, hi = (at[0], at[-1]) if at else (0, 0)
             rank_band = _ranks(rows[lo:hi], r, ranks[lo * w : lo * w + w])
             if not all(map(ge, rank_band, goal_ranks[lo * w : hi * w + w])):
                 continue
             step_ranks = ranks[: lo * w] + rank_band + ranks[hi * w + w :]
             step_free = free
             if delta is not source_delta:  # the threshold rows that change join the band
-                step_free = _threshold_table(delta, q, r)
-                moved = [i for i, (new, old) in enumerate(zip(step_free, free)) if new != old]
+                step_free = _threshold_table(delta, q, r)  # equal rows are one object
+                moved = list(compress(count(), map(is_not, step_free, free)))
                 if moved:
                     lo, hi = min(lo, moved[0]), max(hi, moved[-1])
             s, e = lo * w, hi * w + w

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import lineflags.decorated as decorated
 from lineflags import (
     DecoratedMatrix,
     Move,
@@ -96,6 +97,52 @@ class TestDeltaTable:
             with pytest.raises(ValidationError) as info:
                 table(dm)
             assert info.value.code == code
+
+
+class TestThresholdTable:
+    """``_threshold_table`` against the definition, built from one shared
+    tuple of rows per width."""
+
+    @staticmethod
+    def cell_lists():
+        """``(cells, q, r)``: every staircase of the 4x4 grid, the empty one
+        too, alone and with each cell one step past the grid added in
+        shuffled order, as ``witness._tables_of`` may give its slots."""
+        rng = random.Random(4)
+        past = [(5, j) for j in range(1, 6)] + [(i, 5) for i in range(1, 5)]
+        grid = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+        for cells in [()] + brute_force_staircases(grid):
+            yield cells, 4, 4
+            for extra in past:
+                shuffled = [*cells, extra]
+                rng.shuffle(shuffled)
+                yield shuffled, 4, 4
+
+    def test_matches_the_definition(self):
+        count = 0
+        for cells, q, r in self.cell_lists():
+            table = decorated._threshold_table(cells, q, r)
+            assert list(map(list, table)) == delta_by_definition(cells, q, r), cells
+            count += 1
+        assert count == 700
+
+    def test_tables_share_a_row_exactly_where_their_rows_are_equal(self, monkeypatch):
+        """Over the tables of every width, rows are equal iff they are one
+        object, and the cache holds one tuple of ``r + 2`` rows per width."""
+        monkeypatch.setattr(decorated, "_THRESHOLD_ROWS", {})
+        rows_of = {}
+        for cells, q, r in self.cell_lists():
+            for width in range(1, r + 1):
+                kept = [(a, b) for a, b in cells if b <= width + 1]
+                rows_of.setdefault(width, []).extend(decorated._threshold_table(kept, q, width))
+        cache = decorated._THRESHOLD_ROWS
+        assert sorted(cache) == sorted(rows_of) == [1, 2, 3, 4]
+        for width, rows in rows_of.items():
+            assert len(set(map(id, rows))) == len(set(rows))
+            assert {id(row) for row in rows} <= set(map(id, cache[width]))
+            assert cache[width] == tuple(
+                (0,) * t + (1,) * (width + 1 - t) for t in range(width + 2)
+            )
 
 
 class TestDecoratedOrder:

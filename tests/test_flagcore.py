@@ -21,7 +21,7 @@ from lineflags import (
     to_permutation,
     validate,
 )
-from lineflags.flagcore import _step_code, raise_if_invalid
+from lineflags.flagcore import _changed_rows, _step_code, raise_if_invalid
 from helpers import GOLDEN_N3_LABELS, margin_pairs, maximal_positions, sort_key, validate_by_rule
 
 
@@ -316,7 +316,8 @@ def _step_decorations(rng, m, delta):
 
 class TestStepCheck:
     """``_step_code`` reads only the rows a step changed, and gives the
-    code that ``validate`` gives the whole result."""
+    code that ``validate`` gives the whole result, whether it is given
+    the changed rows or finds them itself."""
 
     orbits = TestValidateOracle.orbits + random.Random(19).sample(
         enumerate_orbits((1,) * 5, (1,) * 5), 500
@@ -332,6 +333,7 @@ class TestStepCheck:
                     tm = TransportMatrix(rows, b, c)
                     got = _step_code(m, rows, b, d, delta)
                     assert got == validate(tm, d) == validate_by_rule(tm, d), (dm, rows, d)
+                    assert _step_code(m, rows, b, d, delta, _changed_rows(m, rows)) == got
                     codes.add(got and got.split("(")[0])
         assert codes == {
             None, "BadShape", "NegativeEntry", "BadRowSum", "BadColSum",
@@ -351,6 +353,7 @@ class TestStepCheck:
                 tm = TransportMatrix(rows, b, c)
                 got = _step_code(m, rows, b, delta, delta)
                 assert got == validate(tm, delta) == validate_by_rule(tm, delta), (dm, rows)
+                assert _step_code(m, rows, b, delta, delta, _changed_rows(m, rows)) == got
                 codes.add(got and got.split("(")[0])
         assert codes == {
             None, "BadShape", "NegativeEntry", "BadRowSum", "BadColSum", "ZeroEntryDecorated",

@@ -1188,6 +1188,45 @@ class TestFindChain:
             "I": 315, "II": 55, "IIIa": 99, "IIIb": 99, "IVa": 12, "IVb": 8, "IVc": 8, "V": 67
         }
 
+    def test_the_first_anchor_test_drops_only_what_the_room_refuses(self, monkeypatch):
+        """``room.first`` judges a candidate of kinds II to V at its first
+        anchor: on every ordered pair of orbits of mass <= 3 and on 300
+        seeded comparable pairs of full-flag orbits at n = 5,
+        ``_candidates`` given it yields, in order, the candidates it yields
+        without it less those whose first anchor fails, and ``room``
+        refuses each candidate dropped."""
+        real = lineflags.moves._checked_moves
+        counts = Counter()
+
+        def checked(dm, view=None, room=None):
+            first = room.first
+            every = list(lineflags.moves._candidates(view))
+            kept = [(kind, anchors) for kind, anchors in every if kind == "I" or first(anchors[0])]
+            assert list(lineflags.moves._candidates(view, first)) == kept
+            refused = [candidate for candidate in every if not room(candidate)]
+            dropped = [candidate for candidate in every if candidate not in kept]
+            assert all(candidate in refused for candidate in dropped)
+            counts.update(refused=len(refused), dropped=len(dropped))
+            return real(dm, view, room)
+
+        monkeypatch.setattr(lineflags.moves, "_checked_moves", checked)
+        for b, c in margin_pairs(1, 3):
+            orbits = enumerate_orbits(b, c)
+            for x in orbits:
+                for y in orbits:
+                    find_chain(x, y)
+        orbits = enumerate_orbits((1,) * 5, (1,) * 5)
+        rng = random.Random(5)
+        pairs = 0
+        while pairs < 300:
+            x, y = rng.sample(orbits, 2)
+            if rk_leq_dec(y, x):
+                x, y = y, x
+            if rk_leq_dec(x, y):
+                find_chain(x, y)
+                pairs += 1
+        assert counts == {"refused": 5349, "dropped": 2340}
+
     def test_chains_match_the_public_api_greedy_walk_at_n6(self):
         orbits = enumerate_orbits((1,) * 6, (1,) * 6)
         rng = random.Random(6)
